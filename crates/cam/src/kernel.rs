@@ -436,15 +436,16 @@ fn or_into_u64x4(dst: &mut [u64], src: &[u64]) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn and_plane_avx2(dst: &mut [u64], src: &[u64]) -> u64 {
-    // SAFETY: this function pointer is only reachable through `ops()` when
-    // `is_x86_feature_detected!("avx2")` returned true for this process.
+    // SAFETY: `ops()` hands this out only after AVX2 detection, and callers
+    // keep `src.len() >= dst.len()`.
     unsafe { avx2::and_plane(dst, src) }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
-    // SAFETY: as for `and_plane_avx2`.
+    // SAFETY: `ops()` hands this out only after AVX2 detection, and callers
+    // keep `src.len() >= dst.len()`.
     unsafe { avx2::or_into(dst, src) }
 }
 
@@ -457,7 +458,8 @@ fn match_cols_avx2(
     ewords: usize,
     syms: &[Symbol],
 ) -> u64 {
-    // SAFETY: as for `and_plane_avx2`.
+    // SAFETY: `ops()` hands this out only after AVX2 detection, and callers
+    // keep the `KernelOps::match_cols` length contract.
     unsafe { avx2::match_cols(ml, init, planes, ewords, syms) }
 }
 

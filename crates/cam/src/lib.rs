@@ -30,6 +30,7 @@
 // `deny` instead of `forbid`: the AVX2 bodies in `kernel` carry a scoped
 // `#[allow(unsafe_code)]`; everything else in the crate stays safe.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod bcam;

@@ -8,6 +8,8 @@
 //! `--resume` can pick up where it left off; a second Ctrl-C kills the
 //! process immediately.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::process::ExitCode;
 
 use casa_core::{log_info, log_warn, CancelToken};
@@ -36,11 +38,14 @@ mod sigint {
     /// the default disposition so a second Ctrl-C terminates immediately.
     extern "C" fn on_sigint(_signum: i32) {
         INTERRUPTED.store(true, Ordering::SeqCst);
+        // SAFETY: `signal` is async-signal-safe and SIG_DFL is a valid disposition.
         unsafe { signal(SIGINT, SIG_DFL) };
     }
 
     /// Installs the handler and spawns the watcher that cancels `token`.
     pub fn install(token: CancelToken) {
+        // SAFETY: `on_sigint` is an `extern "C" fn(i32)` that only touches an
+        // atomic and calls `signal`, both async-signal-safe.
         unsafe { signal(SIGINT, on_sigint as *const () as usize) };
         std::thread::spawn(move || loop {
             if INTERRUPTED.load(Ordering::SeqCst) {

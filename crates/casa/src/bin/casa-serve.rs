@@ -8,6 +8,8 @@
 //! deadline), detached watchdog guard threads are waited out, and the
 //! process exits 0.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -37,11 +39,14 @@ mod shutdown_signal {
     /// default disposition so a second signal terminates immediately.
     extern "C" fn on_signal(signum: i32) {
         REQUESTED.store(true, Ordering::SeqCst);
+        // SAFETY: `signal` is async-signal-safe and SIG_DFL is a valid disposition.
         unsafe { signal(signum, SIG_DFL) };
     }
 
     /// Installs the handlers.
     pub fn install() {
+        // SAFETY: `on_signal` is an `extern "C" fn(i32)` that only touches an
+        // atomic and calls `signal`, both async-signal-safe.
         unsafe {
             signal(SIGTERM, on_signal as *const () as usize);
             signal(SIGINT, on_signal as *const () as usize);
@@ -74,6 +79,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Handlers go in before the listener opens: a SIGTERM sent the moment
+    // the server is reachable must drain it, not kill it.
+    #[cfg(unix)]
+    shutdown_signal::install();
     let server = match Server::start_with_index(seeder, options.serve.clone(), provenance) {
         Ok(s) => s,
         Err(e) => {
@@ -84,8 +93,6 @@ fn main() -> ExitCode {
     // Announce the bound address on stdout so wrappers using `--addr
     // 127.0.0.1:0` can discover the port.
     println!("listening {}", server.local_addr());
-    #[cfg(unix)]
-    shutdown_signal::install();
     let handle = server.handle();
     loop {
         #[cfg(unix)]

@@ -147,6 +147,21 @@ impl FilterFaultReport {
     }
 }
 
+/// Hints the CPU to start loading the cache line holding `*r` into all
+/// cache levels without waiting for it. A no-op off x86_64.
+#[inline(always)]
+#[allow(unsafe_code)]
+pub(crate) fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch never faults and writes nothing; `r` is a valid reference.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast::<i8>()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
 const DOMAIN_FILTER_FLIP: u64 = 0x21;
 
 /// The pre-seeding filter for one reference partition.
@@ -349,11 +364,11 @@ impl PreSeedingFilter {
         si
     }
 
-    /// How many codes ahead of the consuming lookup the batched pass
-    /// issues its mini-index prefetch load. Far enough to cover an L3/DRAM
-    /// round trip at typical lookup cost, small enough to stay inside one
-    /// read's pivot window.
-    const LOOKUP_AHEAD: usize = 16;
+    /// Pipeline distance `D` of the batched pass, in codes. While code `i`
+    /// is looked up, the tag row and data row of code `i + D` and the
+    /// mini-index slot of code `i + 2D` are in flight. Tuned with
+    /// interleaved runs; a constant, not a knob.
+    const LOOKUP_AHEAD: usize = 8;
 
     /// Looks up a whole batch of pre-computed k-mer codes in one
     /// software-pipelined pass, filling `out` with one indicator per code
@@ -361,25 +376,53 @@ impl PreSeedingFilter {
     ///
     /// Semantically identical to calling [`lookup_code`](Self::lookup_code)
     /// per code — same indicators, same [`FilterStats`] deltas — but
-    /// restructured for memory-level parallelism. The per-pivot path
-    /// issues one random mini-index load per loop iteration, each behind
-    /// the previous iteration's gating branches; the mini index is `4^m`
-    /// entries (4 MB at the paper's m = 10), far beyond L2, so those
-    /// serialized misses dominate the pre-seeding stage. Here every
-    /// iteration *also* loads the mini-index slot `LOOKUP_AHEAD`
-    /// codes ahead (forced via [`std::hint::black_box`] on the loaded
-    /// value, so the compiler cannot drop the dead load) — by the time
-    /// the consuming lookup runs, its line is resident.
+    /// restructured for memory-level parallelism, as the hardware overlaps
+    /// its three filter stages (paper Fig. 9). A lookup is three dependent
+    /// misses: the mini-index slot (`4^m` entries, 4 MB at m = 10) gives
+    /// `lo..hi`, which addresses the tag bucket, whose match addresses the
+    /// data row. At code `i` the pass prefetches the mini-index slot of
+    /// code `i + 2D`, reads the (by now resident) slot of code `i + D` and
+    /// prefetches its first tag and data rows, then runs the unchanged
+    /// `lookup_code` on code `i`, whose lines have had two stages to
+    /// arrive. Prefetches never change what is read, only when.
     pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
+        const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
         out.clear();
         out.reserve(codes.len());
-        let rest_bits = 2 * (self.config.k - self.config.m);
+        for &code in codes.iter().take(2 * D) {
+            self.prefetch_slot(code);
+        }
+        for &code in codes.iter().take(D) {
+            self.prefetch_bucket(code);
+        }
         for (i, &code) in codes.iter().enumerate() {
-            if let Some(&ahead) = codes.get(i + Self::LOOKUP_AHEAD) {
-                let mmer = (ahead >> rest_bits) as usize;
-                std::hint::black_box(self.mini_index[mmer]);
+            if let Some(&ahead) = codes.get(i + 2 * D) {
+                self.prefetch_slot(ahead);
+            }
+            if let Some(&ahead) = codes.get(i + D) {
+                self.prefetch_bucket(ahead);
             }
             out.push(self.lookup_code(code));
+        }
+    }
+
+    /// Pipeline stage 1: starts fetching the mini-index slot of `code`.
+    #[inline(always)]
+    fn prefetch_slot(&self, code: u64) {
+        let mmer = (code >> (2 * (self.config.k - self.config.m))) as usize;
+        prefetch(&self.mini_index[mmer]);
+    }
+
+    /// Pipeline stage 2: reads the slot of `code` and, for a non-empty
+    /// bucket, starts fetching its first tag row and data row.
+    #[inline(always)]
+    fn prefetch_bucket(&self, code: u64) {
+        let mini = self.mini_index.as_slice();
+        let mmer = (code >> (2 * (self.config.k - self.config.m))) as usize;
+        let lo = mini[mmer] as usize;
+        if lo != mini[mmer + 1] as usize {
+            prefetch(&self.tag[lo]);
+            self.data.prefetch_row(lo);
         }
     }
 
@@ -476,43 +519,72 @@ mod tests {
         PackedSeq::from_ascii(s.as_bytes()).unwrap()
     }
 
+    /// The same filter over shared (image-style) tables.
+    fn shared_copy(filter: &PreSeedingFilter) -> PreSeedingFilter {
+        use casa_genome::SliceView;
+        use std::sync::Arc;
+        fn share<T: Send + Sync + 'static>(v: Vec<T>) -> SharedSlice<T> {
+            SharedSlice::new(Arc::new(v) as Arc<dyn SliceView<T>>)
+        }
+        PreSeedingFilter::from_shared_parts(
+            *filter.config(),
+            share(filter.mini_index().to_vec()),
+            share(filter.tag().to_vec()),
+            share(filter.data_words()),
+            filter.partition_len(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn batched_lookup_matches_per_code_lookup_including_stats() {
-        // The batched path must be observationally identical to per-code
-        // lookup_code calls: same indicators in order, same FilterStats
-        // deltas — the engine's modeled-activity figures depend on it.
+        // The batched pipeline must be observationally identical to
+        // per-code lookup_code calls: same indicators in order, same
+        // FilterStats deltas — the engine's modeled-activity figures
+        // depend on it. Checked at the pipeline's edges (prologue only,
+        // one stage, both stages, a full 101 bp read at k = 19) on every
+        // storage the tables can have: owned, shared, and shared detached
+        // by fault injection (copy-on-write).
         let part = generate_reference(&ReferenceProfile::human_like(), 3_000, 23);
         let cfg = FilterConfig::small(8, 4);
-        let mut serial = PreSeedingFilter::build(&part, cfg);
-        let mut batched = serial.clone();
+        let built = PreSeedingFilter::build(&part, cfg);
+        let shared = shared_copy(&built);
+        let mut faulted = shared_copy(&built);
+        let model = FilterFaultModel {
+            seed: 3,
+            flip_rate: 0.05,
+        };
+        assert!(faulted.inject_faults(&model).sites() > 0);
+        assert!(shared.tables_shared() && !faulted.data.is_shared());
 
-        // Mix of present codes, absent codes, and repeats.
-        let mut codes: Vec<u64> = part.kmers(cfg.k).map(|(_, c)| c).step_by(7).collect();
+        // Present and absent codes interleaved, then repeats.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        for _ in 0..200 {
-            codes.push(rng.gen_range(0..(1u64 << (2 * cfg.k))));
-        }
+        let mut codes: Vec<u64> = part
+            .kmers(cfg.k)
+            .step_by(7)
+            .take(200)
+            .flat_map(|(_, c)| [c, rng.gen_range(0..(1u64 << (2 * cfg.k)))])
+            .collect();
         codes.extend_from_slice(&codes.clone()[..16]);
 
-        let per_code: Vec<SearchIndicator> = codes.iter().map(|&c| serial.lookup_code(c)).collect();
-        let mut out = vec![SearchIndicator::EMPTY; 3]; // stale garbage: must be cleared
-        batched.lookup_codes_into(&codes, &mut out);
-
-        assert_eq!(out, per_code);
-        assert_eq!(batched.stats(), serial.stats());
-
-        // Repeat on the same filter: stats keep accumulating identically.
-        let per_code2: Vec<SearchIndicator> =
-            codes.iter().map(|&c| serial.lookup_code(c)).collect();
-        batched.lookup_codes_into(&codes, &mut out);
-        assert_eq!(out, per_code2);
-        assert_eq!(batched.stats(), serial.stats());
-
-        // Empty batch clears the output and changes nothing.
-        batched.lookup_codes_into(&[], &mut out);
-        assert!(out.is_empty());
-        assert_eq!(batched.stats(), serial.stats());
+        const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
+        let lens = [0, 1, D - 1, D, 2 * D, 2 * D + 1, 101 - 19 + 1, codes.len()];
+        for (name, filter) in [("built", built), ("shared", shared), ("faulted", faulted)] {
+            let mut serial = filter.clone();
+            let mut batched = filter;
+            // Stale garbage in `out` must be cleared; each length runs
+            // twice on the same filter, so stats keep accumulating.
+            let mut out = vec![SearchIndicator::EMPTY; 3];
+            for len in lens.into_iter().chain(lens) {
+                let batch = &codes[..len];
+                let per_code: Vec<SearchIndicator> =
+                    batch.iter().map(|&c| serial.lookup_code(c)).collect();
+                batched.lookup_codes_into(batch, &mut out);
+                assert_eq!(out, per_code, "{name}: {len} codes");
+                assert_eq!(batched.stats(), serial.stats(), "{name}: {len} codes");
+            }
+        }
     }
 
     #[test]

@@ -177,6 +177,20 @@ impl IndicatorStore {
         }
     }
 
+    /// Starts fetching the cache line of record `row` (see
+    /// [`PreSeedingFilter::lookup_codes_into`](crate::PreSeedingFilter::lookup_codes_into)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= len()`.
+    #[inline(always)]
+    pub(crate) fn prefetch_row(&self, row: usize) {
+        match self {
+            IndicatorStore::Owned(v) => crate::filter::prefetch(&v[row]),
+            IndicatorStore::Shared(s) => crate::filter::prefetch(&s.as_slice()[2 * row]),
+        }
+    }
+
     /// Encodes the records as wire words (two `u64` per record), the form
     /// the image writer persists.
     pub fn to_words(&self) -> Vec<u64> {

@@ -490,3 +490,73 @@ fn drain_finishes_cleanly_and_no_guard_thread_survives() {
         "guard threads still live after shutdown"
     );
 }
+
+/// A SIGTERM sent the moment the `casa-serve` binary is reachable must
+/// drain it (exit 0), never kill it. The daemon's stdout is a socket with
+/// a full send buffer, so it blocks printing its `listening` line: the
+/// signal lands after the listener opened and before that line is out,
+/// exactly when a handler installed after the announcement is missing.
+#[cfg(unix)]
+#[test]
+fn casa_serve_sigterm_as_soon_as_it_listens_drains_cleanly() {
+    use std::io::{BufRead, BufReader, ErrorKind};
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+    use std::process::{Command, Stdio};
+
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let (reader, mut writer) = UnixStream::pair().expect("socket pair");
+    writer.set_nonblocking(true).unwrap();
+    for chunk in [&b"filler\n".repeat(512)[..], b"\n"] {
+        loop {
+            match writer.write(chunk) {
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("fill stdout socket: {e}"),
+            }
+        }
+    }
+    writer.set_nonblocking(false).unwrap();
+
+    let addr = format!("127.0.0.1:{port}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_casa-serve"))
+        .args([
+            "--addr",
+            &addr,
+            "--synth",
+            "20000",
+            "--partition-len",
+            "10000",
+        ])
+        .stdout(Stdio::from(OwnedFd::from(writer)))
+        .spawn()
+        .expect("spawn casa-serve");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while TcpStream::connect(&addr).is_err() {
+        assert!(
+            child.try_wait().unwrap().is_none(),
+            "casa-serve exited early"
+        );
+        assert!(Instant::now() < deadline, "casa-serve never listened");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+
+    let lines: Vec<String> = BufReader::new(reader).lines().map(Result::unwrap).collect();
+    let status = child.wait().expect("wait casa-serve");
+    assert!(
+        status.success(),
+        "casa-serve did not drain on SIGTERM: {status}"
+    );
+    assert!(
+        lines.contains(&format!("listening {addr}")),
+        "no listening line"
+    );
+}
