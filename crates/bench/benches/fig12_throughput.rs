@@ -2,7 +2,7 @@
 //! read batch.
 
 use casa_baselines::{BwaMem2Model, ErtAccelerator, ErtConfig, GenaxAccelerator, GenaxConfig};
-use casa_core::CasaAccelerator;
+use casa_core::SeedingSession;
 use casa_experiments::scenario::{Genome, Scale, Scenario, READ_LEN};
 use casa_experiments::systems::genax_k;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,8 +13,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12_seeding");
     group.sample_size(10);
 
-    let casa =
-        CasaAccelerator::new(&scenario.reference, scenario.casa_config()).expect("valid config");
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let casa = SeedingSession::new(&scenario.reference, scenario.casa_config(), workers)
+        .expect("valid config");
     group.bench_function("casa", |b| b.iter(|| casa.seed_reads(reads)));
 
     let ert = ErtAccelerator::new(&scenario.reference, ErtConfig::default());

@@ -2,13 +2,13 @@
 //! stage composition.
 
 use casa_align::seedex::{extend_batch, SeedExConfig};
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::{CasaConfig, SeedingSession};
 use casa_experiments::scenario::{Genome, Scale, Scenario};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
     let scenario = Scenario::build(Genome::HumanLike, Scale::Small);
-    let casa = CasaAccelerator::new(&scenario.reference, CasaConfig::paper(50_000, 101))
+    let casa = SeedingSession::new(&scenario.reference, CasaConfig::paper(50_000, 101), 1)
         .expect("valid config");
     let run = casa.seed_reads(&scenario.reads);
     let cfg = SeedExConfig::default();

@@ -92,18 +92,12 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("cam_search_scalar_oracle_40k", |b| {
-        cam.set_scalar_search(true);
-        let mut hits = Vec::new();
         b.iter(|| {
             cam_queries
                 .iter()
-                .map(|q| {
-                    cam.search_into(q, &full, &mut hits);
-                    hits.len()
-                })
+                .map(|q| cam.search_scalar(q, &full).len())
                 .sum::<usize>()
-        });
-        cam.set_scalar_search(false);
+        })
     });
     for backend in KernelBackend::supported() {
         cam.set_kernel_backend(backend);

@@ -2,13 +2,13 @@
 //! per-call serial path (engines rebuilt every batch) versus a reused
 //! [`SeedingSession`] at several worker counts.
 //!
-//! The serial baseline is `CasaAccelerator::seed_reads_serial`, the
+//! The serial baseline is `SeedingSession::seed_reads_serial`, the
 //! pre-session behaviour kept as an executable specification: every call
 //! re-derives each partition's filter tables and CAM arrays. A session
 //! pays that construction cost once, so steady-state batches only pay
 //! for seeding — the amortisation the `session/...` rows measure.
 
-use casa_core::{CasaAccelerator, SeedingSession};
+use casa_core::SeedingSession;
 use casa_experiments::scenario::{Genome, Scale, Scenario};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -22,8 +22,8 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(reads.len() as u64));
 
     // Old public API behaviour: engines rebuilt on every seed_reads call.
-    let serial = CasaAccelerator::with_workers(&scenario.reference, config, 1)
-        .expect("fig12 config is valid");
+    let serial =
+        SeedingSession::new(&scenario.reference, config, 1).expect("fig12 config is valid");
     group.bench_function("serial_rebuild_per_batch", |b| {
         b.iter(|| serial.seed_reads_serial(reads))
     });

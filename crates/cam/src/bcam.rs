@@ -273,9 +273,6 @@ pub struct Bcam {
     planes: SliceStore<u64>,
     /// Words per entry bitset (`entries().div_ceil(64)`).
     ewords: usize,
-    /// When set, `search` dispatches to the scalar oracle instead of the
-    /// bit-parallel kernel (regression testing only).
-    scalar_search: bool,
     /// Word-level kernel function table (process default unless overridden
     /// through [`Bcam::set_kernel_backend`]).
     ops: &'static KernelOps,
@@ -305,7 +302,7 @@ pub struct Bcam {
 }
 
 /// Bookkeeping for one query slot of an open search batch.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct BatchSlot {
     /// Start of this slot's symbols in `batch_syms`.
     sym_start: usize,
@@ -335,7 +332,6 @@ impl Bcam {
             stuck_one: vec![0; ewords],
             planes: Vec::new().into(),
             ewords,
-            scalar_search: false,
             ops: kernel::default_backend().ops(),
             cand: Vec::new(),
             matchline: Vec::new(),
@@ -379,7 +375,6 @@ impl Bcam {
             stuck_one: vec![0; ewords],
             planes: planes.into(),
             ewords,
-            scalar_search: false,
             ops: kernel::default_backend().ops(),
             cand: Vec::new(),
             matchline: Vec::new(),
@@ -423,14 +418,6 @@ impl Bcam {
                 planes[(col * 4 + b) * ewords + w] |= 1 << bit;
             }
         }
-    }
-
-    /// Switches `search` between the bit-parallel kernel (default) and the
-    /// scalar oracle. Both are bit-identical in hits and stats; the toggle
-    /// exists so end-to-end regression tests can run the oracle through the
-    /// full pipeline.
-    pub fn set_scalar_search(&mut self, scalar: bool) {
-        self.scalar_search = scalar;
     }
 
     /// Selects the word-level kernel backend used by the bit-parallel
@@ -552,11 +539,7 @@ impl Bcam {
         self.stats.searches += 1;
         self.stats.rows_enabled += enabled.count() as u64;
         hits.clear();
-        if self.scalar_search {
-            self.scalar_kernel(query, enabled, hits);
-        } else {
-            self.bitparallel_kernel(query, enabled, hits);
-        }
+        self.bitparallel_kernel(query, enabled, hits);
         self.stats.matches += hits.len() as u64;
     }
 
@@ -607,18 +590,6 @@ impl Bcam {
         self.stats.searches += 1;
         self.stats.rows_enabled += enabled.count() as u64;
 
-        if self.scalar_search {
-            // Oracle mode: evaluate the slot immediately through the scalar
-            // walk (which books arrays itself); the batch only buffers hits.
-            let mut hits = std::mem::take(&mut self.batch_hits[slot]);
-            hits.clear();
-            self.scalar_kernel(query, enabled, &mut hits);
-            self.stats.matches += hits.len() as u64;
-            self.batch_hits[slot] = hits;
-            self.batch_slots.push(BatchSlot::default());
-            return slot;
-        }
-
         let entries = self.entries();
         let ewords = self.ewords;
         let mwords = enabled.words();
@@ -648,10 +619,6 @@ impl Bcam {
     /// and extracts per-slot hits. After this, [`Bcam::batch_hits`] is
     /// valid for every pushed slot until the next [`Bcam::batch_begin`].
     pub fn batch_flush(&mut self) {
-        if self.scalar_search {
-            // Slots were already evaluated at push time.
-            return;
-        }
         for i in 0..self.batch_pending {
             let mut hits = std::mem::take(&mut self.batch_hits[i]);
             self.flush_slot_into(i, &mut hits);
@@ -744,13 +711,6 @@ impl Bcam {
         hits: &mut Vec<Vec<u32>>,
     ) {
         hits.resize_with(queries.len(), Vec::new);
-        if self.scalar_search {
-            // Oracle mode: the scalar walk books its own accounting.
-            for (q, h) in queries.iter().zip(hits.iter_mut()) {
-                self.search_into(q, enabled, h);
-            }
-            return;
-        }
         let entries = self.entries();
         let mwords = enabled.words();
         let n = self.ewords.min(mwords.len());
@@ -1282,7 +1242,6 @@ mod tests {
             flip_rate: 0.05,
         });
         let mut oracle = cam.clone();
-        oracle.set_scalar_search(true);
 
         let queries: Vec<CamQuery> = (0..6).map(|i| CamQuery::padded(&s, 5 * i, 5, 0)).collect();
         let masks: Vec<EntryMask> = (0..6)
@@ -1294,15 +1253,16 @@ mod tests {
             .collect();
 
         cam.batch_begin();
-        oracle.batch_begin();
         for (q, m) in queries.iter().zip(&masks) {
             cam.batch_push(q, m);
-            oracle.batch_push(q, m);
         }
         cam.batch_flush();
-        oracle.batch_flush();
-        for slot in 0..queries.len() {
-            assert_eq!(cam.batch_hits(slot), oracle.batch_hits(slot), "slot {slot}");
+        for (slot, (q, m)) in queries.iter().zip(&masks).enumerate() {
+            assert_eq!(
+                cam.batch_hits(slot),
+                oracle.search_scalar(q, m),
+                "slot {slot}"
+            );
         }
         assert_eq!(cam.stats(), oracle.stats());
     }

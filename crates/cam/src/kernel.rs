@@ -151,10 +151,12 @@ impl fmt::Display for KernelBackend {
 /// Function table for the word-level kernels of one backend.
 ///
 /// `and_plane(dst, src)` computes `dst[i] &= src[i]` over `dst.len()`
-/// words (the caller guarantees `src.len() >= dst.len()`) and returns the
-/// OR of the updated words so callers can detect a dead match line without
-/// a second pass. `or_into(dst, src)` computes `dst[i] |= src[i]` over
-/// `dst.len()` words under the same length contract.
+/// words and returns the OR of the updated words so callers can detect a
+/// dead match line without a second pass. `or_into(dst, src)` computes
+/// `dst[i] |= src[i]` over `dst.len()` words. Each method asserts its
+/// length contract once per call, before dispatching, so every backend
+/// panics identically on a violation and the unchecked AVX2 bodies are
+/// never reached with short operands.
 pub struct KernelOps {
     backend: KernelBackend,
     and_plane: fn(&mut [u64], &[u64]) -> u64,
@@ -174,14 +176,24 @@ impl KernelOps {
     }
 
     /// `dst &= src` word-wise; returns the OR of the updated `dst` words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() < dst.len()`.
     #[inline]
     pub fn and_plane(&self, dst: &mut [u64], src: &[u64]) -> u64 {
+        assert!(src.len() >= dst.len(), "and_plane: src shorter than dst");
         (self.and_plane)(dst, src)
     }
 
     /// `dst |= src` word-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() < dst.len()`.
     #[inline]
     pub fn or_into(&self, dst: &mut [u64], src: &[u64]) {
+        assert!(src.len() >= dst.len(), "or_into: src shorter than dst");
         (self.or_into)(dst, src)
     }
 
@@ -190,9 +202,7 @@ impl KernelOps {
     /// column of `syms` in order (wildcards are skipped), with the same
     /// per-column early exit as chaining [`KernelOps::and_plane`] calls
     /// (the column pass whose OR reaches zero leaves `ml` all zero and
-    /// ends the walk). Returns the OR of the final `ml` words. The caller
-    /// guarantees `init.len() >= ml.len()` and that `planes` holds a full
-    /// `ewords`-word plane for every `(column, base)` pair of `syms`.
+    /// ends the walk). Returns the OR of the final `ml` words.
     ///
     /// This is the batched hot path: the entire column walk runs inside
     /// one monomorphized function (for AVX2, one `#[target_feature]`
@@ -200,6 +210,12 @@ impl KernelOps {
     /// per-query path disappears, the first driven column fuses the
     /// `init` copy with its AND, and the OR accumulator stays in
     /// registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `init.len() < ml.len()`, or if `planes` ends before the
+    /// `ml.len()`-word window of the last driven column's plane (plane ids
+    /// grow with the column, so that window bounds every other one).
     #[inline]
     pub fn match_cols(
         &self,
@@ -209,6 +225,19 @@ impl KernelOps {
         ewords: usize,
         syms: &[Symbol],
     ) -> u64 {
+        assert!(init.len() >= ml.len(), "match_cols: init shorter than ml");
+        if let Some(id) = syms.iter().enumerate().rev().find_map(|(col, s)| match s {
+            Symbol::Base(b) => Some(col * 4 + b.code() as usize),
+            Symbol::Any => None,
+        }) {
+            let end = id
+                .checked_mul(ewords)
+                .and_then(|start| start.checked_add(ml.len()));
+            assert!(
+                end.is_some_and(|end| end <= planes.len()),
+                "match_cols: planes too short for the driven columns"
+            );
+        }
         (self.match_cols)(ml, init, planes, ewords, syms)
     }
 }
@@ -436,16 +465,16 @@ fn or_into_u64x4(dst: &mut [u64], src: &[u64]) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn and_plane_avx2(dst: &mut [u64], src: &[u64]) -> u64 {
-    // SAFETY: `ops()` hands this out only after AVX2 detection, and callers
-    // keep `src.len() >= dst.len()`.
+    // SAFETY: `ops()` hands this out only after AVX2 detection, and
+    // `KernelOps::and_plane` (the only caller) asserts `src.len() >= dst.len()`.
     unsafe { avx2::and_plane(dst, src) }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
-    // SAFETY: `ops()` hands this out only after AVX2 detection, and callers
-    // keep `src.len() >= dst.len()`.
+    // SAFETY: `ops()` hands this out only after AVX2 detection, and
+    // `KernelOps::or_into` (the only caller) asserts `src.len() >= dst.len()`.
     unsafe { avx2::or_into(dst, src) }
 }
 
@@ -458,8 +487,10 @@ fn match_cols_avx2(
     ewords: usize,
     syms: &[Symbol],
 ) -> u64 {
-    // SAFETY: `ops()` hands this out only after AVX2 detection, and callers
-    // keep the `KernelOps::match_cols` length contract.
+    // SAFETY: `ops()` hands this out only after AVX2 detection, and
+    // `KernelOps::match_cols` (the only caller) asserts `init.len() >=
+    // ml.len()` and that the last driven column's plane window ends inside
+    // `planes`, which bounds every plane access.
     unsafe { avx2::match_cols(ml, init, planes, ewords, syms) }
 }
 
@@ -757,6 +788,32 @@ mod tests {
                 .match_cols(&mut ml, &[u64::MAX, u64::MAX], &planes, ewords, &syms);
             assert_eq!(any, 0, "{b}");
             assert_eq!(ml, vec![0, 0], "{b}");
+        }
+    }
+
+    /// Short operands panic on every backend before any unchecked access
+    /// (the AVX2 bodies read through raw pointers).
+    #[test]
+    fn safe_entry_points_reject_short_operands_on_every_backend() {
+        use casa_genome::Base;
+        use std::panic::catch_unwind;
+        let driven = [Symbol::Any, Symbol::Base(Base::T)]; // plane id 7
+        for b in KernelBackend::supported() {
+            let ops = b.ops();
+            let short_src = catch_unwind(|| ops.and_plane(&mut [0; 8], &[0; 1]));
+            assert!(short_src.is_err(), "{b}: and_plane short src");
+            let short_src = catch_unwind(|| ops.or_into(&mut [0; 8], &[0; 1]));
+            assert!(short_src.is_err(), "{b}: or_into short src");
+            let short_init =
+                catch_unwind(|| ops.match_cols(&mut [0; 8], &[0; 1], &[0; 64], 8, &driven));
+            assert!(short_init.is_err(), "{b}: match_cols short init");
+            let short_planes =
+                catch_unwind(|| ops.match_cols(&mut [0; 8], &[0; 8], &[0; 63], 8, &driven));
+            assert!(short_planes.is_err(), "{b}: match_cols short planes");
+            // The exact-fit bounds are accepted.
+            let mut ml = [u64::MAX; 8];
+            ops.match_cols(&mut ml, &[u64::MAX; 8], &[u64::MAX; 64], 8, &driven);
+            assert_eq!(ml, [u64::MAX; 8], "{b}");
         }
     }
 

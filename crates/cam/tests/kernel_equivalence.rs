@@ -150,25 +150,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn scalar_dispatch_toggle_matches_kernel(
-        (seq_codes, entry_bases, codes, pad) in (
-            prop::collection::vec(0u8..4, 1..400),
-            1usize..50,
-            prop::collection::vec(0u8..5, 0..60),
-            0usize..4,
-        )
-    ) {
-        let seq = packed(&seq_codes);
-        let mut kernel = Bcam::new(&seq, entry_bases);
-        let mut toggled = kernel.clone();
-        toggled.set_scalar_search(true);
-        let q = query(&codes, pad);
-        let mask = EntryMask::all(kernel.entries());
-        prop_assert_eq!(kernel.search(&q, &mask), toggled.search(&q, &mask));
-        prop_assert_eq!(kernel.stats(), toggled.stats());
-    }
 }
 
 /// Injecting bit flips must rebuild the planes: searches afterwards see

@@ -20,21 +20,23 @@
 //!
 //! # Quickstart
 //!
+//! [`Seeder`] (the [`seeder`] module) is the embedding API — one stable
+//! surface over the CAM, FM-index, and ERT backends:
+//!
 //! ```
-//! use casa::core::{CasaAccelerator, CasaConfig};
+//! use casa::core::CasaConfig;
 //! use casa::genome::synth::{generate_reference, ReferenceProfile};
+//! use casa::Seeder;
 //!
 //! let reference = generate_reference(&ReferenceProfile::human_like(), 10_000, 1);
-//! let casa = CasaAccelerator::new(&reference, CasaConfig::small(4_000))?;
+//! let seeder = Seeder::builder(&reference)
+//!     .config(CasaConfig::small(4_000))
+//!     .build()?;
 //! let read = reference.subseq(1_234, 60);
-//! let run = casa.seed_reads(std::slice::from_ref(&read));
+//! let run = seeder.seed_reads(std::slice::from_ref(&read));
 //! assert!(run.smems[0][0].hits.contains(&1_234));
 //! # Ok::<(), casa::core::Error>(())
 //! ```
-//!
-//! For embedding the seeder as a component — one stable API over the CAM,
-//! FM-index, and ERT backends — start from [`Seeder`] (the [`seeder`]
-//! module).
 //!
 //! See the `examples/` directory at the workspace root for runnable
 //! programs (`quickstart`, `resequencing_pipeline`,

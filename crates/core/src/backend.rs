@@ -194,9 +194,9 @@ impl TileKmerCodes {
 /// worker threads. Implementations report partition-**local** hit
 /// coordinates; the session translates and merges.
 ///
-/// The CAM-specific hooks (`inject_faults`, `set_scalar_search`,
-/// `set_kernel_backend`) default to no-ops so software backends do not
-/// have to know about CAM fault models or word kernels.
+/// The CAM-specific hooks (`inject_faults`, `set_kernel_backend`,
+/// `set_batched_filter`) default to no-ops so software backends do not
+/// have to know about CAM fault models, word kernels or filter passes.
 pub trait SeedingBackend: Send + Sync {
     /// Which substrate this is.
     fn kind(&self) -> BackendKind;
@@ -280,10 +280,6 @@ pub trait SeedingBackend: Send + Sync {
         )
     }
 
-    /// Routes CAM searches through the scalar oracle (`true`) or the
-    /// bit-parallel kernel (`false`). No-op on software backends.
-    fn set_scalar_search(&mut self, _scalar: bool) {}
-
     /// Pins the CAM word kernel. No-op on software backends.
     fn set_kernel_backend(&mut self, _backend: casa_cam::KernelBackend) {}
 
@@ -346,10 +342,6 @@ impl SeedingBackend for PartitionEngine {
         filter: &casa_filter::FilterFaultModel,
     ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
         PartitionEngine::inject_faults(self, cam, filter)
-    }
-
-    fn set_scalar_search(&mut self, scalar: bool) {
-        PartitionEngine::set_scalar_search(self, scalar);
     }
 
     fn set_kernel_backend(&mut self, backend: casa_cam::KernelBackend) {
@@ -624,7 +616,6 @@ mod tests {
         let config = CasaConfig::small(part.len());
         for kind in [BackendKind::Fm, BackendKind::Ert] {
             let mut backend = build_backend(kind, &part, config).expect("valid config");
-            backend.set_scalar_search(true);
             backend.set_kernel_backend(casa_cam::KernelBackend::Scalar);
             let plan = crate::FaultPlan {
                 seed: 9,

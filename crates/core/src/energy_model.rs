@@ -10,7 +10,7 @@ use casa_energy::circuits::{MacroSpec, BCAM_256X72, BCAM_256X80, SRAM_256X24, SR
 use casa_energy::{AreaReport, DramSystem, EnergyLedger, PowerReport};
 use serde::{Deserialize, Serialize};
 
-use crate::accelerator::CasaRun;
+use crate::session::CasaRun;
 use crate::stats::SeedingStats;
 
 /// Physical design point of the CASA chip (defaults = paper Fig. 11 /
@@ -162,7 +162,7 @@ pub fn power_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CasaAccelerator, CasaConfig};
+    use crate::{CasaConfig, SeedingSession};
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 
@@ -188,8 +188,8 @@ mod tests {
     #[test]
     fn run_report_end_to_end() {
         let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 2);
-        let casa =
-            CasaAccelerator::new(&reference, CasaConfig::small(1_500)).expect("valid config");
+        let session =
+            SeedingSession::new(&reference, CasaConfig::small(1_500), 2).expect("valid config");
         let sim = ReadSimulator::new(
             ReadSimConfig {
                 read_len: 40,
@@ -202,12 +202,12 @@ mod tests {
             .into_iter()
             .map(|r| r.seq)
             .collect();
-        let run = casa.seed_reads(&reads);
+        let run = session.seed_reads(&reads);
         let rep = power_report(
             &run,
             &CasaHardwareModel::default(),
             &DramSystem::casa(),
-            casa.partition_count(),
+            session.partition_count(),
         );
         assert!(rep.total_w() > rep.onchip_dynamic_w);
         assert!(rep.reads_per_mj() > 0.0);

@@ -157,14 +157,6 @@ impl PartitionEngine {
         self.batched_filter = batched;
     }
 
-    /// Switches the computing CAM between the bit-parallel kernel
-    /// (default) and the scalar oracle (see [`casa_cam::Bcam::search_scalar`]);
-    /// hits and stats are bit-identical either way. Regression tests use
-    /// this to run the oracle through the full seeding pipeline.
-    pub fn set_scalar_search(&mut self, scalar: bool) {
-        self.searcher.set_scalar_search(scalar);
-    }
-
     /// Selects the word-level kernel backend of this engine's computing
     /// CAM (see [`casa_cam::KernelBackend`]); hits and stats are
     /// bit-identical across backends. Unsupported requests degrade to the

@@ -21,24 +21,26 @@
 //!
 //! # Example
 //!
+//! [`SeedingSession`] is the one batch-seeding runtime; the `casa` facade
+//! crate wraps it as `casa::Seeder`, the documented embedding API.
+//!
 //! ```
-//! use casa_core::{CasaAccelerator, CasaConfig};
+//! use casa_core::{CasaConfig, SeedingSession};
 //! use casa_energy::DramSystem;
 //! use casa_genome::synth::{generate_reference, ReferenceProfile};
 //!
 //! let reference = generate_reference(&ReferenceProfile::human_like(), 4_000, 7);
-//! let casa = CasaAccelerator::new(&reference, CasaConfig::small(2_000))?;
+//! let session = SeedingSession::new(&reference, CasaConfig::small(2_000), 2)?;
 //! let read = reference.subseq(100, 50);
-//! let run = casa.seed_reads(std::slice::from_ref(&read));
+//! let run = session.seed_reads(std::slice::from_ref(&read));
 //! assert_eq!(run.smems[0][0].len(), 50);
-//! println!("{:.3} Mreads/s", run.throughput_reads_per_s(casa.partition_count(), &DramSystem::casa()) / 1e6);
+//! println!("{:.3} Mreads/s", run.throughput_reads_per_s(session.partition_count(), &DramSystem::casa()) / 1e6);
 //! # Ok::<(), casa_core::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accelerator;
 pub mod backend;
 mod config;
 pub mod energy_model;
@@ -55,7 +57,6 @@ mod session;
 pub mod stats;
 pub mod stream;
 
-pub use accelerator::{CasaAccelerator, CasaRun, StrandedRun};
 pub use backend::{
     BackendKind, ErtBackend, FmBackend, SeedingBackend, TileKmerCodes, UnknownBackendError,
     BACKEND_ENV,
@@ -71,7 +72,7 @@ pub use pipeline_sim::{simulate as simulate_pipeline, PipelineSimResult, ReadWor
 pub use profile::{Stage, StageProfile, StageTimer};
 pub use rmem::{CamSearcher, RmemResult};
 pub use serve::{Admitted, FairQueue, LatencyHistogram, OverloadReason, ServeLimits, ServeMetrics};
-pub use session::SeedingSession;
+pub use session::{CasaRun, SeedingSession, StrandedRun};
 pub use stats::SeedingStats;
 pub use stream::{
     live_guard_threads, wait_for_guard_threads, CancelToken, CheckpointError, RecoveryCounters,

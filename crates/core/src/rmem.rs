@@ -332,12 +332,6 @@ impl CamSearcher {
         }
     }
 
-    /// Switches the computing CAM between the bit-parallel kernel
-    /// (default) and the scalar oracle (see [`Bcam::set_scalar_search`]).
-    pub fn set_scalar_search(&mut self, scalar: bool) {
-        self.cam.set_scalar_search(scalar);
-    }
-
     /// Selects the word-level kernel backend of the computing CAM (see
     /// [`Bcam::set_kernel_backend`]).
     pub fn set_kernel_backend(&mut self, backend: KernelBackend) {

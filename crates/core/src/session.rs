@@ -1,11 +1,10 @@
 //! Reusable parallel seeding sessions with fault-tolerant scheduling.
 //!
-//! [`SeedingSession`] is the batch-seeding runtime behind
-//! [`CasaAccelerator`](crate::CasaAccelerator): it builds one boxed
-//! [`SeedingBackend`] per partition **once** at construction (the filter
-//! tables, CAM loads, or index builds dominate small-batch runs) and then
-//! schedules partition × tile jobs across a worker pool for each incoming
-//! read batch. The backend — the CASA CAM model, the FM-index golden
+//! [`SeedingSession`] is the batch-seeding runtime (the `casa` facade's
+//! `Seeder` wraps it): it builds one boxed [`SeedingBackend`] per
+//! partition **once** at construction (the filter tables, CAM loads, or
+//! index builds dominate small-batch runs) and then schedules partition ×
+//! tile jobs across a worker pool for each incoming read batch. The backend — the CASA CAM model, the FM-index golden
 //! model, or the ERT model — is a runtime choice
 //! ([`BackendKind`](crate::BackendKind), selected per process via
 //! [`CASA_BACKEND`](crate::BACKEND_ENV) or per session via
@@ -16,8 +15,7 @@
 //! # Determinism
 //!
 //! Results are bit-identical to the serial reference path
-//! ([`CasaAccelerator::seed_reads_serial`](crate::CasaAccelerator::seed_reads_serial))
-//! at any worker count:
+//! ([`SeedingSession::seed_reads_serial`]) at any worker count:
 //!
 //! * each (partition, tile) job writes its SMEMs into a dedicated slot, and
 //!   the final per-read lists are assembled in partition-index order before
@@ -42,10 +40,25 @@
 //! [`FaultPlan`] can inject tile panics/stalls and hardware faults
 //! (CAM stuck-at lines, CAM/filter bit flips) to exercise these paths
 //! deterministically, plus a sampled golden cross-check that catches
-//! *silent* corruption. Lock poisoning (a worker panicking while holding an
-//! engine) is recovered by taking the inner value: the engine's only
-//! mutable state is cumulative activity counters, and the delta-based
-//! accounting above tolerates counters advanced by an abandoned attempt.
+//! *silent* corruption.
+//!
+//! Lock poisoning (a worker panicking while holding an engine) is
+//! recovered by taking the inner value. Seeding mutates three kinds of
+//! engine state, and none of them can carry a failed attempt's damage
+//! into the next read:
+//!
+//! * cumulative activity counters (filter and CAM stats), which the
+//!   delta-based accounting above tolerates when an abandoned attempt
+//!   advanced them;
+//! * scratch buffers, each cleared or overwritten before it is read: the
+//!   engine's k-mer codes (`PartitionEngine::seed_read_into`), pivot block
+//!   (top of the pivot loop), batched-filter indicators
+//!   (`PreSeedingFilter::lookup_codes_into`) and RMEM results, plus the
+//!   CAM searcher's masks and chains (all reset per pivot by
+//!   [`CamSearcher::rmem_batch_into`](crate::CamSearcher::rmem_batch_into))
+//!   and the CAM's batch slots (`Bcam::batch_begin`);
+//! * the `profiling` / `batched_filter` toggles, which only the session's
+//!   setters write, never seeding itself.
 //!
 //! With silent-corruption faults injected, output is guaranteed
 //! bit-identical to the fault-free run only when
@@ -57,12 +70,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
+use casa_energy::circuits::CLOCK_HZ;
+use casa_energy::DramSystem;
 use casa_genome::{PackedSeq, Partition};
 use casa_index::smem::{merge_flat_smems, merge_partition_smems, smems_unidirectional};
 use casa_index::{Smem, SuffixArray};
 
-use crate::accelerator::{CasaRun, StrandedRun};
 use crate::backend::{build_backend, BackendKind, SeedingBackend, TileKmerCodes};
+use crate::engine::PartitionEngine;
 use crate::error::Error;
 use crate::faults::{self, FaultPlan, FaultSites, InjectedFault};
 use crate::profile::{Stage, StageTimer};
@@ -78,8 +93,9 @@ const TILES_PER_WORKER: usize = 4;
 
 /// Locks a mutex, recovering the inner value if a previous holder
 /// panicked. Safe here because every protected structure is either
-/// overwritten whole (slots) or merged from counters that tolerate an
-/// abandoned attempt (engines, stats) — see the module docs.
+/// overwritten whole (slots), merged from counters that tolerate an
+/// abandoned attempt (stats), or an engine whose scratch is reset before
+/// use — see the module docs.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -99,6 +115,94 @@ enum AttemptOutcome {
     TimedOut,
     /// The session's cancel token fired while the attempt was in flight.
     Cancelled,
+}
+
+/// Result of seeding a read batch.
+#[derive(Clone, Debug)]
+pub struct CasaRun {
+    /// Per-read SMEMs in global reference coordinates, merged across
+    /// partitions.
+    pub smems: Vec<Vec<Smem>>,
+    /// Accumulated activity.
+    pub stats: SeedingStats,
+    /// The configuration the run used.
+    pub config: CasaConfig,
+}
+
+/// Both-orientation seeding results (paper §4.1: reads are sent to the
+/// pre-seeding filter "together with the reverse strands").
+#[derive(Clone, Debug)]
+pub struct StrandedRun {
+    /// Results of seeding the reads as given.
+    pub forward: CasaRun,
+    /// Results of seeding the reverse complements.
+    pub reverse: CasaRun,
+}
+
+impl StrandedRun {
+    /// For each read, the orientation with the longest SMEM:
+    /// `(reverse?, smems)` — the natural input to per-strand alignment.
+    pub fn best_per_read(&self) -> Vec<(bool, &[Smem])> {
+        self.forward
+            .smems
+            .iter()
+            .zip(&self.reverse.smems)
+            .map(|(f, r)| {
+                let fl = f.iter().map(Smem::len).max().unwrap_or(0);
+                let rl = r.iter().map(Smem::len).max().unwrap_or(0);
+                if rl > fl {
+                    (true, r.as_slice())
+                } else {
+                    (false, f.as_slice())
+                }
+            })
+            .collect()
+    }
+
+    /// Combined stats over both orientations.
+    pub fn stats(&self) -> SeedingStats {
+        let mut s = self.forward.stats;
+        s.merge(&self.reverse.stats);
+        s
+    }
+}
+
+impl CasaRun {
+    /// Total reads represented by the run (read passes divided by
+    /// partition passes).
+    pub fn reads(&self, partition_count: usize) -> u64 {
+        if partition_count == 0 {
+            0
+        } else {
+            self.stats.read_passes / partition_count as u64
+        }
+    }
+
+    /// Modelled wall-clock seconds of the run.
+    ///
+    /// The pipeline overlaps read fetch, pre-seeding and SMEM computing
+    /// (paper Fig. 9); throughput is set by the slowest stage:
+    ///
+    /// * pre-seeding: multi-banked filter lookups;
+    /// * computing: CAM searches + pivot checks, spread over
+    ///   `config.lanes` computing CAMs;
+    /// * DRAM: streaming the read batch once per partition at the usable
+    ///   bandwidth.
+    pub fn seconds(&self, dram: &DramSystem) -> f64 {
+        let pre = self.stats.filter_ops as f64 / self.config.filter_banks as f64 / CLOCK_HZ;
+        let compute = self.stats.computing_cycles as f64 / self.config.lanes as f64 / CLOCK_HZ;
+        let dram_s = dram.transfer_seconds(self.stats.dram_bytes);
+        pre.max(compute).max(dram_s)
+    }
+
+    /// Seeding throughput in reads per second.
+    pub fn throughput_reads_per_s(&self, partition_count: usize, dram: &DramSystem) -> f64 {
+        let secs = self.seconds(dram);
+        if secs == 0.0 {
+            return 0.0;
+        }
+        self.reads(partition_count) as f64 / secs
+    }
 }
 
 /// A seeding runtime bound to one reference and configuration.
@@ -462,17 +566,6 @@ impl SeedingSession {
         self.workers
     }
 
-    /// Routes every partition engine's CAM searches through the scalar
-    /// reference kernel (`true`) or the bit-parallel kernel (`false`, the
-    /// default). Both produce identical SMEMs and statistics; the scalar
-    /// model is kept as the verification oracle and baseline for the
-    /// kernel harness. No-op on the software backends.
-    pub fn set_scalar_search(&self, scalar: bool) {
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_scalar_search(scalar);
-        }
-    }
-
     /// Pins every partition engine's CAM word kernel to `backend`,
     /// overriding the process default (`CASA_KERNEL` or runtime CPU
     /// detection). All backends produce identical SMEMs and statistics;
@@ -814,11 +907,7 @@ impl SeedingSession {
         // The shared code extraction happened outside the job loop; fold
         // its span in so KmerCodes stays accounted for under profiling.
         stats.profile.merge(&precomputed);
-        // Read batch streams in once (2-bit packed + header), exactly as in
-        // the serial path.
-        for read in reads {
-            stats.dram_bytes += read.len().div_ceil(4) as u64 + 8;
-        }
+        stats.dram_bytes += read_stream_bytes(reads);
 
         // Assemble each read's per-partition results in partition order
         // and merge across partitions, exactly like the serial path — but
@@ -868,18 +957,7 @@ impl SeedingSession {
             }
             stats.fallback_reads += reads.len() as u64;
         }
-        for read in reads {
-            stats.dram_bytes += read.len().div_ceil(4) as u64 + 8;
-        }
-        let smems = per_read_parts
-            .into_iter()
-            .map(merge_partition_smems)
-            .collect();
-        CasaRun {
-            smems,
-            stats,
-            config: self.config,
-        }
+        self.merged_run(reads, per_read_parts, stats)
     }
 
     /// Seeds the batch in both orientations (each read and its reverse
@@ -891,6 +969,56 @@ impl SeedingSession {
             reverse: self.seed_reads(&rc),
         }
     }
+
+    /// The original single-threaded implementation, which rebuilds every
+    /// partition engine on each call: the executable specification of
+    /// [`seed_reads`](Self::seed_reads) and the baseline its benches
+    /// compare against. Always drives the CAM engine, whatever
+    /// [`backend`](Self::backend) the session was built with, and ignores
+    /// the fault plan.
+    pub fn seed_reads_serial(&self, reads: &[PackedSeq]) -> CasaRun {
+        let mut stats = SeedingStats::default();
+        let mut per_read_parts: Vec<Vec<Vec<Smem>>> = vec![Vec::new(); reads.len()];
+        for part in self.parts.iter() {
+            let mut engine = PartitionEngine::new(&part.seq, self.config)
+                .expect("config validated at construction");
+            for (ri, read) in reads.iter().enumerate() {
+                let mut smems = engine.seed_read(read, &mut stats);
+                for smem in &mut smems {
+                    for hit in &mut smem.hits {
+                        *hit += part.start as u32;
+                    }
+                }
+                per_read_parts[ri].push(smems);
+            }
+        }
+        self.merged_run(reads, per_read_parts, stats)
+    }
+
+    /// Finishes a partition-at-a-time run: charges the read stream and
+    /// merges each read's per-partition SMEM lists (in partition order).
+    fn merged_run(
+        &self,
+        reads: &[PackedSeq],
+        per_read_parts: Vec<Vec<Vec<Smem>>>,
+        mut stats: SeedingStats,
+    ) -> CasaRun {
+        stats.dram_bytes += read_stream_bytes(reads);
+        CasaRun {
+            smems: per_read_parts
+                .into_iter()
+                .map(merge_partition_smems)
+                .collect(),
+            stats,
+            config: self.config,
+        }
+    }
+}
+
+/// DRAM bytes to stream a read batch in once (2-bit packed + header); the
+/// reads then sit in the on-chip buffer while partitions rotate.
+fn read_stream_bytes(reads: &[PackedSeq]) -> u64 {
+    reads.iter().map(|r| r.len().div_ceil(4) as u64 + 8).sum()
 }
 
 #[cfg(test)]
@@ -965,7 +1093,7 @@ mod tests {
         let mut config = CasaConfig::small(700);
         config.partitioning = casa_genome::PartitionScheme::new(700, 60);
         let reads = reads_for(&reference, 30, 44, 5);
-        let serial = crate::CasaAccelerator::new(&reference, config)
+        let serial = SeedingSession::new(&reference, config, 1)
             .expect("valid config")
             .seed_reads_serial(&reads);
         for workers in [1, 2, 8] {
@@ -1269,5 +1397,67 @@ mod tests {
             assert_eq!(run.smems, clean.smems, "{kind} recovery diverged");
             assert!(run.stats.tile_retries > 0, "{kind}: panics should fire");
         }
+    }
+
+    /// Cross-partition merging must reproduce the whole-genome golden SMEM
+    /// set, including matches straddling partition cuts.
+    #[test]
+    fn multi_partition_equals_whole_genome_golden() {
+        let reference = generate_reference(&ReferenceProfile::human_like(), 5_000, 42);
+        let mut config = CasaConfig::small(800);
+        config.partitioning = casa_genome::PartitionScheme::new(800, 60);
+        let session = SeedingSession::new(&reference, config, 2).expect("valid config");
+        assert!(session.partition_count() > 4);
+        let sa = SuffixArray::build(&reference);
+        let reads = reads_for(&reference, 40, 44, 12);
+        let run = session.seed_reads(&reads);
+        for (i, read) in reads.iter().enumerate() {
+            let golden = smems_unidirectional(&sa, read, config.min_smem_len);
+            assert_eq!(run.smems[i], golden, "read {i}");
+        }
+    }
+
+    #[test]
+    fn read_straddling_partition_boundary_is_found() {
+        let reference = generate_reference(&ReferenceProfile::uniform(), 2_000, 9);
+        let mut config = CasaConfig::small(500);
+        config.partitioning = casa_genome::PartitionScheme::new(500, 60);
+        let session = SeedingSession::new(&reference, config, 2).expect("valid config");
+        // read centered on the cut at 500
+        let read = reference.subseq(480, 40);
+        let run = session.seed_reads(std::slice::from_ref(&read));
+        assert_eq!(run.smems[0].len(), 1);
+        assert_eq!(run.smems[0][0].len(), 40);
+        assert!(run.smems[0][0].hits.contains(&480));
+    }
+
+    #[test]
+    fn both_strands_finds_reverse_reads() {
+        let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 21);
+        let session =
+            SeedingSession::new(&reference, CasaConfig::small(1_500), 2).expect("valid config");
+        let fwd_read = reference.subseq(200, 40);
+        let rev_read = reference.subseq(900, 40).reverse_complement();
+        let run = session.seed_reads_both_strands(&[fwd_read, rev_read]);
+        let best = run.best_per_read();
+        assert!(!best[0].0, "forward read classified forward");
+        assert!(best[1].0, "reverse read classified reverse");
+        assert!(best[1].1[0].hits.contains(&900));
+        assert_eq!(run.stats().read_passes, run.forward.stats.read_passes * 2);
+    }
+
+    #[test]
+    fn timing_model_is_positive_and_monotone() {
+        let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 4);
+        let config = CasaConfig::small(1_000);
+        let session = SeedingSession::new(&reference, config, 2).expect("valid config");
+        let reads = reads_for(&reference, 20, 40, 3);
+        let small = session.seed_reads(&reads[..5]);
+        let big = session.seed_reads(&reads);
+        let dram = DramSystem::casa();
+        assert!(small.seconds(&dram) > 0.0);
+        assert!(big.seconds(&dram) > small.seconds(&dram));
+        assert_eq!(big.reads(session.partition_count()), 20);
+        assert!(big.throughput_reads_per_s(session.partition_count(), &dram) > 0.0);
     }
 }

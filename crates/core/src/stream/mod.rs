@@ -55,9 +55,9 @@ use casa_genome::fasta::FastaRecord;
 use casa_genome::fastq::FastqRecord;
 use casa_genome::PackedSeq;
 
-use crate::accelerator::CasaRun;
 use crate::error::{ConfigError, Error};
 use crate::log_warn;
+use crate::session::CasaRun;
 use crate::session::SeedingSession;
 use crate::stats::SeedingStats;
 

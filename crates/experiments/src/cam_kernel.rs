@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use casa_cam::{Bcam, CamQuery, EntryMask, KernelBackend, MAX_BATCH};
-use casa_core::SeedingSession;
+use casa_core::{BackendKind, FaultPlan, SeedingSession, SeedingStats};
 
 use crate::report::{ratio, Table};
 use crate::scenario::{Genome, Scale, Scenario};
@@ -116,7 +116,7 @@ impl CamKernelReport {
     pub fn session_speedup(&self) -> f64 {
         self.timings
             .iter()
-            .filter(|t| t.workload == WORKLOAD_SESSION && t.kernel != ORACLE)
+            .filter(|t| t.workload == WORKLOAD_SESSION)
             .map(|t| self.speedup(t.workload, t.kernel))
             .fold(0.0, f64::max)
     }
@@ -142,8 +142,10 @@ fn median_ns<R: FnMut()>(samples: usize, mut f: R) -> u128 {
 /// # Panics
 ///
 /// Panics if any word backend — per-query or batched — disagrees with
-/// the scalar reference on any hit list, CAM statistic, SMEM, or seeding
-/// statistic: the equality the kernel layer must preserve.
+/// the scalar reference on any hit list or CAM statistic, if a session
+/// disagrees with the FM-index golden on any SMEM, or if two kernels book
+/// different seeding statistics: the equality the kernel layer must
+/// preserve.
 pub fn run(scale: Scale) -> CamKernelReport {
     let scenario = Scenario::build(Genome::HumanLike, scale);
     let mut timings = Vec::new();
@@ -162,8 +164,10 @@ pub fn run(scale: Scale) -> CamKernelReport {
 
     // Oracle reference: hits and CamStats every backend must reproduce.
     let mut oracle = Bcam::new(&part, ENTRY_BASES);
-    oracle.set_scalar_search(true);
-    let oracle_hits: Vec<Vec<u32>> = queries.iter().map(|q| oracle.search(q, &full)).collect();
+    let oracle_hits: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| oracle.search_scalar(q, &full))
+        .collect();
     let oracle_stats = oracle.stats();
 
     let mut hits = Vec::new();
@@ -224,38 +228,40 @@ pub fn run(scale: Scale) -> CamKernelReport {
         kernel: ORACLE,
         median_ns: median_ns(SAMPLES, || {
             for q in &queries {
-                oracle.search_into(q, &full, &mut hits);
+                oracle.search_scalar(q, &full);
             }
         }),
         items: queries.len(),
     });
 
     // End-to-end: the Fig. 12 session workload, one worker so the kernel
-    // delta isn't hidden behind scheduling noise.
+    // delta isn't hidden behind scheduling noise. The FM-index backend is
+    // the independent SMEM golden; every kernel must also book identical
+    // seeding stats.
     let reads = &scenario.reads[..scenario.reads.len().min(50)];
+    let golden = SeedingSession::with_backend(
+        &scenario.reference,
+        scenario.casa_config(),
+        1,
+        FaultPlan::default(),
+        BackendKind::Fm,
+    )
+    .expect("scenario config is valid")
+    .seed_reads(reads);
     let session = SeedingSession::new(&scenario.reference, scenario.casa_config(), 1)
         .expect("scenario config is valid");
-    session.set_scalar_search(true);
-    let run_oracle = session.seed_reads(reads);
-    timings.push(KernelTiming {
-        workload: WORKLOAD_SESSION,
-        kernel: ORACLE,
-        median_ns: median_ns(SAMPLES, || {
-            session.seed_reads(reads);
-        }),
-        items: reads.len(),
-    });
-    session.set_scalar_search(false);
+    let mut first_stats: Option<SeedingStats> = None;
     for backend in KernelBackend::supported() {
         session.set_kernel_backend(backend);
         let run = session.seed_reads(reads);
         assert_eq!(
-            run.smems, run_oracle.smems,
-            "{backend} session SMEMs diverged from the scalar reference"
+            run.smems, golden.smems,
+            "{backend} session SMEMs diverged from the FM-index golden"
         );
+        let stats = first_stats.get_or_insert(run.stats);
         assert_eq!(
-            run.stats, run_oracle.stats,
-            "{backend} session SeedingStats diverged from the scalar reference"
+            &run.stats, stats,
+            "{backend} session SeedingStats diverged across kernels"
         );
         timings.push(KernelTiming {
             workload: WORKLOAD_SESSION,
@@ -341,9 +347,9 @@ mod tests {
         // entry-walk oracle even at small scale.
         assert!(report.micro_speedup() > 2.0);
         // Every supported backend is measured on all three workloads,
-        // plus the oracle on micro and session.
+        // plus the oracle on micro.
         let backends = KernelBackend::supported().count();
-        assert_eq!(report.timings.len(), 3 * backends + 2);
+        assert_eq!(report.timings.len(), 3 * backends + 1);
         let t = table(&report);
         assert_eq!(t.rows.len(), report.timings.len());
         let json: serde_json::Value =

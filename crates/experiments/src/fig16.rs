@@ -4,7 +4,7 @@
 //! GenAx and 0.72× ERT).
 
 use casa_baselines::{ErtAccelerator, ErtConfig, GenaxAccelerator, GenaxConfig};
-use casa_core::CasaAccelerator;
+use casa_core::SeedingSession;
 use casa_energy::DramSystem;
 
 use crate::report::Table;
@@ -26,11 +26,11 @@ pub struct Fig16Row {
 pub fn run(scale: Scale) -> Vec<Fig16Row> {
     let scenario = Scenario::build_inexact(Genome::HumanLike, scale);
 
-    let casa_acc = CasaAccelerator::new(&scenario.reference, scenario.casa_config())
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let session = SeedingSession::new(&scenario.reference, scenario.casa_config(), workers)
         .expect("scenario config is valid");
-    let casa_run = casa_acc.seed_reads(&scenario.reads);
-    let casa_tput =
-        casa_run.throughput_reads_per_s(casa_acc.partition_count(), &DramSystem::casa());
+    let casa_run = session.seed_reads(&scenario.reads);
+    let casa_tput = casa_run.throughput_reads_per_s(session.partition_count(), &DramSystem::casa());
 
     let ert_cfg = ErtConfig::default();
     let ert_acc = ErtAccelerator::new(&scenario.reference, ert_cfg);

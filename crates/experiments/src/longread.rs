@@ -8,7 +8,7 @@
 //! bases covered by seeds, pivots filtered, and modelled throughput in
 //! bases/second.
 
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::{CasaConfig, SeedingSession};
 use casa_energy::DramSystem;
 use casa_genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 
@@ -65,8 +65,9 @@ pub fn run(scale: Scale) -> Vec<LongReadRow> {
                 .map(|r| r.seq)
                 .collect();
             let config = CasaConfig::paper(scale.partition_len(), read_len);
-            let casa = CasaAccelerator::new(reference, config).expect("valid config");
-            let run = casa.seed_reads(&reads);
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let session = SeedingSession::new(reference, config, workers).expect("valid config");
+            let run = session.seed_reads(&reads);
             let dram = DramSystem::casa();
             let seconds = run.seconds(&dram);
 

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release -p casa --example accelerator_design_space`
 
+use casa::Seeder;
 use casa_core::energy_model::{power_report, CasaHardwareModel};
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::CasaConfig;
 use casa_energy::DramSystem;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -35,15 +36,18 @@ fn main() {
                     .lanes(lanes)
                     .build()
                     .expect("swept design point is valid");
-                let casa = CasaAccelerator::new(&reference, config).expect("valid config");
-                let run = casa.seed_reads(&reads);
-                let report = power_report(&run, &hw, &dram, casa.partition_count());
+                let seeder = Seeder::builder(&reference)
+                    .config(config)
+                    .build()
+                    .expect("valid config");
+                let run = seeder.seed_reads(&reads);
+                let report = power_report(&run, &hw, &dram, seeder.partition_count());
                 println!(
                     "{:>4} {:>7} {:>6} {:>12.3} {:>9.2}% {:>10.0}",
                     k,
                     groups,
                     lanes,
-                    run.throughput_reads_per_s(casa.partition_count(), &dram) / 1e6,
+                    run.throughput_reads_per_s(seeder.partition_count(), &dram) / 1e6,
                     run.stats.pivot_filter_rate() * 100.0,
                     report.reads_per_mj()
                 );

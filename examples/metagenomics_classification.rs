@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release -p casa --example metagenomics_classification`
 
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa::Seeder;
+use casa_core::CasaConfig;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 
@@ -66,8 +67,11 @@ fn main() {
         .read_len(101)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
-    let run = casa.seed_reads(&reads);
+    let seeder = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
+    let run = seeder.seed_reads(&reads);
 
     // 5. Classify: the species containing the longest SMEM's hits wins.
     let classify = |smems: &[casa_index::Smem]| -> Option<usize> {

@@ -2,7 +2,8 @@
 //!
 //! Run with: `cargo run --release -p casa --example quickstart`
 
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa::Seeder;
+use casa_core::CasaConfig;
 use casa_energy::DramSystem;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -30,8 +31,11 @@ fn main() {
         .read_len(101)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
-    let run = casa.seed_reads(&reads);
+    let seeder = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
+    let run = seeder.seed_reads(&reads);
 
     // 4. Inspect the seeds of the first few reads.
     for (i, smems) in run.smems.iter().take(5).enumerate() {
@@ -53,8 +57,8 @@ fn main() {
     println!(
         "\n{} reads x {} partitions; {:.3} Mreads/s modelled seeding throughput",
         reads.len(),
-        casa.partition_count(),
-        run.throughput_reads_per_s(casa.partition_count(), &dram) / 1e6
+        seeder.partition_count(),
+        run.throughput_reads_per_s(seeder.partition_count(), &dram) / 1e6
     );
     println!(
         "pivots: {} total, {:.2}% filtered before SMEM computation",

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release -p casa --example resequencing_pipeline`
 
+use casa::Seeder;
 use casa_align::aligner::{align_read, AlignConfig};
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::CasaConfig;
 use casa_genome::sam::{write_sam, SamRecord, FLAG_REVERSE};
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -23,11 +24,14 @@ fn main() {
         .read_len(101)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+    let seeder = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
     let fwd: Vec<_> = truth.iter().map(|r| r.seq.clone()).collect();
     let rc: Vec<_> = truth.iter().map(|r| r.seq.reverse_complement()).collect();
-    let run_f = casa.seed_reads(&fwd);
-    let run_r = casa.seed_reads(&rc);
+    let run_f = seeder.seed_reads(&fwd);
+    let run_r = seeder.seed_reads(&rc);
 
     let cfg = AlignConfig::default();
     let mut records = Vec::new();

@@ -4,11 +4,12 @@
 //!
 //! Run with: `cargo run --release -p casa --example seeding_bakeoff`
 
+use casa::Seeder;
 use casa_baselines::{
     BwaMem2Model, ErtAccelerator, ErtConfig, GenaxAccelerator, GenaxConfig, GencacheAccelerator,
     GencacheConfig, I7_6800K,
 };
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::CasaConfig;
 use casa_energy::DramSystem;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -27,8 +28,11 @@ fn main() {
         .read_len(101)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
-    let casa_run = casa.seed_reads(&reads);
+    let seeder = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
+    let casa_run = seeder.seed_reads(&reads);
 
     // GenAx (12-mer seed & position tables).
     let genax = GenaxAccelerator::new(&reference, GenaxConfig::paper(50_000, 101));
@@ -57,7 +61,7 @@ fn main() {
     let total: usize = casa_run.smems.iter().map(Vec::len).sum();
     println!("{total} SMEMs over {} reads\n", reads.len());
 
-    let casa_t = casa_run.throughput_reads_per_s(casa.partition_count(), &DramSystem::casa());
+    let casa_t = casa_run.throughput_reads_per_s(seeder.partition_count(), &DramSystem::casa());
     println!("{:<22} {:>14}", "system", "reads/s");
     println!("{:<22} {:>14.0}", "CASA", casa_t);
     println!(

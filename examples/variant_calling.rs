@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release -p casa --example variant_calling`
 
+use casa::Seeder;
 use casa_align::aligner::{align_read, AlignConfig};
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::CasaConfig;
 use casa_genome::sam::CigarOp;
 use casa_genome::synth::{generate_reference, plant_snps, ReferenceProfile};
 use casa_genome::{Base, ReadSimConfig, ReadSimulator};
@@ -41,7 +42,10 @@ fn main() {
         .read_len(READ_LEN)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+    let seeder = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
     let fwd: Vec<_> = raw
         .iter()
         .map(|r| {
@@ -52,7 +56,7 @@ fn main() {
             }
         })
         .collect();
-    let run = casa.seed_reads(&fwd);
+    let run = seeder.seed_reads(&fwd);
     println!(
         "seeding   : {:.2}% pivots filtered, {} exact-match passes",
         run.stats.pivot_filter_rate() * 100.0,

@@ -3,7 +3,7 @@
 //! Every case still demands golden equality — pathological inputs may be
 //! slow, never wrong.
 
-use casa::core::{CasaAccelerator, CasaConfig, PartitionEngine, SeedingStats};
+use casa::core::{CasaConfig, PartitionEngine, SeedingSession, SeedingStats};
 use casa::filter::{FilterConfig, PreSeedingFilter};
 use casa::genome::{Base, PackedSeq, PartitionScheme};
 use casa::index::smem::smems_unidirectional;
@@ -91,7 +91,7 @@ fn partition_cut_through_tandem_repeat() {
     let reference = repeat_seq("ACGTTGCATT", 100); // 1000 bases
     let mut config = CasaConfig::small(250);
     config.partitioning = PartitionScheme::new(250, 60);
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+    let casa = SeedingSession::new(&reference, config, 2).expect("valid config");
     let sa = SuffixArray::build(&reference);
     let read = reference.subseq(240, 50); // spans the first cut
     let run = casa.seed_reads(std::slice::from_ref(&read));

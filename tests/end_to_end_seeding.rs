@@ -4,7 +4,7 @@
 
 use casa::align::seedex::{extend_batch, SeedExConfig};
 use casa::baselines::{BwaMem2Model, GenaxAccelerator, GenaxConfig};
-use casa::core::{CasaAccelerator, CasaConfig};
+use casa::core::{CasaConfig, SeedingSession};
 use casa::genome::fasta::NPolicy;
 use casa::genome::fastq::{read_fastq, write_fastq, FastqRecord};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
@@ -44,7 +44,7 @@ fn casa_equals_golden_and_genax_end_to_end() {
 
     // CASA across several partitions.
     let casa =
-        CasaAccelerator::new(&reference, CasaConfig::paper(30_000, 101)).expect("valid config");
+        SeedingSession::new(&reference, CasaConfig::paper(30_000, 101), 2).expect("valid config");
     assert!(casa.partition_count() >= 4);
     let run = casa.seed_reads(&reads);
 
@@ -80,7 +80,7 @@ fn casa_equals_golden_and_genax_end_to_end() {
 fn reverse_strand_reads_seed_via_reverse_complement() {
     let (reference, _) = workload();
     let casa =
-        CasaAccelerator::new(&reference, CasaConfig::paper(40_000, 101)).expect("valid config");
+        SeedingSession::new(&reference, CasaConfig::paper(40_000, 101), 2).expect("valid config");
     // A reverse-strand read: RC of a reference window.
     let window = reference.subseq(33_333, 101);
     let rc_read = window.reverse_complement();
@@ -99,10 +99,10 @@ fn exact_match_preprocessing_matches_slow_path_results() {
     with.exact_match_preprocessing = true;
     let mut without = with;
     without.exact_match_preprocessing = false;
-    let run_with = CasaAccelerator::new(&reference, with)
+    let run_with = SeedingSession::new(&reference, with, 2)
         .expect("valid config")
         .seed_reads(&reads);
-    let run_without = CasaAccelerator::new(&reference, without)
+    let run_without = SeedingSession::new(&reference, without, 2)
         .expect("valid config")
         .seed_reads(&reads);
     assert_eq!(run_with.smems, run_without.smems);

@@ -4,7 +4,7 @@
 
 use casa::baselines::{ErtAccelerator, ErtConfig, GenaxAccelerator, GenaxConfig};
 use casa::core::energy_model::{dynamic_ledger, power_report, CasaHardwareModel};
-use casa::core::{CasaAccelerator, CasaConfig};
+use casa::core::{CasaConfig, SeedingSession};
 use casa::energy::DramSystem;
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
@@ -23,7 +23,7 @@ fn workload(n_reads: usize) -> (PackedSeq, Vec<PackedSeq>) {
 fn casa_power_report_is_consistent() {
     let (reference, reads) = workload(60);
     let casa =
-        CasaAccelerator::new(&reference, CasaConfig::paper(25_000, 101)).expect("valid config");
+        SeedingSession::new(&reference, CasaConfig::paper(25_000, 101), 2).expect("valid config");
     let run = casa.seed_reads(&reads);
     let hw = CasaHardwareModel::default();
     let report = power_report(&run, &hw, &DramSystem::casa(), casa.partition_count());
@@ -42,7 +42,7 @@ fn accelerator_energy_ordering_matches_figure13() {
     let (reference, reads) = workload(80);
 
     let casa =
-        CasaAccelerator::new(&reference, CasaConfig::paper(25_000, 101)).expect("valid config");
+        SeedingSession::new(&reference, CasaConfig::paper(25_000, 101), 2).expect("valid config");
     let run = casa.seed_reads(&reads);
     let casa_rep = power_report(
         &run,
@@ -80,7 +80,7 @@ fn dynamic_energy_grows_with_workload() {
     }
     let (reference, reads) = workload(100);
     let casa =
-        CasaAccelerator::new(&reference, CasaConfig::paper(25_000, 101)).expect("valid config");
+        SeedingSession::new(&reference, CasaConfig::paper(25_000, 101), 2).expect("valid config");
     let small = casa.seed_reads(&reads[..20]);
     let large = casa.seed_reads(&reads);
     let e_small = dynamic_ledger(&small.stats).total_dynamic_pj();

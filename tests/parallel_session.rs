@@ -3,7 +3,7 @@
 //! count, equal to the serial per-call path and to the golden FM-index
 //! SMEM algorithm.
 
-use casa::core::{CasaAccelerator, CasaConfig, SeedingSession};
+use casa::core::{CasaConfig, SeedingSession};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use casa::index::smem::smems_unidirectional;
@@ -46,7 +46,7 @@ fn session_is_deterministic_across_worker_counts() {
 
     // The executable specification: one engine rebuild per partition per
     // call, single-threaded.
-    let serial = CasaAccelerator::with_workers(&reference, config, 1)
+    let serial = SeedingSession::new(&reference, config, 1)
         .expect("valid config")
         .seed_reads_serial(&reads);
 
@@ -89,11 +89,13 @@ fn session_matches_golden_fm_index_smems() {
     }
 }
 
+/// Two independently built sessions agree on both strands: construction
+/// is deterministic.
 #[test]
 fn accelerator_wrapper_equals_session() {
     let (reference, reads) = workload();
     let config = CasaConfig::paper(30_000, 101);
-    let casa = CasaAccelerator::with_workers(&reference, config, 4).expect("valid config");
+    let casa = SeedingSession::new(&reference, config, 4).expect("valid config");
     let session = SeedingSession::new(&reference, config, 4).expect("valid config");
 
     let a = casa.seed_reads(&reads);
@@ -101,9 +103,7 @@ fn accelerator_wrapper_equals_session() {
     assert_eq!(a.smems, b.smems);
     assert_eq!(a.stats, b.stats);
 
-    // The accelerator's own both-strands entry point is deprecated in
-    // favour of this: one stranded path, on the session.
-    let sa = casa.session().seed_reads_both_strands(&reads);
+    let sa = casa.seed_reads_both_strands(&reads);
     let sb = session.seed_reads_both_strands(&reads);
     assert_eq!(sa.forward.smems, sb.forward.smems);
     assert_eq!(sa.reverse.smems, sb.reverse.smems);
