@@ -67,30 +67,16 @@ fn bench(c: &mut Criterion) {
         b.iter(|| cam.search(&q, &mask).len())
     });
 
-    // Bit-parallel match-line kernel vs the scalar oracle on the same
-    // 1000-entry partition, a batch of real read prefixes per iteration.
-    // `cam_search_bitparallel_40k` is pinned to the single-`u64` backend
-    // so it stays the PR 3 baseline regardless of what the host CPU
-    // auto-detects; the per-backend and query-blocked rows follow.
+    // Fused bit-parallel search vs the scalar oracle on the same
+    // 1000-entry partition, a batch of real read prefixes per iteration:
+    // one fused column walk per query for each supported backend, per
+    // query and through the shared-mask batch entry point.
     let cam_queries: Vec<_> = reads
         .iter()
         .map(|r| CamQuery::padded(r, 0, 19, 3))
         .collect();
     let full = EntryMask::all(entries);
     group.throughput(Throughput::Elements(cam_queries.len() as u64));
-    cam.set_kernel_backend(KernelBackend::Scalar);
-    group.bench_function("cam_search_bitparallel_40k", |b| {
-        let mut hits = Vec::new();
-        b.iter(|| {
-            cam_queries
-                .iter()
-                .map(|q| {
-                    cam.search_into(q, &full, &mut hits);
-                    hits.len()
-                })
-                .sum::<usize>()
-        })
-    });
     group.bench_function("cam_search_scalar_oracle_40k", |b| {
         b.iter(|| {
             cam_queries
@@ -101,7 +87,7 @@ fn bench(c: &mut Criterion) {
     });
     for backend in KernelBackend::supported() {
         cam.set_kernel_backend(backend);
-        group.bench_function(format!("cam_search_{backend}_40k"), |b| {
+        group.bench_function(format!("cam_search_fused_{backend}_40k"), |b| {
             let mut hits = Vec::new();
             b.iter(|| {
                 cam_queries

@@ -12,8 +12,10 @@
 //! precomputes, for every (column, base) pair, a bitset over the entries
 //! storing that base at that column, and a search ANDs the driven columns'
 //! planes with the enabled mask 64 entries per `u64` word — the software
-//! analogue of the hardware's parallel match lines. The original
-//! entry-at-a-time walk is kept as [`Bcam::search_scalar`], the
+//! analogue of the hardware's parallel match lines. Every search is one
+//! fused column walk ([`KernelOps::match_cols`]) over the nonzero span of
+//! the enabled words, followed by one fault-aware hit extraction. The
+//! original entry-at-a-time walk is kept as [`Bcam::search_scalar`], the
 //! verification oracle; both produce identical hits and identical
 //! [`CamStats`].
 
@@ -24,10 +26,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::kernel::{self, KernelBackend, KernelOps};
 use crate::EntryMask;
-
-/// Maximum number of queries one [`Bcam::batch_flush`] evaluates together
-/// (the query-blocking factor B of the mixed-mask batch protocol).
-pub const MAX_BATCH: usize = 8;
 
 /// One query symbol: a concrete base or the wildcard `X` that matches any
 /// base (implemented in hardware by driving both search lines low).
@@ -128,6 +126,17 @@ impl CamStats {
         self.arrays_activated += other.arrays_activated;
         self.matches += other.matches;
     }
+
+    /// The activity booked since the earlier snapshot `before` of the same
+    /// cumulative counters (field-wise `self - before`).
+    pub fn since(&self, before: &CamStats) -> CamStats {
+        CamStats {
+            searches: self.searches - before.searches,
+            rows_enabled: self.rows_enabled - before.rows_enabled,
+            arrays_activated: self.arrays_activated - before.arrays_activated,
+            matches: self.matches - before.matches,
+        }
+    }
 }
 
 /// Rows per physical CAM array (Table 3 macros are 256 rows tall).
@@ -186,6 +195,17 @@ fn arrays_of(cand: &[u64]) -> u64 {
         }
     }
     count
+}
+
+/// Appends the entry index of every set bit of match-line word `w`,
+/// ascending.
+#[inline]
+fn push_hits(hits: &mut Vec<u32>, w: usize, mut word: u64) {
+    while word != 0 {
+        let bit = word.trailing_zeros() as usize;
+        word &= word - 1;
+        hits.push((w * 64 + bit) as u32);
+    }
 }
 
 /// Seeded fault model for one CAM instance.
@@ -284,35 +304,19 @@ pub struct Bcam {
     /// can skip the stuck-at override formula (it degenerates to the
     /// match-line words themselves).
     has_stuck: bool,
-    /// Query-blocking factor for batched searches (1..=[`MAX_BATCH`]).
-    batch_block: usize,
-    /// Number of slots pushed into the open batch.
-    batch_pending: usize,
-    /// Flat query symbols of the open batch's slots (one contiguous
-    /// memcpy per push; the fused flush kernel walks them in place).
-    batch_syms: Vec<Symbol>,
-    /// Per-slot batch bookkeeping.
-    batch_slots: Vec<BatchSlot>,
-    /// Slot-major candidate words (`ewords` stride per slot).
-    batch_cand: Vec<u64>,
-    /// Slot-major match-line words (`ewords` stride per slot).
-    batch_matchline: Vec<u64>,
-    /// Per-slot hit buffers, valid after [`Bcam::batch_flush`].
-    batch_hits: Vec<Vec<u32>>,
 }
 
-/// Bookkeeping for one query slot of an open search batch.
+/// The enabled words of one search, clipped to the entry range and loaded
+/// into `Bcam::cand`, with the activity each search over them books.
 #[derive(Clone, Copy, Debug)]
-struct BatchSlot {
-    /// Start of this slot's symbols in `batch_syms`.
-    sym_start: usize,
-    /// Number of symbols (query length).
-    sym_len: usize,
-    /// Candidate words for this slot (`ewords.min(mask words)`).
-    n: usize,
-    /// Whether the slot's match line can fire at all (false for a query
-    /// wider than an entry; such a line is provably all zero).
-    alive: bool,
+struct Candidates {
+    /// Enabled rows (the mask's full popcount, in range or not).
+    rows: u64,
+    /// Distinct 256-row arrays holding a candidate.
+    arrays: u64,
+    /// Nonzero candidate word span `[lo, hi)` (see [`word_span`]).
+    lo: usize,
+    hi: usize,
 }
 
 impl Bcam {
@@ -336,13 +340,6 @@ impl Bcam {
             cand: Vec::new(),
             matchline: Vec::new(),
             has_stuck: false,
-            batch_block: MAX_BATCH,
-            batch_pending: 0,
-            batch_syms: Vec::new(),
-            batch_slots: Vec::new(),
-            batch_cand: Vec::new(),
-            batch_matchline: Vec::new(),
-            batch_hits: Vec::new(),
         };
         cam.rebuild_planes();
         cam
@@ -379,13 +376,6 @@ impl Bcam {
             cand: Vec::new(),
             matchline: Vec::new(),
             has_stuck: false,
-            batch_block: MAX_BATCH,
-            batch_pending: 0,
-            batch_syms: Vec::new(),
-            batch_slots: Vec::new(),
-            batch_cand: Vec::new(),
-            batch_matchline: Vec::new(),
-            batch_hits: Vec::new(),
         })
     }
 
@@ -432,22 +422,6 @@ impl Bcam {
     /// The effective kernel backend.
     pub fn kernel_backend(&self) -> KernelBackend {
         self.ops.backend()
-    }
-
-    /// Sets the query-blocking factor for batched searches, clamped to
-    /// `1..=MAX_BATCH`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is open (slots pushed but not yet flushed).
-    pub fn set_batch_block(&mut self, block: usize) {
-        assert_eq!(self.batch_pending, 0, "cannot resize an open batch");
-        self.batch_block = block.clamp(1, MAX_BATCH);
-    }
-
-    /// The current query-blocking factor.
-    pub fn batch_block(&self) -> usize {
-        self.batch_block
     }
 
     /// Injects seeded faults into this CAM and returns the chosen sites.
@@ -536,157 +510,8 @@ impl Bcam {
     /// [`Bcam::search`] into a caller-provided hit buffer (cleared first) —
     /// the allocation-free form for hot loops.
     pub fn search_into(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
-        self.stats.searches += 1;
-        self.stats.rows_enabled += enabled.count() as u64;
-        hits.clear();
-        self.bitparallel_kernel(query, enabled, hits);
-        self.stats.matches += hits.len() as u64;
-    }
-
-    /// Opens a fresh search batch, discarding any previous batch state.
-    ///
-    /// Batched searching evaluates up to [`Bcam::batch_block`] queries per
-    /// flush (query-blocking): a push precomputes the slot's candidate
-    /// words and driven-column plane ids, and the flush runs each slot's
-    /// entire column walk in a single fused kernel call
-    /// ([`KernelOps::match_cols`]) — one backend dispatch per query
-    /// instead of one per column, with the init copy fused into the first
-    /// column's AND. Stats are booked per slot with exactly the per-query
-    /// accounting, so [`CamStats`] totals are bit-identical to issuing the
-    /// same searches one at a time (the counters are commutative integer
-    /// sums and per-slot early exit only skips work that cannot change
-    /// them).
-    ///
-    /// Protocol: `batch_begin` → up to `batch_block` × [`Bcam::batch_push`]
-    /// → [`Bcam::batch_flush`] → read each slot via [`Bcam::batch_hits`].
-    pub fn batch_begin(&mut self) {
-        self.batch_pending = 0;
-        self.batch_syms.clear();
-        self.batch_slots.clear();
-        let need = self.batch_block * self.ewords;
-        if self.batch_cand.len() < need {
-            self.batch_cand.resize(need, 0);
-            self.batch_matchline.resize(need, 0);
-        }
-        if self.batch_hits.len() < self.batch_block {
-            self.batch_hits.resize_with(self.batch_block, Vec::new);
-        }
-    }
-
-    /// Pushes one query into the open batch and returns its slot index.
-    /// Books the search's row/array activity immediately (per query, same
-    /// values as [`Bcam::search_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch already holds [`Bcam::batch_block`] queries.
-    pub fn batch_push(&mut self, query: &CamQuery, enabled: &EntryMask) -> usize {
-        assert!(
-            self.batch_pending < self.batch_block,
-            "batch full: call batch_flush before pushing more queries"
-        );
-        let slot = self.batch_pending;
-        self.batch_pending += 1;
-        self.stats.searches += 1;
-        self.stats.rows_enabled += enabled.count() as u64;
-
-        let entries = self.entries();
-        let ewords = self.ewords;
-        let mwords = enabled.words();
-        let n = ewords.min(mwords.len());
-        let cand = &mut self.batch_cand[slot * ewords..][..ewords];
-        cand[..n].copy_from_slice(&mwords[..n]);
-        if n * 64 > entries {
-            let tail = entries - (n - 1) * 64;
-            cand[n - 1] &= (1u64 << tail) - 1;
-        }
-        self.stats.arrays_activated += arrays_of(&cand[..n]);
-        let sym_start = self.batch_syms.len();
-        self.batch_syms.extend_from_slice(query.symbols());
-        // A query wider than an entry matches nothing stored (the scalar
-        // oracle bails at column `entry_bases`); its line is dead from the
-        // start and only stuck-one overrides can still fire.
-        self.batch_slots.push(BatchSlot {
-            sym_start,
-            sym_len: query.len(),
-            n,
-            alive: query.len() <= self.entry_bases,
-        });
-        slot
-    }
-
-    /// Evaluates every pending slot's match lines in shared bitplane passes
-    /// and extracts per-slot hits. After this, [`Bcam::batch_hits`] is
-    /// valid for every pushed slot until the next [`Bcam::batch_begin`].
-    pub fn batch_flush(&mut self) {
-        for i in 0..self.batch_pending {
-            let mut hits = std::mem::take(&mut self.batch_hits[i]);
-            self.flush_slot_into(i, &mut hits);
-            self.batch_hits[i] = hits;
-        }
-    }
-
-    /// Evaluates slot `i` of the open batch and writes its hits into `out`
-    /// (cleared first), booking the matches. One fused kernel call runs
-    /// the slot's entire column walk: ml = cand AND every driven plane,
-    /// with the per-query early exit (a dead line's words are all zero,
-    /// exactly the state the per-query path leaves).
-    fn flush_slot_into(&mut self, i: usize, out: &mut Vec<u32>) {
-        let ewords = self.ewords;
-        let ops = self.ops;
-        let s = self.batch_slots[i];
-        let cand = &self.batch_cand[i * ewords..][..s.n];
-        let ml = &mut self.batch_matchline[i * ewords..][..s.n];
-        // Everything below only touches the nonzero candidate span (see
-        // [`word_span`]); shifting the plane base by `lo` keeps each
-        // plane row's window aligned with the clipped slices.
-        let (lo, hi) = word_span(cand);
-        let cand = &cand[lo..hi];
-        let ml = &mut ml[lo..hi];
-        let any = if s.alive && lo < hi {
-            let syms = &self.batch_syms[s.sym_start..s.sym_start + s.sym_len];
-            ops.match_cols(ml, cand, &self.planes[lo..], ewords, syms)
-        } else {
-            ml.fill(0);
-            0
-        };
-
-        out.clear();
-        if !self.has_stuck {
-            // Fault-free fast path: the override formula degenerates to
-            // `cand & ml`, and ml ⊆ cand by construction, so the
-            // match-line words *are* the hits — and a dead line
-            // (any == 0) has none at all.
-            if any != 0 {
-                for (w, &mlw) in ml.iter().enumerate() {
-                    let mut word = mlw;
-                    while word != 0 {
-                        let bit = word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        out.push(((lo + w) * 64 + bit) as u32);
-                    }
-                }
-            }
-        } else {
-            // Stuck-at overrides (stuck-zero beats stuck-one beats
-            // mismatch), word-wise as in the per-query path.
-            for (w, &mlw) in ml.iter().enumerate() {
-                let wa = lo + w;
-                let mut word = (cand[w] & !self.stuck_zero[wa]) & (self.stuck_one[wa] | mlw);
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    out.push((wa * 64 + bit) as u32);
-                }
-            }
-        }
-        self.stats.matches += out.len() as u64;
-    }
-
-    /// The hits of batch slot `slot`, ascending. Valid after
-    /// [`Bcam::batch_flush`].
-    pub fn batch_hits(&self, slot: usize) -> &[u32] {
-        &self.batch_hits[slot]
+        let cand = self.load_candidates(enabled);
+        self.evaluate(query, cand, hits);
     }
 
     /// Searches `queries` against a shared enable mask. `hits` is resized
@@ -695,15 +520,10 @@ impl Bcam {
     ///
     /// Because every query shares one mask, the mask-dependent per-query
     /// work — clipping the candidate words, counting enabled rows and
-    /// activated arrays — is hoisted out of the loop and done once for
-    /// the whole call; each query then books the identical counter
-    /// increments, so the integer sums (and therefore [`CamStats`]) are
-    /// unchanged. Each query's entire column walk then runs as a single
-    /// fused [`KernelOps::match_cols`] call against the shared candidate
-    /// words, with none of the per-slot staging the mixed-mask batch
-    /// protocol ([`Bcam::batch_begin`] …) needs. The hoisting plus the
-    /// fused kernel is where the batched path's speedup over per-query
-    /// [`Bcam::search_into`] comes from.
+    /// activated arrays, finding the nonzero word span — is hoisted out
+    /// of the loop and done once for the whole call; each query then books
+    /// the identical counter increments, so the integer sums (and
+    /// therefore [`CamStats`]) are unchanged.
     pub fn search_batch_into(
         &mut self,
         queries: &[CamQuery],
@@ -711,6 +531,16 @@ impl Bcam {
         hits: &mut Vec<Vec<u32>>,
     ) {
         hits.resize_with(queries.len(), Vec::new);
+        let cand = self.load_candidates(enabled);
+        for (q, out) in queries.iter().zip(hits.iter_mut()) {
+            self.evaluate(q, cand, out);
+        }
+    }
+
+    /// Loads the candidates of a search: the enabled words clipped to the
+    /// entry range. A mask may be shorter or longer than the entry count;
+    /// out-of-range enabled bits cost `rows_enabled` but never participate.
+    fn load_candidates(&mut self, enabled: &EntryMask) -> Candidates {
         let entries = self.entries();
         let mwords = enabled.words();
         let n = self.ewords.min(mwords.len());
@@ -720,65 +550,69 @@ impl Bcam {
             let tail = entries - (n - 1) * 64;
             self.cand[n - 1] &= (1u64 << tail) - 1;
         }
-        let rows = enabled.count() as u64;
-        let arrays = arrays_of(&self.cand);
-        let ewords = self.ewords;
-        let ops = self.ops;
-        // The shared mask's nonzero span is computed once for the whole
-        // batch (see [`word_span`]); every query's column walk and hit
-        // extraction stays inside it.
+        // The column walk writes every match-line word it later reads, so
+        // the scratch only needs to be long enough.
+        if self.matchline.len() < n {
+            self.matchline.resize(n, 0);
+        }
         let (lo, hi) = word_span(&self.cand);
-        self.matchline.clear();
-        self.matchline.resize(n, 0);
-        for (q, out) in queries.iter().zip(hits.iter_mut()) {
-            self.stats.searches += 1;
-            self.stats.rows_enabled += rows;
-            self.stats.arrays_activated += arrays;
-            let any = if q.len() <= self.entry_bases && lo < hi {
-                ops.match_cols(
-                    &mut self.matchline[lo..hi],
-                    &self.cand[lo..hi],
-                    &self.planes[lo..],
-                    ewords,
-                    q.symbols(),
-                )
-            } else {
-                // Wider than an entry: provably dead line (the scalar
-                // oracle bails at column `entry_bases`).
-                self.matchline[lo..hi].fill(0);
-                0
-            };
-            out.clear();
-            if !self.has_stuck {
-                // Fault-free fast path: the override formula degenerates to
-                // `cand & ml`, and ml ⊆ cand by construction, so the
-                // match-line words *are* the hits — and a dead line
-                // (any == 0) has none at all.
-                if any != 0 {
-                    for (w, &mlw) in self.matchline[lo..hi].iter().enumerate() {
-                        let mut word = mlw;
-                        while word != 0 {
-                            let bit = word.trailing_zeros() as usize;
-                            word &= word - 1;
-                            out.push(((lo + w) * 64 + bit) as u32);
-                        }
-                    }
-                }
-            } else {
-                // Stuck-at overrides (stuck-zero beats stuck-one beats
-                // mismatch), word-wise as in the per-query path.
-                for w in lo..hi {
-                    let mut word = (self.cand[w] & !self.stuck_zero[w])
-                        & (self.stuck_one[w] | self.matchline[w]);
-                    while word != 0 {
-                        let bit = word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        out.push((w * 64 + bit) as u32);
-                    }
+        Candidates {
+            rows: enabled.count() as u64,
+            // Peripheral activation: one per distinct 256-row array
+            // holding a candidate (see [`arrays_of`]).
+            arrays: arrays_of(&self.cand),
+            lo,
+            hi,
+        }
+    }
+
+    /// Evaluates one query over loaded candidates and writes its hits into
+    /// `hits` (cleared first), booking one search. One fused kernel call
+    /// runs the whole column walk — ml = cand AND every driven plane, with
+    /// the early exit on a dead line — inside the nonzero candidate span;
+    /// shifting the plane base by `lo` keeps each plane row's window
+    /// aligned with the clipped slices.
+    fn evaluate(&mut self, query: &CamQuery, cand: Candidates, hits: &mut Vec<u32>) {
+        self.stats.searches += 1;
+        self.stats.rows_enabled += cand.rows;
+        self.stats.arrays_activated += cand.arrays;
+        hits.clear();
+        let (lo, hi) = (cand.lo, cand.hi);
+        let ml = &mut self.matchline[lo..hi];
+        // A query wider than an entry matches nothing stored (the scalar
+        // oracle bails at column `entry_bases`); its line is dead from the
+        // start and only stuck-one overrides can still fire.
+        let any = if query.len() <= self.entry_bases && lo < hi {
+            self.ops.match_cols(
+                ml,
+                &self.cand[lo..hi],
+                &self.planes[lo..],
+                self.ewords,
+                query.symbols(),
+            )
+        } else {
+            ml.fill(0);
+            0
+        };
+        if !self.has_stuck {
+            // Fault-free fast path: the override formula degenerates to
+            // `cand & ml`, and ml ⊆ cand by construction, so the
+            // match-line words *are* the hits — and a dead line
+            // (any == 0) has none at all.
+            if any != 0 {
+                for (w, &mlw) in ml.iter().enumerate() {
+                    push_hits(hits, lo + w, mlw);
                 }
             }
-            self.stats.matches += out.len() as u64;
+        } else {
+            // Stuck-at overrides: stuck-zero beats stuck-one beats
+            // mismatch.
+            for (w, &mlw) in (lo..hi).zip(ml.iter()) {
+                let word = (self.cand[w] & !self.stuck_zero[w]) & (self.stuck_one[w] | mlw);
+                push_hits(hits, w, word);
+            }
         }
+        self.stats.matches += hits.len() as u64;
     }
 
     /// [`Bcam::search`] through the scalar entry-at-a-time walk — the
@@ -813,65 +647,6 @@ impl Bcam {
             }
             if mask_bit(&self.stuck_one, e) || self.entry_matches(e, query) {
                 hits.push(e as u32);
-            }
-        }
-    }
-
-    /// The bit-parallel evaluation: AND the driven columns' planes into the
-    /// enabled words, then resolve stuck-at overrides word-wise —
-    /// 64 match lines per operation.
-    fn bitparallel_kernel(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
-        let entries = self.entries();
-        let ewords = self.ewords;
-
-        // Candidates: enabled words clipped to the entry range. A mask may
-        // be shorter or longer than the entry count; out-of-range enabled
-        // bits cost rows_enabled (counted above) but never participate.
-        self.cand.clear();
-        let mwords = enabled.words();
-        let n = ewords.min(mwords.len());
-        self.cand.extend_from_slice(&mwords[..n]);
-        if n * 64 > entries {
-            let tail = entries - (n - 1) * 64;
-            self.cand[n - 1] &= (1u64 << tail) - 1;
-        }
-
-        // Peripheral activation: one per distinct 256-row array holding a
-        // candidate. The scalar walk visits entries ascending, so distinct
-        // arrays are counted exactly once; words never straddle arrays
-        // (ROWS_PER_ARRAY % 64 == 0), so word granularity sees the same
-        // arrays.
-        self.stats.arrays_activated += arrays_of(&self.cand);
-
-        // Match lines: start from the candidates, AND in each driven
-        // column's plane — touching only the nonzero candidate span (see
-        // [`word_span`]). A query wider than an entry matches nothing
-        // stored (the scalar oracle bails at column `entry_bases`); only
-        // stuck-one lines can still fire.
-        let ops = self.ops;
-        let (lo, hi) = word_span(&self.cand);
-        self.matchline.clear();
-        self.matchline.resize(n, 0);
-        if query.len() <= self.entry_bases && lo < hi {
-            self.matchline[lo..hi].copy_from_slice(&self.cand[lo..hi]);
-            for (col, sym) in query.symbols().iter().enumerate() {
-                let Symbol::Base(b) = sym else { continue };
-                let plane = &self.planes[(col * 4 + b.code() as usize) * ewords + lo..][..hi - lo];
-                if ops.and_plane(&mut self.matchline[lo..hi], plane) == 0 {
-                    break;
-                }
-            }
-        }
-
-        // Stuck-at overrides (stuck-zero beats stuck-one beats mismatch),
-        // then emit hit indices ascending.
-        for w in lo..hi {
-            let mut word =
-                (self.cand[w] & !self.stuck_zero[w]) & (self.stuck_one[w] | self.matchline[w]);
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                hits.push((w * 64 + bit) as u32);
             }
         }
     }
@@ -1206,65 +981,21 @@ mod tests {
             .map(|i| CamQuery::padded(&s, i, 4 + (i % 3), i % 4))
             .collect();
         let enabled = EntryMask::all(8);
-        for block in 1..=MAX_BATCH {
-            for backend in KernelBackend::supported() {
-                let mut seq_cam = Bcam::new(&s, 5);
-                seq_cam.set_kernel_backend(backend);
-                let mut expect = Vec::new();
-                for q in &queries {
-                    expect.push(seq_cam.search(q, &enabled));
-                }
-
-                let mut batch_cam = Bcam::new(&s, 5);
-                batch_cam.set_kernel_backend(backend);
-                batch_cam.set_batch_block(block);
-                assert_eq!(batch_cam.batch_block(), block);
-                let mut hits = Vec::new();
-                batch_cam.search_batch_into(&queries, &enabled, &mut hits);
-                let got: Vec<Vec<u32>> = hits.iter().map(|h| h.to_vec()).collect();
-                assert_eq!(got, expect, "block {block} backend {backend}");
-                assert_eq!(
-                    batch_cam.stats(),
-                    seq_cam.stats(),
-                    "block {block} backend {backend}"
-                );
+        for backend in KernelBackend::supported() {
+            let mut seq_cam = Bcam::new(&s, 5);
+            seq_cam.set_kernel_backend(backend);
+            let mut expect = Vec::new();
+            for q in &queries {
+                expect.push(seq_cam.search(q, &enabled));
             }
-        }
-    }
 
-    #[test]
-    fn batched_search_with_per_slot_masks_and_faults() {
-        let s: PackedSeq = (0..640).map(|i| Base::from_code((i % 4) as u8)).collect();
-        let mut cam = Bcam::new(&s, 5);
-        cam.inject_faults(&CamFaultModel {
-            seed: 3,
-            stuck_rate: 0.1,
-            flip_rate: 0.05,
-        });
-        let mut oracle = cam.clone();
-
-        let queries: Vec<CamQuery> = (0..6).map(|i| CamQuery::padded(&s, 5 * i, 5, 0)).collect();
-        let masks: Vec<EntryMask> = (0..6)
-            .map(|i| {
-                let mut m = EntryMask::new(128);
-                m.set_range(i * 13..i * 13 + 40);
-                m
-            })
-            .collect();
-
-        cam.batch_begin();
-        for (q, m) in queries.iter().zip(&masks) {
-            cam.batch_push(q, m);
+            let mut batch_cam = Bcam::new(&s, 5);
+            batch_cam.set_kernel_backend(backend);
+            let mut hits = Vec::new();
+            batch_cam.search_batch_into(&queries, &enabled, &mut hits);
+            assert_eq!(hits, expect, "backend {backend}");
+            assert_eq!(batch_cam.stats(), seq_cam.stats(), "backend {backend}");
         }
-        cam.batch_flush();
-        for (slot, (q, m)) in queries.iter().zip(&masks).enumerate() {
-            assert_eq!(
-                cam.batch_hits(slot),
-                oracle.search_scalar(q, m),
-                "slot {slot}"
-            );
-        }
-        assert_eq!(cam.stats(), oracle.stats());
     }
 
     #[test]
@@ -1279,6 +1010,26 @@ mod tests {
         // installing an illegal-instruction path.
         cam.set_kernel_backend(KernelBackend::Avx2);
         assert!(cam.kernel_backend().is_supported());
+    }
+
+    #[test]
+    fn stats_since_undoes_merge() {
+        let before = CamStats {
+            searches: 3,
+            rows_enabled: 40,
+            arrays_activated: 5,
+            matches: 7,
+        };
+        let delta = CamStats {
+            searches: 1,
+            rows_enabled: 2,
+            arrays_activated: 3,
+            matches: 4,
+        };
+        let mut after = before;
+        after.merge(&delta);
+        assert_eq!(after.since(&before), delta);
+        assert_eq!(after.since(&after), CamStats::default());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The two primitives every CAM search spends its time in are
 //!
-//! * the match-line AND-reduction (`dst &= plane`, 64 entries per word), and
+//! * the fused match-line column walk ([`KernelOps::match_cols`]: `ml =
+//!   init & plane & plane & …`, 64 entries per word), and
 //! * the indicator word-OR that builds enable masks (`dst |= group`),
 //!
 //! and both are embarrassingly data-parallel across words. This module
@@ -150,16 +151,14 @@ impl fmt::Display for KernelBackend {
 
 /// Function table for the word-level kernels of one backend.
 ///
-/// `and_plane(dst, src)` computes `dst[i] &= src[i]` over `dst.len()`
-/// words and returns the OR of the updated words so callers can detect a
-/// dead match line without a second pass. `or_into(dst, src)` computes
-/// `dst[i] |= src[i]` over `dst.len()` words. Each method asserts its
-/// length contract once per call, before dispatching, so every backend
-/// panics identically on a violation and the unchecked AVX2 bodies are
-/// never reached with short operands.
+/// `match_cols` runs a whole query's column walk (see
+/// [`KernelOps::match_cols`]); `or_into(dst, src)` computes `dst[i] |=
+/// src[i]` over `dst.len()` words. Each method asserts its length
+/// contract once per call, before dispatching, so every backend panics
+/// identically on a violation and the unchecked AVX2 bodies are never
+/// reached with short operands.
 pub struct KernelOps {
     backend: KernelBackend,
-    and_plane: fn(&mut [u64], &[u64]) -> u64,
     or_into: fn(&mut [u64], &[u64]),
     match_cols: MatchColsFn,
 }
@@ -175,17 +174,6 @@ impl KernelOps {
         self.backend
     }
 
-    /// `dst &= src` word-wise; returns the OR of the updated `dst` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() < dst.len()`.
-    #[inline]
-    pub fn and_plane(&self, dst: &mut [u64], src: &[u64]) -> u64 {
-        assert!(src.len() >= dst.len(), "and_plane: src shorter than dst");
-        (self.and_plane)(dst, src)
-    }
-
     /// `dst |= src` word-wise.
     ///
     /// # Panics
@@ -199,17 +187,16 @@ impl KernelOps {
 
     /// Whole-query match-line evaluation: `ml = init`, then `ml &=
     /// planes[(col * 4 + base) * ewords ..][.. ml.len()]` for each driven
-    /// column of `syms` in order (wildcards are skipped), with the same
-    /// per-column early exit as chaining [`KernelOps::and_plane`] calls
-    /// (the column pass whose OR reaches zero leaves `ml` all zero and
-    /// ends the walk). Returns the OR of the final `ml` words.
+    /// column of `syms` in order (wildcards are skipped), with a
+    /// per-column early exit (the column pass whose OR reaches zero leaves
+    /// `ml` all zero and ends the walk). Returns the OR of the final `ml`
+    /// words, so a dead match line needs no second pass to detect.
     ///
-    /// This is the batched hot path: the entire column walk runs inside
+    /// This is the search hot path: the entire column walk runs inside
     /// one monomorphized function (for AVX2, one `#[target_feature]`
-    /// region), so the per-column function-pointer dispatch of the
-    /// per-query path disappears, the first driven column fuses the
-    /// `init` copy with its AND, and the OR accumulator stays in
-    /// registers.
+    /// region), so there is one backend dispatch per query rather than
+    /// one per column, the first driven column fuses the `init` copy with
+    /// its AND, and the OR accumulator stays in registers.
     ///
     /// # Panics
     ///
@@ -252,14 +239,12 @@ impl fmt::Debug for KernelOps {
 
 static SCALAR_OPS: KernelOps = KernelOps {
     backend: KernelBackend::Scalar,
-    and_plane: and_plane_scalar,
     or_into: or_into_scalar,
     match_cols: match_cols_scalar,
 };
 
 static U64X4_OPS: KernelOps = KernelOps {
     backend: KernelBackend::U64x4,
-    and_plane: and_plane_u64x4,
     or_into: or_into_u64x4,
     match_cols: match_cols_u64x4,
 };
@@ -267,7 +252,6 @@ static U64X4_OPS: KernelOps = KernelOps {
 #[cfg(target_arch = "x86_64")]
 static AVX2_OPS: KernelOps = KernelOps {
     backend: KernelBackend::Avx2,
-    and_plane: and_plane_avx2,
     or_into: or_into_avx2,
     match_cols: match_cols_avx2,
 };
@@ -278,7 +262,6 @@ static AVX2_OPS: KernelOps = KernelOps {
 #[cfg(not(target_arch = "x86_64"))]
 static AVX2_OPS: KernelOps = KernelOps {
     backend: KernelBackend::Avx2,
-    and_plane: and_plane_u64x4,
     or_into: or_into_u64x4,
     match_cols: match_cols_u64x4,
 };
@@ -464,14 +447,6 @@ fn or_into_u64x4(dst: &mut [u64], src: &[u64]) {
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-fn and_plane_avx2(dst: &mut [u64], src: &[u64]) -> u64 {
-    // SAFETY: `ops()` hands this out only after AVX2 detection, and
-    // `KernelOps::and_plane` (the only caller) asserts `src.len() >= dst.len()`.
-    unsafe { avx2::and_plane(dst, src) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
 fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
     // SAFETY: `ops()` hands this out only after AVX2 detection, and
     // `KernelOps::or_into` (the only caller) asserts `src.len() >= dst.len()`.
@@ -509,7 +484,7 @@ mod avx2 {
     use crate::Symbol;
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn and_plane(dst: &mut [u64], src: &[u64]) -> u64 {
+    unsafe fn and_plane(dst: &mut [u64], src: &[u64]) -> u64 {
         let n = dst.len();
         let mut any = _mm256_setzero_si256();
         let mut i = 0usize;
@@ -711,13 +686,6 @@ mod tests {
             let src = words(len + 2, len as u64 + 1);
             for b in KernelBackend::supported() {
                 let ops = b.ops();
-                let mut expect_and = words(len, 7);
-                let expect_any = and_plane_scalar(&mut expect_and, &src);
-                let mut got_and = words(len, 7);
-                let got_any = ops.and_plane(&mut got_and, &src);
-                assert_eq!(got_and, expect_and, "and_plane {b} len {len}");
-                assert_eq!(got_any, expect_any, "and_plane any {b} len {len}");
-
                 let mut expect_or = words(len, 11);
                 or_into_scalar(&mut expect_or, &src);
                 let mut got_or = words(len, 11);
@@ -800,8 +768,6 @@ mod tests {
         let driven = [Symbol::Any, Symbol::Base(Base::T)]; // plane id 7
         for b in KernelBackend::supported() {
             let ops = b.ops();
-            let short_src = catch_unwind(|| ops.and_plane(&mut [0; 8], &[0; 1]));
-            assert!(short_src.is_err(), "{b}: and_plane short src");
             let short_src = catch_unwind(|| ops.or_into(&mut [0; 8], &[0; 1]));
             assert!(short_src.is_err(), "{b}: or_into short src");
             let short_init =
@@ -814,16 +780,6 @@ mod tests {
             let mut ml = [u64::MAX; 8];
             ops.match_cols(&mut ml, &[u64::MAX; 8], &[u64::MAX; 64], 8, &driven);
             assert_eq!(ml, [u64::MAX; 8], "{b}");
-        }
-    }
-
-    #[test]
-    fn and_plane_reports_dead_line() {
-        for b in KernelBackend::supported() {
-            let mut dst = vec![0b1010u64, 0, 0b1u64 << 63];
-            let any = b.ops().and_plane(&mut dst, &[0b0101, u64::MAX, 0]);
-            assert_eq!(any, 0, "{b}");
-            assert_eq!(dst, vec![0, 0, 0], "{b}");
         }
     }
 

@@ -38,8 +38,7 @@ pub mod kernel;
 mod mask;
 
 pub use bcam::{
-    Bcam, CamFaultModel, CamFaultReport, CamQuery, CamStats, GroupScheme, Symbol, MAX_BATCH,
-    ROWS_PER_ARRAY,
+    Bcam, CamFaultModel, CamFaultReport, CamQuery, CamStats, GroupScheme, Symbol, ROWS_PER_ARRAY,
 };
 pub use kernel::{KernelBackend, UnknownKernelError, KERNEL_ENV};
 pub use mask::EntryMask;

@@ -2,10 +2,10 @@
 //! entry-at-a-time oracle: identical hits **and** identical [`CamStats`]
 //! over random CAMs, padded/wildcard queries, partial masks (shorter,
 //! equal, and longer than the entry count), and injected faults — for
-//! every supported word-kernel backend (scalar `u64`, `u64x4`, AVX2) and
-//! for the query-blocked batch path at every block size `1..=MAX_BATCH`.
+//! every supported word-kernel backend (scalar `u64`, `u64x4`, AVX2), both
+//! per query and through the shared-mask batch entry point.
 
-use casa_cam::{Bcam, CamFaultModel, CamQuery, EntryMask, KernelBackend, Symbol, MAX_BATCH};
+use casa_cam::{Bcam, CamFaultModel, CamQuery, EntryMask, KernelBackend, Symbol};
 use casa_genome::{Base, PackedSeq};
 use proptest::prelude::*;
 
@@ -140,14 +140,11 @@ proptest! {
 
         let mut hits: Vec<Vec<u32>> = Vec::new();
         for backend in KernelBackend::supported() {
-            for block in 1..=MAX_BATCH {
-                let mut cam = base.clone();
-                cam.set_kernel_backend(backend);
-                cam.set_batch_block(block);
-                cam.search_batch_into(&queries, &mask, &mut hits);
-                prop_assert_eq!(&hits, &expected, "{} block={}", backend, block);
-                prop_assert_eq!(cam.stats(), scalar.stats(), "{} block={}", backend, block);
-            }
+            let mut cam = base.clone();
+            cam.set_kernel_backend(backend);
+            cam.search_batch_into(&queries, &mask, &mut hits);
+            prop_assert_eq!(&hits, &expected, "{}", backend);
+            prop_assert_eq!(cam.stats(), scalar.stats(), "{}", backend);
         }
     }
 }

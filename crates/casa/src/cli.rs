@@ -393,6 +393,7 @@ fn stream_err(e: StreamError) -> CliError {
         StreamError::Checkpoint(e) => CliError::Checkpoint(e),
         StreamError::Source { message, .. } => CliError::Parse(message),
         StreamError::Sink(e) => CliError::Io(e),
+        e @ StreamError::ReadTooLong { .. } => CliError::Parse(e.to_string()),
     }
 }
 
@@ -659,6 +660,10 @@ fn run_batch(
     let read_len = seqs.iter().map(PackedSeq::len).max().unwrap_or(101);
     let (session, index_source, index_ready_micros) =
         prepare_session(options, image, reference, read_len)?;
+    // An image fixes the partition overlap, so its reads can outgrow it.
+    session
+        .check_read_lengths(&seqs)
+        .map_err(|e| CliError::Parse(e.to_string()))?;
     let kernel = session.kernel_backend().as_str();
     let backend = session.backend().as_str();
     let stranded = session.seed_reads_both_strands(&seqs);

@@ -277,12 +277,22 @@ impl Seeder {
 
     /// Seeds a read batch against every partition and merges the results.
     /// Output is bit-identical at any worker count and on any backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a read is longer than the partition overlap allows (see
+    /// [`SeedingSession::seed_reads`]); [`SeedingSession::try_seed_reads`]
+    /// on [`session`](Self::session) reports that as a typed error.
     pub fn seed_reads(&self, reads: &[PackedSeq]) -> CasaRun {
         self.session.seed_reads(reads)
     }
 
     /// Seeds the batch in both orientations (each read and its reverse
     /// complement), as the hardware does.
+    ///
+    /// # Panics
+    ///
+    /// As [`seed_reads`](Self::seed_reads).
     pub fn seed_reads_both_strands(&self, reads: &[PackedSeq]) -> StrandedRun {
         self.session.seed_reads_both_strands(reads)
     }
@@ -296,7 +306,9 @@ impl Seeder {
     ///
     /// # Errors
     ///
-    /// [`StreamError`] on source, sink, or configuration failure.
+    /// [`StreamError`] on source, sink, or configuration failure, and
+    /// [`StreamError::ReadTooLong`] for a read longer than the partition
+    /// overlap allows.
     ///
     /// ```
     /// use casa::Seeder;

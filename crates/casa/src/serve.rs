@@ -771,6 +771,20 @@ fn handle_seed(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         }
     };
 
+    // Pin the generation now: its partition overlap bounds the read
+    // length, and a reload before the job runs must not change either.
+    let generation = shared.current_generation();
+    if let Err(e) = generation.session.check_read_lengths(&reads) {
+        let _ = write_response(
+            &mut stream,
+            "400 Bad Request",
+            "text/plain",
+            &[],
+            format!("{e}\n").as_bytes(),
+        );
+        return;
+    }
+
     let id = next_request_id();
     let _scope = RequestScope::enter(id);
     let token = CancelToken::new();
@@ -779,7 +793,7 @@ fn handle_seed(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         id,
         reads,
         token: token.clone(),
-        generation: shared.current_generation(),
+        generation,
         reply: reply_tx,
     };
     if let Err((reason, _job)) = shared

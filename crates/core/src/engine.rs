@@ -16,16 +16,6 @@ use crate::CasaConfig;
 /// stage.
 const PIVOT_CHECK_CYCLES: u64 = 1;
 
-/// Pivots collected per RMEM batch when Algorithm 1 pivot gating is off.
-///
-/// With gating **on** the block size is pinned to 1: whether a pivot
-/// searches at all depends on the previous pivots' RMEM results (`last`),
-/// so issuing speculative searches ahead of that decision would change the
-/// search multiset — and with it the published activity figures. With
-/// gating off every surviving pivot searches unconditionally (containment
-/// only affects recording), so pivots batch freely.
-const PIVOT_BLOCK: usize = casa_cam::MAX_BATCH;
-
 /// One CASA lane bound to one reference partition.
 ///
 /// ```
@@ -56,11 +46,6 @@ pub struct PartitionEngine {
     kmer_codes: Vec<u64>,
     /// Reusable RMEM result buffer.
     rmem_scratch: RmemResult,
-    /// Filter-surviving pivots awaiting a batched RMEM (see
-    /// [`PIVOT_BLOCK`]).
-    pivot_block: Vec<(usize, SearchIndicator)>,
-    /// Reusable per-pivot RMEM results of the current block.
-    block_results: Vec<RmemResult>,
     /// Per-pivot indicators fetched by the batched filter pass (see
     /// [`set_batched_filter`](Self::set_batched_filter)).
     indicators: Vec<SearchIndicator>,
@@ -99,8 +84,6 @@ impl PartitionEngine {
             searcher,
             kmer_codes: Vec::new(),
             rmem_scratch: RmemResult::default(),
-            pivot_block: Vec::new(),
-            block_results: Vec::new(),
             indicators: Vec::new(),
             profiling: false,
             batched_filter: true,
@@ -128,8 +111,6 @@ impl PartitionEngine {
             searcher,
             kmer_codes: Vec::new(),
             rmem_scratch: RmemResult::default(),
-            pivot_block: Vec::new(),
-            block_results: Vec::new(),
             indicators: Vec::new(),
             profiling: false,
             batched_filter: true,
@@ -268,32 +249,13 @@ impl PartitionEngine {
         stats.smems_reported += out.len() as u64;
 
         // Activity deltas -> pipeline cycle model.
-        let filter_after = self.filter.stats();
-        let lookups = filter_after.lookups - filter_before.lookups;
-        let data_reads = filter_after.data_reads - filter_before.data_reads;
-        stats.filter_ops += lookups + data_reads;
+        let filter_delta = self.filter.stats().since(&filter_before);
+        stats.filter_ops += filter_delta.lookups + filter_delta.data_reads;
         stats.computing_cycles += computing_cycles + 2;
-
-        let cam_after = self.searcher.cam().stats();
-        let mut filter_delta = filter_after;
-        // store deltas, not absolutes
-        filter_delta.lookups = lookups;
-        filter_delta.mini_index_reads =
-            filter_after.mini_index_reads - filter_before.mini_index_reads;
-        filter_delta.tag_searches = filter_after.tag_searches - filter_before.tag_searches;
-        filter_delta.tag_rows_enabled =
-            filter_after.tag_rows_enabled - filter_before.tag_rows_enabled;
-        filter_delta.tag_physical_rows =
-            filter_after.tag_physical_rows - filter_before.tag_physical_rows;
-        filter_delta.data_reads = data_reads;
-        filter_delta.hits = filter_after.hits - filter_before.hits;
         stats.filter.merge(&filter_delta);
-        stats.cam.merge(&casa_cam::CamStats {
-            searches: cam_after.searches - cam_before.searches,
-            rows_enabled: cam_after.rows_enabled - cam_before.rows_enabled,
-            arrays_activated: cam_after.arrays_activated - cam_before.arrays_activated,
-            matches: cam_after.matches - cam_before.matches,
-        });
+        stats
+            .cam
+            .merge(&self.searcher.cam().stats().since(&cam_before));
         // DRAM: seed records out. Read streaming is charged once per
         // batch by the accelerator (reads sit in the on-chip buffer while
         // partitions rotate); partition loads amortize over the
@@ -302,7 +264,9 @@ impl PartitionEngine {
     }
 
     /// Algorithm 1 proper: the pivot loop with all ablation switches, the
-    /// §4.3 exact-match attempt, and the batched pre-seeding pass.
+    /// §4.3 exact-match attempt, and the batched pre-seeding pass. Each
+    /// surviving pivot's RMEM is searched and recorded before the next
+    /// pivot is examined, since pivot gating reads the last recorded RMEM.
     fn seed_read_body(
         &mut self,
         read: &PackedSeq,
@@ -336,16 +300,6 @@ impl PartitionEngine {
         let mut last: Option<(usize, usize)> = None;
         // Cached CRkM indicator for the current `last` value.
         let mut crkm: Option<(usize, SearchIndicator)> = None;
-
-        // Pivot gating reads `last`, which a batched pivot's RMEM may
-        // still change — so batching across pivots is only legal when
-        // gating is off (see PIVOT_BLOCK).
-        let block_cap = if self.config.use_pivot_analysis {
-            1
-        } else {
-            PIVOT_BLOCK
-        };
-        self.pivot_block.clear();
 
         // Loop bookkeeping that is not a filter lookup, CAM search, or
         // containment record is the pivot-analysis stage; it is derived by
@@ -419,12 +373,14 @@ impl PartitionEngine {
             }
 
             stats.rmem_searches += 1;
-            self.pivot_block.push((pivot, si));
-            if self.pivot_block.len() == block_cap {
-                self.flush_pivot_block(read, out, &mut last, stats, computing_cycles);
-            }
+            let t = StageTimer::start(self.profiling);
+            self.searcher
+                .rmem_into(read, pivot, &si, &mut self.rmem_scratch);
+            t.stop(&mut stats.profile, Stage::CamSearch);
+            let t = StageTimer::start(self.profiling);
+            self.record_rmem(pivot, out, &mut last, stats, computing_cycles);
+            t.stop(&mut stats.profile, Stage::ContainMerge);
         }
-        self.flush_pivot_block(read, out, &mut last, stats, computing_cycles);
 
         if loop_timer.enabled() {
             let inner = stats.profile.total_nanos() - inner_before;
@@ -435,55 +391,37 @@ impl PartitionEngine {
         }
     }
 
-    /// Runs the collected pivots' RMEMs as one CAM batch, then records the
-    /// results in pivot order: containment against `last`, `last` updates,
-    /// and SMEM emission happen here exactly as the per-pivot code did.
-    fn flush_pivot_block(
+    /// Records the RMEM of `pivot` just computed into `rmem_scratch`:
+    /// containment against `last`, the `last` update, and SMEM emission.
+    fn record_rmem(
         &mut self,
-        read: &PackedSeq,
+        pivot: usize,
         smems: &mut Vec<Smem>,
         last: &mut Option<(usize, usize)>,
         stats: &mut SeedingStats,
         computing_cycles: &mut u64,
     ) {
-        let n = self.pivot_block.len();
-        if n == 0 {
+        let rmem = &mut self.rmem_scratch;
+        *computing_cycles += rmem.searches;
+        if rmem.len == 0 {
             return;
         }
-        if self.block_results.len() < n {
-            self.block_results.resize_with(n, RmemResult::default);
-        }
-        let t = StageTimer::start(self.profiling);
-        self.searcher
-            .rmem_batch_into(read, &self.pivot_block, &mut self.block_results[..n]);
-        t.stop(&mut stats.profile, Stage::CamSearch);
-        let t = StageTimer::start(self.profiling);
-        for i in 0..n {
-            let (pivot, _) = self.pivot_block[i];
-            let rmem = &mut self.block_results[i];
-            *computing_cycles += rmem.searches;
-            if rmem.len == 0 {
-                continue;
-            }
-            let end = pivot + rmem.len;
-            if let Some((start, last_end)) = *last {
-                debug_assert!(pivot > start);
-                if end <= last_end {
-                    stats.rmems_contained += 1;
-                    continue;
-                }
-            }
-            *last = Some((pivot, end));
-            if rmem.len >= self.config.min_smem_len {
-                smems.push(Smem {
-                    read_start: pivot,
-                    read_end: end,
-                    hits: std::mem::take(&mut rmem.positions),
-                });
+        let end = pivot + rmem.len;
+        if let Some((start, last_end)) = *last {
+            debug_assert!(pivot > start);
+            if end <= last_end {
+                stats.rmems_contained += 1;
+                return;
             }
         }
-        t.stop(&mut stats.profile, Stage::ContainMerge);
-        self.pivot_block.clear();
+        *last = Some((pivot, end));
+        if rmem.len >= self.config.min_smem_len {
+            smems.push(Smem {
+                read_start: pivot,
+                read_end: end,
+                hits: std::mem::take(&mut rmem.positions),
+            });
+        }
     }
 
     /// §4.3: detect a read that matches the partition exactly. Aligns

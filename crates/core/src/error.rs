@@ -163,6 +163,19 @@ pub enum Error {
         /// What went wrong, in human-readable form.
         what: String,
     },
+    /// A read is longer than the session can seed exactly: once the
+    /// reference is cut into partitions, only reads of at most `partition
+    /// overlap + 1` bases are guaranteed to lie whole inside one (see
+    /// [`crate::SeedingSession::max_read_len`]). A longer read could
+    /// straddle a partition boundary and come back with its SMEMs split.
+    ReadTooLong {
+        /// Index of the first offending read in the batch.
+        read: usize,
+        /// Its length in bases.
+        len: usize,
+        /// The longest read the session accepts, in bases.
+        max: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -174,6 +187,11 @@ impl fmt::Display for Error {
             Error::Runtime { what } => write!(f, "unrecoverable scheduler state: {what}"),
             Error::Cancelled => write!(f, "seeding run cancelled"),
             Error::Image { what } => write!(f, "index image error: {what}"),
+            Error::ReadTooLong { read, len, max } => write!(
+                f,
+                "read {read} has {len} bases, over this index's {max}-base read limit \
+                 (partition overlap + 1)"
+            ),
         }
     }
 }
@@ -225,6 +243,13 @@ mod tests {
             reason: "batch_reads must be positive",
         };
         assert!(e.to_string().contains("batch_reads"));
+        let e = Error::ReadTooLong {
+            read: 3,
+            len: 150,
+            max: 50,
+        };
+        assert!(e.to_string().contains("read 3 has 150 bases"), "{e}");
+        assert!(e.to_string().contains("50-base read limit"), "{e}");
     }
 
     #[test]

@@ -8,16 +8,11 @@
 //! previous cycle (DFF-based selective enabling) — and finally binary
 //! searches inside the first mismatched stride for the exact match end.
 //!
-//! The search is organized as a set of **chains** — one per (pivot, start
-//! offset) pair — each a small state machine that always has at most one
-//! CAM search in flight. Chains from the same [`CamSearcher::rmem_batch_into`]
-//! call are mutually independent (per-pivot results only combine after all
-//! chains finish), so each round gathers every pending chain's search and
-//! issues them through [`Bcam`]'s query-blocked batch interface: up to B
-//! queries share one bitplane pass instead of re-streaming the planes per
-//! query. Stats and results are bit-identical to chasing the chains one at
-//! a time — every chain issues exactly the search sequence the sequential
-//! code would, and the CAM books batched searches per query.
+//! Each start offset is searched as a **chain**: a small state machine
+//! that prepares one CAM search at a time and absorbs its hits. The
+//! searcher runs each chain to completion with immediate
+//! [`Bcam::search_into`] calls — one search per cycle, as in the hardware
+//! — and combines the chains in ascending offset order.
 
 use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme, KernelBackend};
 use casa_filter::SearchIndicator;
@@ -41,13 +36,13 @@ pub struct RmemResult {
 /// meaningless between calls.
 #[derive(Clone, Debug, Default)]
 struct SearchScratch {
-    /// Chain pool. Grows to the high-water mark of simultaneous chains and
-    /// is reset in place, so inner buffers keep their allocations.
-    chains: Vec<Chain>,
-    /// Per-pivot group-gated enable masks of the current batch.
-    enabled: Vec<EntryMask>,
-    /// Indices of chains with a search in flight this round.
-    pending: Vec<u32>,
+    /// The chain being driven, reset in place per start offset so its
+    /// inner buffers keep their allocations.
+    chain: Chain,
+    /// The pivot's group-gated enable mask.
+    enabled: EntryMask,
+    /// Hits of the search just issued.
+    hits: Vec<u32>,
 }
 
 /// What a chain is waiting on (equivalently: which enable mask its
@@ -70,8 +65,6 @@ enum Phase {
 /// machine with at most one CAM search in flight.
 #[derive(Clone, Debug, Default)]
 struct Chain {
-    /// Index into the batch's pivot list.
-    pivot_idx: usize,
     /// In-entry start offset (wildcard pad of the first search).
     p: usize,
     phase: Phase,
@@ -107,10 +100,9 @@ struct Chain {
 }
 
 impl Chain {
-    /// Re-arms a pooled chain for a new (pivot, start offset) pair,
-    /// keeping its buffer allocations.
-    fn reset(&mut self, pivot_idx: usize, p: usize) {
-        self.pivot_idx = pivot_idx;
+    /// Re-arms the chain for a new (pivot, start offset) pair, keeping its
+    /// buffer allocations.
+    fn reset(&mut self, p: usize) {
         self.p = p;
         self.phase = Phase::First;
         self.matched = 0;
@@ -343,11 +335,6 @@ impl CamSearcher {
         self.cam.kernel_backend()
     }
 
-    /// Sets the CAM's query-blocking factor (see [`Bcam::set_batch_block`]).
-    pub fn set_batch_block(&mut self, block: usize) {
-        self.cam.set_batch_block(block);
-    }
-
     /// The underlying CAM (for activity counters).
     pub fn cam(&self) -> &Bcam {
         &self.cam
@@ -392,8 +379,11 @@ impl CamSearcher {
     }
 
     /// [`CamSearcher::rmem`] into a caller-provided result (its buffers are
-    /// reused) — the allocation-free form for hot loops. Equivalent to a
-    /// one-pivot [`CamSearcher::rmem_batch_into`].
+    /// reused) — the allocation-free form for hot loops.
+    ///
+    /// Every enabled start offset below the stride becomes a chain, driven
+    /// to completion before the next one starts; the longest match wins
+    /// and ties append, so positions come out sorted and deduplicated.
     pub fn rmem_into(
         &mut self,
         read: &PackedSeq,
@@ -401,122 +391,40 @@ impl CamSearcher {
         si: &SearchIndicator,
         out: &mut RmemResult,
     ) {
-        let pivots = [(pivot, *si)];
-        self.rmem_batch_into(read, &pivots, std::slice::from_mut(out));
-    }
-
-    /// Computes the RMEMs of several pivots of the same read in one go,
-    /// sharing CAM bitplane passes across their searches.
-    ///
-    /// Every (pivot, start offset) pair becomes an independent `Chain`;
-    /// each round collects the pending chains' searches and issues them in
-    /// blocks of the CAM's query-blocking factor. Results, `searches`
-    /// counts, and [`casa_cam::CamStats`] are bit-identical to calling
-    /// [`CamSearcher::rmem_into`] once per pivot in order: chains issue
-    /// exactly the sequential search sequences, the CAM books batched
-    /// searches per query, and the counters are commutative sums.
-    ///
-    /// The caller must ensure the pivots' searches are mutually
-    /// independent — in particular, Algorithm 1 pivot gating decides
-    /// whether a pivot searches at all based on *earlier pivots' RMEM
-    /// results*, so batching across pivots is only legal when that gating
-    /// is off (see `PartitionEngine::seed_read`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pivots.len() != outs.len()`.
-    pub fn rmem_batch_into(
-        &mut self,
-        read: &PackedSeq,
-        pivots: &[(usize, SearchIndicator)],
-        outs: &mut [RmemResult],
-    ) {
-        assert_eq!(pivots.len(), outs.len(), "one result slot per pivot");
         let stride = self.cam.entry_bases();
         let entries = self.cam.entries();
-
-        if self.scratch.enabled.len() < pivots.len() {
-            self.scratch
-                .enabled
-                .resize_with(pivots.len(), EntryMask::default);
-        }
-
-        // Fan out: one chain per (pivot, start offset), in pivot order then
-        // ascending offset — the same order the sequential code visits, so
-        // the per-pivot combination below keeps its tie-breaking.
-        let mut nchains = 0usize;
-        for (i, &(pivot, si)) in pivots.iter().enumerate() {
-            let out = &mut outs[i];
-            out.len = 0;
-            out.positions.clear();
-            out.searches = 0;
-            si.enabled_mask_into(&self.group_masks, &mut self.scratch.enabled[i]);
-            let remaining = read.len() - pivot;
-            let mut start_bits = si.start_mask;
-            while start_bits != 0 {
-                let p = start_bits.trailing_zeros() as usize;
-                start_bits &= start_bits - 1;
-                if p >= stride {
-                    break;
-                }
-                if nchains == self.scratch.chains.len() {
-                    self.scratch.chains.push(Chain::default());
-                }
-                let chain = &mut self.scratch.chains[nchains];
-                nchains += 1;
-                chain.reset(i, p);
-                let len0 = (stride - p).min(remaining);
-                chain.cur_len = len0;
-                chain.query.fill_padded(read, pivot, len0, p);
-            }
-        }
-
-        // Rounds: batch every pending chain's in-flight search, then let
-        // each chain absorb its hits and prepare its next search.
-        loop {
-            self.scratch.pending.clear();
-            for ci in 0..nchains {
-                if self.scratch.chains[ci].phase != Phase::Done {
-                    self.scratch.pending.push(ci as u32);
-                }
-            }
-            if self.scratch.pending.is_empty() {
+        let SearchScratch {
+            chain,
+            enabled,
+            hits,
+        } = &mut self.scratch;
+        out.len = 0;
+        out.positions.clear();
+        out.searches = 0;
+        si.enabled_mask_into(&self.group_masks, enabled);
+        let remaining = read.len() - pivot;
+        let mut start_bits = si.start_mask;
+        while start_bits != 0 {
+            let p = start_bits.trailing_zeros() as usize;
+            start_bits &= start_bits - 1;
+            if p >= stride {
                 break;
             }
-            for chunk in self.scratch.pending.chunks(self.cam.batch_block()) {
-                self.cam.batch_begin();
-                for &ci in chunk {
-                    let chain = &self.scratch.chains[ci as usize];
-                    let mask = match chain.phase {
-                        Phase::First => &self.scratch.enabled[chain.pivot_idx],
-                        Phase::Stride => &chain.next,
-                        Phase::Binary => &chain.bp_current,
-                        Phase::Done => unreachable!("pending chain cannot be done"),
-                    };
-                    self.cam.batch_push(&chain.query, mask);
-                }
-                self.cam.batch_flush();
-                for (bi, &ci) in chunk.iter().enumerate() {
-                    let chain = &mut self.scratch.chains[ci as usize];
-                    chain.searches += 1;
-                    let (pivot, _) = pivots[chain.pivot_idx];
-                    chain.absorb(
-                        self.cam.batch_hits(bi),
-                        read,
-                        pivot,
-                        &self.scratch.enabled[chain.pivot_idx],
-                        stride,
-                        entries,
-                    );
-                }
+            chain.reset(p);
+            let len0 = (stride - p).min(remaining);
+            chain.cur_len = len0;
+            chain.query.fill_padded(read, pivot, len0, p);
+            loop {
+                let mask = match chain.phase {
+                    Phase::First => &*enabled,
+                    Phase::Stride => &chain.next,
+                    Phase::Binary => &chain.bp_current,
+                    Phase::Done => break,
+                };
+                self.cam.search_into(&chain.query, mask, hits);
+                chain.searches += 1;
+                chain.absorb(hits, read, pivot, enabled, stride, entries);
             }
-        }
-
-        // Combine chains into per-pivot results, in chain creation order
-        // (ascending start offset): longest match wins, ties append.
-        for ci in 0..nchains {
-            let chain = &self.scratch.chains[ci];
-            let out = &mut outs[chain.pivot_idx];
             out.searches += chain.searches;
             if chain.len > out.len {
                 out.len = chain.len;
@@ -526,10 +434,8 @@ impl CamSearcher {
                 out.positions.extend_from_slice(&chain.positions);
             }
         }
-        for out in outs.iter_mut() {
-            out.positions.sort_unstable();
-            out.positions.dedup();
-        }
+        out.positions.sort_unstable();
+        out.positions.dedup();
     }
 }
 
@@ -669,10 +575,11 @@ mod tests {
         );
     }
 
-    /// Batching pivots together must not change results, searches counts,
-    /// or CAM activity, at any query-blocking factor.
+    /// The searcher's scratch (chain, mask, hit buffer) carries over from
+    /// pivot to pivot; reusing it must not change results, searches
+    /// counts, or CAM activity against a fresh searcher per pivot.
     #[test]
-    fn batched_pivots_match_sequential_rmem_calls() {
+    fn reused_searcher_matches_fresh_searcher_per_pivot() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
         let cfg = FilterConfig::small(6, 3); // stride 8, 4 groups
@@ -680,40 +587,24 @@ mod tests {
             .map(|_| casa_genome::Base::from_code(rng.gen_range(0..4)))
             .collect();
         let mut filter = PreSeedingFilter::build(&part, cfg);
-        for block in [1usize, 2, 3, 8] {
-            for trial in 0..5 {
-                let s = rng.gen_range(0..part.len() - 80);
-                let read = part.subseq(s, 60);
-                let pivots: Vec<(usize, SearchIndicator)> = (0..=read.len() - cfg.k)
-                    .filter_map(|pivot| {
-                        let si = filter.lookup(&read, pivot).unwrap();
-                        (!si.is_empty()).then_some((pivot, si))
-                    })
-                    .collect();
-                if pivots.is_empty() {
+        let mut reused = CamSearcher::new(&part, cfg.stride, cfg.groups);
+        let mut fresh_stats = casa_cam::CamStats::default();
+        for trial in 0..20 {
+            let s = rng.gen_range(0..part.len() - 80);
+            let read = part.subseq(s, 60);
+            for pivot in 0..=read.len() - cfg.k {
+                let si = filter.lookup(&read, pivot).unwrap();
+                if si.is_empty() {
                     continue;
                 }
-
-                let mut seq_searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
-                seq_searcher.set_batch_block(1);
-                let expect: Vec<RmemResult> = pivots
-                    .iter()
-                    .map(|(pivot, si)| seq_searcher.rmem(&read, *pivot, si))
-                    .collect();
-
-                let mut batch_searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
-                batch_searcher.set_batch_block(block);
-                let mut got = vec![RmemResult::default(); pivots.len()];
-                batch_searcher.rmem_batch_into(&read, &pivots, &mut got);
-
-                assert_eq!(got, expect, "block {block} trial {trial}");
-                assert_eq!(
-                    batch_searcher.cam().stats(),
-                    seq_searcher.cam().stats(),
-                    "block {block} trial {trial}"
-                );
+                let mut fresh = CamSearcher::new(&part, cfg.stride, cfg.groups);
+                let expect = fresh.rmem(&read, pivot, &si);
+                fresh_stats.merge(&fresh.cam().stats());
+                let got = reused.rmem(&read, pivot, &si);
+                assert_eq!(got, expect, "trial {trial} pivot {pivot}");
             }
         }
+        assert_eq!(reused.cam().stats(), fresh_stats);
     }
 
     #[test]

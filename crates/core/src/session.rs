@@ -51,12 +51,12 @@
 //!   delta-based accounting above tolerates when an abandoned attempt
 //!   advanced them;
 //! * scratch buffers, each cleared or overwritten before it is read: the
-//!   engine's k-mer codes (`PartitionEngine::seed_read_into`), pivot block
-//!   (top of the pivot loop), batched-filter indicators
-//!   (`PreSeedingFilter::lookup_codes_into`) and RMEM results, plus the
-//!   CAM searcher's masks and chains (all reset per pivot by
-//!   [`CamSearcher::rmem_batch_into`](crate::CamSearcher::rmem_batch_into))
-//!   and the CAM's batch slots (`Bcam::batch_begin`);
+//!   engine's k-mer codes (`PartitionEngine::seed_read_into`),
+//!   batched-filter indicators (`PreSeedingFilter::lookup_codes_into`)
+//!   and RMEM result, the CAM searcher's mask, chain and hit buffer (all
+//!   reset per pivot by
+//!   [`CamSearcher::rmem_into`](crate::CamSearcher::rmem_into)), and the
+//!   CAM's candidate and match-line words (rewritten by every search);
 //! * the `profiling` / `batched_filter` toggles, which only the session's
 //!   setters write, never seeding itself.
 //!
@@ -788,18 +788,60 @@ impl SeedingSession {
         tile.iter().map(|read| self.golden_read(pi, read)).collect()
     }
 
+    /// The longest read this session seeds exactly, or `None` when any
+    /// length is fine.
+    ///
+    /// Adjacent partitions overlap by `config.partitioning.overlap` bases,
+    /// so every window of `overlap + 1` bases lies whole inside some
+    /// partition. A longer read can straddle a boundary with no partition
+    /// holding its full match, and its SMEMs would come back split. When
+    /// the first partition already holds the whole reference (a single
+    /// partition, or later ones lying inside its overlap) there is no
+    /// boundary to straddle and no limit.
+    pub fn max_read_len(&self) -> Option<usize> {
+        let last = self.parts.last()?;
+        let reference_len = last.start + last.seq.len();
+        (self.parts[0].seq.len() < reference_len).then_some(self.config.partitioning.overlap + 1)
+    }
+
+    /// Checks a batch against [`max_read_len`](Self::max_read_len).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ReadTooLong`] naming the first read over the limit.
+    pub fn check_read_lengths(&self, reads: &[PackedSeq]) -> Result<(), Error> {
+        let Some(max) = self.max_read_len() else {
+            return Ok(());
+        };
+        match reads.iter().position(|r| r.len() > max) {
+            Some(read) => Err(Error::ReadTooLong {
+                read,
+                len: reads[read].len(),
+                max,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Seeds a read batch against every partition and merges the results.
     ///
     /// Output is bit-identical to the serial reference path regardless of
     /// `workers` (see the module docs); under an active fault plan the
     /// recovery machinery preserves that equality (exactly, for crash
     /// faults; given `cross_check_fraction == 1.0`, for silent faults).
-    /// Never panics: if the scheduler itself ends in an unrecoverable
-    /// state, the whole batch is re-seeded through the golden model. A
-    /// cancelled batch (see [`with_cancel_token`](Self::with_cancel_token))
-    /// is the one exception: it returns an empty result per read — the
-    /// caller asked for the work to stop, so the expensive golden path
-    /// must not run either.
+    /// If the scheduler itself ends in an unrecoverable state, the whole
+    /// batch is re-seeded through the golden model. A cancelled batch
+    /// (see [`with_cancel_token`](Self::with_cancel_token)) returns an
+    /// empty result per read instead — the caller asked for the work to
+    /// stop, so the expensive golden path must not run either.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`Error::ReadTooLong`] message if a read is longer
+    /// than [`max_read_len`](Self::max_read_len): no path, the golden
+    /// fallback included, could seed it exactly. Callers that take reads
+    /// from outside use [`try_seed_reads`](Self::try_seed_reads) or
+    /// [`check_read_lengths`](Self::check_read_lengths) first.
     pub fn seed_reads(&self, reads: &[PackedSeq]) -> CasaRun {
         match self.try_seed_reads(reads) {
             Ok(run) => run,
@@ -808,15 +850,19 @@ impl SeedingSession {
                 stats: SeedingStats::default(),
                 config: self.config,
             },
+            Err(e @ Error::ReadTooLong { .. }) => panic!("{e}"),
             Err(_) => self.golden_batch(reads),
         }
     }
 
-    /// Like [`seed_reads`](Self::seed_reads), reporting unrecoverable
-    /// scheduler states instead of falling back.
+    /// Like [`seed_reads`](Self::seed_reads), reporting over-long reads
+    /// and unrecoverable scheduler states instead of panicking or falling
+    /// back.
     ///
     /// # Errors
     ///
+    /// * [`Error::ReadTooLong`] if a read is longer than
+    ///   [`max_read_len`](Self::max_read_len) (nothing is seeded);
     /// * [`Error::Runtime`] if a job slot is empty after the batch — a
     ///   scheduler invariant violation, not an injected fault (those are
     ///   recovered internally);
@@ -826,6 +872,7 @@ impl SeedingSession {
         if self.is_cancelled() {
             return Err(Error::Cancelled);
         }
+        self.check_read_lengths(reads)?;
         let nparts = self.engines.len();
         let tile_len = self.tile_len(reads.len());
         let ntiles = reads.len().div_ceil(tile_len);
@@ -962,6 +1009,10 @@ impl SeedingSession {
 
     /// Seeds the batch in both orientations (each read and its reverse
     /// complement), as the hardware does.
+    ///
+    /// # Panics
+    ///
+    /// As [`seed_reads`](Self::seed_reads).
     pub fn seed_reads_both_strands(&self, reads: &[PackedSeq]) -> StrandedRun {
         let rc: Vec<PackedSeq> = reads.iter().map(PackedSeq::reverse_complement).collect();
         StrandedRun {

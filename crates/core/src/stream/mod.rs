@@ -236,6 +236,16 @@ pub enum StreamError {
     },
     /// The sink callback failed to persist a batch.
     Sink(io::Error),
+    /// A record is longer than the session can seed exactly (see
+    /// [`SeedingSession::max_read_len`]); its batch is not seeded.
+    ReadTooLong {
+        /// Zero-based index of the first over-long record.
+        record: u64,
+        /// Its length in bases.
+        len: usize,
+        /// The longest read the session accepts, in bases.
+        max: usize,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -247,6 +257,11 @@ impl fmt::Display for StreamError {
                 write!(f, "stream source failed at record {record}: {message}")
             }
             StreamError::Sink(e) => write!(f, "stream sink failed: {e}"),
+            StreamError::ReadTooLong { record, len, max } => write!(
+                f,
+                "stream record {record} has {len} bases, over this index's {max}-base \
+                 read limit (partition overlap + 1)"
+            ),
         }
     }
 }
@@ -257,7 +272,7 @@ impl std::error::Error for StreamError {
             StreamError::Core(e) => Some(e),
             StreamError::Checkpoint(e) => Some(e),
             StreamError::Sink(e) => Some(e),
-            StreamError::Source { .. } => None,
+            StreamError::Source { .. } | StreamError::ReadTooLong { .. } => None,
         }
     }
 }
@@ -574,6 +589,18 @@ impl StreamingSession {
                         }
                         let packed: Vec<PackedSeq> =
                             items.iter().map(|it| it.seq().clone()).collect();
+                        if let Err(Error::ReadTooLong { read, len, max }) =
+                            self.session.check_read_lengths(&packed)
+                        {
+                            inflight.fetch_sub(n, Ordering::AcqRel);
+                            failure = Some(StreamError::ReadTooLong {
+                                record: first_read + read as u64,
+                                len,
+                                max,
+                            });
+                            cancel.cancel();
+                            continue;
+                        }
                         let (forward, reverse) = if self.config.both_strands {
                             let both = self.session.seed_reads_both_strands(&packed);
                             (both.forward, Some(both.reverse))

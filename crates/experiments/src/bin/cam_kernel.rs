@@ -1,5 +1,5 @@
-//! CAM kernel harness: scalar reference vs the word-kernel backends,
-//! per-query and query-blocked. Usage: `cam_kernel [small|medium|large]`.
+//! CAM kernel harness: scalar reference vs the fused word-kernel
+//! backends, per query and per shared-mask batch. Usage: `cam_kernel [small|medium|large]`.
 use casa_experiments::{cam_kernel, scale_from_args};
 
 fn main() {

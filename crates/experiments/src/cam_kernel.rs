@@ -1,14 +1,17 @@
 //! CAM kernel harness: the scalar reference match-line model versus the
 //! word-kernel backends (scalar-`u64`, unrolled `u64x4`, AVX2) on three
-//! workloads — a per-query search microbenchmark, the query-blocked
-//! batched search, and the end-to-end Fig. 12 session workload — with
-//! output equality asserted on every run. Written to
+//! workloads — a per-query search microbenchmark, the same queries through
+//! the shared-mask batch entry point, and the end-to-end Fig. 12 session
+//! workload — with output equality asserted on every run. Every word
+//! backend search, per query or batched, is one fused column walk
+//! ([`casa_cam::kernel::KernelOps::match_cols`]); the batch entry point
+//! only hoists the mask work out of the query loop. Written to
 //! `results/cam_kernel.{csv,json}` and the repo-root `BENCH_kernels.json`
 //! by the `cam_kernel` binary.
 
 use std::time::Instant;
 
-use casa_cam::{Bcam, CamQuery, EntryMask, KernelBackend, MAX_BATCH};
+use casa_cam::{Bcam, CamQuery, EntryMask, KernelBackend};
 use casa_core::{BackendKind, FaultPlan, SeedingSession, SeedingStats};
 
 use crate::report::{ratio, Table};
@@ -24,16 +27,17 @@ const QUERY_PAD: usize = 3;
 /// Timed samples per measurement (median reported).
 const SAMPLES: usize = 15;
 
-/// The search microbenchmark, per-query kernel.
+/// The search microbenchmark, one fused [`Bcam::search_into`] per query.
 pub const WORKLOAD_MICRO: &str = "micro";
-/// The search microbenchmark through [`Bcam::search_batch_into`].
+/// The search microbenchmark through [`Bcam::search_batch_into`] (fused
+/// per query, mask work hoisted once per batch).
 pub const WORKLOAD_BATCHED: &str = "micro-batched";
 /// The end-to-end single-worker seeding session.
 pub const WORKLOAD_SESSION: &str = "session";
 /// Kernel label of the scalar entry-walk reference model.
 pub const ORACLE: &str = "oracle";
-/// Kernel label of the PR 3 single-`u64` word kernel — the speedup
-/// baseline ([`KernelBackend::Scalar`]).
+/// Kernel label of the single-`u64` word kernel — the speedup baseline
+/// ([`KernelBackend::Scalar`]).
 pub const BASELINE: &str = "scalar";
 
 /// One timed configuration (workload x kernel).
@@ -74,8 +78,7 @@ impl CamKernelReport {
     }
 
     /// Speedup of a cell over the same workload-family `scalar` baseline
-    /// (`micro-batched` compares against per-query `micro/scalar`, the
-    /// PR 3 kernel it is meant to beat).
+    /// (`micro-batched` compares against per-query `micro/scalar`).
     pub fn speedup(&self, workload: &str, kernel: &str) -> f64 {
         let base_workload = if workload == WORKLOAD_SESSION {
             WORKLOAD_SESSION
@@ -89,7 +92,7 @@ impl CamKernelReport {
         base.median_ns as f64 / cell.median_ns as f64
     }
 
-    /// The fastest batched backend — the PR 5 headline configuration.
+    /// The fastest batched backend.
     pub fn best_batched(&self) -> &KernelTiming {
         self.timings
             .iter()
@@ -99,7 +102,7 @@ impl CamKernelReport {
     }
 
     /// Headline speedup: fastest batched backend over the per-query
-    /// `u64` kernel (the acceptance gate asks for >= 4x at 1000 entries).
+    /// `u64` kernel.
     pub fn headline_speedup(&self) -> f64 {
         let best = self.best_batched();
         self.speedup(best.workload, best.kernel)
@@ -171,7 +174,7 @@ pub fn run(scale: Scale) -> CamKernelReport {
     let oracle_stats = oracle.stats();
 
     let mut hits = Vec::new();
-    let mut batch_hits: Vec<Vec<u32>> = Vec::new();
+    let mut batched_hits: Vec<Vec<u32>> = Vec::new();
     for backend in KernelBackend::supported() {
         let mut cam = Bcam::new(&part, ENTRY_BASES);
         cam.set_kernel_backend(backend);
@@ -202,9 +205,9 @@ pub fn run(scale: Scale) -> CamKernelReport {
         // Batched equality gate (fresh CAM so stats line up), then timing.
         let mut cam = Bcam::new(&part, ENTRY_BASES);
         cam.set_kernel_backend(backend);
-        cam.search_batch_into(&queries, &full, &mut batch_hits);
+        cam.search_batch_into(&queries, &full, &mut batched_hits);
         assert_eq!(
-            batch_hits, oracle_hits,
+            batched_hits, oracle_hits,
             "{backend} batched hits diverged from the scalar reference"
         );
         assert_eq!(
@@ -216,7 +219,7 @@ pub fn run(scale: Scale) -> CamKernelReport {
             workload: WORKLOAD_BATCHED,
             kernel: backend.as_str(),
             median_ns: median_ns(SAMPLES, || {
-                cam.search_batch_into(&queries, &full, &mut batch_hits);
+                cam.search_batch_into(&queries, &full, &mut batched_hits);
             }),
             items: queries.len(),
         });
@@ -279,7 +282,7 @@ pub fn run(scale: Scale) -> CamKernelReport {
 /// Renders the report (saved as `results/cam_kernel.{csv,json}`).
 pub fn table(report: &CamKernelReport) -> Table {
     let mut t = Table::new(
-        "CAM kernel: scalar reference vs word-kernel backends",
+        "CAM kernel: scalar reference vs fused word-kernel backends",
         &["workload", "kernel", "median_ns", "ns_per_item", "speedup"],
     );
     for timing in &report.timings {
@@ -321,7 +324,6 @@ pub fn bench_json(report: &CamKernelReport, scale: Scale) -> String {
         "experiment": "cam_kernel",
         "scale": format!("{scale:?}").to_lowercase(),
         "entries": report.entries,
-        "max_batch": MAX_BATCH,
         "baseline": { "workload": WORKLOAD_MICRO, "kernel": BASELINE },
         "headline": {
             "workload": best.workload,

@@ -115,6 +115,20 @@ impl FilterStats {
         self.data_reads += other.data_reads;
         self.hits += other.hits;
     }
+
+    /// The activity booked since the earlier snapshot `before` of the same
+    /// cumulative counters (field-wise `self - before`).
+    pub fn since(&self, before: &FilterStats) -> FilterStats {
+        FilterStats {
+            lookups: self.lookups - before.lookups,
+            mini_index_reads: self.mini_index_reads - before.mini_index_reads,
+            tag_searches: self.tag_searches - before.tag_searches,
+            tag_rows_enabled: self.tag_rows_enabled - before.tag_rows_enabled,
+            tag_physical_rows: self.tag_physical_rows - before.tag_physical_rows,
+            data_reads: self.data_reads - before.data_reads,
+            hits: self.hits - before.hits,
+        }
+    }
 }
 
 /// Seeded fault model for a filter's data array (SRAM bit flips).
@@ -534,6 +548,32 @@ mod tests {
             filter.partition_len(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn stats_since_undoes_merge() {
+        let before = FilterStats {
+            lookups: 9,
+            mini_index_reads: 9,
+            tag_searches: 8,
+            tag_rows_enabled: 70,
+            tag_physical_rows: 20,
+            data_reads: 6,
+            hits: 5,
+        };
+        let delta = FilterStats {
+            lookups: 1,
+            mini_index_reads: 2,
+            tag_searches: 3,
+            tag_rows_enabled: 4,
+            tag_physical_rows: 5,
+            data_reads: 6,
+            hits: 7,
+        };
+        let mut after = before;
+        after.merge(&delta);
+        assert_eq!(after.since(&before), delta);
+        assert_eq!(after.since(&after), FilterStats::default());
     }
 
     #[test]

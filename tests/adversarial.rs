@@ -3,11 +3,16 @@
 //! Every case still demands golden equality — pathological inputs may be
 //! slow, never wrong.
 
-use casa::core::{CasaConfig, PartitionEngine, SeedingSession, SeedingStats};
+use casa::core::{
+    CasaConfig, Error, PartitionEngine, SeedingSession, SeedingStats, StreamBatch, StreamConfig,
+    StreamError,
+};
 use casa::filter::{FilterConfig, PreSeedingFilter};
+use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{Base, PackedSeq, PartitionScheme};
 use casa::index::smem::smems_unidirectional;
 use casa::index::SuffixArray;
+use casa::Seeder;
 
 fn repeat_seq(unit: &str, times: usize) -> PackedSeq {
     PackedSeq::from_ascii(&unit.as_bytes().repeat(times)).unwrap()
@@ -103,6 +108,84 @@ fn partition_cut_through_tandem_repeat() {
     deduped.dedup();
     assert_eq!(*hits, deduped, "merged hits must be deduplicated");
     assert!(hits.len() >= 90, "tandem repeat should hit ~every period");
+}
+
+#[test]
+fn read_longer_than_partition_overlap_is_rejected_not_split() {
+    // A 150-bp exact substring centred on a partition cut, against an
+    // index sized for 50-bp reads (overlap 49): no partition holds the
+    // read whole, so seeding it would split its SMEM at the cut.
+    let reference = generate_reference(&ReferenceProfile::human_like(), 40_000, 5);
+    let seeder = Seeder::builder(&reference)
+        .partition_len(8_000)
+        .read_len(50)
+        .workers(1)
+        .build()
+        .expect("valid config");
+    let session = seeder.session();
+    assert!(session.partition_count() > 1);
+    assert_eq!(session.max_read_len(), Some(50));
+    let long = reference.subseq(8_000 - 75, 150);
+    let short = reference.subseq(8_000 - 25, 50);
+    let batch = [short.clone(), long.clone()];
+    assert_eq!(
+        session.try_seed_reads(&batch).unwrap_err(),
+        Error::ReadTooLong {
+            read: 1,
+            len: 150,
+            max: 50
+        }
+    );
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| seeder.seed_reads(&batch)));
+    assert!(panicked.is_err(), "seed_reads must not fall back on it");
+
+    // The streaming runtime names the record.
+    let err = seeder
+        .seed_stream(
+            StreamConfig {
+                batch_reads: 2,
+                ..StreamConfig::default()
+            },
+            [short.clone(), short.clone(), short.clone(), long.clone()]
+                .into_iter()
+                .map(Ok::<_, std::convert::Infallible>),
+            |_batch: &StreamBatch<PackedSeq>| Ok(Vec::new()),
+        )
+        .expect_err("over-long record must fail the stream");
+    assert!(
+        matches!(
+            err,
+            StreamError::ReadTooLong {
+                record: 3,
+                len: 150,
+                max: 50
+            }
+        ),
+        "{err}"
+    );
+
+    // A read at the limit straddling the cut is exact.
+    let sa = SuffixArray::build(&reference);
+    let run = session
+        .try_seed_reads(std::slice::from_ref(&short))
+        .unwrap();
+    let min = session.config().min_smem_len;
+    assert_eq!(run.smems[0], smems_unidirectional(&sa, &short, min));
+
+    // One partition holds the whole reference: any length is exact.
+    let whole = Seeder::builder(&reference)
+        .partition_len(reference.len())
+        .read_len(50)
+        .workers(1)
+        .build()
+        .expect("valid config");
+    assert_eq!(whole.session().max_read_len(), None);
+    let run = whole
+        .session()
+        .try_seed_reads(std::slice::from_ref(&long))
+        .unwrap();
+    assert_eq!(run.smems[0], smems_unidirectional(&sa, &long, min));
 }
 
 #[test]

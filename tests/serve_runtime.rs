@@ -345,6 +345,32 @@ fn oversized_requests_are_rejected_without_buffering() {
 }
 
 #[test]
+fn reads_longer_than_the_partition_overlap_get_400_before_admission() {
+    let (reference, reads) = workload(1);
+    let server = start_server(&reference, ServeConfig::default(), None);
+    let addr = server.local_addr();
+    // 150 bases centred on the first partition cut: longer than the
+    // overlap + 1 = READ_LEN bases the index guarantees to hold whole.
+    let straddling = reference.subseq(PART_LEN - 75, 150);
+    let body = body_for(&[reads[0].clone(), straddling]);
+    let resp = request(addr, "POST", "/seed", &[], body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 400);
+    let text = String::from_utf8(resp.body).unwrap();
+    assert!(text.contains("read 1 has 150 bases"), "{text}");
+    assert!(
+        text.contains(&format!("{READ_LEN}-base read limit")),
+        "{text}"
+    );
+    // Rejected before admission; a well-sized request still succeeds.
+    let metrics = fetch_metrics(addr);
+    assert_eq!(metric_value(&metrics, "casa_requests_accepted_total"), 0.0);
+    let body = body_for(&reads);
+    let resp = request(addr, "POST", "/seed", &[], body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(server.shutdown().clean());
+}
+
+#[test]
 fn quarantined_partitions_serve_degraded_but_bit_identical_responses() {
     let (reference, reads) = workload(16);
     let expected = expected_tsv(&reference, &reads);
