@@ -194,9 +194,9 @@ impl TileKmerCodes {
 /// worker threads. Implementations report partition-**local** hit
 /// coordinates; the session translates and merges.
 ///
-/// The CAM-specific hooks (`inject_faults`, `set_kernel_backend`,
-/// `set_batched_filter`) default to no-ops so software backends do not
-/// have to know about CAM fault models, word kernels or filter passes.
+/// The CAM-specific hooks (`inject_faults`, `set_kernel_backend`)
+/// default to no-ops so software backends do not have to know about CAM
+/// fault models or word kernels.
 pub trait SeedingBackend: Send + Sync {
     /// Which substrate this is.
     fn kind(&self) -> BackendKind;
@@ -295,12 +295,6 @@ pub trait SeedingBackend: Send + Sync {
     /// profile layer treats as "not measured", not as "free".
     fn set_profiling(&mut self, _enabled: bool) {}
 
-    /// Switches between the batched pre-seeding lookup pass and the
-    /// per-pivot seed path (CAM engine only; outputs are bit-identical
-    /// either way). No-op on software backends, which have no filter
-    /// table.
-    fn set_batched_filter(&mut self, _batched: bool) {}
-
     /// Whether this backend's reference-side arrays are borrowed from a
     /// mapped index image (see [`crate::image`]) rather than owned heap
     /// allocations. Software backends always own their structures.
@@ -330,10 +324,6 @@ impl SeedingBackend for PartitionEngine {
 
     fn set_profiling(&mut self, enabled: bool) {
         PartitionEngine::set_profiling(self, enabled);
-    }
-
-    fn set_batched_filter(&mut self, batched: bool) {
-        PartitionEngine::set_batched_filter(self, batched);
     }
 
     fn inject_faults(

@@ -56,8 +56,8 @@ pub struct PartitionEngine {
     /// Whether pivot lookups go through the batched
     /// [`lookup_codes_into`](PreSeedingFilter::lookup_codes_into) pass
     /// (default) or the per-pivot seed path. Outputs and stats are
-    /// bit-identical either way; the switch exists so `stage_profile` can
-    /// measure before/after.
+    /// bit-identical either way; the switch exists so perfbench's traced
+    /// run can measure before/after.
     batched_filter: bool,
 }
 
@@ -132,8 +132,8 @@ impl PartitionEngine {
 
     /// Switches between the batched pre-seeding lookup pass (default) and
     /// the per-pivot seed path. Bit-identical outputs and stats either
-    /// way; the `stage_profile` experiment flips this to measure the
-    /// before/after of the batching optimization.
+    /// way; perfbench's traced run flips this to measure the before/after
+    /// of the batching optimization.
     pub fn set_batched_filter(&mut self, batched: bool) {
         self.batched_filter = batched;
     }
@@ -576,6 +576,43 @@ mod tests {
         for (r, read) in reads.iter().enumerate() {
             let golden = smems_unidirectional(&sa, &read.seq, 6);
             assert_eq!(outputs[0][r], golden, "read {r}");
+        }
+    }
+
+    /// The per-pivot filter path (kept for perfbench's traced run) must
+    /// match the default batched pass: same SMEMs, same `SeedingStats`,
+    /// `FilterStats` included, with and without exact-match
+    /// preprocessing.
+    #[test]
+    fn per_pivot_filter_path_equals_batched_pass() {
+        let part = generate_reference(&ReferenceProfile::human_like(), 6_000, 21);
+        let reads = ReadSimulator::new(
+            ReadSimConfig {
+                read_len: 48,
+                ..ReadSimConfig::default()
+            },
+            17,
+        )
+        .simulate(&part, 40);
+        for exact in [true, false] {
+            let mut cfg = CasaConfig::small(part.len());
+            cfg.exact_match_preprocessing = exact;
+            let mut batched = PartitionEngine::new(&part, cfg).expect("valid config");
+            let mut per_pivot = PartitionEngine::new(&part, cfg).expect("valid config");
+            per_pivot.set_batched_filter(false);
+            let mut batched_stats = SeedingStats::default();
+            let mut per_pivot_stats = SeedingStats::default();
+            for read in &reads {
+                assert_eq!(
+                    per_pivot.seed_read(&read.seq, &mut per_pivot_stats),
+                    batched.seed_read(&read.seq, &mut batched_stats),
+                    "exact={exact} read {}",
+                    read.name
+                );
+            }
+            assert!(batched_stats.rmem_searches > 0);
+            assert!(batched_stats.filter.lookups > 0);
+            assert_eq!(per_pivot_stats, batched_stats, "exact={exact}");
         }
     }
 

@@ -16,7 +16,7 @@
 //! (or [`PartitionEngine::set_profiling`](crate::PartitionEngine::set_profiling)
 //! directly). When enabled, stages are timed as disjoint spans — the sum
 //! of all stage times can never exceed the wall time of the run that
-//! produced them, which `tests/stage_profile.rs` asserts.
+//! produced them, which `crates/core/tests/stage_profile.rs` asserts.
 //!
 //! Timings are wall-clock and therefore nondeterministic; they are *not*
 //! part of the bit-identity contract. Runs compared for equality keep

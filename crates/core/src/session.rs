@@ -57,8 +57,8 @@
 //!   reset per pivot by
 //!   [`CamSearcher::rmem_into`](crate::CamSearcher::rmem_into)), and the
 //!   CAM's candidate and match-line words (rewritten by every search);
-//! * the `profiling` / `batched_filter` toggles, which only the session's
-//!   setters write, never seeding itself.
+//! * the `profiling` toggle, which only the session's setter writes,
+//!   never seeding itself.
 //!
 //! With silent-corruption faults injected, output is guaranteed
 //! bit-identical to the fault-free run only when
@@ -469,17 +469,6 @@ impl SeedingSession {
     /// Whether per-stage profiling is enabled.
     pub fn profiling(&self) -> bool {
         self.profiling.load(Ordering::Relaxed)
-    }
-
-    /// Routes every partition engine through the batched pre-seeding
-    /// lookup pass (`true`, the default) or the per-pivot seed path
-    /// (`false`). Outputs and stats are bit-identical either way; the
-    /// `stage_profile` experiment flips this to measure the before/after
-    /// of the batching optimization. No-op on the software backends.
-    pub fn set_batched_filter(&self, batched: bool) {
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_batched_filter(batched);
-        }
     }
 
     /// Sets (or clears) the watchdog deadline for tile attempts.

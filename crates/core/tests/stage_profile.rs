@@ -1,8 +1,8 @@
 //! Bit-identity and accounting contracts of the profiling layer: the
-//! profiled + batched-filter session path must produce byte-identical
-//! SMEMs and SAM records to the unprofiled per-pivot seed path across
-//! every backend, kernel, and worker count — and the per-stage spans it
-//! records must be disjoint (their sum bounded by the run's wall time).
+//! profiled session path must produce byte-identical SMEMs and SAM
+//! records to an unprofiled CAM session across every backend, kernel,
+//! and worker count — and the per-stage spans it records must be
+//! disjoint (their sum bounded by the run's wall time).
 
 use std::time::Instant;
 
@@ -95,9 +95,9 @@ fn sam_bytes(reads: &[PackedSeq], smems: &[Vec<Smem>]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The profiled + batched path is byte-identical to the unprofiled
-    /// per-pivot seed path — SMEMs and SAM — for every backend, every
-    /// supported kernel, and worker counts 1, 2, and 8.
+    /// The profiled path is byte-identical to an unprofiled CAM session
+    /// — SMEMs and SAM — for every backend, every supported kernel, and
+    /// worker counts 1, 2, and 8.
     #[test]
     fn profiled_path_is_bit_identical_across_backends_kernels_workers(
         ref_codes in prop::collection::vec(0u8..4, 200..900),
@@ -110,9 +110,9 @@ proptest! {
         let reads = reads_from(&reference, &specs);
         let config = CasaConfig::small((reference.len() / 3).max(64));
 
-        // Reference: the unprofiled seed path (per-pivot filter lookups)
-        // on the CAM backend, pinned explicitly so a CI `CASA_BACKEND`
-        // pin cannot change what the stats assertion below compares.
+        // Reference: an unprofiled session on the CAM backend, pinned
+        // explicitly so a CI `CASA_BACKEND` pin cannot change what the
+        // stats assertion below compares.
         let seed_session = SeedingSession::with_backend(
             &reference,
             config,
@@ -121,7 +121,6 @@ proptest! {
             BackendKind::Cam,
         )
         .expect("small config is valid");
-        seed_session.set_batched_filter(false);
         let seed_run = seed_session.seed_reads(&reads);
         let seed_sam = sam_bytes(&reads, &seed_run.smems);
 

@@ -11,7 +11,6 @@
 
 pub mod ablation;
 pub mod backend_compare;
-pub mod cam_kernel;
 pub mod claims;
 pub mod fault_sweep;
 pub mod fig05;
@@ -21,14 +20,11 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig16;
 pub mod genomestats;
-pub mod index_startup;
 pub mod longread;
 pub mod pipeline_report;
 pub mod report;
 pub mod scenario;
 pub mod seedex_balance;
-pub mod serve_load;
-pub mod stage_profile;
 pub mod stream_resilience;
 pub mod summary;
 pub mod systems;

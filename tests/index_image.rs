@@ -1,10 +1,10 @@
 //! Integration tests for the zero-copy index image pipeline: build an
-//! image once, mmap it back, and prove the mapped index is
-//! bit-identical to a freshly built one across every backend, kernel,
-//! and worker count; fuzz the on-disk format with truncations and bit
-//! flips (typed errors, never a panic); and hot-swap the image under a
-//! live `casa-serve` with concurrent clients in flight — zero dropped
-//! or erroring requests.
+//! image once, mmap it back (the verifying open and the `open_fast`
+//! startup path), and prove the mapped index is bit-identical to a
+//! freshly built one across every backend, kernel, and worker count;
+//! fuzz the on-disk format with truncations and bit flips (typed errors,
+//! never a panic); and hot-swap the image under a live `casa-serve` with
+//! concurrent clients in flight — zero dropped or erroring requests.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -54,7 +54,11 @@ fn mapped_index_is_bit_identical_across_backends_kernels_and_workers() {
     let (reference, reads) = workload(20);
     let config = CasaConfig::paper(PART_LEN, READ_LEN);
     let dir = scratch_dir("matrix");
-    let index = build_image(&reference, config, &dir.join("ref.casaimg"));
+    let path = dir.join("ref.casaimg");
+    let index = build_image(&reference, config, &path);
+    // The casa-serve startup mapping: header + meta verified, payload
+    // checksums deferred.
+    let fast = LoadedIndex::open_fast(&path).expect("image maps back fast");
 
     // Golden stream: a fresh (non-mapped) single-worker CAM session.
     let golden = SeedingSession::with_backend(
@@ -71,18 +75,20 @@ fn mapped_index_is_bit_identical_across_backends_kernels_and_workers() {
         "workload must produce SMEMs"
     );
 
-    for backend in BackendKind::ALL {
-        for kernel in KernelBackend::supported() {
-            for workers in [1, 2, 8] {
-                let session =
-                    SeedingSession::from_image(&index, workers, FaultPlan::default(), backend)
-                        .expect("mapped session");
-                session.set_kernel_backend(kernel);
-                let run = session.seed_reads(&reads);
-                assert_eq!(
-                    run.smems, golden.smems,
-                    "mapped {backend:?}/{kernel:?}/workers={workers} diverged from fresh build"
-                );
+    for (open, mapped) in [("open", &index), ("open_fast", &fast)] {
+        for backend in BackendKind::ALL {
+            for kernel in KernelBackend::supported() {
+                for workers in [1, 2, 8] {
+                    let session =
+                        SeedingSession::from_image(mapped, workers, FaultPlan::default(), backend)
+                            .expect("mapped session");
+                    session.set_kernel_backend(kernel);
+                    let run = session.seed_reads(&reads);
+                    assert_eq!(
+                        run.smems, golden.smems,
+                        "{open} {backend:?}/{kernel:?}/workers={workers} diverged from fresh build"
+                    );
+                }
             }
         }
     }

@@ -4,9 +4,9 @@
 //! quarantine, request deadlines, client-disconnect cancellation, and
 //! drain semantics (no surviving watchdog guard threads).
 //!
-//! Each test starts a real [`Server`] on an ephemeral port and talks
-//! plain HTTP/1.1 over [`TcpStream`] — the same wire surface a client
-//! sees.
+//! Each test starts a real [`Server`] on an ephemeral port, or spawns the
+//! `casa-serve` binary (burst then SIGTERM drain), and talks plain
+//! HTTP/1.1 over [`TcpStream`] — the same wire surface a client sees.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -517,6 +517,79 @@ fn drain_finishes_cleanly_and_no_guard_thread_survives() {
     );
 }
 
+/// A loopback address whose port was free a moment ago.
+#[cfg(unix)]
+fn free_loopback_addr() -> String {
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    format!("127.0.0.1:{port}")
+}
+
+/// A spawned `casa-serve` process, killed on drop so a failing test never
+/// leaks the daemon.
+#[cfg(unix)]
+struct Daemon(std::process::Child);
+
+#[cfg(unix)]
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[cfg(unix)]
+impl Daemon {
+    /// Spawns the `casa-serve` binary on `addr` with `args` and waits
+    /// until it accepts connections.
+    fn spawn(addr: &str, args: &[&str], stdout: std::process::Stdio) -> Daemon {
+        let child = std::process::Command::new(env!("CARGO_BIN_EXE_casa-serve"))
+            .args(["--addr", addr])
+            .args(args)
+            .stdout(stdout)
+            .spawn()
+            .expect("spawn casa-serve");
+        let mut daemon = Daemon(child);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while TcpStream::connect(addr).is_err() {
+            assert!(
+                daemon.0.try_wait().unwrap().is_none(),
+                "casa-serve exited early"
+            );
+            assert!(Instant::now() < deadline, "casa-serve never listened");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        daemon
+    }
+
+    /// Sends SIGTERM.
+    fn sigterm(&self) {
+        let killed = std::process::Command::new("kill")
+            .args(["-TERM", &self.0.id().to_string()])
+            .status()
+            .expect("run kill");
+        assert!(killed.success());
+    }
+
+    /// Waits for the exit status, failing the test if the daemon is
+    /// still running after `timeout`.
+    fn wait_exit(&mut self, timeout: Duration) -> std::process::ExitStatus {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(status) = self.0.try_wait().expect("wait casa-serve") {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "casa-serve still running after {timeout:?}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
 /// A SIGTERM sent the moment the `casa-serve` binary is reachable must
 /// drain it (exit 0), never kill it. The daemon's stdout is a socket with
 /// a full send buffer, so it blocks printing its `listening` line: the
@@ -528,12 +601,8 @@ fn casa_serve_sigterm_as_soon_as_it_listens_drains_cleanly() {
     use std::io::{BufRead, BufReader, ErrorKind};
     use std::os::fd::OwnedFd;
     use std::os::unix::net::UnixStream;
-    use std::process::{Command, Stdio};
+    use std::process::Stdio;
 
-    let port = std::net::TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .expect("free port")
-        .port();
     let (reader, mut writer) = UnixStream::pair().expect("socket pair");
     writer.set_nonblocking(true).unwrap();
     for chunk in [&b"filler\n".repeat(512)[..], b"\n"] {
@@ -547,36 +616,16 @@ fn casa_serve_sigterm_as_soon_as_it_listens_drains_cleanly() {
     }
     writer.set_nonblocking(false).unwrap();
 
-    let addr = format!("127.0.0.1:{port}");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_casa-serve"))
-        .args([
-            "--addr",
-            &addr,
-            "--synth",
-            "20000",
-            "--partition-len",
-            "10000",
-        ])
-        .stdout(Stdio::from(OwnedFd::from(writer)))
-        .spawn()
-        .expect("spawn casa-serve");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while TcpStream::connect(&addr).is_err() {
-        assert!(
-            child.try_wait().unwrap().is_none(),
-            "casa-serve exited early"
-        );
-        assert!(Instant::now() < deadline, "casa-serve never listened");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let killed = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("run kill");
-    assert!(killed.success());
+    let addr = free_loopback_addr();
+    let mut daemon = Daemon::spawn(
+        &addr,
+        &["--synth", "20000", "--partition-len", "10000"],
+        Stdio::from(OwnedFd::from(writer)),
+    );
+    daemon.sigterm();
 
     let lines: Vec<String> = BufReader::new(reader).lines().map(Result::unwrap).collect();
-    let status = child.wait().expect("wait casa-serve");
+    let status = daemon.wait_exit(Duration::from_secs(30));
     assert!(
         status.success(),
         "casa-serve did not drain on SIGTERM: {status}"
@@ -585,4 +634,117 @@ fn casa_serve_sigterm_as_soon_as_it_listens_drains_cleanly() {
         lines.contains(&format!("listening {addr}")),
         "no listening line"
     );
+}
+
+/// The `casa-serve` binary under a burst: concurrent `/seed` clients, one
+/// client that hangs up early and one oversized request. Every 200 is
+/// byte-identical to a direct single-threaded session, excess load is
+/// shed with typed 503s, the oversized request gets 413, and a SIGTERM
+/// after the traffic drains the daemon to exit 0 within 30 s.
+#[cfg(unix)]
+#[test]
+fn casa_serve_binary_serves_a_burst_then_drains_on_sigterm() {
+    use casa::genome::fasta::{write_fasta, FastaRecord};
+
+    let (reference, reads) = workload(16);
+    let expected = expected_tsv(&reference, &reads);
+    let body = body_for(&reads);
+    let dir = std::env::temp_dir().join(format!("casa_serve_burst_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let fasta = dir.join("ref.fa");
+    write_fasta(
+        std::fs::File::create(&fasta).expect("temp FASTA is writable"),
+        &[FastaRecord {
+            name: "burst_ref".into(),
+            seq: reference,
+        }],
+    )
+    .expect("temp FASTA writes");
+
+    // Stalled tiles, one seed worker and a one-deep queue make the burst
+    // overload admission control.
+    let addr = free_loopback_addr();
+    let mut daemon = Daemon::spawn(
+        &addr,
+        &[
+            "--reference",
+            fasta.to_str().expect("temp path is utf-8"),
+            "--partition-len",
+            &PART_LEN.to_string(),
+            "--read-len",
+            &READ_LEN.to_string(),
+            "--threads",
+            "2",
+            "--seed-workers",
+            "1",
+            "--queue-depth",
+            "1",
+            "--max-request-bytes",
+            &(body.len() + 64).to_string(),
+            "--max-inflight-bytes",
+            &(body.len() * 2).to_string(),
+            "--fault-spec",
+            "seed=5,stall=1.0,stall-ms=15",
+        ],
+        std::process::Stdio::null(),
+    );
+    let addr: SocketAddr = addr.parse().expect("loopback address");
+
+    let oversized = "A".repeat(body.len() * 2);
+    let (outcomes, oversize) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..6)
+            .map(|i| {
+                let body = body.as_bytes();
+                scope.spawn(move || {
+                    let tenant = format!("tenant-{i}");
+                    request(addr, "POST", "/seed", &[("X-Casa-Tenant", &tenant)], body)
+                        .expect("request completes")
+                })
+            })
+            .collect();
+        let oversize = scope.spawn(|| {
+            request(addr, "POST", "/seed", &[], oversized.as_bytes()).expect("request completes")
+        });
+        scope.spawn(|| {
+            // Sends a whole request, then hangs up before the answer.
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let head = format!(
+                "POST /seed HTTP/1.1\r\nHost: casa\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            );
+            let _ = stream.write_all(head.as_bytes());
+            let _ = stream.write_all(body.as_bytes());
+            std::thread::sleep(Duration::from_millis(100));
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+        let outcomes: Vec<Response> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+        (outcomes, oversize.join().unwrap())
+    });
+
+    assert_eq!(oversize.status, 413);
+    let accepted = outcomes.iter().filter(|r| r.status == 200).count();
+    assert!(accepted >= 1, "at least one request must be admitted");
+    for resp in &outcomes {
+        let text = String::from_utf8_lossy(&resp.body);
+        match resp.status {
+            200 => assert_eq!(text, expected),
+            503 => assert!(
+                text.contains("\"error\":\"overloaded\""),
+                "503 body is not typed: {text}"
+            ),
+            status => panic!("unexpected status {status}: {text}"),
+        }
+    }
+    let metrics = fetch_metrics(addr);
+    assert!(metric_value(&metrics, "casa_requests_accepted_total") >= accepted as f64);
+    assert!(metric_value(&metrics, "casa_request_seconds_count") >= 1.0);
+    assert!(metric_value(&metrics, "casa_read_passes_total") >= 1.0);
+
+    daemon.sigterm();
+    let status = daemon.wait_exit(Duration::from_secs(30));
+    assert!(
+        status.success(),
+        "casa-serve did not drain on SIGTERM: {status}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
