@@ -4,9 +4,13 @@
 //! and partition engines warm (a [`Seeder`] built once at startup) and
 //! serves many concurrent clients over hand-rolled HTTP/1.1 on
 //! [`std::net::TcpListener`] — no async runtime, just a fixed accept /
-//! connection / seeding worker pool. The robustness core lives in
-//! [`casa_core::serve`]: bounded per-tenant queues with typed admission
-//! control, round-robin fairness, and the `/metrics` counter registry.
+//! connection / seeding worker pool. Every wait is event-driven: the
+//! acceptor blocks in `accept()`, connection workers block on a channel,
+//! seed workers block on the fair queue, and shutdown blocks on a
+//! condition variable, so no request waits out a polling sleep. The
+//! robustness core lives in [`casa_core::serve`]: bounded per-tenant
+//! queues with typed admission control, round-robin fairness, and the
+//! `/metrics` counter registry.
 //! This module adds the protocol shell and the process lifecycle:
 //!
 //! * **`POST /seed`** — body: one ACGT read per line; response: TSV
@@ -24,9 +28,11 @@
 //!   injection or a real fault exhausted its retries), responses still
 //!   succeed and carry `X-Casa-Degraded: true` instead of failing.
 //! * **Graceful drain** — [`ServerHandle::begin_drain`] (wired to
-//!   SIGTERM in the binary) stops accepting, lets queued and in-flight
-//!   requests finish within the drain deadline, cancels stragglers, and
-//!   waits for every detached watchdog guard thread to exit.
+//!   SIGTERM in the binary) stops accepting — it wakes the blocked
+//!   acceptor with a connection to the server's own address — lets
+//!   queued and in-flight requests finish within the drain deadline,
+//!   cancels stragglers, and waits for every detached watchdog guard
+//!   thread to exit.
 //!
 //! ```no_run
 //! use casa::genome::synth::{generate_reference, ReferenceProfile};
@@ -46,10 +52,10 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use casa_core::logging::{next_request_id, RequestScope};
@@ -108,6 +114,13 @@ const MAX_HEADER_BYTES: usize = 16 << 10;
 /// Slice between client-liveness / reply checks while a request is in
 /// flight.
 const REPLY_POLL_SLICE: Duration = Duration::from_millis(25);
+
+/// Pause after a failed `accept()` (e.g. `EMFILE`), so a broken listener
+/// cannot spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Connect budget for the drain wake-up connection.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How a seeding job answered its connection worker.
 enum SeedReply {
@@ -195,11 +208,17 @@ struct Shared {
     metrics: ServeMetrics,
     config: ServeConfig,
     draining: AtomicBool,
+    /// Where a connection reaches the listener: its bound address, with
+    /// an unspecified IP mapped to loopback. Drain connects here to wake
+    /// the blocked acceptor.
+    wake_addr: SocketAddr,
     /// Cancel tokens of requests admitted but not yet replied, so the
     /// drain deadline can cancel every straggler at once.
     active: Mutex<HashMap<u64, CancelToken>>,
-    /// Seed workers still running (drain waits for zero).
-    live_seed_workers: AtomicUsize,
+    /// Seed workers still running; the last one to exit notifies
+    /// `seed_workers_done`, which drain waits on.
+    live_seed_workers: Mutex<usize>,
+    seed_workers_done: Condvar,
 }
 
 impl Shared {
@@ -245,6 +264,39 @@ impl Shared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&id);
+    }
+
+    /// Unblocks the acceptor's `accept()` with a throwaway connection so
+    /// it re-checks `draining`. Best effort: a refused connection means
+    /// the listener is already gone.
+    fn wake_acceptor(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
+    }
+
+    /// Called by each seed worker as it exits.
+    fn seed_worker_exited(&self) {
+        let mut live = self
+            .live_seed_workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *live -= 1;
+        if *live == 0 {
+            self.seed_workers_done.notify_all();
+        }
+    }
+
+    /// Blocks until every seed worker has exited or `timeout` passes;
+    /// returns whether they all exited.
+    fn wait_seed_workers(&self, timeout: Duration) -> bool {
+        let live = self
+            .live_seed_workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (live, _) = self
+            .seed_workers_done
+            .wait_timeout_while(live, timeout, |live| *live > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *live == 0
     }
 
     fn cancel_active(&self) -> usize {
@@ -298,10 +350,12 @@ impl ServerHandle {
     /// [`OverloadReason::ShuttingDown`], and already-admitted requests
     /// keep flowing to the seed workers. Idempotent.
     pub fn begin_drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::SeqCst) {
-            log_info!("drain requested: no longer accepting work");
-        }
+        let first = !self.shared.draining.swap(true, Ordering::SeqCst);
         self.shared.queue.begin_drain();
+        if first {
+            log_info!("drain requested: no longer accepting work");
+            self.shared.wake_acceptor();
+        }
     }
 
     /// Whether drain mode is active.
@@ -391,7 +445,6 @@ impl Server {
         let session = seeder.session().clone();
         session.set_profiling(config.profiling);
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             generation: RwLock::new(Arc::new(Generation {
@@ -406,8 +459,10 @@ impl Server {
             metrics: ServeMetrics::new(),
             config: config.clone(),
             draining: AtomicBool::new(false),
+            wake_addr: wake_addr(local_addr),
             active: Mutex::new(HashMap::new()),
-            live_seed_workers: AtomicUsize::new(config.seed_workers),
+            live_seed_workers: Mutex::new(config.seed_workers),
+            seed_workers_done: Condvar::new(),
         });
 
         // Fixed pools wired acceptor -> conn workers -> fair queue ->
@@ -453,7 +508,7 @@ impl Server {
                         while let Some(admitted) = shared.queue.pop() {
                             seed_one(admitted, &shared);
                         }
-                        shared.live_seed_workers.fetch_sub(1, Ordering::SeqCst);
+                        shared.seed_worker_exited();
                     })
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -501,16 +556,10 @@ impl Server {
     /// threads to exit.
     pub fn shutdown(self) -> ShutdownReport {
         self.handle().begin_drain();
-        let deadline = Instant::now() + self.shared.config.drain_deadline;
         // Phase 1: let queued + in-flight work finish.
-        let mut drained_in_time = true;
-        while self.shared.live_seed_workers.load(Ordering::SeqCst) > 0 {
-            if Instant::now() >= deadline {
-                drained_in_time = false;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let drained_in_time = self
+            .shared
+            .wait_seed_workers(self.shared.config.drain_deadline);
         // Phase 2: the deadline expired — cancel every in-flight request
         // so its session bails at the next tile boundary.
         let cancelled_in_flight = if drained_in_time {
@@ -520,6 +569,11 @@ impl Server {
             log_warn!("drain deadline expired; cancelled {n} in-flight requests");
             n
         };
+        // Repeat the wake so one lost wake-up connection cannot hang the
+        // join; a finished acceptor has already closed the listener.
+        if !self.acceptor.is_finished() {
+            self.shared.wake_acceptor();
+        }
         let _ = self.acceptor.join();
         for worker in self.conn_workers {
             let _ = worker.join();
@@ -552,11 +606,28 @@ impl Server {
     }
 }
 
-/// The acceptor loop: non-blocking accepts so the drain flag is observed
-/// within one poll slice.
+/// The address a local client connects to for a listener bound to
+/// `local`: an unspecified IP (`0.0.0.0` / `::`) becomes the loopback
+/// address of the same family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// The acceptor loop: blocks in `accept()` and hands each connection to
+/// the conn workers. Drain sets `draining` and then connects to the
+/// listener itself ([`Shared::wake_acceptor`]), so the flag is re-checked
+/// after every accept; the connection that observes it is dropped
+/// unserved and the loop exits, closing the listener. Only a failed
+/// accept sleeps, for [`ACCEPT_ERROR_BACKOFF`].
 fn accept_loop(listener: &TcpListener, conn_tx: &mpsc::SyncSender<TcpStream>, shared: &Shared) {
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if shared.draining.load(Ordering::SeqCst) => break,
             Ok((stream, peer)) => {
                 log_debug!("connection from {peer}");
                 if let Err(mpsc::TrySendError::Full(stream)) = conn_tx.try_send(stream) {
@@ -569,12 +640,9 @@ fn accept_loop(listener: &TcpListener, conn_tx: &mpsc::SyncSender<TcpStream>, sh
                     let _ = write_overload(&mut stream, OverloadReason::QueueFull);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Err(e) => {
                 log_warn!("accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
@@ -1169,18 +1237,19 @@ fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    use std::fmt::Write as _;
-    let mut head = String::with_capacity(256);
-    let _ = write!(head, "HTTP/1.1 {status}\r\n");
-    let _ = write!(head, "Content-Type: {content_type}\r\n");
-    let _ = write!(head, "Content-Length: {}\r\n", body.len());
-    let _ = write!(head, "Connection: close\r\n");
+    // Head and body go out in one write: with Nagle on, a second small
+    // write would wait for the peer's delayed ACK of the first.
+    let mut response = Vec::with_capacity(256 + body.len());
+    write!(response, "HTTP/1.1 {status}\r\n")?;
+    write!(response, "Content-Type: {content_type}\r\n")?;
+    write!(response, "Content-Length: {}\r\n", body.len())?;
+    write!(response, "Connection: close\r\n")?;
     for (name, value) in extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        write!(response, "{name}: {value}\r\n")?;
     }
-    let _ = write!(head, "\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    write!(response, "\r\n")?;
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 

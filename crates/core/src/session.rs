@@ -1276,11 +1276,31 @@ mod tests {
         let mut config = CasaConfig::small(700);
         config.partitioning = casa_genome::PartitionScheme::new(700, 60);
         let reads = reads_for(&reference, 40, 44, 8);
-        let clean = SeedingSession::with_fault_plan(&reference, config, 4, FaultPlan::default())
-            .expect("valid config")
-            .seed_reads(&reads);
-        // Stalls of 40 ms against a 4 ms watchdog deadline: every injected
-        // stall must be caught by the deadline, not by chance.
+        let clean_session =
+            SeedingSession::with_fault_plan(&reference, config, 4, FaultPlan::default())
+                .expect("valid config");
+        let clean = clean_session.seed_reads(&reads);
+        // Stalls of 40 ms against a watchdog deadline derived from measured
+        // clean work, so that on any build, backend or host only an
+        // injected stall can exceed it. A watchdogged single worker seeds
+        // each tile's reads against every partition, which bounds one
+        // (partition, tile) attempt from above; the slowest tile times 3,
+        // clamped to 4..=20 ms, so every 40 ms stall is still caught.
+        let timing_session =
+            SeedingSession::with_fault_plan(&reference, config, 1, FaultPlan::default())
+                .expect("valid config")
+                .with_tile_deadline(Some(Duration::from_secs(10)));
+        let slowest_tile = reads
+            .chunks(clean_session.tile_len(reads.len()))
+            .map(|tile| {
+                let started = std::time::Instant::now();
+                timing_session.seed_reads(tile);
+                started.elapsed()
+            })
+            .max()
+            .expect("reads are non-empty");
+        let deadline =
+            (slowest_tile * 3).clamp(Duration::from_millis(4), Duration::from_millis(20));
         let plan = FaultPlan {
             seed: 42,
             tile_stall_rate: 0.3,
@@ -1290,8 +1310,8 @@ mod tests {
         };
         let session = SeedingSession::with_fault_plan(&reference, config, 4, plan)
             .expect("valid plan")
-            .with_tile_deadline(Some(Duration::from_millis(4)));
-        assert_eq!(session.tile_deadline(), Some(Duration::from_millis(4)));
+            .with_tile_deadline(Some(deadline));
+        assert_eq!(session.tile_deadline(), Some(deadline));
         let run = session.seed_reads(&reads);
         assert_eq!(run.smems, clean.smems, "recovery must be bit-identical");
         assert!(run.stats.deadline_stalls > 0, "stalls should have fired");

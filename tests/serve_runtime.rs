@@ -1,8 +1,9 @@
 //! Integration tests for the `casa-serve` runtime: admission control and
 //! typed load shedding, bit-identity of served results against a direct
 //! single-threaded session, graceful degradation under partition
-//! quarantine, request deadlines, client-disconnect cancellation, and
-//! drain semantics (no surviving watchdog guard threads).
+//! quarantine, request deadlines, client-disconnect cancellation, drain
+//! semantics (no surviving watchdog guard threads, a prompt wake of the
+//! blocked acceptor), and round trips that no accept poll paces.
 //!
 //! Each test starts a real [`Server`] on an ephemeral port, or spawns the
 //! `casa-serve` binary (burst then SIGTERM drain), and talks plain
@@ -515,6 +516,87 @@ fn drain_finishes_cleanly_and_no_guard_thread_survives() {
         casa_core::wait_for_guard_threads(Duration::from_secs(10)),
         "guard threads still live after shutdown"
     );
+}
+
+/// Runs `server.shutdown()` on a helper thread and returns how long it
+/// took, failing (instead of hanging) if it is still running after
+/// `limit`.
+fn timed_shutdown(server: Server, limit: Duration) -> Duration {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    let shutdown = std::thread::spawn(move || {
+        let report = server.shutdown();
+        let _ = done_tx.send(());
+        report
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(limit) {
+        panic!("shutdown still running after {limit:?}");
+    }
+    let elapsed = started.elapsed();
+    let report = shutdown.join().expect("shutdown thread panicked");
+    assert!(report.clean(), "{report:?}");
+    elapsed
+}
+
+/// Drain wakes the acceptor blocked in `accept()` by connecting to the
+/// server's own address. For an unspecified bind IP that connection goes
+/// to loopback; either way an idle server stops well inside its drain
+/// deadline.
+#[test]
+fn idle_shutdown_wakes_the_blocked_acceptor_promptly() {
+    let (reference, _) = workload(0);
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let config = ServeConfig {
+            addr: bind.parse().expect("bind address"),
+            drain_deadline: Duration::from_secs(10),
+            ..ServeConfig::default()
+        };
+        let server = start_server(&reference, config, None);
+        let port = server.local_addr().port();
+        let health = request(
+            SocketAddr::from(([127, 0, 0, 1], port)),
+            "GET",
+            "/health",
+            &[],
+            b"",
+        )
+        .expect("health reachable over loopback");
+        assert_eq!(health.status, 200, "bind {bind}");
+        let elapsed = timed_shutdown(server, Duration::from_secs(10));
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "idle shutdown of a {bind} server took {elapsed:?}"
+        );
+    }
+}
+
+/// Back-to-back requests never wait on a polling acceptor. A 5 ms accept
+/// poll put a floor of about 5 ms under every round trip, so a batch of
+/// `N` sequential `GET /health` calls took at least `(N - 1) × 5 ms`;
+/// the bound is half that pace. The best of three batches is compared,
+/// since interference from other tests only ever adds time.
+#[test]
+fn sequential_health_round_trips_are_not_paced_by_a_poll() {
+    const N: u32 = 40;
+    let (reference, _) = workload(0);
+    let server = start_server(&reference, ServeConfig::default(), None);
+    let addr = server.local_addr();
+    let best = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..N {
+                let resp = request(addr, "GET", "/health", &[], b"").expect("health reachable");
+                assert_eq!(resp.status, 200);
+            }
+            started.elapsed()
+        })
+        .min()
+        .expect("three batches");
+    assert!(
+        best < N * Duration::from_micros(2_500),
+        "{N} sequential /health round trips took {best:?}"
+    );
+    assert!(server.shutdown().clean());
 }
 
 /// A loopback address whose port was free a moment ago.
