@@ -1400,6 +1400,7 @@ mod tests {
             "fingerprint",
             "cam-planes",
             "filter-mini",
+            "filter-data",
             "suffix-array",
             "ref-text",
         ] {
@@ -1408,6 +1409,8 @@ mod tests {
                 "inspect output missing {needle}: {inspect}"
             );
         }
+        // Version 2 fuses the filter's tag array into its data rows.
+        assert!(!inspect.contains("filter-tag"), "{inspect}");
 
         let built = Options {
             sam_out: Some(dir.join("built.sam")),

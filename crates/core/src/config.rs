@@ -130,6 +130,11 @@ impl CasaConfig {
                 reason: "k must fit a 64-bit code (k <= 32)",
             });
         }
+        if f.k - f.m > 16 {
+            return Err(ConfigError::BadFilterGeometry {
+                reason: "the filter tag must fit 32 bits (k - m <= 16)",
+            });
+        }
         if f.stride > 64 {
             return Err(ConfigError::BadFilterGeometry {
                 reason: "stride must fit the start mask (stride <= 64)",
@@ -341,5 +346,29 @@ mod tests {
             CasaConfig::builder().partition_len(0).build(),
             Err(ConfigError::ZeroPartitionLen)
         ));
+    }
+
+    #[test]
+    fn filter_tag_wider_than_32_bits_is_rejected() {
+        // The filter stores the (k - m)-mer tag in 32 bits; a wider tag
+        // would be truncated and alias absent k-mers onto present ones.
+        for (k, m) in [(28, 6), (32, 10), (27, 10)] {
+            let err = CasaConfig::builder()
+                .filter_geometry(k, m, 40, 20)
+                .min_smem_len(k)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, ConfigError::BadFilterGeometry { reason } if reason.contains("32 bits")),
+                "k = {k}, m = {m}: {err:?}"
+            );
+        }
+        // A 16-base tag is the widest that fits.
+        let c = CasaConfig::builder()
+            .filter_geometry(26, 10, 40, 20)
+            .min_smem_len(26)
+            .build()
+            .expect("k - m = 16 fits");
+        assert_eq!(c.filter.k - c.filter.m, 16);
     }
 }

@@ -136,8 +136,7 @@ pub fn build_index_image(
         let sa = SuffixArray::build(&p.seq);
         builder.add_u64s(SectionKind::CamPlanes, pi, cam.planes());
         builder.add_u32s(SectionKind::FilterMini, pi, filter.mini_index());
-        builder.add_u32s(SectionKind::FilterTag, pi, filter.tag());
-        builder.add_u64s(SectionKind::FilterData, pi, &filter.data_words());
+        builder.add_u64s(SectionKind::FilterData, pi, filter.row_words());
         builder.add_u32s(SectionKind::Sa, pi, sa.sa());
     }
     let fingerprint = builder.write_file(path)?;
@@ -262,23 +261,18 @@ impl LoadedIndex {
             .image
             .u32_view(SectionKind::FilterMini, pi)
             .ok_or_else(|| missing("filter mini-index", p.index))?;
-        let tag = self
-            .image
-            .u32_view(SectionKind::FilterTag, pi)
-            .ok_or_else(|| missing("filter tag array", p.index))?;
-        let data = self
+        let rows = self
             .image
             .u64_view(SectionKind::FilterData, pi)
-            .ok_or_else(|| missing("filter data array", p.index))?;
+            .ok_or_else(|| missing("filter row table", p.index))?;
         let planes = self
             .image
             .u64_view(SectionKind::CamPlanes, pi)
             .ok_or_else(|| missing("CAM planes", p.index))?;
-        let filter =
-            PreSeedingFilter::from_shared_parts(config.filter, mini, tag, data, p.seq.len())
-                .map_err(|what| Error::Image {
-                    what: format!("partition {}: {what}", p.index),
-                })?;
+        let filter = PreSeedingFilter::from_shared_parts(config.filter, mini, rows, p.seq.len())
+            .map_err(|what| Error::Image {
+                what: format!("partition {}: {what}", p.index),
+            })?;
         let cam =
             Bcam::from_shared_planes(&p.seq, config.filter.stride, planes).map_err(|what| {
                 Error::Image {

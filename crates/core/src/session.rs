@@ -2,8 +2,9 @@
 //!
 //! [`SeedingSession`] is the batch-seeding runtime (the `casa` facade's
 //! `Seeder` wraps it): it builds one boxed [`SeedingBackend`] per
-//! partition **once** at construction (the filter tables, CAM loads, or
-//! index builds dominate small-batch runs) and then schedules partition ×
+//! partition **once** at construction, on up to `workers` threads (the
+//! filter tables, CAM loads, or index builds dominate small-batch runs),
+//! and then schedules partition ×
 //! tile jobs across a worker pool for each incoming read batch. The backend — the CASA CAM model, the FM-index golden
 //! model, or the ERT model — is a runtime choice
 //! ([`BackendKind`](crate::BackendKind), selected per process via
@@ -78,7 +79,7 @@ use casa_index::{Smem, SuffixArray};
 
 use crate::backend::{build_backend, BackendKind, SeedingBackend, TileKmerCodes};
 use crate::engine::PartitionEngine;
-use crate::error::Error;
+use crate::error::{ConfigError, Error};
 use crate::faults::{self, FaultPlan, FaultSites, InjectedFault};
 use crate::profile::{Stage, StageTimer};
 use crate::stats::SeedingStats;
@@ -317,10 +318,13 @@ impl SeedingSession {
 
     /// Like [`with_fault_plan`](Self::with_fault_plan) with an explicit
     /// seeding backend, ignoring the [`CASA_BACKEND`](crate::BACKEND_ENV)
-    /// environment variable. Hardware faults are injected through the
-    /// backend's [`inject_faults`](SeedingBackend::inject_faults) hook —
-    /// a no-op on the software backends, which have no CAM lines or
-    /// filter tables to corrupt (scheduler faults still apply).
+    /// environment variable. The partition backends are built on
+    /// `min(workers, partitions)` threads; each lands at its partition's
+    /// index, so the session does not depend on the build's scheduling.
+    /// Hardware faults are then injected serially through the backend's
+    /// [`inject_faults`](SeedingBackend::inject_faults) hook — a no-op on
+    /// the software backends, which have no CAM lines or filter tables to
+    /// corrupt (scheduler faults still apply).
     ///
     /// # Errors
     ///
@@ -342,10 +346,7 @@ impl SeedingSession {
             return Err(Error::EmptyReference);
         }
         let part_starts = partitions.iter().map(|p| p.start as u32).collect();
-        let mut engines = partitions
-            .iter()
-            .map(|p| build_backend(backend, &p.seq, config))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut engines = build_backends(backend, &partitions, config, workers)?;
         let mut fault_sites = FaultSites::default();
         for (pi, engine) in engines.iter_mut().enumerate() {
             let (cam, filter) =
@@ -1055,6 +1056,45 @@ impl SeedingSession {
     }
 }
 
+/// Builds one backend per partition on `min(workers, partitions)` scoped
+/// threads, each claiming the next partition index off a shared counter.
+/// Results land by partition index, so the backends — and the first
+/// error, taken in partition order — never depend on scheduling.
+fn build_backends(
+    backend: BackendKind,
+    partitions: &[Partition],
+    config: CasaConfig,
+    workers: usize,
+) -> Result<Vec<Box<dyn SeedingBackend>>, ConfigError> {
+    // The counter only hands out indices; each result reaches this thread
+    // through its builder's join, which synchronizes on its own.
+    let next = AtomicUsize::new(0);
+    let mut built = std::thread::scope(|scope| {
+        let builders: Vec<_> = (0..workers.min(partitions.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let pi = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(p) = partitions.get(pi) else { break };
+                        mine.push((pi, build_backend(backend, &p.seq, config)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        builders
+            .into_iter()
+            .flat_map(|b| {
+                b.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect::<Vec<_>>()
+    });
+    built.sort_unstable_by_key(|&(pi, _)| pi);
+    built.into_iter().map(|(_, b)| b).collect()
+}
+
 /// DRAM bytes to stream a read batch in once (2-bit packed + header); the
 /// reads then sit in the on-chip buffer while partitions rotate.
 fn read_stream_bytes(reads: &[PackedSeq]) -> u64 {
@@ -1064,7 +1104,6 @@ fn read_stream_bytes(reads: &[PackedSeq]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ConfigError;
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{ReadSimConfig, ReadSimulator};
 

@@ -9,9 +9,16 @@
 //! 2. **tag array** (CAM, one entry per k-mer occurrence, sorted) — stores
 //!    the remaining `(k−m)`-mer; only the rows between the pointers are
 //!    powered (range power gating);
-//! 3. **data array** (SRAM, parallel to the tag array) — stores each
+//! 3. **data array** (SRAM, row for row with the tag array) — stores each
 //!    occurrence's [`SearchIndicator`]; rows behind matching tag entries
 //!    are read and OR-ed.
+//!
+//! In software the tag and data arrays are one table of fused 16-byte
+//! rows, two `u64` words each: `w0` is the start mask and
+//! `w1 = groups | tag << 32`. A tag match and its indicator share a cache
+//! line, so a hit costs two dependent misses (mini index → row), not
+//! three. Rows are sorted by k-mer; the rows of one k-mer lie in
+//! ascending partition-offset order.
 //!
 //! Because every k-mer of the partition is enumerated, the filter has **no
 //! false positives and no misses** (unlike GenCache's bloom filter), and
@@ -23,7 +30,7 @@ use casa_genome::shared::{SharedSlice, SliceStore};
 use casa_genome::PackedSeq;
 use serde::{Deserialize, Serialize};
 
-use crate::{IndicatorStore, SearchIndicator, TagLayout};
+use crate::{SearchIndicator, TagLayout};
 
 /// Filter geometry. Defaults are the paper's: k = 19, m = 10, 40-base CAM
 /// entries, 20 CAM groups.
@@ -55,7 +62,8 @@ impl FilterConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `m >= k`, `k > 32`, `stride > 64`, or `groups > 32`.
+    /// Panics if `m >= k`, `k > 32`, `k − m > 16` (the tag must fit 32
+    /// bits), `stride > 64`, or `groups > 32`.
     pub fn new(k: usize, m: usize, stride: usize, groups: usize) -> FilterConfig {
         let cfg = FilterConfig {
             k,
@@ -70,6 +78,10 @@ impl FilterConfig {
     fn validate(&self) {
         assert!(self.m >= 1 && self.m < self.k, "need 1 <= m < k");
         assert!(self.k <= 32, "k must fit a 64-bit code");
+        assert!(
+            self.k - self.m <= 16,
+            "the (k - m)-mer tag must fit 32 bits (k - m <= 16)"
+        );
         assert!(self.stride <= 64, "stride must fit the start mask");
         assert!(
             self.groups >= 1 && self.groups <= 32,
@@ -178,6 +190,24 @@ pub(crate) fn prefetch<T>(r: &T) {
 
 const DOMAIN_FILTER_FLIP: u64 = 0x21;
 
+/// One fused tag/data row: `[start_mask, groups | tag << 32]`.
+type Row = [u64; 2];
+
+fn pack_row(tag: u32, si: SearchIndicator) -> Row {
+    [si.start_mask, u64::from(si.groups) | u64::from(tag) << 32]
+}
+
+fn row_tag(row: &Row) -> u32 {
+    (row[1] >> 32) as u32
+}
+
+fn row_indicator(row: &Row) -> SearchIndicator {
+    SearchIndicator {
+        start_mask: row[0],
+        groups: row[1] as u32,
+    }
+}
+
 /// The pre-seeding filter for one reference partition.
 ///
 /// ```
@@ -196,14 +226,13 @@ const DOMAIN_FILTER_FLIP: u64 = 0x21;
 #[derive(Clone, Debug)]
 pub struct PreSeedingFilter {
     config: FilterConfig,
-    /// `mini_index[mmer] .. mini_index[mmer + 1]` bounds the tag bucket.
+    /// `mini_index[mmer] .. mini_index[mmer + 1]` bounds the row bucket.
     /// Owned when built in process, shared when loaded from an index
-    /// image (likewise `tag` and `data`).
+    /// image (likewise `rows`).
     mini_index: SliceStore<u32>,
-    /// `(k−m)`-mer codes, sorted by (m-mer, rest) — i.e. by full k-mer.
-    tag: SliceStore<u32>,
-    /// Search indicator per tag row.
-    data: IndicatorStore,
+    /// Fused tag/data rows, two words each (see the module docs), sorted
+    /// by (m-mer, tag) — i.e. by full k-mer.
+    rows: SliceStore<u64>,
     /// §5 physical packing of the tag array.
     layout: TagLayout,
     partition_len: usize,
@@ -212,44 +241,49 @@ pub struct PreSeedingFilter {
 
 impl PreSeedingFilter {
     /// Builds the filter tables for `partition` (the offline step of §4.1).
+    ///
+    /// Two passes over the rolling k-mer codes: the first counts each
+    /// m-mer bucket into the mini index, the second scatters every
+    /// occurrence to its bucket's cursor in ascending offset order. A
+    /// stable sort by tag inside each bucket then orders the rows by
+    /// k-mer, leaving the rows of one k-mer in ascending offset order. The
+    /// rows are written in place: no buffer beyond the tables themselves.
     pub fn build(partition: &PackedSeq, config: FilterConfig) -> PreSeedingFilter {
         config.validate();
-        let (k, m) = (config.k, config.m);
-        let rest = k - m;
-        let mut keyed: Vec<(u64, u32, SearchIndicator)> = partition
-            .kmers(k)
-            .map(|(x, code)| {
-                let mmer = code >> (2 * rest);
-                let restmer = (code & ((1u64 << (2 * rest)) - 1)) as u32;
-                (
-                    mmer,
-                    restmer,
-                    SearchIndicator::of_occurrence(x, config.stride, config.groups),
-                )
-            })
-            .map(|(mmer, restmer, si)| ((mmer << (2 * rest)) | u64::from(restmer), restmer, si))
-            .collect();
-        keyed.sort_unstable_by_key(|&(full, _, _)| full);
-
-        let slots = 1usize << (2 * m);
-        let mut mini_index = vec![0u32; slots + 1];
-        let mut tag = Vec::with_capacity(keyed.len());
-        let mut data: Vec<SearchIndicator> = Vec::with_capacity(keyed.len());
-        for (full, restmer, si) in keyed {
-            let mmer = (full >> (2 * rest)) as usize;
-            mini_index[mmer + 1] += 1;
-            tag.push(restmer);
-            data.push(si);
+        let rest_bits = 2 * (config.k - config.m);
+        let tag_mask = (1u64 << rest_bits) - 1;
+        let slots = 1usize << (2 * config.m);
+        // Bucket sizes land one slot up, so the prefix sum leaves
+        // `mini[b]` at bucket b's first row.
+        let mut mini = vec![0u32; slots + 1];
+        for (_, code) in partition.kmers(config.k) {
+            mini[(code >> rest_bits) as usize + 1] += 1;
         }
-        for i in 1..mini_index.len() {
-            mini_index[i] += mini_index[i - 1];
+        for i in 1..=slots {
+            mini[i] += mini[i - 1];
         }
-        let layout = TagLayout::paper(tag.len().max(1));
+        let mut words = vec![0u64; 2 * mini[slots] as usize];
+        let table = words.as_chunks_mut::<2>().0;
+        for (x, code) in partition.kmers(config.k) {
+            let cursor = &mut mini[(code >> rest_bits) as usize];
+            let si = SearchIndicator::of_occurrence(x, config.stride, config.groups);
+            table[*cursor as usize] = pack_row((code & tag_mask) as u32, si);
+            *cursor += 1;
+        }
+        // Each cursor now sits on the next bucket's first row.
+        mini.copy_within(0..slots, 1);
+        mini[0] = 0;
+        for b in 0..slots {
+            let bucket = &mut table[mini[b] as usize..mini[b + 1] as usize];
+            if bucket.len() > 1 {
+                bucket.sort_by_key(row_tag);
+            }
+        }
+        let layout = TagLayout::paper(table.len().max(1));
         PreSeedingFilter {
             config,
-            mini_index: mini_index.into(),
-            tag: tag.into(),
-            data: data.into(),
+            mini_index: mini.into(),
+            rows: words.into(),
             layout,
             partition_len: partition.len(),
             stats: FilterStats::default(),
@@ -257,17 +291,16 @@ impl PreSeedingFilter {
     }
 
     /// Reassembles a filter from prebuilt tables — the zero-copy
-    /// image-loading path. `data` uses the wire encoding of
-    /// [`IndicatorStore`] (two `u64` words per record). Behaves exactly
-    /// like the filter [`PreSeedingFilter::build`] would produce for the
-    /// same partition and config.
+    /// image-loading path. `rows` holds the fused rows, two `u64` words
+    /// each, as [`row_words`](Self::row_words) returns them. Behaves
+    /// exactly like the filter [`PreSeedingFilter::build`] would produce
+    /// for the same partition and config.
     ///
     /// Fails (typed message) on any shape mismatch between the tables.
     pub fn from_shared_parts(
         config: FilterConfig,
         mini_index: SharedSlice<u32>,
-        tag: SharedSlice<u32>,
-        data: SharedSlice<u64>,
+        rows: SharedSlice<u64>,
         partition_len: usize,
     ) -> Result<PreSeedingFilter, &'static str> {
         config.validate();
@@ -276,19 +309,18 @@ impl PreSeedingFilter {
         if mini.len() != slots + 1 {
             return Err("filter mini index has the wrong slot count for m");
         }
-        let rows = tag.as_slice().len();
-        if mini[slots] as usize != rows {
-            return Err("filter mini index total disagrees with tag row count");
+        let words = rows.as_slice().len();
+        if !words.is_multiple_of(2) {
+            return Err("filter row table has an odd word count");
         }
-        if data.as_slice().len() != rows * 2 {
-            return Err("filter data array disagrees with tag row count");
+        if mini[slots] as usize != words / 2 {
+            return Err("filter mini index total disagrees with the row count");
         }
-        let layout = TagLayout::paper(rows.max(1));
+        let layout = TagLayout::paper((words / 2).max(1));
         Ok(PreSeedingFilter {
             config,
             mini_index: mini_index.into(),
-            tag: tag.into(),
-            data: data.into(),
+            rows: rows.into(),
             layout,
             partition_len,
             stats: FilterStats::default(),
@@ -300,14 +332,14 @@ impl PreSeedingFilter {
         self.mini_index.as_slice()
     }
 
-    /// The tag array (restmer codes).
-    pub fn tag(&self) -> &[u32] {
-        self.tag.as_slice()
+    /// The fused row table, two words per row: `w0` is the start mask,
+    /// `w1 = groups | tag << 32` (the image writer persists these).
+    pub fn row_words(&self) -> &[u64] {
+        self.rows.as_slice()
     }
 
-    /// The data array in wire encoding (two `u64` words per record).
-    pub fn data_words(&self) -> Vec<u64> {
-        self.data.to_words()
+    fn table(&self) -> &[Row] {
+        self.rows.as_chunks::<2>().0
     }
 
     /// The partition length the filter was built for.
@@ -317,7 +349,7 @@ impl PreSeedingFilter {
 
     /// Whether the tables are backed by shared (mapped) storage.
     pub fn tables_shared(&self) -> bool {
-        self.mini_index.is_shared() && self.tag.is_shared() && self.data.is_shared()
+        self.mini_index.is_shared() && self.rows.is_shared()
     }
 
     /// The filter's geometry.
@@ -327,7 +359,7 @@ impl PreSeedingFilter {
 
     /// Number of tag/data rows (k-mer occurrences in the partition).
     pub fn rows(&self) -> usize {
-        self.tag.len()
+        self.rows.len() / 2
     }
 
     /// The §5 physical packing of the tag array.
@@ -350,7 +382,7 @@ impl PreSeedingFilter {
     pub fn lookup_code(&mut self, code: u64) -> SearchIndicator {
         let rest_bits = 2 * (self.config.k - self.config.m);
         let mmer = (code >> rest_bits) as usize;
-        let restmer = (code & ((1u64 << rest_bits) - 1)) as u32;
+        let tag = (code & ((1u64 << rest_bits) - 1)) as u32;
 
         self.stats.lookups += 1;
         self.stats.mini_index_reads += 1;
@@ -363,14 +395,12 @@ impl PreSeedingFilter {
         self.stats.tag_searches += 1;
         self.stats.tag_rows_enabled += (hi - lo) as u64;
         self.stats.tag_physical_rows += self.layout.physical_rows(hi - lo) as u64;
-        let bucket = &self.tag[lo..hi];
-        let first = lo + bucket.partition_point(|&t| t < restmer);
+        let bucket = &self.rows.as_chunks::<2>().0[lo..hi];
+        let first = bucket.partition_point(|r| row_tag(r) < tag);
         let mut si = SearchIndicator::EMPTY;
-        let mut row = first;
-        while row < hi && self.tag[row] == restmer {
+        for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
             self.stats.data_reads += 1;
-            si.merge(self.data.get(row));
-            row += 1;
+            si.merge(row_indicator(row));
         }
         if !si.is_empty() {
             self.stats.hits += 1;
@@ -379,8 +409,8 @@ impl PreSeedingFilter {
     }
 
     /// Pipeline distance `D` of the batched pass, in codes. While code `i`
-    /// is looked up, the tag row and data row of code `i + D` and the
-    /// mini-index slot of code `i + 2D` are in flight. Tuned with
+    /// is looked up, the first and last rows of code `i + D`'s bucket and
+    /// the mini-index slot of code `i + 2D` are in flight. Tuned with
     /// interleaved runs; a constant, not a knob.
     const LOOKUP_AHEAD: usize = 8;
 
@@ -391,14 +421,14 @@ impl PreSeedingFilter {
     /// Semantically identical to calling [`lookup_code`](Self::lookup_code)
     /// per code — same indicators, same [`FilterStats`] deltas — but
     /// restructured for memory-level parallelism, as the hardware overlaps
-    /// its three filter stages (paper Fig. 9). A lookup is three dependent
-    /// misses: the mini-index slot (`4^m` entries, 4 MB at m = 10) gives
-    /// `lo..hi`, which addresses the tag bucket, whose match addresses the
-    /// data row. At code `i` the pass prefetches the mini-index slot of
-    /// code `i + 2D`, reads the (by now resident) slot of code `i + D` and
-    /// prefetches its first tag and data rows, then runs the unchanged
-    /// `lookup_code` on code `i`, whose lines have had two stages to
-    /// arrive. Prefetches never change what is read, only when.
+    /// its filter stages (paper Fig. 9). A lookup is two dependent misses:
+    /// the mini-index slot (`4^m` entries, 4 MB at m = 10) gives `lo..hi`,
+    /// which addresses the bucket's fused tag/data rows. At code `i` the
+    /// pass prefetches the mini-index slot of code `i + 2D`, reads the (by
+    /// now resident) slot of code `i + D` and prefetches its first and last
+    /// rows, then runs the unchanged `lookup_code` on code `i`, whose lines
+    /// have had two stages to arrive. Prefetches never change what is
+    /// read, only when.
     pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
         const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
         out.clear();
@@ -428,15 +458,17 @@ impl PreSeedingFilter {
     }
 
     /// Pipeline stage 2: reads the slot of `code` and, for a non-empty
-    /// bucket, starts fetching its first tag row and data row.
+    /// bucket, starts fetching its first and last rows.
     #[inline(always)]
     fn prefetch_bucket(&self, code: u64) {
         let mini = self.mini_index.as_slice();
         let mmer = (code >> (2 * (self.config.k - self.config.m))) as usize;
-        let lo = mini[mmer] as usize;
-        if lo != mini[mmer + 1] as usize {
-            prefetch(&self.tag[lo]);
-            self.data.prefetch_row(lo);
+        let (lo, hi) = (mini[mmer] as usize, mini[mmer + 1] as usize);
+        if lo != hi {
+            // A small bucket can straddle a line boundary, and the tag
+            // search reads both lines.
+            prefetch(&self.table()[lo]);
+            prefetch(&self.table()[hi - 1]);
         }
     }
 
@@ -458,9 +490,9 @@ impl PreSeedingFilter {
         let lo = self.mini_index[mmer] as usize;
         let hi = self.mini_index[mmer + 1] as usize;
         let mut si = SearchIndicator::EMPTY;
-        for row in lo..hi {
+        for row in &self.rows.as_chunks::<2>().0[lo..hi] {
             self.stats.data_reads += 1;
-            si.merge(self.data.get(row));
+            si.merge(row_indicator(row));
         }
         if !si.is_empty() {
             self.stats.hits += 1;
@@ -510,13 +542,13 @@ impl PreSeedingFilter {
         let stride = self.config.stride as u64;
         // Detach shared storage up front (copy-on-write) so the loop
         // mutates in place.
-        let data = self.data.to_mut();
-        for (row, si) in data.iter_mut().enumerate() {
+        let table = self.rows.to_mut().as_chunks_mut::<2>().0;
+        for (row, words) in table.iter_mut().enumerate() {
             let h = site_hash(model.seed, &[DOMAIN_FILTER_FLIP, row as u64]);
             if coin(h, model.flip_rate) {
                 // Reuse independent high hash bits to pick the flipped bit.
                 let bit = (h >> 32) % stride;
-                si.start_mask ^= 1 << bit;
+                words[0] ^= 1 << bit;
                 report.rows.push(row as u32);
             }
         }
@@ -543,8 +575,7 @@ mod tests {
         PreSeedingFilter::from_shared_parts(
             *filter.config(),
             share(filter.mini_index().to_vec()),
-            share(filter.tag().to_vec()),
-            share(filter.data_words()),
+            share(filter.row_words().to_vec()),
             filter.partition_len(),
         )
         .unwrap()
@@ -595,7 +626,7 @@ mod tests {
             flip_rate: 0.05,
         };
         assert!(faulted.inject_faults(&model).sites() > 0);
-        assert!(shared.tables_shared() && !faulted.data.is_shared());
+        assert!(shared.tables_shared() && !faulted.rows.is_shared());
 
         // Present and absent codes interleaved, then repeats.
         use rand::{Rng, SeedableRng};
@@ -748,8 +779,7 @@ mod tests {
         let filter = PreSeedingFilter {
             config: cfg,
             mini_index: vec![0; 2].into(),
-            tag: vec![].into(),
-            data: Vec::new().into(),
+            rows: Vec::new().into(),
             layout: TagLayout::paper(4 << 20),
             partition_len: 4 << 20,
             stats: FilterStats::default(),
@@ -778,17 +808,19 @@ mod tests {
         assert_eq!(ra, rb);
         assert!(ra.sites() > 0, "expected fault sites at this rate");
         for &row in &ra.rows {
+            let row = row as usize;
             assert_ne!(
-                a.data.get(row as usize),
-                clean.data.get(row as usize),
+                a.table()[row][0],
+                clean.table()[row][0],
                 "row {row} should differ from the clean build"
             );
+            assert_eq!(a.table()[row][1], clean.table()[row][1], "row {row} tag");
         }
         // Rows outside the report are untouched.
         let faulty: std::collections::HashSet<u32> = ra.rows.iter().copied().collect();
         for row in 0..a.rows() {
             if !faulty.contains(&(row as u32)) {
-                assert_eq!(a.data.get(row), clean.data.get(row));
+                assert_eq!(a.table()[row], clean.table()[row]);
             }
         }
         // Zero rate is a no-op.
@@ -803,5 +835,78 @@ mod tests {
         assert!(filter.contains(&seq("ACGTAC"), 0));
         assert!(!filter.contains(&seq("CCCCCC"), 0));
         assert!(!filter.contains(&seq("ACG"), 0)); // too short
+    }
+
+    #[test]
+    fn built_tables_equal_a_sorted_occurrence_list_word_for_word() {
+        // Oracle: every (k-mer code, offset) pair sorted, packed row by
+        // row. The in-place build must produce exactly these words, and a
+        // filter reassembled from them must be the same filter.
+        let part = generate_reference(&ReferenceProfile::human_like(), 5_000, 31);
+        let cfg = FilterConfig::small(9, 4);
+        let rest_bits = 2 * (cfg.k - cfg.m);
+        let mut occs: Vec<(u64, usize)> = part.kmers(cfg.k).map(|(x, c)| (c, x)).collect();
+        occs.sort_unstable();
+        let mut mini = vec![0u32; (1 << (2 * cfg.m)) + 1];
+        let mut words = Vec::new();
+        for &(code, x) in &occs {
+            mini[(code >> rest_bits) as usize + 1] += 1;
+            let si = SearchIndicator::of_occurrence(x, cfg.stride, cfg.groups);
+            let tag = (code & ((1 << rest_bits) - 1)) as u32;
+            words.extend_from_slice(&pack_row(tag, si));
+        }
+        for i in 1..mini.len() {
+            mini[i] += mini[i - 1];
+        }
+        let built = PreSeedingFilter::build(&part, cfg);
+        assert_eq!(built.mini_index(), &mini[..]);
+        assert_eq!(built.row_words(), &words[..]);
+        assert_eq!(built.rows(), occs.len());
+        let shared = shared_copy(&built);
+        assert!(shared.tables_shared() && !built.tables_shared());
+        assert_eq!(shared.mini_index(), built.mini_index());
+        assert_eq!(shared.row_words(), built.row_words());
+    }
+
+    #[test]
+    fn rows_of_a_repeated_kmer_are_in_ascending_offset_order() {
+        // stride × groups = 2048 > partition length, so each row's start
+        // bit and group bit decode its offset exactly.
+        let part = generate_reference(&ReferenceProfile::human_like(), 2_000, 13);
+        let cfg = FilterConfig::new(6, 3, 64, 32);
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let offset = |row: &Row| {
+            let si = row_indicator(row);
+            si.groups.trailing_zeros() as usize * cfg.stride
+                + si.start_mask.trailing_zeros() as usize
+        };
+        let rest_bits = 2 * (cfg.k - cfg.m);
+        let mut repeated = 0;
+        for (x, code) in part.kmers(cfg.k) {
+            let mmer = (code >> rest_bits) as usize;
+            let tag = (code & ((1 << rest_bits) - 1)) as u32;
+            let (lo, hi) = (filter.mini_index()[mmer], filter.mini_index()[mmer + 1]);
+            let offsets: Vec<usize> = filter.table()[lo as usize..hi as usize]
+                .iter()
+                .filter(|r| row_tag(r) == tag)
+                .map(offset)
+                .collect();
+            let expect: Vec<usize> = part
+                .kmers(cfg.k)
+                .filter(|&(_, c)| c == code)
+                .map(|(y, _)| y)
+                .collect();
+            assert_eq!(offsets, expect, "k-mer at {x}");
+            repeated += usize::from(expect.len() > 1);
+        }
+        assert!(repeated > 100, "workload must repeat k-mers ({repeated})");
+    }
+
+    #[test]
+    #[should_panic(expected = "tag must fit 32 bits")]
+    fn tag_wider_than_32_bits_is_rejected() {
+        // k = 28, m = 6 leaves a 22-base (44-bit) tag: truncating it
+        // would alias absent k-mers onto present ones.
+        FilterConfig::new(28, 6, 40, 20);
     }
 }

@@ -10,7 +10,6 @@
 //!   groups that contain the k-mer are powered during the search.
 
 use casa_cam::EntryMask;
-use casa_genome::shared::SharedSlice;
 use serde::{Deserialize, Serialize};
 
 /// Aggregated search indicator of one k-mer in one reference partition.
@@ -122,117 +121,6 @@ impl SearchIndicator {
     }
 }
 
-/// Borrowed-or-owned storage for a data array of [`SearchIndicator`]s.
-///
-/// The in-process build owns a `Vec<SearchIndicator>`. A filter loaded
-/// from an index image instead shares the image's `u64` words, **two per
-/// record**: `words[2i]` is the start mask and the low 32 bits of
-/// `words[2i + 1]` are the group mask (the canonical wire encoding —
-/// `SearchIndicator` itself has no stable layout). [`IndicatorStore::get`]
-/// decodes on access, which costs nothing measurable next to the data-SRAM
-/// read it models; mutation ([`IndicatorStore::to_mut`]) decodes the whole
-/// array once, copy-on-write.
-#[derive(Clone, Debug)]
-pub enum IndicatorStore {
-    /// Heap-owned records.
-    Owned(Vec<SearchIndicator>),
-    /// Image-backed words, two per record.
-    Shared(SharedSlice<u64>),
-}
-
-impl IndicatorStore {
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        match self {
-            IndicatorStore::Owned(v) => v.len(),
-            IndicatorStore::Shared(s) => s.as_slice().len() / 2,
-        }
-    }
-
-    /// Whether the store has no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the records are backed by shared (mapped) storage.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, IndicatorStore::Shared(_))
-    }
-
-    /// The record at `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= len()`.
-    pub fn get(&self, row: usize) -> SearchIndicator {
-        match self {
-            IndicatorStore::Owned(v) => v[row],
-            IndicatorStore::Shared(s) => {
-                let words = s.as_slice();
-                SearchIndicator {
-                    start_mask: words[2 * row],
-                    groups: words[2 * row + 1] as u32,
-                }
-            }
-        }
-    }
-
-    /// Starts fetching the cache line of record `row` (see
-    /// [`PreSeedingFilter::lookup_codes_into`](crate::PreSeedingFilter::lookup_codes_into)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= len()`.
-    #[inline(always)]
-    pub(crate) fn prefetch_row(&self, row: usize) {
-        match self {
-            IndicatorStore::Owned(v) => crate::filter::prefetch(&v[row]),
-            IndicatorStore::Shared(s) => crate::filter::prefetch(&s.as_slice()[2 * row]),
-        }
-    }
-
-    /// Encodes the records as wire words (two `u64` per record), the form
-    /// the image writer persists.
-    pub fn to_words(&self) -> Vec<u64> {
-        match self {
-            IndicatorStore::Owned(v) => {
-                let mut words = Vec::with_capacity(v.len() * 2);
-                for si in v {
-                    words.push(si.start_mask);
-                    words.push(u64::from(si.groups));
-                }
-                words
-            }
-            IndicatorStore::Shared(s) => s.as_slice().to_vec(),
-        }
-    }
-
-    /// Mutable access, decoding shared storage into owned records first
-    /// (copy-on-write).
-    pub fn to_mut(&mut self) -> &mut Vec<SearchIndicator> {
-        if let IndicatorStore::Shared(_) = self {
-            let decoded: Vec<SearchIndicator> = (0..self.len()).map(|i| self.get(i)).collect();
-            *self = IndicatorStore::Owned(decoded);
-        }
-        match self {
-            IndicatorStore::Owned(v) => v,
-            IndicatorStore::Shared(_) => unreachable!("shared store was just converted to owned"),
-        }
-    }
-}
-
-impl From<Vec<SearchIndicator>> for IndicatorStore {
-    fn from(v: Vec<SearchIndicator>) -> Self {
-        IndicatorStore::Owned(v)
-    }
-}
-
-impl From<SharedSlice<u64>> for IndicatorStore {
-    fn from(s: SharedSlice<u64>) -> Self {
-        IndicatorStore::Shared(s)
-    }
-}
-
 /// Rotates the low `width` bits of `mask` right by `by`.
 fn rotate_right_mod(mask: u64, by: usize, width: usize) -> u64 {
     debug_assert!(by < width && width <= 64);
@@ -252,39 +140,6 @@ fn rotate_right_mod(mask: u64, by: usize, width: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn indicator_store_shared_decodes_and_detaches() {
-        use std::sync::Arc;
-        let records = vec![
-            SearchIndicator {
-                start_mask: 0b1010,
-                groups: 0b11,
-            },
-            SearchIndicator::EMPTY,
-            SearchIndicator {
-                start_mask: u64::MAX,
-                groups: u32::MAX,
-            },
-        ];
-        let owned: IndicatorStore = records.clone().into();
-        let words = owned.to_words();
-        assert_eq!(words.len(), 6);
-        let shared: IndicatorStore =
-            SharedSlice::new(Arc::new(words.clone()) as Arc<dyn casa_genome::SliceView<u64>>)
-                .into();
-        assert!(shared.is_shared());
-        assert_eq!(shared.len(), 3);
-        for (i, &r) in records.iter().enumerate() {
-            assert_eq!(shared.get(i), r, "row {i}");
-        }
-        assert_eq!(shared.to_words(), words);
-        let mut detached = shared.clone();
-        detached.to_mut()[1].start_mask = 7;
-        assert!(!detached.is_shared());
-        assert_eq!(shared.get(1), SearchIndicator::EMPTY);
-        assert_eq!(detached.get(1).start_mask, 7);
-    }
 
     #[test]
     fn occurrence_sets_expected_bits() {

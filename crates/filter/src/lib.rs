@@ -38,5 +38,5 @@ pub use bloom::BloomFilter;
 pub use filter::{
     FilterConfig, FilterFaultModel, FilterFaultReport, FilterStats, PreSeedingFilter,
 };
-pub use indicator::{IndicatorStore, SearchIndicator};
+pub use indicator::SearchIndicator;
 pub use layout::TagLayout;

@@ -10,7 +10,7 @@
 //! start is O(page-fault) instead of O(rebuild) and concurrent processes
 //! share the arrays through the page cache.
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! All integers little-endian. Payload sections are aligned to
 //! `page_size` (4096) so mapped views are always 8-byte aligned and
@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! offset 0        magic           b"CASAIMG1"
-//!        8        version         u32  (=1)
+//!        8        version         u32  (=2)
 //!        12       page_size       u32  (=4096)
 //!        16       fingerprint     u64  (FNV-1a of config blob + reference bytes)
 //!        24       total_len       u64  (file length in bytes)
@@ -55,7 +55,12 @@ use memmap2::{cast, Mmap};
 /// Image format magic.
 pub const MAGIC: &[u8; 8] = b"CASAIMG1";
 /// Current image format version.
-pub const VERSION: u32 = 1;
+///
+/// Version 2 fused the filter's tag and data arrays into one
+/// [`SectionKind::FilterData`] row table and retired the version-1 tag
+/// section (kind code 3); a version-1 image fails to open with
+/// [`ImageError::BadVersion`].
+pub const VERSION: u32 = 2;
 /// Payload alignment: one small page.
 pub const PAGE_SIZE: u32 = 4096;
 
@@ -131,10 +136,10 @@ pub enum SectionKind {
     CamPlanes = 1,
     /// One partition's filter mini-index prefix sums (`u32`).
     FilterMini = 2,
-    /// One partition's filter tag array (`u32` restmer codes).
-    FilterTag = 3,
-    /// One partition's filter indicators, two `u64` words per record:
-    /// `words[2i]` = start mask, `words[2i+1]` low 32 bits = group mask.
+    /// One partition's fused filter rows, two `u64` words per row:
+    /// `words[2i]` = start mask, `words[2i+1]` = group mask in the low 32
+    /// bits, tag (`(k−m)`-mer code) in the high 32. Code 3, the
+    /// version-1 tag array, is retired.
     FilterData = 4,
     /// One partition's suffix array ranks (`u32`).
     Sa = 5,
@@ -147,7 +152,6 @@ impl SectionKind {
             0 => Some(SectionKind::RefText),
             1 => Some(SectionKind::CamPlanes),
             2 => Some(SectionKind::FilterMini),
-            3 => Some(SectionKind::FilterTag),
             4 => Some(SectionKind::FilterData),
             5 => Some(SectionKind::Sa),
             _ => None,
@@ -160,7 +164,6 @@ impl SectionKind {
             Some(SectionKind::RefText) => "ref-text",
             Some(SectionKind::CamPlanes) => "cam-planes",
             Some(SectionKind::FilterMini) => "filter-mini",
-            Some(SectionKind::FilterTag) => "filter-tag",
             Some(SectionKind::FilterData) => "filter-data",
             Some(SectionKind::Sa) => "suffix-array",
             None => "unknown",

@@ -5,9 +5,11 @@
 //! * the acceptance scenario from the robustness issue: ≥ 10% tile panic
 //!   rate plus CAM bit flips, full cross-check — the batch completes
 //!   without aborting, output is bit-identical to the fault-free run, and
-//!   the recovery counters are nonzero.
+//!   the recovery counters are nonzero;
+//! * the partition backends, built on up to `workers` threads, come out
+//!   the same at every worker count: same fault sites, SMEMs and stats.
 
-use casa::core::{CasaConfig, FaultPlan, SeedingSession};
+use casa::core::{BackendKind, CasaConfig, FaultPlan, SeedingSession};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use proptest::prelude::*;
@@ -68,6 +70,54 @@ fn same_seed_means_same_faults_and_same_output_across_worker_counts() {
                 "seed {seed}: recovery diverged from fault-free run at {workers} workers"
             );
         }
+    }
+}
+
+#[test]
+fn parallel_session_build_is_deterministic_under_hardware_faults() {
+    // Eight partitions built on 1, 2 and 8 threads. The CAM and filter
+    // faults are silent (no cross-check), so any difference in the built
+    // tables or in which rows the plan hits shows up in the SMEMs or the
+    // activity counters.
+    let (reference, reads, _) = workload();
+    let config = CasaConfig::paper(4_000, 101);
+    let plan = FaultPlan {
+        seed: 11,
+        cam_stuck_rate: 2e-3,
+        cam_flip_rate: 2e-3,
+        filter_flip_rate: 2e-3,
+        ..FaultPlan::default()
+    };
+    let build = |workers| {
+        SeedingSession::with_backend(&reference, config, workers, plan, BackendKind::Cam)
+            .expect("valid plan")
+    };
+    let serial = build(1);
+    assert!(
+        serial.partition_count() >= 8,
+        "workload must span 8 partitions"
+    );
+    let sites = serial.fault_sites();
+    assert!(
+        sites.cam.iter().all(|c| c.sites() > 0),
+        "CAM faults in every partition"
+    );
+    assert!(
+        sites.filter.iter().all(|f| f.sites() > 0),
+        "filter faults in every partition"
+    );
+    let expected = serial.seed_reads(&reads);
+    assert!(expected.stats.filter.hits > 0 && expected.stats.cam.searches > 0);
+    for workers in [2usize, 8] {
+        let session = build(workers);
+        assert_eq!(
+            session.fault_sites(),
+            sites,
+            "{workers} workers: fault sites"
+        );
+        let run = session.seed_reads(&reads);
+        assert_eq!(run.smems, expected.smems, "{workers} workers: SMEMs");
+        assert_eq!(run.stats, expected.stats, "{workers} workers: stats");
     }
 }
 

@@ -4,7 +4,9 @@
 //! freshly built one across every backend, kernel, and worker count;
 //! fuzz the on-disk format with truncations and bit flips (typed errors,
 //! never a panic); and hot-swap the image under a live `casa-serve` with
-//! concurrent clients in flight — zero dropped or erroring requests.
+//! concurrent clients in flight — zero dropped or erroring requests; and
+//! refuse a version-1 image (separate tag and data arrays) with a typed
+//! error from both opens and from `/admin/reload`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,13 +14,14 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use casa::core::{
-    build_index_image, BackendKind, CasaConfig, FaultPlan, KernelBackend, LoadedIndex,
-    SeedingSession,
+    build_index_image, BackendKind, CasaConfig, FaultPlan, IndexImageError, KernelBackend,
+    LoadedIndex, SeedingSession,
 };
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use casa::serve::{IndexProvenance, ServeConfig, Server};
 use casa::Seeder;
+use casa_index::image::ImageError;
 use casa_index::Smem;
 
 const REF_LEN: usize = 24_000;
@@ -379,6 +382,81 @@ fn serve_hot_swaps_images_under_load_without_dropping_requests() {
         "{metrics_text}"
     );
 
+    assert!(server.shutdown().clean(), "drain must be clean");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the image at `path` to claim format `version`, re-sealing the
+/// header checksum (FNV-1a over header bytes 0..56) so only the version
+/// check can reject it.
+fn rewrite_version(path: &Path, version: u32) {
+    let mut raw = std::fs::read(path).expect("read image");
+    raw[8..12].copy_from_slice(&version.to_le_bytes());
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &raw[..56] {
+        sum ^= u64::from(b);
+        sum = sum.wrapping_mul(0x100_0000_01b3);
+    }
+    raw[56..64].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, raw).expect("write image");
+}
+
+#[test]
+fn version_one_images_are_refused_typed_by_open_and_reload() {
+    let (reference, reads) = workload(6);
+    let config = CasaConfig::paper(PART_LEN, READ_LEN);
+    let dir = scratch_dir("v1");
+    let current = dir.join("v2.casaimg");
+    let old = dir.join("v1.casaimg");
+    let index = build_image(&reference, config, &current);
+    build_index_image(&reference, config, &old).expect("image builds");
+    rewrite_version(&old, 1);
+
+    for (name, opened) in [
+        ("open", LoadedIndex::open(&old)),
+        ("open_fast", LoadedIndex::open_fast(&old)),
+    ] {
+        let err = opened.expect_err("a version-1 image must not open");
+        assert!(
+            matches!(err, IndexImageError::Image(ImageError::BadVersion(1))),
+            "{name}: {err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("unsupported index image version 1"),
+            "{name}: {err}"
+        );
+    }
+
+    // A live server refuses the old image and keeps serving generation 1.
+    let expected = expected_tsv(&index, &reads);
+    let seeder = Seeder::from_image_with(&index, 1, FaultPlan::default(), BackendKind::Cam)
+        .expect("mapped seeder");
+    let server = Server::start_with_index(
+        seeder,
+        ServeConfig::default(),
+        IndexProvenance::mapped(index.fingerprint(), current.clone()),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+    let resp = request(
+        addr,
+        "POST",
+        "/admin/reload",
+        &[],
+        old.display().to_string().as_bytes(),
+    )
+    .expect("reload reachable");
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    assert_eq!(resp.status, 400, "{text}");
+    assert!(text.contains("unsupported index image version 1"), "{text}");
+    let handle = server.handle();
+    assert_eq!(handle.reloads(), 0, "a refused reload must not swap");
+    assert_eq!(handle.generation_label(), "gen-1");
+    let body: String = reads.iter().map(|r| format!("{r}\n")).collect();
+    let resp = request(addr, "POST", "/seed", &[], body.as_bytes()).expect("seed reachable");
+    assert_eq!(resp.status, 200);
+    assert_eq!(String::from_utf8(resp.body).unwrap(), expected);
     assert!(server.shutdown().clean(), "drain must be clean");
     let _ = std::fs::remove_dir_all(&dir);
 }
