@@ -397,79 +397,13 @@ fn stream_err(e: StreamError) -> CliError {
     }
 }
 
-/// The fault plan implied by `--fault-spec` / `--max-retries`, if any.
-fn resolve_plan(options: &Options) -> Option<FaultPlan> {
-    match (options.fault_spec, options.max_retries) {
-        (None, None) => None,
-        (spec, retries) => {
-            let mut plan = spec.unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-            if let Some(retries) = retries {
-                plan.max_retries = retries;
-            }
-            Some(plan)
-        }
-    }
-}
-
-/// Builds the seeding session from the CLI's fault and thread options,
-/// preserving the pre-streaming semantics: an explicit plan always wins,
-/// otherwise the environment plan is armed, and the worker count defaults
-/// to the available parallelism.
-fn build_session(
-    options: &Options,
-    reference: &PackedSeq,
-    config: CasaConfig,
-) -> Result<SeedingSession, CliError> {
-    let workers = options
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let session = match (options.backend, resolve_plan(options)) {
-        // An explicit --backend wins over CASA_BACKEND; the fault plan
-        // still defaults to the environment plan, as in the other arms.
-        (Some(kind), plan) => {
-            let plan = plan.unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-            SeedingSession::with_backend(reference, config, workers, plan, kind)?
-        }
-        (None, Some(plan)) => SeedingSession::with_fault_plan(reference, config, workers, plan)?,
-        (None, None) => SeedingSession::new(reference, config, workers)?,
-    };
-    if let Some(backend) = options.kernel {
-        session.set_kernel_backend(backend);
-    }
-    Ok(session)
-}
-
-/// Builds the session from a mapped index image: the embedded config is
-/// authoritative, the CAM backend borrows its tables from the mapping,
-/// and the backend / fault-plan / kernel knobs resolve exactly as in
-/// [`build_session`].
-fn build_session_from_image(
-    options: &Options,
-    index: &LoadedIndex,
-) -> Result<SeedingSession, CliError> {
-    let workers = options
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let backend = match options.backend {
-        Some(kind) => kind,
-        None => BackendKind::from_env()
-            .map_err(casa_core::ConfigError::from)?
-            .unwrap_or(BackendKind::Cam),
-    };
-    let plan = resolve_plan(options).unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-    let session = SeedingSession::from_image(index, workers, plan, backend)?;
-    if let Some(kernel) = options.kernel {
-        session.set_kernel_backend(kernel);
-    }
-    Ok(session)
-}
-
 /// Builds the seeding session either from the reference (index tables
 /// constructed in place) or zero-copy from a mapped `--index-image`,
 /// reporting which path ran and how long the index took to become ready
 /// to seed — the number the run summary and `CASA_LOG` surface as the
-/// build-vs-load line (satellite of the index-image work: the whole point
-/// of the image is collapsing this number).
+/// build-vs-load line (the whole point of the image is collapsing this
+/// number). Unset `--backend`, `--fault-spec` and `--threads` take their
+/// environment defaults; `--max-retries` and `--kernel` apply on top.
 fn prepare_session(
     options: &Options,
     image: Option<&LoadedIndex>,
@@ -477,33 +411,44 @@ fn prepare_session(
     read_len: usize,
 ) -> Result<(SeedingSession, &'static str, u64), CliError> {
     let start = std::time::Instant::now();
-    match image {
-        Some(index) => {
-            let session = build_session_from_image(options, index)?;
-            // The mmap + verify happened in run_with_cancel; fold it in
-            // so "load time" covers open-to-ready, not just wiring.
-            let micros = (start.elapsed() + index.elapsed()).as_micros() as u64;
-            casa_core::log_info!(
-                "index mapped from {} in {:.1} ms (fingerprint {:016x}, {} partitions)",
-                index.path().display(),
-                micros as f64 / 1e3,
-                index.fingerprint(),
-                session.partition_count()
-            );
-            Ok((session, "mapped", micros))
-        }
+    let (backend, mut plan, workers) =
+        crate::seeder::env_defaults(options.backend, options.fault_spec, options.threads)?;
+    if let Some(retries) = options.max_retries {
+        plan.max_retries = retries;
+    }
+    let session = match image {
+        // The embedded config is authoritative; the CAM backend borrows
+        // its tables from the mapping.
+        Some(index) => SeedingSession::from_image(index, workers, plan, backend)?,
         None => {
             let config = build_config(options, reference, read_len)?;
-            let session = build_session(options, reference, config)?;
-            let micros = start.elapsed().as_micros() as u64;
-            casa_core::log_info!(
-                "index built in {:.1} ms ({} partitions)",
-                micros as f64 / 1e3,
-                session.partition_count()
-            );
-            Ok((session, "built", micros))
+            SeedingSession::with_backend(reference, config, workers, plan, backend)?
         }
+    };
+    if let Some(kernel) = options.kernel {
+        session.set_kernel_backend(kernel);
     }
+    let elapsed = start.elapsed();
+    let Some(index) = image else {
+        let micros = elapsed.as_micros() as u64;
+        casa_core::log_info!(
+            "index built in {:.1} ms ({} partitions)",
+            micros as f64 / 1e3,
+            session.partition_count()
+        );
+        return Ok((session, "built", micros));
+    };
+    // The mmap + verify happened in run_with_cancel; fold it in so "load
+    // time" covers open-to-ready, not just wiring.
+    let micros = (elapsed + index.elapsed()).as_micros() as u64;
+    casa_core::log_info!(
+        "index mapped from {} in {:.1} ms (fingerprint {:016x}, {} partitions)",
+        index.path().display(),
+        micros as f64 / 1e3,
+        index.fingerprint(),
+        session.partition_count()
+    );
+    Ok((session, "mapped", micros))
 }
 
 /// Derives the accelerator configuration from the reference and read

@@ -42,8 +42,9 @@
 //! programs (`quickstart`, `resequencing_pipeline`,
 //! `accelerator_design_space`, `seeding_bakeoff`,
 //! `metagenomics_classification`, `variant_calling`), and the
-//! [`cli`] module / `casa-seed`, `casa-index` binaries for command-line
-//! use.
+//! [`cli`] module / `casa-seed` (whose `index build` writes the one
+//! on-disk index, a mapped image) and `casa-serve` binaries for
+//! command-line use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

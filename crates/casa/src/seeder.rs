@@ -29,10 +29,33 @@
 use std::time::Duration;
 
 use casa_core::{
-    BackendKind, CasaConfig, CasaRun, Error, FaultPlan, SeedingSession, StrandedRun, StreamBatch,
-    StreamConfig, StreamError, StreamReport, StreamingSession,
+    BackendKind, CasaConfig, CasaRun, ConfigError, Error, FaultPlan, SeedingSession, StrandedRun,
+    StreamBatch, StreamConfig, StreamError, StreamReport, StreamingSession,
 };
 use casa_genome::PackedSeq;
+
+/// Fills a front end's unset knobs: backend and fault plan from the
+/// environment (`CASA_BACKEND`, `CASA_FAULT_SEED`), else CAM and
+/// fault-free; workers from the available parallelism. Every front end
+/// resolves its knobs here, so an explicit value always wins and a
+/// malformed variable is always a typed error.
+pub(crate) fn env_defaults(
+    backend: Option<BackendKind>,
+    plan: Option<FaultPlan>,
+    workers: Option<usize>,
+) -> Result<(BackendKind, FaultPlan, usize), ConfigError> {
+    let backend = match backend {
+        Some(kind) => kind,
+        None => BackendKind::from_env()?.unwrap_or(BackendKind::Cam),
+    };
+    let plan = match plan {
+        Some(plan) => plan,
+        None => FaultPlan::from_env()?.unwrap_or_default(),
+    };
+    let workers =
+        workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    Ok((backend, plan, workers))
+}
 
 /// Configures and builds a [`Seeder`]. Created by [`Seeder::builder`].
 ///
@@ -130,8 +153,8 @@ impl<'a> SeederBuilder<'a> {
     ///
     /// Any [`Error`] the underlying
     /// [`SeedingSession`] constructors report: an inconsistent config, an
-    /// empty reference, zero workers, a bad fault plan, or an unknown
-    /// `CASA_BACKEND` / `CASA_KERNEL` value.
+    /// empty reference, zero workers, a bad fault plan, or a malformed
+    /// `CASA_BACKEND` / `CASA_FAULT_SEED` / `CASA_KERNEL` value.
     pub fn build(self) -> Result<Seeder, Error> {
         let config = match self.config {
             Some(config) => config,
@@ -145,19 +168,8 @@ impl<'a> SeederBuilder<'a> {
                     .build()?
             }
         };
-        let workers = self
-            .workers
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let session = match (self.backend, self.fault_plan) {
-            (Some(kind), plan) => {
-                let plan = plan.unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-                SeedingSession::with_backend(self.reference, config, workers, plan, kind)?
-            }
-            (None, Some(plan)) => {
-                SeedingSession::with_fault_plan(self.reference, config, workers, plan)?
-            }
-            (None, None) => SeedingSession::new(self.reference, config, workers)?,
-        };
+        let (backend, plan, workers) = env_defaults(self.backend, self.fault_plan, self.workers)?;
+        let session = SeedingSession::with_backend(self.reference, config, workers, plan, backend)?;
         if let Some(kernel) = self.kernel {
             session.set_kernel_backend(kernel);
         }
@@ -210,26 +222,11 @@ impl Seeder {
     }
 
     /// Builds a seeder from a loaded index image (see
-    /// [`casa_core::LoadedIndex`]): the embedded config is used verbatim
-    /// and the CAM backend's reference-side arrays are borrowed from the
-    /// mapping instead of rebuilt, so construction is O(partition
-    /// splitting), not O(index build). Backend and fault plan follow the
-    /// `CASA_BACKEND` / `CASA_FAULT_SEED` environment defaults.
-    ///
-    /// # Errors
-    ///
-    /// As [`SeedingSession::from_image`], plus a typed config error for an
-    /// unrecognised `CASA_BACKEND` value.
-    pub fn from_image(index: &casa_core::LoadedIndex, workers: usize) -> Result<Seeder, Error> {
-        let backend = BackendKind::from_env()
-            .map_err(casa_core::ConfigError::from)?
-            .unwrap_or(BackendKind::Cam);
-        let plan = FaultPlan::from_env().unwrap_or_default();
-        Seeder::from_image_with(index, workers, plan, backend)
-    }
-
-    /// Like [`from_image`](Self::from_image) with the backend and fault
-    /// plan pinned explicitly.
+    /// [`casa_core::LoadedIndex`]) with the backend and fault plan pinned
+    /// explicitly: the embedded config is used verbatim and the CAM
+    /// backend's reference-side arrays are borrowed from the mapping
+    /// instead of rebuilt, so construction is O(partition splitting), not
+    /// O(index build).
     ///
     /// # Errors
     ///

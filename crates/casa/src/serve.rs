@@ -1473,18 +1473,14 @@ impl ServeOptions {
         // it swaps a new artifact into a live server.
         let index = casa_core::LoadedIndex::open_fast(path)
             .map_err(|e| format!("cannot map {}: {e}", path.display()))?;
-        let workers = self
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let plan = match &self.fault_spec {
-            Some(spec) => {
-                casa_core::FaultPlan::parse(spec).map_err(|e| format!("bad --fault-spec: {e}"))?
-            }
-            None => casa_core::FaultPlan::from_env().unwrap_or_default(),
-        };
-        let backend = casa_core::BackendKind::from_env()
-            .map_err(|e| format!("bad CASA_BACKEND: {e}"))?
-            .unwrap_or(casa_core::BackendKind::Cam);
+        let plan = self
+            .fault_spec
+            .as_deref()
+            .map(casa_core::FaultPlan::parse)
+            .transpose()
+            .map_err(|e| format!("bad --fault-spec: {e}"))?;
+        let (backend, plan, workers) = crate::seeder::env_defaults(None, plan, self.threads)
+            .map_err(|e| format!("bad environment: {e}"))?;
         let seeder = Seeder::from_image_with(&index, workers, plan, backend)
             .map_err(|e| format!("cannot serve {}: {e}", path.display()))?
             .with_tile_deadline(self.tile_deadline);

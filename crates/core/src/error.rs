@@ -45,9 +45,10 @@ pub enum ConfigError {
         reason: &'static str,
     },
     /// A fault plan carries an out-of-range value (a rate or fraction
-    /// outside `[0, 1]`, or a non-finite/negative stall duration).
+    /// outside `[0, 1]`, or a non-finite/negative stall duration), or the
+    /// `CASA_FAULT_SEED` environment variable is not a `u64` seed.
     BadFaultPlan {
-        /// The offending field.
+        /// The offending field or environment variable.
         reason: &'static str,
     },
     /// A streaming-runtime configuration violates a structural bound
@@ -92,7 +93,10 @@ impl fmt::Display for ConfigError {
                 write!(f, "invalid filter geometry: {reason}")
             }
             ConfigError::BadFaultPlan { reason } => {
-                write!(f, "invalid fault plan: {reason} is out of range")
+                write!(
+                    f,
+                    "invalid fault plan: {reason} is malformed or out of range"
+                )
             }
             ConfigError::BadStreamConfig { reason } => {
                 write!(f, "invalid stream config: {reason}")

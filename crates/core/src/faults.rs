@@ -44,7 +44,8 @@ const DOMAIN_RETRY_JITTER: u64 = 0x36;
 pub const MAX_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Environment variable that arms a CI-profile fault plan in
-/// [`SeedingSession::new`](crate::SeedingSession::new) (value = seed).
+/// [`SeedingSession::new`](crate::SeedingSession::new) (value = seed; any
+/// other value is a typed config error, see [`FaultPlan::from_env`]).
 pub const FAULT_SEED_ENV: &str = "CASA_FAULT_SEED";
 
 /// A seeded description of which faults to inject and how hard the
@@ -199,9 +200,20 @@ impl FaultPlan {
     /// exercises the recovery paths (panics, stalls, a sampled
     /// cross-check) without silent result corruption, so every fault-free
     /// correctness test still holds bit-identically.
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed = std::env::var(FAULT_SEED_ENV).ok()?.parse().ok()?;
-        Some(FaultPlan::ci_plan(seed))
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadFaultPlan`] naming the variable if it is set but
+    /// is not a `u64` seed: a typo must fail, not run fault-free.
+    pub fn from_env() -> Result<Option<FaultPlan>, ConfigError> {
+        let Some(value) = std::env::var_os(FAULT_SEED_ENV) else {
+            return Ok(None);
+        };
+        let bad = ConfigError::BadFaultPlan {
+            reason: FAULT_SEED_ENV,
+        };
+        let seed = value.to_str().and_then(|v| v.parse().ok()).ok_or(bad)?;
+        Ok(Some(FaultPlan::ci_plan(seed)))
     }
 
     /// The CI fault profile for `seed` (see [`FaultPlan::from_env`]).

@@ -4,7 +4,8 @@
 //! `Seeder` wraps it): it builds one boxed [`SeedingBackend`] per
 //! partition **once** at construction, on up to `workers` threads (the
 //! filter tables, CAM loads, or index builds dominate small-batch runs),
-//! and then schedules partition ×
+//! whether the partitions are built from a reference or mapped from an
+//! index image, and then schedules partition ×
 //! tile jobs across a worker pool for each incoming read batch. The backend — the CASA CAM model, the FM-index golden
 //! model, or the ERT model — is a runtime choice
 //! ([`BackendKind`](crate::BackendKind), selected per process via
@@ -79,7 +80,7 @@ use casa_index::{Smem, SuffixArray};
 
 use crate::backend::{build_backend, BackendKind, SeedingBackend, TileKmerCodes};
 use crate::engine::PartitionEngine;
-use crate::error::{ConfigError, Error};
+use crate::error::Error;
 use crate::faults::{self, FaultPlan, FaultSites, InjectedFault};
 use crate::profile::{Stage, StageTimer};
 use crate::stats::SeedingStats;
@@ -283,7 +284,9 @@ impl SeedingSession {
     /// * [`Error::Config`] if the configuration is inconsistent (including
     ///   a typed
     ///   [`ConfigError::UnknownSeedingBackend`](crate::ConfigError::UnknownSeedingBackend)
-    ///   for an unrecognised `CASA_BACKEND` value);
+    ///   for an unrecognised `CASA_BACKEND` value and a typed
+    ///   [`ConfigError::BadFaultPlan`](crate::ConfigError::BadFaultPlan)
+    ///   for a `CASA_FAULT_SEED` value that is not a `u64` seed);
     /// * [`Error::EmptyReference`] if `reference` has no bases;
     /// * [`Error::ZeroWorkers`] if `workers == 0`.
     pub fn new(
@@ -291,7 +294,7 @@ impl SeedingSession {
         config: CasaConfig,
         workers: usize,
     ) -> Result<SeedingSession, Error> {
-        let plan = FaultPlan::from_env().unwrap_or_default();
+        let plan = FaultPlan::from_env()?.unwrap_or_default();
         SeedingSession::with_fault_plan(reference, config, workers, plan)
     }
 
@@ -336,43 +339,15 @@ impl SeedingSession {
         plan: FaultPlan,
         backend: BackendKind,
     ) -> Result<SeedingSession, Error> {
-        if workers == 0 {
-            return Err(Error::ZeroWorkers);
-        }
-        let plan = plan.validated()?;
-        let config = config.validated()?;
-        let partitions: Vec<Partition> = config.partitioning.split(reference);
-        if partitions.is_empty() {
-            return Err(Error::EmptyReference);
-        }
-        let part_starts = partitions.iter().map(|p| p.start as u32).collect();
-        let mut engines = build_backends(backend, &partitions, config, workers)?;
-        let mut fault_sites = FaultSites::default();
-        for (pi, engine) in engines.iter_mut().enumerate() {
-            let (cam, filter) =
-                engine.inject_faults(&plan.cam_faults_for(pi), &plan.filter_faults_for(pi));
-            fault_sites.cam.push(cam);
-            fault_sites.filter.push(filter);
-        }
-        if plan.tile_panic_rate > 0.0 {
-            faults::silence_injected_panics();
-        }
-        let nparts = partitions.len();
-        Ok(SeedingSession {
+        SeedingSession::assemble(
+            reference,
             config,
-            part_starts: Arc::new(part_starts),
-            parts: Arc::new(partitions),
-            backend,
-            engines: Arc::new(engines.into_iter().map(Mutex::new).collect()),
-            golden: Arc::new((0..nparts).map(|_| OnceLock::new()).collect()),
-            quarantined: Arc::new((0..nparts).map(|_| AtomicBool::new(false)).collect()),
-            plan,
-            fault_sites: Arc::new(fault_sites),
             workers,
-            tile_deadline: None,
-            cancel: None,
-            profiling: Arc::new(AtomicBool::new(false)),
-        })
+            plan,
+            backend,
+            |p| build_backend(backend, &p.seq, config).map_err(Error::Config),
+            |_| None,
+        )
     }
 
     /// Builds a session from a loaded index image instead of from scratch.
@@ -386,7 +361,8 @@ impl SeedingSession {
     /// golden suffix arrays still come from the mapping. Either way the
     /// session is bit-identical to one built with
     /// [`with_backend`](Self::with_backend) from the same reference and
-    /// config.
+    /// config, and is assembled the same way: partitions wired on
+    /// `min(workers, partitions)` threads, faults injected serially.
     ///
     /// Hardware fault injection works unchanged: the shared tables are
     /// copy-on-write, so arming a fault plan detaches the affected arrays
@@ -396,27 +372,53 @@ impl SeedingSession {
     /// # Errors
     ///
     /// As [`with_backend`](Self::with_backend), plus [`Error::Image`] if a
-    /// section the CAM backend needs is missing or shaped wrong.
+    /// section the CAM backend needs is missing or shaped wrong (the
+    /// lowest such partition is named, at any worker count).
     pub fn from_image(
         index: &crate::image::LoadedIndex,
         workers: usize,
         plan: FaultPlan,
         backend: BackendKind,
     ) -> Result<SeedingSession, Error> {
+        let config = *index.config();
+        SeedingSession::assemble(
+            index.reference(),
+            config,
+            workers,
+            plan,
+            backend,
+            |p| index.backend_for_partition(backend, p, config),
+            |p| index.suffix_array_for_partition(p),
+        )
+    }
+
+    /// The one assembly behind [`with_backend`](Self::with_backend) and
+    /// [`from_image`](Self::from_image): validates the inputs, splits
+    /// `reference`, gets each partition's backend from `backend_for` on
+    /// `min(workers, partitions)` threads ([`build_backends`]), injects
+    /// the plan's hardware faults serially, and pre-fills each golden
+    /// suffix-array cell that `golden_for` can supply (the rest are built
+    /// on first fallback).
+    fn assemble(
+        reference: &PackedSeq,
+        config: CasaConfig,
+        workers: usize,
+        plan: FaultPlan,
+        backend: BackendKind,
+        backend_for: impl Fn(&Partition) -> Result<Box<dyn SeedingBackend>, Error> + Sync,
+        golden_for: impl Fn(&Partition) -> Option<SuffixArray>,
+    ) -> Result<SeedingSession, Error> {
         if workers == 0 {
             return Err(Error::ZeroWorkers);
         }
         let plan = plan.validated()?;
-        let config = *index.config();
-        let partitions: Vec<Partition> = config.partitioning.split(index.reference());
+        let config = config.validated()?;
+        let partitions: Vec<Partition> = config.partitioning.split(reference);
         if partitions.is_empty() {
             return Err(Error::EmptyReference);
         }
         let part_starts = partitions.iter().map(|p| p.start as u32).collect();
-        let mut engines = partitions
-            .iter()
-            .map(|p| index.backend_for_partition(backend, p, config))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut engines = build_backends(&partitions, workers, backend_for)?;
         let mut fault_sites = FaultSites::default();
         for (pi, engine) in engines.iter_mut().enumerate() {
             let (cam, filter) =
@@ -427,17 +429,11 @@ impl SeedingSession {
         if plan.tile_panic_rate > 0.0 {
             faults::silence_injected_panics();
         }
-        let nparts = partitions.len();
-        let golden: Vec<OnceLock<SuffixArray>> = partitions
+        let golden = partitions
             .iter()
-            .map(|p| {
-                let cell = OnceLock::new();
-                if let Some(sa) = index.suffix_array_for_partition(p) {
-                    let _ = cell.set(sa);
-                }
-                cell
-            })
+            .map(|p| golden_for(p).map_or_else(OnceLock::new, OnceLock::from))
             .collect();
+        let nparts = partitions.len();
         Ok(SeedingSession {
             config,
             part_starts: Arc::new(part_starts),
@@ -1056,16 +1052,16 @@ impl SeedingSession {
     }
 }
 
-/// Builds one backend per partition on `min(workers, partitions)` scoped
-/// threads, each claiming the next partition index off a shared counter.
-/// Results land by partition index, so the backends — and the first
-/// error, taken in partition order — never depend on scheduling.
+/// Gets one backend per partition from `backend_for` on
+/// `min(workers, partitions)` scoped threads, each claiming the next
+/// partition index off a shared counter. Results land by partition index,
+/// so the backends — and the first error, taken in partition order —
+/// never depend on scheduling.
 fn build_backends(
-    backend: BackendKind,
     partitions: &[Partition],
-    config: CasaConfig,
     workers: usize,
-) -> Result<Vec<Box<dyn SeedingBackend>>, ConfigError> {
+    backend_for: impl Fn(&Partition) -> Result<Box<dyn SeedingBackend>, Error> + Sync,
+) -> Result<Vec<Box<dyn SeedingBackend>>, Error> {
     // The counter only hands out indices; each result reaches this thread
     // through its builder's join, which synchronizes on its own.
     let next = AtomicUsize::new(0);
@@ -1077,7 +1073,7 @@ fn build_backends(
                     loop {
                         let pi = next.fetch_add(1, Ordering::Relaxed);
                         let Some(p) = partitions.get(pi) else { break };
-                        mine.push((pi, build_backend(backend, &p.seq, config)));
+                        mine.push((pi, backend_for(p)));
                     }
                     mine
                 })
@@ -1104,6 +1100,7 @@ fn read_stream_bytes(reads: &[PackedSeq]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ConfigError;
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{ReadSimConfig, ReadSimulator};
 

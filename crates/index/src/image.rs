@@ -3,12 +3,11 @@
 //! the seeding stack needs (packed reference text, per-partition CAM
 //! entry bitplanes, pre-seeding filter tables, suffix arrays).
 //!
-//! This extends [`crate::serial`] (which persists a single suffix array
-//! with eager deserialization) to the full multi-section, mmap-first
-//! design: a loaded [`IndexImage`] keeps the file mapped read-only and
-//! hands out [`SharedSlice`] views directly into the mapping, so cold
-//! start is O(page-fault) instead of O(rebuild) and concurrent processes
-//! share the arrays through the page cache.
+//! This is the repository's one on-disk index, a multi-section,
+//! mmap-first design: a loaded [`IndexImage`] keeps the file mapped
+//! read-only and hands out [`SharedSlice`] views directly into the
+//! mapping, so cold start is O(page-fault) instead of O(rebuild) and
+//! concurrent processes share the arrays through the page cache.
 //!
 //! # Layout (version 2)
 //!
@@ -70,7 +69,7 @@ const ENTRY_LEN: usize = 48;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// FNV-1a over bytes (matches [`crate::serial`]'s checksum primitive).
+/// FNV-1a over bytes.
 fn fnv1a_bytes(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);

@@ -15,7 +15,6 @@
 //!   algorithms (uni-directional, bidirectional, brute force);
 //! * [`SeedPositionTable`] — GenAx's seed & position tables;
 //! * [`ErtIndex`] — enumerated radix trees with DRAM-fetch accounting;
-//! * [`serial`] — versioned, checksummed on-disk index serialization;
 //! * [`image`] — page-aligned multi-section index images with a
 //!   zero-copy mmap loader (reference text, CAM bitplanes, filter
 //!   tables, suffix arrays in one relocatable artifact).
@@ -45,7 +44,6 @@ pub mod image;
 pub mod lcp;
 pub mod sais;
 pub mod seedpos;
-pub mod serial;
 pub mod smem;
 pub mod suffix_array;
 

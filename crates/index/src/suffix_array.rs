@@ -51,24 +51,8 @@ impl SuffixArray {
         }
     }
 
-    /// Reassembles a suffix array from its parts (the deserialization
-    /// path; see [`crate::serial`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sa.len() != text.len()`. Content validity (being the
-    /// sorted suffix order) is the caller's responsibility; the serial
-    /// reader checks it is at least a permutation.
-    pub fn from_parts(text: PackedSeq, sa: Vec<u32>) -> SuffixArray {
-        assert_eq!(sa.len(), text.len(), "suffix array length must match text");
-        SuffixArray {
-            text,
-            sa: sa.into(),
-        }
-    }
-
-    /// Like [`SuffixArray::from_parts`] but over shared (e.g. mmap-backed)
-    /// rank storage — the zero-copy image-loading path.
+    /// Reassembles a suffix array from its text and shared (e.g.
+    /// mmap-backed) rank storage — the zero-copy image-loading path.
     ///
     /// # Panics
     ///

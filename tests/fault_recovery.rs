@@ -6,10 +6,15 @@
 //!   rate plus CAM bit flips, full cross-check — the batch completes
 //!   without aborting, output is bit-identical to the fault-free run, and
 //!   the recovery counters are nonzero;
-//! * the partition backends, built on up to `workers` threads, come out
-//!   the same at every worker count: same fault sites, SMEMs and stats.
+//! * the partition backends, built from the reference or mapped from an
+//!   index image on up to `workers` threads, come out the same at every
+//!   worker count: same fault sites, SMEMs and stats;
+//! * a malformed `CASA_FAULT_SEED` makes `casa-seed` and `casa-serve`
+//!   fail naming the variable, instead of running fault-free.
 
-use casa::core::{BackendKind, CasaConfig, FaultPlan, SeedingSession};
+use casa::core::{
+    build_index_image, BackendKind, CasaConfig, FaultPlan, LoadedIndex, SeedingSession,
+};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use proptest::prelude::*;
@@ -75,10 +80,10 @@ fn same_seed_means_same_faults_and_same_output_across_worker_counts() {
 
 #[test]
 fn parallel_session_build_is_deterministic_under_hardware_faults() {
-    // Eight partitions built on 1, 2 and 8 threads. The CAM and filter
-    // faults are silent (no cross-check), so any difference in the built
-    // tables or in which rows the plan hits shows up in the SMEMs or the
-    // activity counters.
+    // Eight partitions built, or mapped from an image, on 1, 2 and 8
+    // threads. The CAM and filter faults are silent (no cross-check), so
+    // any difference in the wired tables or in which rows the plan hits
+    // shows up in the SMEMs or the activity counters.
     let (reference, reads, _) = workload();
     let config = CasaConfig::paper(4_000, 101);
     let plan = FaultPlan {
@@ -108,17 +113,76 @@ fn parallel_session_build_is_deterministic_under_hardware_faults() {
     );
     let expected = serial.seed_reads(&reads);
     assert!(expected.stats.filter.hits > 0 && expected.stats.cam.searches > 0);
-    for workers in [2usize, 8] {
-        let session = build(workers);
-        assert_eq!(
-            session.fault_sites(),
-            sites,
-            "{workers} workers: fault sites"
-        );
+    // The mapped legs: the same partitions wired from an image of the
+    // same reference and config go through the same assembly.
+    let dir = std::env::temp_dir().join(format!("casa_fault_recovery_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("ref.casaimg");
+    build_index_image(&reference, config, &path).expect("image builds");
+    let index = LoadedIndex::open(&path).expect("image maps back");
+    let built = [2usize, 8].map(|workers| (format!("built, {workers} workers"), build(workers)));
+    let mapped = [1usize, 2, 8].map(|workers| {
+        let session = SeedingSession::from_image(&index, workers, plan, BackendKind::Cam)
+            .expect("mapped session");
+        (format!("mapped, {workers} workers"), session)
+    });
+    for (leg, session) in built.iter().chain(&mapped) {
+        assert_eq!(session.fault_sites(), sites, "{leg}: fault sites");
         let run = session.seed_reads(&reads);
-        assert_eq!(run.smems, expected.smems, "{workers} workers: SMEMs");
-        assert_eq!(run.stats, expected.stats, "{workers} workers: stats");
+        assert_eq!(run.smems, expected.smems, "{leg}: SMEMs");
+        assert_eq!(run.stats, expected.stats, "{leg}: stats");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_fault_seed_fails_both_binaries_naming_the_variable() {
+    let dir = std::env::temp_dir().join(format!("casa_bad_fault_seed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let reference = generate_reference(&ReferenceProfile::human_like(), 6_000, 3);
+    let (fasta, fastq, image) = (
+        dir.join("ref.fa"),
+        dir.join("reads.fq"),
+        dir.join("ref.img"),
+    );
+    std::fs::write(&fasta, format!(">chr1\n{reference}\n")).expect("write FASTA");
+    let read = format!("{}", reference.subseq(1_000, 101));
+    std::fs::write(&fastq, format!("@r0\n{read}\n+\n{}\n", "I".repeat(101))).expect("write FASTQ");
+    build_index_image(&reference, CasaConfig::paper(3_000, 101), &image).expect("image builds");
+    let [fasta, fastq, image] = [&fasta, &fastq, &image].map(|p| p.to_str().unwrap());
+    // casa-serve is pointed at a port this test holds, so a daemon that
+    // wrongly starts fails to bind and exits instead of serving forever.
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a port");
+    let addr = held.local_addr().expect("bound address").to_string();
+    let (seed, serve) = (
+        env!("CARGO_BIN_EXE_casa-seed"),
+        env!("CARGO_BIN_EXE_casa-serve"),
+    );
+    let seed_reads = ["--reference", fasta, "--reads", fastq];
+    let runs = [
+        (seed, [&seed_reads[..], &["--partition", "3000"]].concat()),
+        (seed, [&seed_reads[..], &["--index-image", image]].concat()),
+        (serve, vec!["--addr", &addr, "--reference", fasta]),
+        (serve, vec!["--addr", &addr, "--index-image", image]),
+    ];
+    for (binary, args) in runs {
+        // Set on the child only: the tests share this process's environment.
+        let out = std::process::Command::new(binary)
+            .args(&args)
+            .env("CASA_FAULT_SEED", "not-a-seed")
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{binary} {args:?} must fail: {stderr}"
+        );
+        assert!(
+            stderr.contains("CASA_FAULT_SEED"),
+            "{binary} {args:?} must name the variable: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

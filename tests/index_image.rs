@@ -3,10 +3,12 @@
 //! startup path), and prove the mapped index is bit-identical to a
 //! freshly built one across every backend, kernel, and worker count;
 //! fuzz the on-disk format with truncations and bit flips (typed errors,
-//! never a panic); and hot-swap the image under a live `casa-serve` with
-//! concurrent clients in flight — zero dropped or erroring requests; and
-//! refuse a version-1 image (separate tag and data arrays) with a typed
-//! error from both opens and from `/admin/reload`.
+//! never a panic); refuse an image missing partitions' CAM planes with a
+//! typed error naming the lowest such partition at every worker count;
+//! hot-swap the image under a live `casa-serve` with concurrent clients
+//! in flight — zero dropped or erroring requests; and refuse a version-1
+//! image (separate tag and data arrays) with a typed error from both
+//! opens and from `/admin/reload`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -14,14 +16,14 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use casa::core::{
-    build_index_image, BackendKind, CasaConfig, FaultPlan, IndexImageError, KernelBackend,
+    build_index_image, BackendKind, CasaConfig, Error, FaultPlan, IndexImageError, KernelBackend,
     LoadedIndex, SeedingSession,
 };
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use casa::serve::{IndexProvenance, ServeConfig, Server};
 use casa::Seeder;
-use casa_index::image::ImageError;
+use casa_index::image::{ImageBuilder, ImageError, IndexImage, SectionKind};
 use casa_index::Smem;
 
 const REF_LEN: usize = 24_000;
@@ -93,6 +95,40 @@ fn mapped_index_is_bit_identical_across_backends_kernels_and_workers() {
                     );
                 }
             }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn image_missing_cam_planes_fails_typed_naming_the_lowest_partition() {
+    let (reference, _) = workload(0);
+    let config = CasaConfig::small(3_000);
+    let dir = scratch_dir("holes");
+    let full = dir.join("full.casaimg");
+    build_index_image(&reference, config, &full).expect("image builds");
+    // Copy every section except the CAM planes of partitions 3 and 5.
+    let image = IndexImage::open(&full).expect("image maps back");
+    assert!(image.partitions() >= 6, "workload must span 6 partitions");
+    let mut builder = ImageBuilder::new(image.config_bytes());
+    for section in image.sections() {
+        let kind = SectionKind::from_code(section.kind).expect("known section kind");
+        if kind == SectionKind::CamPlanes && [3, 5].contains(&section.partition) {
+            continue;
+        }
+        let bytes = image.section_bytes(section);
+        builder.add_bytes(kind, section.partition, bytes, section.elem_count);
+    }
+    let holes = dir.join("holes.casaimg");
+    builder.write_file(&holes).expect("write image with holes");
+    let index = LoadedIndex::open(&holes).expect("image with holes maps back");
+    for workers in [1, 2, 8] {
+        match SeedingSession::from_image(&index, workers, FaultPlan::default(), BackendKind::Cam) {
+            Err(Error::Image { what }) => assert!(
+                what.contains("partition 3") && what.contains("CAM planes"),
+                "workers={workers}: error must name partition 3's CAM planes: {what}"
+            ),
+            other => panic!("workers={workers}: expected Error::Image, got {other:?}"),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
