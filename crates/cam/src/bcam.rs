@@ -11,13 +11,26 @@
 //! Searches are evaluated by a **bit-parallel kernel**: construction
 //! precomputes, for every (column, base) pair, a bitset over the entries
 //! storing that base at that column, and a search ANDs the driven columns'
-//! planes with the enabled mask 64 entries per `u64` word — the software
-//! analogue of the hardware's parallel match lines. Every search is one
-//! fused column walk ([`KernelOps::match_cols`]) over the nonzero span of
-//! the enabled words, followed by one fault-aware hit extraction. The
-//! original entry-at-a-time walk is kept as [`Bcam::search_scalar`], the
-//! verification oracle; both produce identical hits and identical
-//! [`CamStats`].
+//! planes with its candidate entries 64 entries per `u64` word — the
+//! software analogue of the hardware's parallel match lines. Candidates
+//! come in two forms, each with one search:
+//!
+//! * an **enable mask** ([`EntryMask`]), for searches that power whole
+//!   groups. [`Bcam::load_mask`] clips it to the entries and books its
+//!   rows, arrays and nonzero word span once; each
+//!   [`Bcam::search_loaded_into`] over it is one fused column walk
+//!   ([`KernelOps::match_cols`]) across that span.
+//!   [`Bcam::search_into`] and [`Bcam::search_batch_into`] load and search
+//!   in one call.
+//! * a **sorted entry list**, for searches that power a few chosen rows —
+//!   the successors of the last hits under DFF-based selective enabling
+//!   (paper §4.1). [`Bcam::search_list_into`] touches only the words
+//!   holding a candidate, so it costs what its candidates cost.
+//!
+//! Both end in the same fault-aware hit extraction. The original
+//! entry-at-a-time walk is kept as [`Bcam::search_scalar`], the
+//! verification oracle; every search produces the hits and [`CamStats`]
+//! it would over the equivalent mask.
 
 use casa_genome::mix::{coin, site_hash};
 use casa_genome::shared::{SharedSlice, SliceStore};
@@ -179,24 +192,6 @@ fn word_span(words: &[u64]) -> (usize, usize) {
     }
 }
 
-/// Distinct 256-row arrays holding a nonzero candidate word. The ascending
-/// word scan counts each array at most once, matching the scalar walk's
-/// per-entry accounting exactly (words never straddle arrays).
-fn arrays_of(cand: &[u64]) -> u64 {
-    let mut count = 0u64;
-    let mut last_array = usize::MAX;
-    for (w, &cw) in cand.iter().enumerate() {
-        if cw != 0 {
-            let array = w / WORDS_PER_ARRAY;
-            if array != last_array {
-                count += 1;
-                last_array = array;
-            }
-        }
-    }
-    count
-}
-
 /// Appends the entry index of every set bit of match-line word `w`,
 /// ascending.
 #[inline]
@@ -296,8 +291,9 @@ pub struct Bcam {
     /// Word-level kernel function table (process default unless overridden
     /// through [`Bcam::set_kernel_backend`]).
     ops: &'static KernelOps,
-    /// Search scratch: candidate (enabled ∩ in-range) words.
-    cand: Vec<u64>,
+    /// Search scratch: the mask loaded by [`Bcam::search_into`] and
+    /// [`Bcam::search_batch_into`].
+    loaded: LoadedMask,
     /// Search scratch: surviving match-line words.
     matchline: Vec<u64>,
     /// Whether any stuck-at fault site exists. When false, hit extraction
@@ -306,10 +302,18 @@ pub struct Bcam {
     has_stuck: bool,
 }
 
-/// The enabled words of one search, clipped to the entry range and loaded
-/// into `Bcam::cand`, with the activity each search over them books.
-#[derive(Clone, Copy, Debug)]
-struct Candidates {
+/// An enable mask loaded for searching: its words clipped to one CAM's
+/// entry range, with the activity every search over them books. Built by
+/// [`Bcam::load_mask`] and consumed by [`Bcam::search_loaded_into`], so a
+/// mask shared by many searches is clipped, counted and scanned once.
+///
+/// The buffer is reusable: loading again overwrites it in place.
+#[derive(Clone, Debug, Default)]
+pub struct LoadedMask {
+    /// Candidate (enabled ∩ in-range) words.
+    words: Vec<u64>,
+    /// Entry count of the CAM this mask was loaded for.
+    entries: usize,
     /// Enabled rows (the mask's full popcount, in range or not).
     rows: u64,
     /// Distinct 256-row arrays holding a candidate.
@@ -337,7 +341,7 @@ impl Bcam {
             planes: Vec::new().into(),
             ewords,
             ops: kernel::default_backend().ops(),
-            cand: Vec::new(),
+            loaded: LoadedMask::default(),
             matchline: Vec::new(),
             has_stuck: false,
         };
@@ -373,7 +377,7 @@ impl Bcam {
             planes: planes.into(),
             ewords,
             ops: kernel::default_backend().ops(),
-            cand: Vec::new(),
+            loaded: LoadedMask::default(),
             matchline: Vec::new(),
             has_stuck: false,
         })
@@ -510,20 +514,20 @@ impl Bcam {
     /// [`Bcam::search`] into a caller-provided hit buffer (cleared first) —
     /// the allocation-free form for hot loops.
     pub fn search_into(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
-        let cand = self.load_candidates(enabled);
-        self.evaluate(query, cand, hits);
+        let mut loaded = std::mem::take(&mut self.loaded);
+        self.load_mask(enabled, &mut loaded);
+        self.search_loaded_into(query, &loaded, hits);
+        self.loaded = loaded;
     }
 
     /// Searches `queries` against a shared enable mask. `hits` is resized
     /// to `queries.len()`; hits and [`CamStats`] are bit-identical to
     /// calling [`Bcam::search_into`] once per query in order.
     ///
-    /// Because every query shares one mask, the mask-dependent per-query
-    /// work — clipping the candidate words, counting enabled rows and
-    /// activated arrays, finding the nonzero word span — is hoisted out
-    /// of the loop and done once for the whole call; each query then books
-    /// the identical counter increments, so the integer sums (and
-    /// therefore [`CamStats`]) are unchanged.
+    /// The mask is loaded once for the whole call (see
+    /// [`Bcam::load_mask`]); each query then books the identical counter
+    /// increments, so the integer sums (and therefore [`CamStats`]) are
+    /// unchanged.
     pub fn search_batch_into(
         &mut self,
         queries: &[CamQuery],
@@ -531,53 +535,75 @@ impl Bcam {
         hits: &mut Vec<Vec<u32>>,
     ) {
         hits.resize_with(queries.len(), Vec::new);
-        let cand = self.load_candidates(enabled);
+        let mut loaded = std::mem::take(&mut self.loaded);
+        self.load_mask(enabled, &mut loaded);
         for (q, out) in queries.iter().zip(hits.iter_mut()) {
-            self.evaluate(q, cand, out);
+            self.search_loaded_into(q, &loaded, out);
         }
+        self.loaded = loaded;
     }
 
-    /// Loads the candidates of a search: the enabled words clipped to the
-    /// entry range. A mask may be shorter or longer than the entry count;
-    /// out-of-range enabled bits cost `rows_enabled` but never participate.
-    fn load_candidates(&mut self, enabled: &EntryMask) -> Candidates {
+    /// Loads `enabled` into `out` for [`Bcam::search_loaded_into`]: the
+    /// enabled words clipped to the entry range, the enabled-row count,
+    /// the activated arrays and the nonzero word span — the mask-dependent
+    /// work of a search, done once however many searches share the mask.
+    /// A mask may be shorter or longer than the entry count; out-of-range
+    /// enabled bits cost `rows_enabled` but never participate.
+    pub fn load_mask(&self, enabled: &EntryMask, out: &mut LoadedMask) {
         let entries = self.entries();
         let mwords = enabled.words();
         let n = self.ewords.min(mwords.len());
-        self.cand.clear();
-        self.cand.extend_from_slice(&mwords[..n]);
+        out.words.clear();
+        out.words.extend_from_slice(&mwords[..n]);
         if n * 64 > entries {
             let tail = entries - (n - 1) * 64;
-            self.cand[n - 1] &= (1u64 << tail) - 1;
+            out.words[n - 1] &= (1u64 << tail) - 1;
         }
-        // The column walk writes every match-line word it later reads, so
-        // the scratch only needs to be long enough.
-        if self.matchline.len() < n {
-            self.matchline.resize(n, 0);
-        }
-        let (lo, hi) = word_span(&self.cand);
-        Candidates {
-            rows: enabled.count() as u64,
-            // Peripheral activation: one per distinct 256-row array
-            // holding a candidate (see [`arrays_of`]).
-            arrays: arrays_of(&self.cand),
-            lo,
-            hi,
-        }
+        (out.lo, out.hi) = word_span(&out.words);
+        out.entries = entries;
+        out.rows = enabled.count() as u64;
+        // Peripheral activation: one per 256-row array holding a
+        // candidate. Words never straddle arrays, so each aligned chunk
+        // of words is one array.
+        out.arrays = out
+            .words
+            .chunks(WORDS_PER_ARRAY)
+            .filter(|array| array.iter().any(|&w| w != 0))
+            .count() as u64;
     }
 
-    /// Evaluates one query over loaded candidates and writes its hits into
-    /// `hits` (cleared first), booking one search. One fused kernel call
-    /// runs the whole column walk — ml = cand AND every driven plane, with
-    /// the early exit on a dead line — inside the nonzero candidate span;
+    /// [`Bcam::search_into`] over a mask already loaded by
+    /// [`Bcam::load_mask`]: hits and [`CamStats`] are identical to
+    /// searching the mask itself. One fused kernel call runs the whole
+    /// column walk — ml = candidates AND every driven plane, with the
+    /// early exit on a dead line — inside the nonzero candidate span;
     /// shifting the plane base by `lo` keeps each plane row's window
     /// aligned with the clipped slices.
-    fn evaluate(&mut self, query: &CamQuery, cand: Candidates, hits: &mut Vec<u32>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loaded` was loaded by a CAM with a different entry count.
+    pub fn search_loaded_into(
+        &mut self,
+        query: &CamQuery,
+        loaded: &LoadedMask,
+        hits: &mut Vec<u32>,
+    ) {
+        assert_eq!(
+            loaded.entries,
+            self.entries(),
+            "mask loaded for a CAM of another size"
+        );
         self.stats.searches += 1;
-        self.stats.rows_enabled += cand.rows;
-        self.stats.arrays_activated += cand.arrays;
+        self.stats.rows_enabled += loaded.rows;
+        self.stats.arrays_activated += loaded.arrays;
         hits.clear();
-        let (lo, hi) = (cand.lo, cand.hi);
+        let (lo, hi) = (loaded.lo, loaded.hi);
+        // The column walk writes every match-line word it later reads, so
+        // the scratch only needs to be long enough.
+        if self.matchline.len() < hi {
+            self.matchline.resize(hi, 0);
+        }
         let ml = &mut self.matchline[lo..hi];
         // A query wider than an entry matches nothing stored (the scalar
         // oracle bails at column `entry_bases`); its line is dead from the
@@ -585,7 +611,7 @@ impl Bcam {
         let any = if query.len() <= self.entry_bases && lo < hi {
             self.ops.match_cols(
                 ml,
-                &self.cand[lo..hi],
+                &loaded.words[lo..hi],
                 &self.planes[lo..],
                 self.ewords,
                 query.symbols(),
@@ -594,6 +620,7 @@ impl Bcam {
             ml.fill(0);
             0
         };
+        let ml = &self.matchline[lo..hi];
         if !self.has_stuck {
             // Fault-free fast path: the override formula degenerates to
             // `cand & ml`, and ml ⊆ cand by construction, so the
@@ -605,14 +632,75 @@ impl Bcam {
                 }
             }
         } else {
-            // Stuck-at overrides: stuck-zero beats stuck-one beats
-            // mismatch.
             for (w, &mlw) in (lo..hi).zip(ml.iter()) {
-                let word = (self.cand[w] & !self.stuck_zero[w]) & (self.stuck_one[w] | mlw);
-                push_hits(hits, w, word);
+                push_hits(hits, w, self.stuck_override(w, loaded.words[w], mlw));
             }
         }
         self.stats.matches += hits.len() as u64;
+    }
+
+    /// Searches only the entries listed in `candidates` — strictly
+    /// ascending entry indices — as DFF-based selective enabling does for
+    /// the successors of the last hits (paper §4.1). Hits and
+    /// [`CamStats`] are identical to [`Bcam::search_into`] over a mask
+    /// with exactly those bits set, but the work is proportional to the
+    /// candidates, not to the CAM: each word holding a candidate is
+    /// evaluated alone (candidate bits AND each driven column's plane
+    /// word, stopping at a dead line), and no other word is touched.
+    /// Listed entries at or past [`Bcam::entries`] cost `rows_enabled`
+    /// but never participate, as out-of-range mask bits do.
+    pub fn search_list_into(&mut self, query: &CamQuery, candidates: &[u32], hits: &mut Vec<u32>) {
+        debug_assert!(
+            candidates.windows(2).all(|p| p[0] < p[1]),
+            "candidate list must be strictly ascending"
+        );
+        self.stats.searches += 1;
+        self.stats.rows_enabled += candidates.len() as u64;
+        hits.clear();
+        let entries = self.entries() as u32;
+        let in_range = &candidates[..candidates.partition_point(|&e| e < entries)];
+        // See `search_loaded_into`: an over-wide query leaves every line
+        // dead.
+        let fits = query.len() <= self.entry_bases;
+        let mut last_array = usize::MAX;
+        let mut rest = in_range;
+        while let Some(&first) = rest.first() {
+            let w = first as usize / 64;
+            let in_word = rest.partition_point(|&e| e as usize / 64 == w);
+            let cand = rest[..in_word]
+                .iter()
+                .fold(0u64, |acc, &e| acc | 1 << (e % 64));
+            rest = &rest[in_word..];
+            let array = w / WORDS_PER_ARRAY;
+            if array != last_array {
+                self.stats.arrays_activated += 1;
+                last_array = array;
+            }
+            let mut ml = if fits { cand } else { 0 };
+            for (col, sym) in query.symbols().iter().enumerate() {
+                if ml == 0 {
+                    break;
+                }
+                if let Symbol::Base(b) = sym {
+                    ml &= self.planes[(col * 4 + b.code() as usize) * self.ewords + w];
+                }
+            }
+            let word = if self.has_stuck {
+                self.stuck_override(w, cand, ml)
+            } else {
+                ml
+            };
+            push_hits(hits, w, word);
+        }
+        self.stats.matches += hits.len() as u64;
+    }
+
+    /// Applies the stuck-at match lines of word `w` to the match-line word
+    /// `ml` over the candidate word `cand`: stuck-zero beats stuck-one
+    /// beats mismatch.
+    #[inline]
+    fn stuck_override(&self, w: usize, cand: u64, ml: u64) -> u64 {
+        (cand & !self.stuck_zero[w]) & (self.stuck_one[w] | ml)
     }
 
     /// [`Bcam::search`] through the scalar entry-at-a-time walk — the

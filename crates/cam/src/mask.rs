@@ -84,18 +84,6 @@ impl EntryMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Sets all bits in `range` (clamped to the mask length).
-    pub fn set_range(&mut self, range: std::ops::Range<usize>) {
-        for i in range.start..range.end.min(self.len) {
-            self.set(i);
-        }
-    }
-
     /// Iterates over set bit indices in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
@@ -132,19 +120,6 @@ impl EntryMask {
     /// directly.
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Iterates over the backing words (see [`EntryMask::words`]).
-    pub fn iter_words(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().copied()
-    }
-
-    /// Becomes a copy of `other` (length and bits), reusing this mask's
-    /// word allocation when it is large enough.
-    pub fn copy_from(&mut self, other: &EntryMask) {
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-        self.len = other.len;
     }
 
     /// Resets to an all-zero mask over `len` entries, reusing the word
@@ -200,13 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn set_range_clamps() {
-        let mut m = EntryMask::new(10);
-        m.set_range(7..20);
-        assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![7, 8, 9]);
-    }
-
-    #[test]
     fn union_merges() {
         let mut a = EntryMask::new(70);
         a.set(1);
@@ -229,20 +197,16 @@ mod tests {
         m.set(64);
         m.set(129);
         assert_eq!(m.words(), &[1, 1, 2]);
-        assert_eq!(m.iter_words().collect::<Vec<_>>(), vec![1, 1, 2]);
         // `all` leaves no stray bits above `len` in the last word.
         let a = EntryMask::all(70);
         assert_eq!(a.words(), &[u64::MAX, (1 << 6) - 1]);
     }
 
     #[test]
-    fn copy_from_and_reset_reuse_allocations() {
-        let mut src = EntryMask::new(130);
-        src.set(5);
-        src.set(129);
-        let mut dst = EntryMask::new(64);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
+    fn reset_reuses_allocations() {
+        let mut dst = EntryMask::new(130);
+        dst.set(5);
+        dst.set(129);
         dst.reset(10);
         assert_eq!(dst, EntryMask::new(10));
         dst.reset(200);

@@ -3,9 +3,11 @@
 //! over random CAMs, padded/wildcard queries, partial masks (shorter,
 //! equal, and longer than the entry count), and injected faults — for
 //! every supported word-kernel backend (scalar `u64`, `u64x4`, AVX2), both
-//! per query and through the shared-mask batch entry point.
+//! per query and through the shared-mask batch entry point — and the
+//! sorted-list search against the same oracle run over the equivalent
+//! mask.
 
-use casa_cam::{Bcam, CamFaultModel, CamQuery, EntryMask, KernelBackend, Symbol};
+use casa_cam::{Bcam, CamFaultModel, CamQuery, EntryMask, KernelBackend, Symbol, ROWS_PER_ARRAY};
 use casa_genome::{Base, PackedSeq};
 use proptest::prelude::*;
 
@@ -144,6 +146,110 @@ proptest! {
             cam.set_kernel_backend(backend);
             cam.search_batch_into(&queries, &mask, &mut hits);
             prop_assert_eq!(&hits, &expected, "{}", backend);
+            prop_assert_eq!(cam.stats(), scalar.stats(), "{}", backend);
+        }
+    }
+}
+
+/// The candidate list of one list search: `picks` folded into range, a
+/// run of consecutive entries straddling the 256-row array boundary
+/// `boundary` selects, the final (possibly short) entry when `tail` is
+/// set, and `overrun` entries past the end — sorted and deduplicated.
+fn candidate_list(
+    entries: usize,
+    picks: &[usize],
+    (boundary, run): (usize, usize),
+    tail: bool,
+    overrun: usize,
+) -> Vec<u32> {
+    let mut list: Vec<usize> = Vec::new();
+    if entries > 0 {
+        list.extend(picks.iter().map(|&p| p % entries));
+        let at = boundary % (entries / ROWS_PER_ARRAY + 1) * ROWS_PER_ARRAY;
+        list.extend((at.saturating_sub(run)..at + run).filter(|&e| e < entries));
+        if tail {
+            list.push(entries - 1);
+        }
+    }
+    list.extend(entries..entries + overrun);
+    list.sort_unstable();
+    list.dedup();
+    list.into_iter().map(|e| e as u32).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn list_search_equals_scalar_oracle_over_the_same_mask(
+        (seq_codes, entry_bases, fault) in (
+            prop::collection::vec(0u8..4, 0..2400),
+            // Half the CAMs get short entries, so a few thousand bases
+            // span several 256-row arrays.
+            (0u8..2, 1usize..70).prop_map(|(short, b)| if short == 0 { b % 8 + 1 } else { b }),
+            (0u64..1000, 0u8..4),
+        ),
+        (queries, picks, boundary, tail, overrun) in (
+            prop::collection::vec((prop::collection::vec(0u8..5, 0..80), 0usize..4), 1..5),
+            prop::collection::vec(0usize..1_000_000, 0..40),
+            (0usize..8, 0usize..70),
+            0u8..2,
+            0usize..3,
+        )
+    ) {
+        let seq = packed(&seq_codes);
+        let mut base = Bcam::new(&seq, entry_bases);
+        let (seed, kind) = fault;
+        let model = match kind {
+            0 => None,
+            1 => Some(CamFaultModel { seed, stuck_rate: 0.15, flip_rate: 0.0 }),
+            2 => Some(CamFaultModel { seed, stuck_rate: 0.0, flip_rate: 0.03 }),
+            _ => Some(CamFaultModel { seed, stuck_rate: 0.08, flip_rate: 0.03 }),
+        };
+        if let Some(m) = &model {
+            base.inject_faults(m);
+        }
+        let entries = base.entries();
+        let list = candidate_list(entries, &picks, boundary, tail == 1, overrun);
+        let mut lists = vec![list, Vec::new()];
+        if entries > 0 {
+            lists.push(vec![entries as u32 - 1]);
+        }
+        let masks: Vec<EntryMask> = lists
+            .iter()
+            .map(|l| {
+                let mut mask = EntryMask::new(entries + overrun);
+                l.iter().for_each(|&e| mask.set(e as usize));
+                mask
+            })
+            .collect();
+        // Random queries plus the two edge widths: empty (matches every
+        // candidate) and one column wider than an entry (matches nothing
+        // but stuck-one lines).
+        let mut queries: Vec<CamQuery> = queries.iter().map(|(c, p)| query(c, *p)).collect();
+        queries.push(CamQuery::new(Vec::new()));
+        queries.push(query(&vec![4; entry_bases + 1], 0));
+
+        let mut scalar = base.clone();
+        let mut expected: Vec<Vec<u32>> = Vec::new();
+        for q in &queries {
+            for mask in &masks {
+                expected.push(scalar.search_scalar(q, mask));
+            }
+        }
+
+        let mut hits = Vec::new();
+        for backend in KernelBackend::supported() {
+            let mut cam = base.clone();
+            cam.set_kernel_backend(backend);
+            let mut at = 0;
+            for q in &queries {
+                for list in &lists {
+                    cam.search_list_into(q, list, &mut hits);
+                    prop_assert_eq!(&hits, &expected[at], "{}", backend);
+                    at += 1;
+                }
+            }
             prop_assert_eq!(cam.stats(), scalar.stats(), "{}", backend);
         }
     }

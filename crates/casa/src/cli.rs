@@ -412,7 +412,7 @@ fn prepare_session(
 ) -> Result<(SeedingSession, &'static str, u64), CliError> {
     let start = std::time::Instant::now();
     let (backend, mut plan, workers) =
-        crate::seeder::env_defaults(options.backend, options.fault_spec, options.threads)?;
+        casa_core::env_defaults(options.backend, options.fault_spec, options.threads)?;
     if let Some(retries) = options.max_retries {
         plan.max_retries = retries;
     }

@@ -29,33 +29,10 @@
 use std::time::Duration;
 
 use casa_core::{
-    BackendKind, CasaConfig, CasaRun, ConfigError, Error, FaultPlan, SeedingSession, StrandedRun,
+    env_defaults, BackendKind, CasaConfig, CasaRun, Error, FaultPlan, SeedingSession, StrandedRun,
     StreamBatch, StreamConfig, StreamError, StreamReport, StreamingSession,
 };
 use casa_genome::PackedSeq;
-
-/// Fills a front end's unset knobs: backend and fault plan from the
-/// environment (`CASA_BACKEND`, `CASA_FAULT_SEED`), else CAM and
-/// fault-free; workers from the available parallelism. Every front end
-/// resolves its knobs here, so an explicit value always wins and a
-/// malformed variable is always a typed error.
-pub(crate) fn env_defaults(
-    backend: Option<BackendKind>,
-    plan: Option<FaultPlan>,
-    workers: Option<usize>,
-) -> Result<(BackendKind, FaultPlan, usize), ConfigError> {
-    let backend = match backend {
-        Some(kind) => kind,
-        None => BackendKind::from_env()?.unwrap_or(BackendKind::Cam),
-    };
-    let plan = match plan {
-        Some(plan) => plan,
-        None => FaultPlan::from_env()?.unwrap_or_default(),
-    };
-    let workers =
-        workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    Ok((backend, plan, workers))
-}
 
 /// Configures and builds a [`Seeder`]. Created by [`Seeder::builder`].
 ///

@@ -1479,7 +1479,7 @@ impl ServeOptions {
             .map(casa_core::FaultPlan::parse)
             .transpose()
             .map_err(|e| format!("bad --fault-spec: {e}"))?;
-        let (backend, plan, workers) = crate::seeder::env_defaults(None, plan, self.threads)
+        let (backend, plan, workers) = casa_core::env_defaults(None, plan, self.threads)
             .map_err(|e| format!("bad environment: {e}"))?;
         let seeder = Seeder::from_image_with(&index, workers, plan, backend)
             .map_err(|e| format!("cannot serve {}: {e}", path.display()))?

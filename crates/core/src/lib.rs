@@ -72,7 +72,7 @@ pub use pipeline_sim::{simulate as simulate_pipeline, PipelineSimResult, ReadWor
 pub use profile::{Stage, StageProfile, StageTimer};
 pub use rmem::{CamSearcher, RmemResult};
 pub use serve::{Admitted, FairQueue, LatencyHistogram, OverloadReason, ServeLimits, ServeMetrics};
-pub use session::{CasaRun, SeedingSession, StrandedRun};
+pub use session::{env_defaults, CasaRun, SeedingSession, StrandedRun};
 pub use stats::SeedingStats;
 pub use stream::{
     live_guard_threads, wait_for_guard_threads, CancelToken, CheckpointError, RecoveryCounters,

@@ -10,11 +10,19 @@
 //!
 //! Each start offset is searched as a **chain**: a small state machine
 //! that prepares one CAM search at a time and absorbs its hits. The
-//! searcher runs each chain to completion with immediate
-//! [`Bcam::search_into`] calls — one search per cycle, as in the hardware
-//! — and combines the chains in ascending offset order.
+//! searcher runs each chain to completion — one search per cycle, as in
+//! the hardware — and combines the chains in ascending offset order.
+//!
+//! A search costs what its candidates cost. The first search of every
+//! chain, and the binary probes refining a first search that found
+//! nothing, run over the pivot's group mask, which is loaded once per
+//! pivot ([`Bcam::load_mask`]) and shared by every start offset. Stride
+//! searches and all other binary probes carry their candidates as a
+//! sorted entry list — the frontier's successors or the last probe's hits
+//! — and run through [`Bcam::search_list_into`], which touches only the
+//! words holding a candidate.
 
-use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme, KernelBackend};
+use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme, KernelBackend, LoadedMask};
 use casa_filter::SearchIndicator;
 use casa_genome::PackedSeq;
 
@@ -39,22 +47,25 @@ struct SearchScratch {
     /// The chain being driven, reset in place per start offset so its
     /// inner buffers keep their allocations.
     chain: Chain,
-    /// The pivot's group-gated enable mask.
+    /// The pivot's group-gated enable mask, and its loaded form shared by
+    /// every mask search of the pivot.
     enabled: EntryMask,
+    loaded: LoadedMask,
     /// Hits of the search just issued.
     hits: Vec<u32>,
 }
 
-/// What a chain is waiting on (equivalently: which enable mask its
-/// in-flight query searches over).
+/// What a chain is waiting on (see [`Chain::candidate_list`] for what
+/// each phase's query searches over).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Phase {
     /// The wildcard-padded first search, over the pivot's group mask.
     #[default]
     First,
-    /// A full-stride chase search, over the successor mask `next`.
+    /// A full-stride chase search, over the successor list `succ`.
     Stride,
-    /// A binary-prefix probe, over the narrowing mask `bp_current`.
+    /// A binary-prefix probe, over the best hits so far, else over what
+    /// the refined search searched.
     Binary,
     /// Finished; `len`/`positions`/`searches` hold the chain's result.
     Done,
@@ -80,19 +91,20 @@ struct Chain {
     query: CamQuery,
     /// Entries matching at the last completed stride.
     frontier: Vec<u32>,
-    /// Successor mask of the current stride step.
-    next: EntryMask,
-    /// Binary prefix search state: narrowing candidate mask, bounds,
-    /// probe length in flight, query origin, wildcard pad, and whether
-    /// the binary search refines the *first* search (vs a mid-chase one).
-    bp_current: EntryMask,
+    /// The frontier's in-range successors, ascending: the candidates of
+    /// the stride search and of a mid-chase binary search's first probes.
+    succ: Vec<u32>,
+    /// Binary prefix search state: bounds, probe length in flight, query
+    /// origin, wildcard pad, and whether the binary search refines the
+    /// *first* search (vs a mid-chase one).
     bp_lo: usize,
     bp_hi: usize,
     bp_mid: usize,
     bp_from: usize,
     bp_pad: usize,
     bp_first: bool,
-    /// Entries matching at the binary search's best length.
+    /// Entries matching at the binary search's best length — the
+    /// candidates of every later probe.
     bp_hits: Vec<u32>,
     /// Result: matched length and partition-local start positions.
     len: usize,
@@ -115,6 +127,20 @@ impl Chain {
         self.positions.clear();
     }
 
+    /// The candidates of the search in flight as a sorted entry list, or
+    /// `None` when it searches the pivot's group mask: the first search,
+    /// and the probes of a binary search refining it until one hits.
+    fn candidate_list(&self) -> Option<&[u32]> {
+        match self.phase {
+            Phase::First => None,
+            Phase::Stride => Some(&self.succ),
+            Phase::Binary if !self.bp_hits.is_empty() => Some(&self.bp_hits),
+            Phase::Binary if self.bp_first => None,
+            Phase::Binary => Some(&self.succ),
+            Phase::Done => unreachable!("no search in flight on a finished chain"),
+        }
+    }
+
     /// Consumes the hits of the search this chain had in flight and either
     /// finishes the chain (`Done`) or leaves the next search prepared in
     /// `query` + phase. Mirrors the sequential chase step for step.
@@ -123,7 +149,6 @@ impl Chain {
         hits: &[u32],
         read: &PackedSeq,
         pivot: usize,
-        enabled: &EntryMask,
         stride: usize,
         entries: usize,
     ) {
@@ -131,7 +156,6 @@ impl Chain {
         match self.phase {
             Phase::First => {
                 if hits.is_empty() {
-                    self.bp_current.copy_from(enabled);
                     self.bp_lo = 0;
                     self.bp_hi = self.cur_len;
                     self.bp_from = pivot;
@@ -149,7 +173,6 @@ impl Chain {
             }
             Phase::Stride => {
                 if hits.is_empty() {
-                    self.bp_current.copy_from(&self.next);
                     self.bp_lo = 0;
                     self.bp_hi = self.cur_len;
                     self.bp_from = pivot + self.matched;
@@ -170,10 +193,6 @@ impl Chain {
                     self.bp_hi = self.bp_mid;
                 } else {
                     self.bp_lo = self.bp_mid;
-                    self.bp_current.clear_all();
-                    for &e in hits {
-                        self.bp_current.set(e as usize);
-                    }
                     self.bp_hits.clear();
                     self.bp_hits.extend_from_slice(hits);
                 }
@@ -196,14 +215,16 @@ impl Chain {
         if self.matched == remaining {
             return self.finish_at_frontier(stride);
         }
-        self.next.reset(entries);
-        for &e in &self.frontier {
-            let succ = e as usize + 1;
-            if succ < entries {
-                self.next.set(succ);
-            }
-        }
-        if self.next.count() == 0 {
+        // The frontier ascends, so its successors do too; only the last
+        // entry has none.
+        self.succ.clear();
+        self.succ.extend(
+            self.frontier
+                .iter()
+                .map(|&e| e + 1)
+                .filter(|&e| (e as usize) < entries),
+        );
+        if self.succ.is_empty() {
             return self.finish_at_frontier(stride);
         }
         let len = stride.min(remaining - self.matched);
@@ -396,12 +417,14 @@ impl CamSearcher {
         let SearchScratch {
             chain,
             enabled,
+            loaded,
             hits,
         } = &mut self.scratch;
         out.len = 0;
         out.positions.clear();
         out.searches = 0;
         si.enabled_mask_into(&self.group_masks, enabled);
+        self.cam.load_mask(enabled, loaded);
         let remaining = read.len() - pivot;
         let mut start_bits = si.start_mask;
         while start_bits != 0 {
@@ -414,16 +437,13 @@ impl CamSearcher {
             let len0 = (stride - p).min(remaining);
             chain.cur_len = len0;
             chain.query.fill_padded(read, pivot, len0, p);
-            loop {
-                let mask = match chain.phase {
-                    Phase::First => &*enabled,
-                    Phase::Stride => &chain.next,
-                    Phase::Binary => &chain.bp_current,
-                    Phase::Done => break,
-                };
-                self.cam.search_into(&chain.query, mask, hits);
+            while chain.phase != Phase::Done {
+                match chain.candidate_list() {
+                    Some(list) => self.cam.search_list_into(&chain.query, list, hits),
+                    None => self.cam.search_loaded_into(&chain.query, loaded, hits),
+                }
                 chain.searches += 1;
-                chain.absorb(hits, read, pivot, enabled, stride, entries);
+                chain.absorb(hits, read, pivot, stride, entries);
             }
             out.searches += chain.searches;
             if chain.len > out.len {
@@ -575,7 +595,7 @@ mod tests {
         );
     }
 
-    /// The searcher's scratch (chain, mask, hit buffer) carries over from
+    /// The searcher's scratch (chain, masks, hit buffer) carries over from
     /// pivot to pivot; reusing it must not change results, searches
     /// counts, or CAM activity against a fresh searcher per pivot.
     #[test]
@@ -605,6 +625,97 @@ mod tests {
             }
         }
         assert_eq!(reused.cam().stats(), fresh_stats);
+    }
+
+    /// The CAM activity of a fixed read set — searches, enabled rows,
+    /// activated arrays and matches — is the energy model's input, so it
+    /// is pinned to recorded totals, fault-free and under stuck-at and
+    /// bit-flip faults: however the chain carries its candidates (masks
+    /// or lists), it must book the activity of the equivalent mask.
+    #[test]
+    fn cam_activity_of_a_fixed_read_set_is_pinned() {
+        use casa_cam::{CamFaultModel, CamStats};
+        use casa_genome::synth::{generate_reference, ReferenceProfile};
+        use rand::{Rng, SeedableRng};
+        let part = generate_reference(&ReferenceProfile::human_like(), 48_000, 21);
+        let cfg = FilterConfig::new(12, 6, 40, 20);
+        let mut filter = PreSeedingFilter::build(&part, cfg);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2121);
+        let reads: Vec<PackedSeq> = (0..48)
+            .map(|i| {
+                let s = rng.gen_range(0..part.len() - 101);
+                let mut codes: Vec<u8> = part.subseq(s, 101).iter().map(|b| b.code()).collect();
+                match i % 4 {
+                    // Two substitutions: the chase stops mid-read and the
+                    // binary search runs over the successor candidates.
+                    1 | 2 => {
+                        for _ in 0..2 {
+                            let at = rng.gen_range(0..codes.len());
+                            codes[at] ^= 1 + rng.gen_range(0..3u8);
+                        }
+                    }
+                    // Unrelated read: first-search misses and mask probes.
+                    3 => codes.iter_mut().for_each(|c| *c = rng.gen_range(0..4)),
+                    _ => {}
+                }
+                codes
+                    .into_iter()
+                    .map(casa_genome::Base::from_code)
+                    .collect()
+            })
+            .collect();
+        let faulted = CamFaultModel {
+            seed: 5,
+            stuck_rate: 0.02,
+            flip_rate: 0.001,
+        };
+        let mut totals = Vec::new();
+        for model in [None, Some(faulted)] {
+            let mut searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
+            if let Some(m) = &model {
+                searcher.inject_faults(m);
+            }
+            let mut out = RmemResult::default();
+            let (mut searches, mut bases, mut positions) = (0u64, 0usize, 0usize);
+            for read in &reads {
+                for pivot in 0..=read.len() - cfg.k {
+                    let si = filter.lookup(read, pivot).unwrap();
+                    if si.is_empty() {
+                        continue;
+                    }
+                    searcher.rmem_into(read, pivot, &si, &mut out);
+                    searches += out.searches;
+                    bases += out.len;
+                    positions += out.positions.len();
+                }
+            }
+            let stats = searcher.cam().stats();
+            assert_eq!(stats.searches, searches);
+            totals.push((stats, bases, positions));
+        }
+        let pinned = [
+            (
+                CamStats {
+                    searches: 29_209,
+                    rows_enabled: 1_499_632,
+                    arrays_activated: 63_296,
+                    matches: 24_880,
+                },
+                114_976,
+                3_275,
+            ),
+            (
+                CamStats {
+                    searches: 28_764,
+                    rows_enabled: 1_122_840,
+                    arrays_activated: 73_781,
+                    matches: 34_891,
+                },
+                115_507,
+                4_635,
+            ),
+        ];
+        assert_eq!(totals, pinned);
     }
 
     #[test]

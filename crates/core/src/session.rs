@@ -268,6 +268,38 @@ impl std::fmt::Debug for SeedingSession {
     }
 }
 
+/// Fills a front end's unset knobs: backend and fault plan from the
+/// environment ([`CASA_BACKEND`](crate::BACKEND_ENV),
+/// [`CASA_FAULT_SEED`](faults::FAULT_SEED_ENV)), else CAM and fault-free;
+/// workers from the available parallelism. Every session constructor and
+/// front end resolves its knobs here, so an explicit value always wins
+/// and a malformed variable is always a typed error.
+///
+/// # Errors
+///
+/// [`ConfigError::UnknownSeedingBackend`](crate::ConfigError::UnknownSeedingBackend)
+/// for an unrecognised `CASA_BACKEND` value and
+/// [`ConfigError::BadFaultPlan`](crate::ConfigError::BadFaultPlan) for a
+/// `CASA_FAULT_SEED` value that is not a `u64` seed — each only when the
+/// knob it would fill is unset.
+pub fn env_defaults(
+    backend: Option<BackendKind>,
+    plan: Option<FaultPlan>,
+    workers: Option<usize>,
+) -> Result<(BackendKind, FaultPlan, usize), crate::ConfigError> {
+    let backend = match backend {
+        Some(kind) => kind,
+        None => BackendKind::from_env()?.unwrap_or(BackendKind::Cam),
+    };
+    let plan = match plan {
+        Some(plan) => plan,
+        None => FaultPlan::from_env()?.unwrap_or_default(),
+    };
+    let workers =
+        workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    Ok((backend, plan, workers))
+}
+
 impl SeedingSession {
     /// Validates `config`, splits `reference`, and builds one engine per
     /// partition.
@@ -294,8 +326,8 @@ impl SeedingSession {
         config: CasaConfig,
         workers: usize,
     ) -> Result<SeedingSession, Error> {
-        let plan = FaultPlan::from_env()?.unwrap_or_default();
-        SeedingSession::with_fault_plan(reference, config, workers, plan)
+        let (backend, plan, workers) = env_defaults(None, None, Some(workers))?;
+        SeedingSession::with_backend(reference, config, workers, plan, backend)
     }
 
     /// Like [`new`](Self::new) with an explicit fault plan: hardware
@@ -313,9 +345,7 @@ impl SeedingSession {
         workers: usize,
         plan: FaultPlan,
     ) -> Result<SeedingSession, Error> {
-        let backend = BackendKind::from_env()
-            .map_err(crate::ConfigError::from)?
-            .unwrap_or(BackendKind::Cam);
+        let (backend, plan, workers) = env_defaults(None, Some(plan), Some(workers))?;
         SeedingSession::with_backend(reference, config, workers, plan, backend)
     }
 

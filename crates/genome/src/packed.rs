@@ -116,7 +116,9 @@ impl PackedSeq {
         (0..self.len).map(move |i| self.base(i))
     }
 
-    /// Copies the subsequence `start..start + len` into a new sequence.
+    /// Copies the subsequence `start..start + len` into a new sequence,
+    /// 32 bases per word: each output word is the shifted window at its
+    /// start, and the tail word is cleared above `len`.
     ///
     /// # Panics
     ///
@@ -128,7 +130,16 @@ impl PackedSeq {
             start + len,
             self.len
         );
-        (start..start + len).map(|i| self.base(i)).collect()
+        let mut words: Vec<u64> = (start..start + len)
+            .step_by(BASES_PER_WORD)
+            .map(|i| self.window64(i))
+            .collect();
+        let tail = len % BASES_PER_WORD;
+        if tail != 0 {
+            let last = words.len() - 1;
+            words[last] &= (1u64 << (2 * tail)) - 1;
+        }
+        PackedSeq { words, len }
     }
 
     /// The reverse complement of this sequence (the opposite strand read
@@ -367,9 +378,32 @@ impl Iterator for KmerIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seq(s: &str) -> PackedSeq {
         PackedSeq::from_ascii(s.as_bytes()).unwrap()
+    }
+
+    proptest! {
+        /// The word-wise copy equals the base-by-base one, word for word
+        /// (so bits above `len` stay clear), at every alignment: `start`
+        /// on and off a word boundary, empty copies, and copies ending on
+        /// the last word.
+        #[test]
+        fn subseq_equals_per_base_copy(
+            codes in prop::collection::vec(0u8..4, 0..300),
+            (start_frac, len_frac, align, to_end) in (0.0f64..=1.0, 0.0f64..=1.0, 0u8..2, 0u8..2),
+        ) {
+            let s: PackedSeq = codes.iter().map(|&c| Base::from_code(c)).collect();
+            let mut start = (start_frac * s.len() as f64) as usize;
+            if align == 1 {
+                start -= start % BASES_PER_WORD;
+            }
+            let room = s.len() - start;
+            let len = if to_end == 1 { room } else { (len_frac * room as f64) as usize };
+            let expect: PackedSeq = (start..start + len).map(|i| s.base(i)).collect();
+            prop_assert_eq!(s.subseq(start, len), expect);
+        }
     }
 
     #[test]
