@@ -2,7 +2,7 @@
 //! The measured kernel is what `casa-experiments::fig05` sweeps.
 
 use casa_experiments::scenario::{Genome, Scale, Scenario};
-use casa_filter::{FilterConfig, PreSeedingFilter};
+use casa_filter::{FilterConfig, FilterStats, PreSeedingFilter};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -12,12 +12,13 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for k in [12usize, 19] {
         group.bench_with_input(BenchmarkId::new("hit_pivot_scan", k), &k, |b, &k| {
-            let mut filter = PreSeedingFilter::build(&part, FilterConfig::new(k, 10, 40, 20));
+            let filter = PreSeedingFilter::build(&part, FilterConfig::new(k, 10, 40, 20));
+            let mut stats = FilterStats::default();
             b.iter(|| {
                 let mut hits = 0u64;
                 for read in &scenario.reads {
                     for pivot in 0..=read.len() - k {
-                        hits += u64::from(filter.contains(read, pivot));
+                        hits += u64::from(filter.contains(read, pivot, &mut stats));
                     }
                 }
                 hits

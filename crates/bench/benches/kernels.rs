@@ -6,7 +6,7 @@ use casa_align::aligner::{align_read, AlignConfig};
 use casa_align::chain::{anchors_from_smems, chain_anchors, ChainConfig};
 use casa_align::myers::edit_distance;
 use casa_align::sw::{extend_right, Scoring};
-use casa_cam::{Bcam, CamQuery, EntryMask, KernelBackend};
+use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, EntryMask, KernelBackend};
 use casa_filter::BloomFilter;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -59,18 +59,19 @@ fn bench(c: &mut Criterion) {
     });
 
     let part = reference.subseq(0, 40_000);
-    let mut cam = Bcam::new(&part, 40);
+    let cam = Bcam::new(&part, 40);
     let entries = cam.entries();
+    let mut stats = CamStats::default();
     group.bench_function("cam_full_search_40k", |b| {
         let q = CamQuery::padded(&reads[0], 0, 19, 3);
         let mask = EntryMask::all(entries);
-        b.iter(|| cam.search(&q, &mask).len())
+        b.iter(|| cam.search(&q, &mask, &mut stats).len())
     });
 
     // Fused bit-parallel search vs the scalar oracle on the same
     // 1000-entry partition, a batch of real read prefixes per iteration:
-    // one fused column walk per query for each supported backend, per
-    // query and through the shared-mask batch entry point.
+    // one fused column walk per query for each supported backend, and
+    // through the shared-mask batch entry point on the default backend.
     let cam_queries: Vec<_> = reads
         .iter()
         .map(|r| CamQuery::padded(r, 0, 19, 3))
@@ -81,32 +82,32 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             cam_queries
                 .iter()
-                .map(|q| cam.search_scalar(q, &full).len())
+                .map(|q| cam.search_scalar(q, &full, &mut stats).len())
                 .sum::<usize>()
         })
     });
     for backend in KernelBackend::supported() {
-        cam.set_kernel_backend(backend);
+        let mut scratch = CamScratch::new(backend);
         group.bench_function(format!("cam_search_fused_{backend}_40k"), |b| {
             let mut hits = Vec::new();
             b.iter(|| {
                 cam_queries
                     .iter()
                     .map(|q| {
-                        cam.search_into(q, &full, &mut hits);
+                        cam.search_into(q, &full, &mut scratch, &mut stats, &mut hits);
                         hits.len()
                     })
                     .sum::<usize>()
             })
         });
-        group.bench_function(format!("cam_search_batched_{backend}_40k"), |b| {
-            let mut hits = Vec::new();
-            b.iter(|| {
-                cam.search_batch_into(&cam_queries, &full, &mut hits);
-                hits.iter().map(Vec::len).sum::<usize>()
-            })
-        });
     }
+    group.bench_function("cam_search_batched_40k", |b| {
+        let mut hits = Vec::new();
+        b.iter(|| {
+            cam.search_batch_into(&cam_queries, &full, &mut hits);
+            hits.iter().map(Vec::len).sum::<usize>()
+        })
+    });
     group.throughput(Throughput::Elements(1));
 
     group.bench_function("banded_sw_101bp", |b| {

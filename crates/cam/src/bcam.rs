@@ -31,6 +31,10 @@
 //! entry-at-a-time walk is kept as [`Bcam::search_scalar`], the
 //! verification oracle; every search produces the hits and [`CamStats`]
 //! it would over the equivalent mask.
+//!
+//! A [`Bcam`] is only read by searches: what a search writes lives in a
+//! caller-owned [`CamScratch`] and [`CamStats`], so any number of threads
+//! can search one CAM at once.
 
 use casa_genome::mix::{coin, site_hash};
 use casa_genome::shared::{SharedSlice, SliceStore};
@@ -139,17 +143,6 @@ impl CamStats {
         self.arrays_activated += other.arrays_activated;
         self.matches += other.matches;
     }
-
-    /// The activity booked since the earlier snapshot `before` of the same
-    /// cumulative counters (field-wise `self - before`).
-    pub fn since(&self, before: &CamStats) -> CamStats {
-        CamStats {
-            searches: self.searches - before.searches,
-            rows_enabled: self.rows_enabled - before.rows_enabled,
-            arrays_activated: self.arrays_activated - before.arrays_activated,
-            matches: self.matches - before.matches,
-        }
-    }
 }
 
 /// Rows per physical CAM array (Table 3 macros are 256 rows tall).
@@ -256,22 +249,23 @@ const DOMAIN_CAM_FLIP: u64 = 0x12;
 ///
 /// ```
 /// use casa_genome::PackedSeq;
-/// use casa_cam::{Bcam, CamQuery, EntryMask};
+/// use casa_cam::{Bcam, CamQuery, CamStats, EntryMask};
 ///
 /// let seq = PackedSeq::from_ascii(b"AACATTGTCACTTTCATAAC")?; // Fig. 10 CAM
-/// let mut cam = Bcam::new(&seq, 5);
+/// let cam = Bcam::new(&seq, 5);
 /// assert_eq!(cam.entries(), 4);
 /// // Search TGTCA with no padding: matches entry 1 exactly.
 /// let q = CamQuery::padded(&seq, 5, 5, 0);
-/// let hits = cam.search(&q, &EntryMask::all(4));
+/// let mut stats = CamStats::default();
+/// let hits = cam.search(&q, &EntryMask::all(4), &mut stats);
 /// assert_eq!(hits, vec![1]);
+/// assert_eq!(stats.rows_enabled, 4);
 /// # Ok::<(), casa_genome::ParseBaseError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct Bcam {
     seq: PackedSeq,
     entry_bases: usize,
-    stats: CamStats,
     /// Stuck-at match lines as entry bitmasks (bit `e % 64` of word
     /// `e / 64`), the same word layout as [`EntryMask`] and the planes.
     stuck_zero: Vec<u64>,
@@ -288,14 +282,6 @@ pub struct Bcam {
     planes: SliceStore<u64>,
     /// Words per entry bitset (`entries().div_ceil(64)`).
     ewords: usize,
-    /// Word-level kernel function table (process default unless overridden
-    /// through [`Bcam::set_kernel_backend`]).
-    ops: &'static KernelOps,
-    /// Search scratch: the mask loaded by [`Bcam::search_into`] and
-    /// [`Bcam::search_batch_into`].
-    loaded: LoadedMask,
-    /// Search scratch: surviving match-line words.
-    matchline: Vec<u64>,
     /// Whether any stuck-at fault site exists. When false, hit extraction
     /// can skip the stuck-at override formula (it degenerates to the
     /// match-line words themselves).
@@ -323,6 +309,40 @@ pub struct LoadedMask {
     hi: usize,
 }
 
+/// What a mask search writes — match-line words and a loaded mask — and
+/// the word kernel that computes them. One per searching thread, for CAMs
+/// of any size; contents are meaningless between searches.
+#[derive(Clone, Debug)]
+pub struct CamScratch {
+    ops: &'static KernelOps,
+    matchline: Vec<u64>,
+    loaded: LoadedMask,
+}
+
+impl CamScratch {
+    /// Scratch on `backend`'s word kernel; an unsupported backend falls
+    /// back to the best supported one (see [`KernelBackend::ops`]).
+    pub fn new(backend: KernelBackend) -> CamScratch {
+        CamScratch {
+            ops: backend.ops(),
+            matchline: Vec::new(),
+            loaded: LoadedMask::default(),
+        }
+    }
+
+    /// The effective kernel backend.
+    pub fn kernel_backend(&self) -> KernelBackend {
+        self.ops.backend()
+    }
+}
+
+/// Scratch on the process-default kernel ([`kernel::default_backend`]).
+impl Default for CamScratch {
+    fn default() -> CamScratch {
+        CamScratch::new(kernel::default_backend())
+    }
+}
+
 impl Bcam {
     /// Loads `seq` into a CAM with `entry_bases` bases per entry.
     ///
@@ -335,14 +355,10 @@ impl Bcam {
         let mut cam = Bcam {
             seq: seq.clone(),
             entry_bases,
-            stats: CamStats::default(),
             stuck_zero: vec![0; ewords],
             stuck_one: vec![0; ewords],
             planes: Vec::new().into(),
             ewords,
-            ops: kernel::default_backend().ops(),
-            loaded: LoadedMask::default(),
-            matchline: Vec::new(),
             has_stuck: false,
         };
         cam.rebuild_planes();
@@ -371,14 +387,10 @@ impl Bcam {
         Ok(Bcam {
             seq: seq.clone(),
             entry_bases,
-            stats: CamStats::default(),
             stuck_zero: vec![0; ewords],
             stuck_one: vec![0; ewords],
             planes: planes.into(),
             ewords,
-            ops: kernel::default_backend().ops(),
-            loaded: LoadedMask::default(),
-            matchline: Vec::new(),
             has_stuck: false,
         })
     }
@@ -412,20 +424,6 @@ impl Bcam {
                 planes[(col * 4 + b) * ewords + w] |= 1 << bit;
             }
         }
-    }
-
-    /// Selects the word-level kernel backend used by the bit-parallel
-    /// evaluation. Requests for a backend the CPU does not support fall
-    /// back to the best supported one (see [`KernelBackend::ops`]);
-    /// construction paths that must reject such requests validate with
-    /// [`KernelBackend::ensure_supported`] before calling this.
-    pub fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.ops = backend.ops();
-    }
-
-    /// The effective kernel backend.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.ops.backend()
     }
 
     /// Injects seeded faults into this CAM and returns the chosen sites.
@@ -498,49 +496,59 @@ impl Bcam {
         &self.seq
     }
 
-    /// Searches the CAM: returns the indices of enabled entries that match
-    /// `query`, ascending. Counts one search and `enabled.count()` enabled
-    /// rows.
+    /// Searches the CAM on the process-default kernel: returns the
+    /// indices of enabled entries that match `query`, ascending, and books
+    /// one search and `enabled.count()` enabled rows into `stats`.
     ///
     /// An entry matches if every driven query column equals the entry's
     /// base at that column; querying past the end of the stored sequence
     /// (final short entry) mismatches on driven columns.
-    pub fn search(&mut self, query: &CamQuery, enabled: &EntryMask) -> Vec<u32> {
+    pub fn search(&self, query: &CamQuery, enabled: &EntryMask, stats: &mut CamStats) -> Vec<u32> {
         let mut hits = Vec::new();
-        self.search_into(query, enabled, &mut hits);
+        self.search_into(query, enabled, &mut CamScratch::default(), stats, &mut hits);
         hits
     }
 
-    /// [`Bcam::search`] into a caller-provided hit buffer (cleared first) —
-    /// the allocation-free form for hot loops.
-    pub fn search_into(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
-        let mut loaded = std::mem::take(&mut self.loaded);
+    /// [`Bcam::search`] on `scratch`'s kernel into a caller-provided hit
+    /// buffer (cleared first) — the allocation-free form for hot loops.
+    pub fn search_into(
+        &self,
+        query: &CamQuery,
+        enabled: &EntryMask,
+        scratch: &mut CamScratch,
+        stats: &mut CamStats,
+        hits: &mut Vec<u32>,
+    ) {
+        let mut loaded = std::mem::take(&mut scratch.loaded);
         self.load_mask(enabled, &mut loaded);
-        self.search_loaded_into(query, &loaded, hits);
-        self.loaded = loaded;
+        self.search_loaded_into(query, &loaded, scratch, stats, hits);
+        scratch.loaded = loaded;
     }
 
-    /// Searches `queries` against a shared enable mask. `hits` is resized
-    /// to `queries.len()`; hits and [`CamStats`] are bit-identical to
-    /// calling [`Bcam::search_into`] once per query in order.
+    /// Searches `queries` against a shared enable mask on the
+    /// process-default kernel, returning the activity booked. `hits` is
+    /// resized to `queries.len()`; hits and [`CamStats`] are bit-identical
+    /// to calling [`Bcam::search_into`] once per query in order.
     ///
     /// The mask is loaded once for the whole call (see
     /// [`Bcam::load_mask`]); each query then books the identical counter
     /// increments, so the integer sums (and therefore [`CamStats`]) are
     /// unchanged.
     pub fn search_batch_into(
-        &mut self,
+        &self,
         queries: &[CamQuery],
         enabled: &EntryMask,
         hits: &mut Vec<Vec<u32>>,
-    ) {
+    ) -> CamStats {
         hits.resize_with(queries.len(), Vec::new);
-        let mut loaded = std::mem::take(&mut self.loaded);
+        let mut scratch = CamScratch::default();
+        let mut stats = CamStats::default();
+        let mut loaded = LoadedMask::default();
         self.load_mask(enabled, &mut loaded);
         for (q, out) in queries.iter().zip(hits.iter_mut()) {
-            self.search_loaded_into(q, &loaded, out);
+            self.search_loaded_into(q, &loaded, &mut scratch, &mut stats, out);
         }
-        self.loaded = loaded;
+        stats
     }
 
     /// Loads `enabled` into `out` for [`Bcam::search_loaded_into`]: the
@@ -584,9 +592,11 @@ impl Bcam {
     ///
     /// Panics if `loaded` was loaded by a CAM with a different entry count.
     pub fn search_loaded_into(
-        &mut self,
+        &self,
         query: &CamQuery,
         loaded: &LoadedMask,
+        scratch: &mut CamScratch,
+        stats: &mut CamStats,
         hits: &mut Vec<u32>,
     ) {
         assert_eq!(
@@ -594,22 +604,22 @@ impl Bcam {
             self.entries(),
             "mask loaded for a CAM of another size"
         );
-        self.stats.searches += 1;
-        self.stats.rows_enabled += loaded.rows;
-        self.stats.arrays_activated += loaded.arrays;
+        stats.searches += 1;
+        stats.rows_enabled += loaded.rows;
+        stats.arrays_activated += loaded.arrays;
         hits.clear();
         let (lo, hi) = (loaded.lo, loaded.hi);
         // The column walk writes every match-line word it later reads, so
         // the scratch only needs to be long enough.
-        if self.matchline.len() < hi {
-            self.matchline.resize(hi, 0);
+        if scratch.matchline.len() < hi {
+            scratch.matchline.resize(hi, 0);
         }
-        let ml = &mut self.matchline[lo..hi];
+        let ml = &mut scratch.matchline[lo..hi];
         // A query wider than an entry matches nothing stored (the scalar
         // oracle bails at column `entry_bases`); its line is dead from the
         // start and only stuck-one overrides can still fire.
         let any = if query.len() <= self.entry_bases && lo < hi {
-            self.ops.match_cols(
+            scratch.ops.match_cols(
                 ml,
                 &loaded.words[lo..hi],
                 &self.planes[lo..],
@@ -620,7 +630,7 @@ impl Bcam {
             ml.fill(0);
             0
         };
-        let ml = &self.matchline[lo..hi];
+        let ml = &scratch.matchline[lo..hi];
         if !self.has_stuck {
             // Fault-free fast path: the override formula degenerates to
             // `cand & ml`, and ml ⊆ cand by construction, so the
@@ -636,7 +646,7 @@ impl Bcam {
                 push_hits(hits, w, self.stuck_override(w, loaded.words[w], mlw));
             }
         }
-        self.stats.matches += hits.len() as u64;
+        stats.matches += hits.len() as u64;
     }
 
     /// Searches only the entries listed in `candidates` — strictly
@@ -648,14 +658,21 @@ impl Bcam {
     /// evaluated alone (candidate bits AND each driven column's plane
     /// word, stopping at a dead line), and no other word is touched.
     /// Listed entries at or past [`Bcam::entries`] cost `rows_enabled`
-    /// but never participate, as out-of-range mask bits do.
-    pub fn search_list_into(&mut self, query: &CamQuery, candidates: &[u32], hits: &mut Vec<u32>) {
+    /// but never participate, as out-of-range mask bits do. No match-line
+    /// scratch is needed: each word's line lives in a register.
+    pub fn search_list_into(
+        &self,
+        query: &CamQuery,
+        candidates: &[u32],
+        stats: &mut CamStats,
+        hits: &mut Vec<u32>,
+    ) {
         debug_assert!(
             candidates.windows(2).all(|p| p[0] < p[1]),
             "candidate list must be strictly ascending"
         );
-        self.stats.searches += 1;
-        self.stats.rows_enabled += candidates.len() as u64;
+        stats.searches += 1;
+        stats.rows_enabled += candidates.len() as u64;
         hits.clear();
         let entries = self.entries() as u32;
         let in_range = &candidates[..candidates.partition_point(|&e| e < entries)];
@@ -673,7 +690,7 @@ impl Bcam {
             rest = &rest[in_word..];
             let array = w / WORDS_PER_ARRAY;
             if array != last_array {
-                self.stats.arrays_activated += 1;
+                stats.arrays_activated += 1;
                 last_array = array;
             }
             let mut ml = if fits { cand } else { 0 };
@@ -692,7 +709,7 @@ impl Bcam {
             };
             push_hits(hits, w, word);
         }
-        self.stats.matches += hits.len() as u64;
+        stats.matches += hits.len() as u64;
     }
 
     /// Applies the stuck-at match lines of word `w` to the match-line word
@@ -705,38 +722,35 @@ impl Bcam {
 
     /// [`Bcam::search`] through the scalar entry-at-a-time walk — the
     /// verification oracle the bit-parallel kernel is tested against.
-    /// Records the same activity counters as `search`.
-    pub fn search_scalar(&mut self, query: &CamQuery, enabled: &EntryMask) -> Vec<u32> {
-        self.stats.searches += 1;
-        self.stats.rows_enabled += enabled.count() as u64;
-        let mut hits = Vec::new();
-        self.scalar_kernel(query, enabled, &mut hits);
-        self.stats.matches += hits.len() as u64;
-        hits
-    }
-
-    /// The original reference evaluation: walk enabled entries one by one,
-    /// comparing column by column through `entry_matches`.
-    fn scalar_kernel(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
+    /// Books the same activity counters as `search`.
+    pub fn search_scalar(
+        &self,
+        query: &CamQuery,
+        enabled: &EntryMask,
+        stats: &mut CamStats,
+    ) -> Vec<u32> {
+        stats.searches += 1;
+        stats.rows_enabled += enabled.count() as u64;
+        // The original reference evaluation: walk enabled entries one by
+        // one, comparing column by column through `entry_matches`.
         let entries = self.entries();
+        let mut hits = Vec::new();
         let mut last_array = usize::MAX;
-        for e in enabled.iter_ones() {
-            if e >= entries {
-                break;
-            }
+        for e in enabled.iter_ones().take_while(|&e| e < entries) {
             let array = e / ROWS_PER_ARRAY;
             if array != last_array {
-                self.stats.arrays_activated += 1;
+                stats.arrays_activated += 1;
                 last_array = array;
             }
             // Stuck-at match lines override the comparison outcome.
-            if mask_bit(&self.stuck_zero, e) {
-                continue;
-            }
-            if mask_bit(&self.stuck_one, e) || self.entry_matches(e, query) {
+            if !mask_bit(&self.stuck_zero, e)
+                && (mask_bit(&self.stuck_one, e) || self.entry_matches(e, query))
+            {
                 hits.push(e as u32);
             }
         }
+        stats.matches += hits.len() as u64;
+        hits
     }
 
     /// Whether entry `e` matches `query` (no activity recorded; used by the
@@ -755,16 +769,6 @@ impl Bcam {
             }
         }
         true
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> CamStats {
-        self.stats
-    }
-
-    /// Resets activity counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = CamStats::default();
     }
 }
 
@@ -875,28 +879,28 @@ mod tests {
         // entry "CTTTC": no. Use TGTCA entry: k-mer "GTC" at offset 1
         // needs one leading wildcard.
         let s = seq("AACATTGTCACTTTCATAAC");
-        let mut cam = Bcam::new(&s, 5);
+        let cam = Bcam::new(&s, 5);
         let read = seq("GTC");
         let q = CamQuery::padded(&read, 0, 3, 1);
         assert_eq!(q.len(), 4);
         assert_eq!(q.driven_columns(), 3);
-        let hits = cam.search(&q, &EntryMask::all(4));
+        let hits = cam.search(&q, &EntryMask::all(4), &mut CamStats::default());
         assert_eq!(hits, vec![1]);
     }
 
     #[test]
     fn disabled_entries_never_match_and_energy_tracks_enabled_rows() {
         let s = seq("ACGTACGTACGTACGT");
-        let mut cam = Bcam::new(&s, 4); // 4 identical entries
+        let cam = Bcam::new(&s, 4); // 4 identical entries
         let q = CamQuery::padded(&s, 0, 4, 0);
-        let all = cam.search(&q, &EntryMask::all(4));
+        let mut st = CamStats::default();
+        let all = cam.search(&q, &EntryMask::all(4), &mut st);
         assert_eq!(all, vec![0, 1, 2, 3]);
         let mut two = EntryMask::new(4);
         two.set(1);
         two.set(3);
-        let some = cam.search(&q, &two);
+        let some = cam.search(&q, &two, &mut st);
         assert_eq!(some, vec![1, 3]);
-        let st = cam.stats();
         assert_eq!(st.searches, 2);
         assert_eq!(st.rows_enabled, 6); // 4 + 2
         assert_eq!(st.matches, 6);
@@ -906,12 +910,16 @@ mod tests {
     #[test]
     fn query_past_sequence_end_mismatches() {
         let s = seq("ACGTAC"); // entries: ACGT, AC
-        let mut cam = Bcam::new(&s, 4);
+        let cam = Bcam::new(&s, 4);
+        let mut st = CamStats::default();
         let q = CamQuery::padded(&seq("ACGG"), 0, 4, 0);
-        assert_eq!(cam.search(&q, &EntryMask::all(2)), Vec::<u32>::new());
+        assert_eq!(
+            cam.search(&q, &EntryMask::all(2), &mut st),
+            Vec::<u32>::new()
+        );
         // entry 1 is short: query "AC" matches, "ACXX->ACGT" does not.
         let q2 = CamQuery::padded(&seq("AC"), 0, 2, 0);
-        assert_eq!(cam.search(&q2, &EntryMask::all(2)), vec![0, 1]);
+        assert_eq!(cam.search(&q2, &EntryMask::all(2), &mut st), vec![0, 1]);
     }
 
     #[test]
@@ -925,10 +933,12 @@ mod tests {
     #[test]
     fn empty_query_matches_everything_enabled() {
         let s = seq("ACGTACGT");
-        let mut cam = Bcam::new(&s, 4);
+        let cam = Bcam::new(&s, 4);
         let q = CamQuery::new(vec![]);
         assert!(q.is_empty());
-        assert_eq!(cam.search(&q, &EntryMask::all(2)), vec![0, 1]);
+        let mut st = CamStats::default();
+        assert_eq!(cam.search(&q, &EntryMask::all(2), &mut st), vec![0, 1]);
+        assert_eq!(st.matches, 2);
     }
 
     #[test]
@@ -971,7 +981,7 @@ mod tests {
     fn arrays_activated_counts_distinct_arrays() {
         // 600 entries span 3 physical arrays of 256 rows.
         let long: PackedSeq = std::iter::repeat_n(Base::A, 600 * 4).collect();
-        let mut cam = Bcam::new(&long, 4);
+        let cam = Bcam::new(&long, 4);
         assert_eq!(cam.entries(), 600);
         // Enable one entry in each array.
         let mut mask = EntryMask::new(600);
@@ -979,13 +989,14 @@ mod tests {
         mask.set(300);
         mask.set(599);
         let q = CamQuery::new(vec![Symbol::Base(Base::A)]);
-        cam.search(&q, &mask);
-        assert_eq!(cam.stats().arrays_activated, 3);
-        assert_eq!(cam.stats().rows_enabled, 3);
+        let mut st = CamStats::default();
+        cam.search(&q, &mask, &mut st);
+        assert_eq!(st.arrays_activated, 3);
+        assert_eq!(st.rows_enabled, 3);
         // Full-array search touches all 3 arrays.
-        cam.reset_stats();
-        cam.search(&q, &EntryMask::all(600));
-        assert_eq!(cam.stats().arrays_activated, 3);
+        let mut st = CamStats::default();
+        cam.search(&q, &EntryMask::all(600), &mut st);
+        assert_eq!(st.arrays_activated, 3);
     }
 
     #[test]
@@ -1022,14 +1033,15 @@ mod tests {
         assert!(!report.stuck_zero.is_empty() || !report.stuck_one.is_empty());
         // Query that matches every healthy entry.
         let q = CamQuery::padded(&s, 0, 4, 0);
-        let hits = cam.search(&q, &EntryMask::all(10));
+        let mut st = CamStats::default();
+        let hits = cam.search(&q, &EntryMask::all(10), &mut st);
         for z in &report.stuck_zero {
             assert!(!hits.contains(z), "stuck-zero entry {z} matched");
         }
         // Query that matches no healthy entry: only stuck-one lines fire.
         let t: PackedSeq = std::iter::repeat_n(Base::T, 4).collect();
         let q = CamQuery::padded(&t, 0, 4, 0);
-        let hits = cam.search(&q, &EntryMask::all(10));
+        let hits = cam.search(&q, &EntryMask::all(10), &mut st);
         assert_eq!(hits, report.stuck_one);
     }
 
@@ -1069,64 +1081,61 @@ mod tests {
             .map(|i| CamQuery::padded(&s, i, 4 + (i % 3), i % 4))
             .collect();
         let enabled = EntryMask::all(8);
+        let cam = Bcam::new(&s, 5);
+        let mut hits = Vec::new();
+        let batch_stats = cam.search_batch_into(&queries, &enabled, &mut hits);
         for backend in KernelBackend::supported() {
-            let mut seq_cam = Bcam::new(&s, 5);
-            seq_cam.set_kernel_backend(backend);
+            let mut scratch = CamScratch::new(backend);
+            let mut stats = CamStats::default();
             let mut expect = Vec::new();
             for q in &queries {
-                expect.push(seq_cam.search(q, &enabled));
+                let mut one = Vec::new();
+                cam.search_into(q, &enabled, &mut scratch, &mut stats, &mut one);
+                expect.push(one);
             }
-
-            let mut batch_cam = Bcam::new(&s, 5);
-            batch_cam.set_kernel_backend(backend);
-            let mut hits = Vec::new();
-            batch_cam.search_batch_into(&queries, &enabled, &mut hits);
             assert_eq!(hits, expect, "backend {backend}");
-            assert_eq!(batch_cam.stats(), seq_cam.stats(), "backend {backend}");
+            assert_eq!(batch_stats, stats, "backend {backend}");
         }
     }
 
     #[test]
     fn kernel_backend_roundtrip() {
-        let s = seq("ACGTACGT");
-        let mut cam = Bcam::new(&s, 4);
-        cam.set_kernel_backend(KernelBackend::Scalar);
-        assert_eq!(cam.kernel_backend(), KernelBackend::Scalar);
-        cam.set_kernel_backend(KernelBackend::U64x4);
-        assert_eq!(cam.kernel_backend(), KernelBackend::U64x4);
+        assert_eq!(
+            CamScratch::new(KernelBackend::Scalar).kernel_backend(),
+            KernelBackend::Scalar
+        );
+        assert_eq!(
+            CamScratch::new(KernelBackend::U64x4).kernel_backend(),
+            KernelBackend::U64x4
+        );
         // An unsupported request degrades to a supported backend instead of
         // installing an illegal-instruction path.
-        cam.set_kernel_backend(KernelBackend::Avx2);
-        assert!(cam.kernel_backend().is_supported());
+        assert!(CamScratch::new(KernelBackend::Avx2)
+            .kernel_backend()
+            .is_supported());
+        assert_eq!(
+            CamScratch::default().kernel_backend(),
+            kernel::default_backend()
+        );
     }
 
+    /// One scratch serves CAMs of different sizes in any order: a search
+    /// never reads a match-line word it did not write, so stale words
+    /// from a larger CAM cannot leak into a smaller one's hits.
     #[test]
-    fn stats_since_undoes_merge() {
-        let before = CamStats {
-            searches: 3,
-            rows_enabled: 40,
-            arrays_activated: 5,
-            matches: 7,
-        };
-        let delta = CamStats {
-            searches: 1,
-            rows_enabled: 2,
-            arrays_activated: 3,
-            matches: 4,
-        };
-        let mut after = before;
-        after.merge(&delta);
-        assert_eq!(after.since(&before), delta);
-        assert_eq!(after.since(&after), CamStats::default());
-    }
-
-    #[test]
-    fn stats_reset() {
-        let s = seq("ACGTACGT");
-        let mut cam = Bcam::new(&s, 4);
-        cam.search(&CamQuery::new(vec![]), &EntryMask::all(2));
-        assert_ne!(cam.stats(), CamStats::default());
-        cam.reset_stats();
-        assert_eq!(cam.stats(), CamStats::default());
+    fn scratch_is_reusable_across_cams() {
+        let big: PackedSeq = std::iter::repeat_n(Base::A, 4 * 700).collect();
+        let small = seq("AAAACCCCAAAA");
+        let q = CamQuery::padded(&small, 0, 4, 0);
+        let mut shared = CamScratch::default();
+        for cam in [Bcam::new(&big, 4), Bcam::new(&small, 4), Bcam::new(&big, 4)] {
+            let enabled = EntryMask::all(cam.entries());
+            let (mut a, mut b) = (CamStats::default(), CamStats::default());
+            let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+            cam.search_into(&q, &enabled, &mut shared, &mut a, &mut reused);
+            cam.search_into(&q, &enabled, &mut CamScratch::default(), &mut b, &mut fresh);
+            assert_eq!(reused, fresh);
+            assert_eq!(a, b);
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! cycle/energy simulator needs:
 //!
 //! * [`Bcam`] — entries of packed DNA bases, parallel match against a
-//!   wildcard-padded [`CamQuery`], per-search activity counters;
+//!   wildcard-padded [`CamQuery`], per-search activity counters booked
+//!   into the caller's [`CamStats`];
 //! * [`EntryMask`] — entry-level power gating (only enabled rows search);
 //! * [`GroupScheme`] — CASA's group-level gating (§3 "CAM Grouping").
 //!
@@ -12,18 +13,19 @@
 //!
 //! ```
 //! use casa_genome::PackedSeq;
-//! use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme};
+//! use casa_cam::{Bcam, CamQuery, CamStats, EntryMask, GroupScheme};
 //!
 //! let reference = PackedSeq::from_ascii(b"ACGTACGTTTTTGGGGCCCC")?;
-//! let mut cam = Bcam::new(&reference, 4);
+//! let cam = Bcam::new(&reference, 4);
 //! let scheme = GroupScheme::new(2, 4);
 //! // k-mer TTTT lives at position 8 -> entry 2 -> group 0.
 //! let indicator = scheme.indicator_of_position(8);
 //! let enabled = scheme.mask_for_indicator(indicator, cam.entries());
 //! let q = CamQuery::padded(&reference, 8, 4, 0);
-//! assert_eq!(cam.search(&q, &enabled), vec![2]);
+//! let mut stats = CamStats::default();
+//! assert_eq!(cam.search(&q, &enabled, &mut stats), vec![2]);
 //! // Only 3 of the 5 entries were powered.
-//! assert_eq!(cam.stats().rows_enabled, 3);
+//! assert_eq!(stats.rows_enabled, 3);
 //! # Ok::<(), casa_genome::ParseBaseError>(())
 //! ```
 
@@ -38,8 +40,8 @@ pub mod kernel;
 mod mask;
 
 pub use bcam::{
-    Bcam, CamFaultModel, CamFaultReport, CamQuery, CamStats, GroupScheme, LoadedMask, Symbol,
-    ROWS_PER_ARRAY,
+    Bcam, CamFaultModel, CamFaultReport, CamQuery, CamScratch, CamStats, GroupScheme, LoadedMask,
+    Symbol, ROWS_PER_ARRAY,
 };
 pub use kernel::{KernelBackend, UnknownKernelError, KERNEL_ENV};
 pub use mask::EntryMask;

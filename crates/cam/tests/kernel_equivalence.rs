@@ -3,11 +3,13 @@
 //! over random CAMs, padded/wildcard queries, partial masks (shorter,
 //! equal, and longer than the entry count), and injected faults — for
 //! every supported word-kernel backend (scalar `u64`, `u64x4`, AVX2), both
-//! per query and through the shared-mask batch entry point — and the
-//! sorted-list search against the same oracle run over the equivalent
-//! mask.
+//! per query and over one shared loaded mask — and the sorted-list search
+//! against the same oracle run over the equivalent mask.
 
-use casa_cam::{Bcam, CamFaultModel, CamQuery, EntryMask, KernelBackend, Symbol, ROWS_PER_ARRAY};
+use casa_cam::{
+    Bcam, CamFaultModel, CamQuery, CamScratch, CamStats, EntryMask, KernelBackend, LoadedMask,
+    Symbol, ROWS_PER_ARRAY,
+};
 use casa_genome::{Base, PackedSeq};
 use proptest::prelude::*;
 
@@ -69,7 +71,6 @@ proptest! {
             prop_assert!(report.stuck_one.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(report.flipped_bases.windows(2).all(|w| w[0] < w[1]));
         }
-        let mut scalar = kernel.clone();
         let entries = kernel.entries();
         let partial = mask_from(&mask_bits, mask_len);
         let full = EntryMask::all(entries);
@@ -77,30 +78,33 @@ proptest! {
         // Oracle pass: record the expected hits per (query, mask) pair
         // and the expected final stats.
         let mut expected: Vec<Vec<u32>> = Vec::new();
+        let mut scalar = CamStats::default();
         for (codes, pad) in &queries {
             let q = query(codes, *pad);
             for mask in [&partial, &full] {
-                let hits = scalar.search_scalar(&q, mask);
+                let hits = kernel.search_scalar(&q, mask, &mut scalar);
                 prop_assert!(hits.windows(2).all(|w| w[0] < w[1]));
                 expected.push(hits);
             }
         }
 
         // Backend x fault matrix: every supported word kernel replays the
-        // same search sequence on a clone of the faulted CAM and must
-        // reproduce the oracle's hits and CamStats exactly.
+        // same search sequence on the faulted CAM and must reproduce the
+        // oracle's hits and CamStats exactly.
         for backend in KernelBackend::supported() {
-            let mut cam = kernel.clone();
-            cam.set_kernel_backend(backend);
+            let mut scratch = CamScratch::new(backend);
+            let mut stats = CamStats::default();
+            let mut hits = Vec::new();
             let mut at = 0;
             for (codes, pad) in &queries {
                 let q = query(codes, *pad);
                 for mask in [&partial, &full] {
-                    prop_assert_eq!(&cam.search(&q, mask), &expected[at], "{}", backend);
+                    kernel.search_into(&q, mask, &mut scratch, &mut stats, &mut hits);
+                    prop_assert_eq!(&hits, &expected[at], "{}", backend);
                     at += 1;
                 }
             }
-            prop_assert_eq!(cam.stats(), scalar.stats(), "{}", backend);
+            prop_assert_eq!(stats, scalar, "{}", backend);
         }
     }
 
@@ -136,17 +140,27 @@ proptest! {
         let queries: Vec<CamQuery> = queries.iter().map(|(c, p)| query(c, *p)).collect();
 
         // Oracle: the per-entry scalar walk over the same query batch.
-        let mut scalar = base.clone();
+        let mut scalar = CamStats::default();
         let expected: Vec<Vec<u32>> =
-            queries.iter().map(|q| scalar.search_scalar(q, &mask)).collect();
+            queries.iter().map(|q| base.search_scalar(q, &mask, &mut scalar)).collect();
 
+        // The batch call runs the process-default kernel; every supported
+        // kernel runs the same loaded mask through its own scratch.
         let mut hits: Vec<Vec<u32>> = Vec::new();
+        let stats = base.search_batch_into(&queries, &mask, &mut hits);
+        prop_assert_eq!(&hits, &expected);
+        prop_assert_eq!(stats, scalar);
+        let mut loaded = LoadedMask::default();
+        base.load_mask(&mask, &mut loaded);
         for backend in KernelBackend::supported() {
-            let mut cam = base.clone();
-            cam.set_kernel_backend(backend);
-            cam.search_batch_into(&queries, &mask, &mut hits);
-            prop_assert_eq!(&hits, &expected, "{}", backend);
-            prop_assert_eq!(cam.stats(), scalar.stats(), "{}", backend);
+            let mut scratch = CamScratch::new(backend);
+            let mut stats = CamStats::default();
+            for (q, want) in queries.iter().zip(&expected) {
+                let mut one = Vec::new();
+                base.search_loaded_into(q, &loaded, &mut scratch, &mut stats, &mut one);
+                prop_assert_eq!(&one, want, "{}", backend);
+            }
+            prop_assert_eq!(stats, scalar, "{}", backend);
         }
     }
 }
@@ -230,28 +244,27 @@ proptest! {
         queries.push(CamQuery::new(Vec::new()));
         queries.push(query(&vec![4; entry_bases + 1], 0));
 
-        let mut scalar = base.clone();
+        let mut scalar = CamStats::default();
         let mut expected: Vec<Vec<u32>> = Vec::new();
         for q in &queries {
             for mask in &masks {
-                expected.push(scalar.search_scalar(q, mask));
+                expected.push(base.search_scalar(q, mask, &mut scalar));
             }
         }
 
+        // A list search keeps each match line in a register: no word
+        // kernel, so one pass covers every kernel.
         let mut hits = Vec::new();
-        for backend in KernelBackend::supported() {
-            let mut cam = base.clone();
-            cam.set_kernel_backend(backend);
-            let mut at = 0;
-            for q in &queries {
-                for list in &lists {
-                    cam.search_list_into(q, list, &mut hits);
-                    prop_assert_eq!(&hits, &expected[at], "{}", backend);
-                    at += 1;
-                }
+        let mut stats = CamStats::default();
+        let mut at = 0;
+        for q in &queries {
+            for list in &lists {
+                base.search_list_into(q, list, &mut stats, &mut hits);
+                prop_assert_eq!(&hits, &expected[at]);
+                at += 1;
             }
-            prop_assert_eq!(cam.stats(), scalar.stats(), "{}", backend);
         }
+        prop_assert_eq!(stats, scalar);
     }
 }
 
@@ -267,13 +280,13 @@ fn kernel_sees_flipped_bases_after_fault_injection() {
         flip_rate: 0.05,
     });
     assert!(!report.flipped_bases.is_empty());
-    let mut scalar = kernel.clone();
     let mask = EntryMask::all(kernel.entries());
     // All-G query: only entries without a flipped base still match.
     let q = CamQuery::padded(&seq, 0, 8, 0);
-    let hits_kernel = kernel.search(&q, &mask);
-    let hits_scalar = scalar.search_scalar(&q, &mask);
+    let (mut kernel_stats, mut scalar_stats) = (CamStats::default(), CamStats::default());
+    let hits_kernel = kernel.search(&q, &mask, &mut kernel_stats);
+    let hits_scalar = kernel.search_scalar(&q, &mask, &mut scalar_stats);
     assert_eq!(hits_kernel, hits_scalar);
     assert!(hits_kernel.len() < kernel.entries());
-    assert_eq!(kernel.stats(), scalar.stats());
+    assert_eq!(kernel_stats, scalar_stats);
 }

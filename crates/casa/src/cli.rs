@@ -416,7 +416,7 @@ fn prepare_session(
     if let Some(retries) = options.max_retries {
         plan.max_retries = retries;
     }
-    let session = match image {
+    let mut session = match image {
         // The embedded config is authoritative; the CAM backend borrows
         // its tables from the mapping.
         Some(index) => SeedingSession::from_image(index, workers, plan, backend)?,
@@ -426,7 +426,7 @@ fn prepare_session(
         }
     };
     if let Some(kernel) = options.kernel {
-        session.set_kernel_backend(kernel);
+        session = session.with_kernel_backend(kernel)?;
     }
     let elapsed = start.elapsed();
     let Some(index) = image else {

@@ -110,7 +110,8 @@ impl<'a> SeederBuilder<'a> {
     }
 
     /// Pins the CAM word kernel (default: `CASA_KERNEL`, else CPU
-    /// detection). No-op on the software backends.
+    /// detection). The software backends never execute it. A kernel this
+    /// CPU cannot run fails [`build`](Self::build) with a typed error.
     pub fn kernel(mut self, kernel: casa_core::KernelBackend) -> Self {
         self.kernel = Some(kernel);
         self
@@ -130,8 +131,9 @@ impl<'a> SeederBuilder<'a> {
     ///
     /// Any [`Error`] the underlying
     /// [`SeedingSession`] constructors report: an inconsistent config, an
-    /// empty reference, zero workers, a bad fault plan, or a malformed
-    /// `CASA_BACKEND` / `CASA_FAULT_SEED` / `CASA_KERNEL` value.
+    /// empty reference, zero workers, a bad fault plan, a malformed
+    /// `CASA_BACKEND` / `CASA_FAULT_SEED` / `CASA_KERNEL` value, or a
+    /// [`kernel`](Self::kernel) this CPU does not support.
     pub fn build(self) -> Result<Seeder, Error> {
         let config = match self.config {
             Some(config) => config,
@@ -146,9 +148,10 @@ impl<'a> SeederBuilder<'a> {
             }
         };
         let (backend, plan, workers) = env_defaults(self.backend, self.fault_plan, self.workers)?;
-        let session = SeedingSession::with_backend(self.reference, config, workers, plan, backend)?;
+        let mut session =
+            SeedingSession::with_backend(self.reference, config, workers, plan, backend)?;
         if let Some(kernel) = self.kernel {
-            session.set_kernel_backend(kernel);
+            session = session.with_kernel_backend(kernel)?;
         }
         let session = session.with_tile_deadline(self.tile_deadline);
         Ok(Seeder { session })
@@ -356,6 +359,32 @@ mod tests {
                 .map(|_| ()),
             Err(Error::EmptyReference)
         );
+    }
+
+    /// The kernel is validated once, at build: a kernel this CPU cannot
+    /// run is a typed error, never a silent fallback, and a kernel it can
+    /// run is the one the session reports — on any host.
+    #[test]
+    fn kernel_pin_is_validated_at_build() {
+        let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 5);
+        for kernel in casa_core::KernelBackend::ALL {
+            let built = Seeder::builder(&reference)
+                .config(CasaConfig::small(1_000))
+                .workers(1)
+                .kernel(kernel)
+                .build();
+            assert_eq!(built.is_ok(), kernel.is_supported(), "{kernel}");
+            match built {
+                Ok(seeder) => assert_eq!(seeder.session().kernel_backend(), kernel),
+                Err(e) => assert!(
+                    matches!(
+                        e,
+                        Error::Config(casa_core::ConfigError::UnknownKernelBackend { .. })
+                    ),
+                    "{kernel}: {e:?}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -1032,7 +1032,9 @@ fn handle_reload(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         old.session.workers(),
         *old.session.fault_plan(),
         old.session.backend(),
-    ) {
+    )
+    .and_then(|session| session.with_kernel_backend(old.session.kernel_backend()))
+    {
         Ok(session) => session,
         Err(e) => {
             log_warn!(
@@ -1044,7 +1046,6 @@ fn handle_reload(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         }
     };
     let session = session.with_tile_deadline(old.session.tile_deadline());
-    session.set_kernel_backend(old.session.kernel_backend());
     session.set_profiling(shared.config.profiling);
     let provenance = IndexProvenance::mapped(index.fingerprint(), path.clone());
     let generation = shared.install_generation(provenance, session);

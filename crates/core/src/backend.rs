@@ -1,7 +1,7 @@
 //! Pluggable seeding backends behind one object-safe trait.
 //!
 //! The repo carries three complete seeding substrates — the bit-parallel
-//! CAM simulator ([`PartitionEngine`]), the FM-index golden model
+//! CAM simulator ([`CamIndex`]), the FM-index golden model
 //! ([`casa_index::bifm`]), and the enumerated radix trees of
 //! [`casa_index::ert`] (the index the ASIC-ERT baseline of
 //! `casa-baselines::ert_model` costs out). [`SeedingBackend`] makes "which
@@ -28,16 +28,24 @@
 //! `casa_equals_golden_*` tests; [`FmBackend`] runs the bidirectional
 //! BWA-MEM2 algorithm (cross-checked equal in `casa-index`); and
 //! [`ErtBackend`]'s per-pivot tree walk reproduces the suffix-array
-//! longest match exactly (see the containment argument on
-//! [`ErtBackend::seed_read_into`]). Only the *activity statistics* differ:
+//! longest match exactly (see the containment argument on its per-read
+//! walk). Only the *activity statistics* differ:
 //! non-CAM backends have no filter banks or CAM arrays, so those counters
 //! stay zero and CASA's cycle model does not apply to them.
+//!
+//! # One seeding call
+//!
+//! A backend is an index, read-only once built: the trait has one seeding
+//! method, [`SeedingBackend::seed_tile`], taking `&self` plus the caller's
+//! [`Lane`] (every buffer a seeding call writes, and the CAM word kernel)
+//! and [`SeedingStats`]. Fault injection is the only mutation, and
+//! happens at construction.
 
 use casa_genome::PackedSeq;
 use casa_index::smem::smems_bidirectional;
 use casa_index::{BiFmIndex, ErtIndex, Smem};
 
-use crate::engine::PartitionEngine;
+use crate::engine::{CamIndex, Lane};
 use crate::error::ConfigError;
 use crate::stats::SeedingStats;
 use crate::CasaConfig;
@@ -151,8 +159,8 @@ impl std::fmt::Display for BackendKind {
 /// letting every (partition, tile) job re-derive it multiplies that work
 /// by the partition count. The session computes each tile's codes once
 /// with [`TileKmerCodes::compute`] and passes them to
-/// [`SeedingBackend::seed_tile_with_codes_into`]; backends that do not
-/// consume codes ignore them.
+/// [`SeedingBackend::seed_tile`]; backends that do not consume codes
+/// ignore them, and are handed an empty instance.
 #[derive(Clone, Debug, Default)]
 pub struct TileKmerCodes {
     /// Every read's rolling codes, concatenated in read order.
@@ -189,82 +197,35 @@ impl TileKmerCodes {
 
 /// One seeding substrate bound to one reference partition.
 ///
-/// Object-safe and `Send + Sync` so a session can hold
-/// `Arc<Vec<Mutex<Box<dyn SeedingBackend>>>>` and drive it from scoped
-/// worker threads. Implementations report partition-**local** hit
+/// Object-safe and `Send + Sync`, and read-only while seeding, so a
+/// session holds `Arc<Vec<Box<dyn SeedingBackend>>>` and drives every
+/// backend from any number of worker threads at once, without a lock.
+/// Everything a seeding call writes lives in the caller's [`Lane`] and
+/// [`SeedingStats`]. Implementations report partition-**local** hit
 /// coordinates; the session translates and merges.
-///
-/// The CAM-specific hooks (`inject_faults`, `set_kernel_backend`)
-/// default to no-ops so software backends do not have to know about CAM
-/// fault models or word kernels.
 pub trait SeedingBackend: Send + Sync {
     /// Which substrate this is.
     fn kind(&self) -> BackendKind;
 
-    /// Seeds one read against this backend's partition, writing the SMEMs
-    /// into the caller's scratch vector (cleared first). Hits are
-    /// partition-local. Statistics are reported as per-read deltas onto
-    /// `stats`, exactly like [`PartitionEngine::seed_read`].
-    fn seed_read_into(&mut self, read: &PackedSeq, stats: &mut SeedingStats, out: &mut Vec<Smem>);
-
-    /// Seeds a tile of reads, one output vector per read (the batched
-    /// entry point the session's tile scheduler uses). The default
-    /// implementation loops [`seed_read_into`](Self::seed_read_into);
-    /// backends with a cheaper batched path may override it, but the
-    /// output must stay bit-identical to the per-read loop.
-    fn seed_tile_into(
-        &mut self,
-        reads: &[PackedSeq],
-        stats: &mut SeedingStats,
-        out: &mut Vec<Vec<Smem>>,
-    ) {
-        out.clear();
-        for read in reads {
-            let mut smems = Vec::new();
-            self.seed_read_into(read, stats, &mut smems);
-            out.push(smems);
-        }
-    }
-
-    /// Like [`seed_read_into`](Self::seed_read_into), with the read's
-    /// rolling k-mer codes (window `config.filter.k`, as produced by
-    /// [`PackedSeq::kmers`]) already computed by the caller. Backends
-    /// that derive per-pivot state from the codes (the CAM engine) skip
-    /// recomputing them; the default ignores `codes` and defers to
-    /// `seed_read_into`, so software backends need no change. Passing
-    /// codes that are not exactly the read's own is a logic error.
-    fn seed_read_with_codes_into(
-        &mut self,
-        read: &PackedSeq,
-        codes: &[u64],
-        stats: &mut SeedingStats,
-        out: &mut Vec<Smem>,
-    ) {
-        let _ = codes;
-        self.seed_read_into(read, stats, out);
-    }
-
-    /// Tile variant of
-    /// [`seed_read_with_codes_into`](Self::seed_read_with_codes_into):
-    /// seeds `reads[i]` with `codes.read(i)`. Output and stats must stay
-    /// bit-identical to [`seed_tile_into`](Self::seed_tile_into) — the
-    /// codes are a shared precomputation, never a semantic input.
-    fn seed_tile_with_codes_into(
-        &mut self,
+    /// Seeds a tile of reads against this backend's partition on `lane`,
+    /// one output vector per read (`out` is cleared first), adding the
+    /// tile's activity onto `stats`. `codes` holds the tile's rolling
+    /// k-mer codes ([`TileKmerCodes::compute`] with `config.filter.k`)
+    /// for backends that consume them — the CAM backend — and may be
+    /// empty for the others; passing codes that are not the tile's own to
+    /// the CAM backend is a logic error. Output and stats are a pure
+    /// function of (partition, reads): the lane is scratch only.
+    fn seed_tile(
+        &self,
+        lane: &mut Lane,
         reads: &[PackedSeq],
         codes: &TileKmerCodes,
         stats: &mut SeedingStats,
         out: &mut Vec<Vec<Smem>>,
-    ) {
-        out.clear();
-        for (i, read) in reads.iter().enumerate() {
-            let mut smems = Vec::new();
-            self.seed_read_with_codes_into(read, codes.read(i), stats, &mut smems);
-            out.push(smems);
-        }
-    }
+    );
 
-    /// Injects seeded hardware faults, returning the chosen sites. Only
+    /// Injects seeded hardware faults, returning the chosen sites. Called
+    /// at construction only, before the backend is shared. Only
     /// meaningful for the CAM backend; the default reports no sites (the
     /// software models have no CAM lines or filter tables to corrupt —
     /// scheduler faults like tile panics and stalls still apply, as they
@@ -280,21 +241,6 @@ pub trait SeedingBackend: Send + Sync {
         )
     }
 
-    /// Pins the CAM word kernel. No-op on software backends.
-    fn set_kernel_backend(&mut self, _backend: casa_cam::KernelBackend) {}
-
-    /// The effective CAM word kernel; software backends report the
-    /// process default (they never execute one).
-    fn kernel_backend(&self) -> casa_cam::KernelBackend {
-        casa_cam::kernel::default_backend()
-    }
-
-    /// Enables per-stage wall-clock profiling (see
-    /// [`crate::profile`]). Software backends are not instrumented and
-    /// default to a no-op: their stage spans simply stay zero, which the
-    /// profile layer treats as "not measured", not as "free".
-    fn set_profiling(&mut self, _enabled: bool) {}
-
     /// Whether this backend's reference-side arrays are borrowed from a
     /// mapped index image (see [`crate::image`]) rather than owned heap
     /// allocations. Software backends always own their structures.
@@ -303,47 +249,18 @@ pub trait SeedingBackend: Send + Sync {
     }
 }
 
-impl SeedingBackend for PartitionEngine {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Cam
-    }
-
-    fn seed_read_into(&mut self, read: &PackedSeq, stats: &mut SeedingStats, out: &mut Vec<Smem>) {
-        PartitionEngine::seed_read_into(self, read, stats, out);
-    }
-
-    fn seed_read_with_codes_into(
-        &mut self,
-        read: &PackedSeq,
-        codes: &[u64],
-        stats: &mut SeedingStats,
-        out: &mut Vec<Smem>,
-    ) {
-        PartitionEngine::seed_read_with_codes_into(self, read, codes, stats, out);
-    }
-
-    fn set_profiling(&mut self, enabled: bool) {
-        PartitionEngine::set_profiling(self, enabled);
-    }
-
-    fn inject_faults(
-        &mut self,
-        cam: &casa_cam::CamFaultModel,
-        filter: &casa_filter::FilterFaultModel,
-    ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
-        PartitionEngine::inject_faults(self, cam, filter)
-    }
-
-    fn set_kernel_backend(&mut self, backend: casa_cam::KernelBackend) {
-        PartitionEngine::set_kernel_backend(self, backend);
-    }
-
-    fn kernel_backend(&self) -> casa_cam::KernelBackend {
-        PartitionEngine::kernel_backend(self)
-    }
-
-    fn storage_shared(&self) -> bool {
-        PartitionEngine::storage_shared(self)
+/// The tile loop of every backend: seeds read `i` through
+/// `seed_read(i, read, smems)`, one output vector per read.
+pub(crate) fn seed_each(
+    reads: &[PackedSeq],
+    out: &mut Vec<Vec<Smem>>,
+    mut seed_read: impl FnMut(usize, &PackedSeq, &mut Vec<Smem>),
+) {
+    out.clear();
+    for (i, read) in reads.iter().enumerate() {
+        let mut smems = Vec::new();
+        seed_read(i, read, &mut smems);
+        out.push(smems);
     }
 }
 
@@ -382,7 +299,23 @@ impl SeedingBackend for FmBackend {
         BackendKind::Fm
     }
 
-    fn seed_read_into(&mut self, read: &PackedSeq, stats: &mut SeedingStats, out: &mut Vec<Smem>) {
+    fn seed_tile(
+        &self,
+        _lane: &mut Lane,
+        reads: &[PackedSeq],
+        _codes: &TileKmerCodes,
+        stats: &mut SeedingStats,
+        out: &mut Vec<Vec<Smem>>,
+    ) {
+        seed_each(reads, out, |_, read, smems| {
+            self.seed_read(read, stats, smems)
+        });
+    }
+}
+
+impl FmBackend {
+    /// Seeds one read, writing its SMEMs into `out` (cleared first).
+    fn seed_read(&self, read: &PackedSeq, stats: &mut SeedingStats, out: &mut Vec<Smem>) {
         stats.read_passes += 1;
         stats.pivots_total += read.len() as u64;
         out.clear();
@@ -434,7 +367,23 @@ impl SeedingBackend for ErtBackend {
         BackendKind::Ert
     }
 
-    /// Unidirectional SMEM extraction over ERT walks.
+    fn seed_tile(
+        &self,
+        _lane: &mut Lane,
+        reads: &[PackedSeq],
+        _codes: &TileKmerCodes,
+        stats: &mut SeedingStats,
+        out: &mut Vec<Vec<Smem>>,
+    ) {
+        seed_each(reads, out, |_, read, smems| {
+            self.seed_read(read, stats, smems)
+        });
+    }
+}
+
+impl ErtBackend {
+    /// Unidirectional SMEM extraction over ERT walks, writing one read's
+    /// SMEMs into `out` (cleared first).
     ///
     /// `walk` returns `None` exactly when the pivot's k-mer is absent,
     /// i.e. the RMEM there is shorter than `k <= min_smem_len`. Skipping
@@ -445,7 +394,7 @@ impl SeedingBackend for ErtBackend {
     /// `positions` equal the suffix-array longest match (proven in
     /// `casa-index::ert`), so the emitted set is bit-identical to
     /// [`smems_unidirectional`](casa_index::smem::smems_unidirectional).
-    fn seed_read_into(&mut self, read: &PackedSeq, stats: &mut SeedingStats, out: &mut Vec<Smem>) {
+    fn seed_read(&self, read: &PackedSeq, stats: &mut SeedingStats, out: &mut Vec<Smem>) {
         stats.read_passes += 1;
         stats.pivots_total += read.len() as u64;
         out.clear();
@@ -486,15 +435,14 @@ impl SeedingBackend for ErtBackend {
 /// # Errors
 ///
 /// Returns the first violated configuration invariant (see
-/// [`CasaConfig::validated`]); for the CAM backend this includes a typed
-/// error for an invalid `CASA_KERNEL` request.
+/// [`CasaConfig::validated`]).
 pub fn build_backend(
     kind: BackendKind,
     partition: &PackedSeq,
     config: CasaConfig,
 ) -> Result<Box<dyn SeedingBackend>, ConfigError> {
     Ok(match kind {
-        BackendKind::Cam => Box::new(PartitionEngine::new(partition, config)?),
+        BackendKind::Cam => Box::new(CamIndex::new(partition, config)?),
         BackendKind::Fm => Box::new(FmBackend::new(partition, config)?),
         BackendKind::Ert => Box::new(ErtBackend::new(partition, config)?),
     })
@@ -503,6 +451,7 @@ pub fn build_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PartitionEngine;
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{ReadSimConfig, ReadSimulator};
     use casa_index::smem::smems_unidirectional;
@@ -519,6 +468,11 @@ mod tests {
         assert!(err.to_string().contains("cam, fm, ert"));
     }
 
+    /// A fresh lane on the process-default kernel.
+    fn lane() -> Lane {
+        Lane::new(casa_cam::kernel::default_backend(), false)
+    }
+
     #[test]
     fn every_backend_equals_golden_on_simulated_reads() {
         let part = generate_reference(&ReferenceProfile::human_like(), 4_000, 77);
@@ -531,40 +485,47 @@ mod tests {
             },
             21,
         );
-        let reads = sim.simulate(&part, 40);
+        let reads: Vec<PackedSeq> = sim.simulate(&part, 40).into_iter().map(|r| r.seq).collect();
+        let codes = TileKmerCodes::compute(&reads, config.filter.k);
         for kind in BackendKind::ALL {
-            let mut backend = build_backend(kind, &part, config).expect("valid config");
+            let backend = build_backend(kind, &part, config).expect("valid config");
             assert_eq!(backend.kind(), kind);
             let mut stats = SeedingStats::default();
             let mut smems = Vec::new();
-            for read in &reads {
-                let golden = smems_unidirectional(&sa, &read.seq, config.min_smem_len);
-                backend.seed_read_into(&read.seq, &mut stats, &mut smems);
-                assert_eq!(smems, golden, "{kind} diverged on read {}", read.name);
+            backend.seed_tile(&mut lane(), &reads, &codes, &mut stats, &mut smems);
+            for (i, read) in reads.iter().enumerate() {
+                let golden = smems_unidirectional(&sa, read, config.min_smem_len);
+                assert_eq!(smems[i], golden, "{kind} diverged on read {i}");
             }
             assert_eq!(stats.read_passes, reads.len() as u64);
             assert!(stats.smems_reported > 0, "{kind} reported no SMEMs");
         }
     }
 
+    /// Seeding a whole tile equals seeding each read as a tile of its
+    /// own on the same lane — output and stats — on every backend.
     #[test]
     fn tile_path_matches_per_read_path() {
         let part = generate_reference(&ReferenceProfile::human_like(), 2_500, 5);
         let config = CasaConfig::small(part.len());
         let reads: Vec<PackedSeq> = (0..8).map(|i| part.subseq(i * 100, 40)).collect();
+        let k = config.filter.k;
         for kind in BackendKind::ALL {
-            let mut a = build_backend(kind, &part, config).expect("valid config");
-            let mut b = build_backend(kind, &part, config).expect("valid config");
+            let backend = build_backend(kind, &part, config).expect("valid config");
+            let mut lane = lane();
             let mut sa = SeedingStats::default();
             let mut sb = SeedingStats::default();
             let mut tile_out = Vec::new();
-            a.seed_tile_into(&reads, &mut sa, &mut tile_out);
+            let codes = TileKmerCodes::compute(&reads, k);
+            backend.seed_tile(&mut lane, &reads, &codes, &mut sa, &mut tile_out);
             let per_read: Vec<Vec<Smem>> = reads
-                .iter()
-                .map(|r| {
-                    let mut out = Vec::new();
-                    b.seed_read_into(r, &mut sb, &mut out);
-                    out
+                .chunks(1)
+                .map(|one| {
+                    let mut out = vec![Vec::new(); 3];
+                    let codes = TileKmerCodes::compute(one, k);
+                    backend.seed_tile(&mut lane, one, &codes, &mut sb, &mut out);
+                    assert_eq!(out.len(), 1, "{kind} left stale output");
+                    out.pop().unwrap()
                 })
                 .collect();
             assert_eq!(tile_out, per_read, "{kind} tile path diverged");
@@ -572,10 +533,10 @@ mod tests {
         }
     }
 
-    /// The session's shared-codes tile path must be bit-identical —
-    /// output *and* stats — to the plain tile path on every backend,
-    /// including for a read shorter than the filter k-mer (whose code
-    /// range is empty).
+    /// The session hands software backends an empty code table: they
+    /// must ignore codes entirely — output *and* stats — while the CAM
+    /// backend consumes the tile's own codes, including an empty range
+    /// for a read shorter than the filter k-mer.
     #[test]
     fn precomputed_codes_path_matches_plain_path() {
         let part = generate_reference(&ReferenceProfile::human_like(), 2_500, 5);
@@ -583,17 +544,32 @@ mod tests {
         let mut reads: Vec<PackedSeq> = (0..8).map(|i| part.subseq(i * 100, 40)).collect();
         reads.push(part.subseq(0, config.filter.k - 1));
         let codes = TileKmerCodes::compute(&reads, config.filter.k);
+        let mut engine = PartitionEngine::new(&part, config).expect("valid config");
+        let mut plain_stats = SeedingStats::default();
+        let mut plain = Vec::new();
+        engine.seed_tile_into(&reads, &mut plain_stats, &mut plain);
         for kind in BackendKind::ALL {
-            let mut a = build_backend(kind, &part, config).expect("valid config");
-            let mut b = build_backend(kind, &part, config).expect("valid config");
-            let mut sa = SeedingStats::default();
-            let mut sb = SeedingStats::default();
+            let backend = build_backend(kind, &part, config).expect("valid config");
+            let mut with_codes_stats = SeedingStats::default();
             let mut with_codes = Vec::new();
-            let mut plain = Vec::new();
-            a.seed_tile_with_codes_into(&reads, &codes, &mut sa, &mut with_codes);
-            b.seed_tile_into(&reads, &mut sb, &mut plain);
+            backend.seed_tile(
+                &mut lane(),
+                &reads,
+                &codes,
+                &mut with_codes_stats,
+                &mut with_codes,
+            );
             assert_eq!(with_codes, plain, "{kind} codes path diverged");
-            assert_eq!(sa, sb, "{kind} codes-path stats diverged");
+            if kind == BackendKind::Cam {
+                assert_eq!(with_codes_stats, plain_stats, "codes-path stats diverged");
+                continue;
+            }
+            let mut empty_stats = SeedingStats::default();
+            let mut empty = Vec::new();
+            let none = TileKmerCodes::default();
+            backend.seed_tile(&mut lane(), &reads, &none, &mut empty_stats, &mut empty);
+            assert_eq!(empty, plain, "{kind} read the codes");
+            assert_eq!(empty_stats, with_codes_stats, "{kind} stats read the codes");
         }
         // Out-of-range reads and defaulted instances report no codes.
         assert_eq!(codes.read(reads.len()), &[] as &[u64]);
@@ -606,7 +582,6 @@ mod tests {
         let config = CasaConfig::small(part.len());
         for kind in [BackendKind::Fm, BackendKind::Ert] {
             let mut backend = build_backend(kind, &part, config).expect("valid config");
-            backend.set_kernel_backend(casa_cam::KernelBackend::Scalar);
             let plan = crate::FaultPlan {
                 seed: 9,
                 cam_stuck_rate: 0.5,

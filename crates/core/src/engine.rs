@@ -1,14 +1,23 @@
 //! Per-partition seeding engine: Algorithm 1 (the filter-enabled SMEM
 //! computing algorithm) plus the exact-match pre-processing of §4.3.
+//!
+//! As in the hardware, where partitions are loaded once and reads stream
+//! through lanes (paper Fig. 9, §4.1), the engine has two parts: a
+//! read-only [`CamIndex`] per partition, shared by every thread, and a
+//! [`Lane`] per worker holding everything a seeding call writes. Filter
+//! and CAM activity go straight into the caller's [`SeedingStats`].
+//! [`PartitionEngine`] is one index with its own lane, for single-threaded
+//! callers.
 
 use casa_cam::KernelBackend;
-use casa_filter::{PreSeedingFilter, SearchIndicator};
+use casa_filter::{FilterStats, PreSeedingFilter, SearchIndicator};
 use casa_genome::PackedSeq;
 use casa_index::Smem;
 
+use crate::backend::{seed_each, BackendKind, SeedingBackend, TileKmerCodes};
 use crate::error::ConfigError;
 use crate::profile::{Stage, StageTimer};
-use crate::rmem::{CamSearcher, RmemResult};
+use crate::rmem::{CamSearcher, RmemResult, SearchScratch};
 use crate::stats::SeedingStats;
 use crate::CasaConfig;
 
@@ -16,52 +25,64 @@ use crate::CasaConfig;
 /// stage.
 const PIVOT_CHECK_CYCLES: u64 = 1;
 
-/// One CASA lane bound to one reference partition.
-///
-/// ```
-/// use casa_core::{CasaConfig, PartitionEngine};
-/// use casa_core::stats::SeedingStats;
-/// use casa_genome::PackedSeq;
-///
-/// let part = PackedSeq::from_ascii(&b"GATTACA".repeat(12))?;
-/// let mut engine = PartitionEngine::new(&part, CasaConfig::small(64))?;
-/// let mut stats = SeedingStats::default();
-/// let read = part.subseq(5, 30);
-/// let smems = engine.seed_read(&read, &mut stats);
-/// assert_eq!(smems.len(), 1);
-/// assert_eq!(smems[0].len(), 30);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
+/// Everything one seeding call writes — filter indicators, the RMEM chain,
+/// mask, hit and match-line buffers — plus the CAM word kernel and whether
+/// stages are timed. One per worker, reused across reads, tiles and
+/// partitions of any size: every buffer is overwritten before it is read.
 #[derive(Clone, Debug)]
-pub struct PartitionEngine {
+pub struct Lane {
+    /// Per-pivot indicators fetched by the batched filter pass.
+    indicators: Vec<SearchIndicator>,
+    /// The RMEM just computed.
+    rmem: RmemResult,
+    /// The multi-stride search's buffers and CAM word kernel.
+    search: SearchScratch,
+    /// Whether stage spans take wall-clock timestamps (see
+    /// [`crate::profile`]).
+    profiling: bool,
+}
+
+impl Lane {
+    /// A lane on CAM word kernel `kernel` (an unsupported one falls back
+    /// to the best supported; validate with
+    /// [`KernelBackend::ensure_supported`] to reject it instead).
+    pub fn new(kernel: KernelBackend, profiling: bool) -> Lane {
+        Lane {
+            indicators: Vec::new(),
+            rmem: RmemResult::default(),
+            search: SearchScratch::new(kernel),
+            profiling,
+        }
+    }
+
+    /// The lane's effective CAM word kernel.
+    pub fn kernel_backend(&self) -> KernelBackend {
+        self.search.kernel_backend()
+    }
+
+    /// Whether the lane times its stages.
+    pub fn profiling(&self) -> bool {
+        self.profiling
+    }
+}
+
+/// One partition's CAM-backend index — filter tables, CAM planes and
+/// stuck-at masks, group masks, config — only read once construction and
+/// fault injection are done.
+#[derive(Clone, Debug)]
+pub struct CamIndex {
     config: CasaConfig,
     filter: PreSeedingFilter,
     searcher: CamSearcher,
-    /// Rolling k-mer codes of the read being seeded, for callers that do
-    /// not precompute them (hot-path scratch: filled once per read,
-    /// indexed per pivot). The session's tile path derives each tile's
-    /// codes once and shares them across every partition engine via
-    /// [`seed_read_with_codes_into`](Self::seed_read_with_codes_into)
-    /// instead, leaving this buffer untouched.
-    kmer_codes: Vec<u64>,
-    /// Reusable RMEM result buffer.
-    rmem_scratch: RmemResult,
-    /// Per-pivot indicators fetched by the batched filter pass (see
-    /// [`set_batched_filter`](Self::set_batched_filter)).
-    indicators: Vec<SearchIndicator>,
-    /// Whether stage spans take wall-clock timestamps (see
-    /// [`crate::profile`]). Off by default: timings are nondeterministic
-    /// and excluded from the bit-identity contract.
-    profiling: bool,
     /// Whether pivot lookups go through the batched
     /// [`lookup_codes_into`](PreSeedingFilter::lookup_codes_into) pass
-    /// (default) or the per-pivot seed path. Outputs and stats are
+    /// (default) or the per-pivot path. Outputs and stats are
     /// bit-identical either way; the switch exists so perfbench's traced
     /// run can measure before/after.
     batched_filter: bool,
 }
 
-impl PartitionEngine {
+impl CamIndex {
     /// Builds the filter tables and loads the partition into the computing
     /// CAM.
     ///
@@ -69,167 +90,48 @@ impl PartitionEngine {
     ///
     /// Returns the first violated configuration invariant (see
     /// [`CasaConfig::validated`]).
-    pub fn new(partition: &PackedSeq, config: CasaConfig) -> Result<PartitionEngine, ConfigError> {
+    pub fn new(partition: &PackedSeq, config: CasaConfig) -> Result<CamIndex, ConfigError> {
         let config = config.validated()?;
-        // An invalid `CASA_KERNEL` must surface as a typed error, not a
-        // panic (and not be silently ignored).
-        let env_backend = casa_cam::kernel::backend_from_env()?;
-        let mut searcher = CamSearcher::new(partition, config.filter.stride, config.filter.groups);
-        if let Some(backend) = env_backend {
-            searcher.set_kernel_backend(backend);
-        }
-        Ok(PartitionEngine {
+        let cam = casa_cam::Bcam::new(partition, config.filter.stride);
+        CamIndex::from_parts(
+            PreSeedingFilter::build(partition, config.filter),
+            cam,
             config,
-            filter: PreSeedingFilter::build(partition, config.filter),
-            searcher,
-            kmer_codes: Vec::new(),
-            rmem_scratch: RmemResult::default(),
-            indicators: Vec::new(),
-            profiling: false,
-            batched_filter: true,
-        })
+        )
     }
 
-    /// Assembles an engine from a prebuilt filter and CAM — the zero-copy
-    /// image-loading path. Behaves exactly like [`PartitionEngine::new`]
-    /// on the same partition and config (including `CASA_KERNEL` backend
-    /// selection), except that no tables are rebuilt.
+    /// Assembles an index from a prebuilt filter and CAM — the zero-copy
+    /// image-loading path.
+    ///
+    /// # Errors
+    ///
+    /// As [`CamIndex::new`].
     pub fn from_parts(
         filter: PreSeedingFilter,
         cam: casa_cam::Bcam,
         config: CasaConfig,
-    ) -> Result<PartitionEngine, ConfigError> {
+    ) -> Result<CamIndex, ConfigError> {
         let config = config.validated()?;
-        let env_backend = casa_cam::kernel::backend_from_env()?;
-        let mut searcher = CamSearcher::from_cam(cam, config.filter.groups);
-        if let Some(backend) = env_backend {
-            searcher.set_kernel_backend(backend);
-        }
-        Ok(PartitionEngine {
+        Ok(CamIndex {
             config,
             filter,
-            searcher,
-            kmer_codes: Vec::new(),
-            rmem_scratch: RmemResult::default(),
-            indicators: Vec::new(),
-            profiling: false,
+            searcher: CamSearcher::from_cam(cam, config.filter.groups),
             batched_filter: true,
         })
     }
 
-    /// Enables wall-clock per-stage profiling (see [`crate::profile`]).
-    /// Spans accumulate into the caller's
-    /// [`SeedingStats::profile`](crate::SeedingStats). Default off; when
-    /// off, no timestamps are taken at all.
-    pub fn set_profiling(&mut self, enabled: bool) {
-        self.profiling = enabled;
-    }
-
-    /// Whether per-stage profiling is enabled.
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// Switches between the batched pre-seeding lookup pass (default) and
-    /// the per-pivot seed path. Bit-identical outputs and stats either
-    /// way; perfbench's traced run flips this to measure the before/after
-    /// of the batching optimization.
-    pub fn set_batched_filter(&mut self, batched: bool) {
-        self.batched_filter = batched;
-    }
-
-    /// Selects the word-level kernel backend of this engine's computing
-    /// CAM (see [`casa_cam::KernelBackend`]); hits and stats are
-    /// bit-identical across backends. Unsupported requests degrade to the
-    /// best supported backend; the CLI and env paths validate support
-    /// before calling this.
-    pub fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.searcher.set_kernel_backend(backend);
-    }
-
-    /// The computing CAM's effective kernel backend.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.searcher.kernel_backend()
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &CasaConfig {
-        &self.config
-    }
-
-    /// Whether this engine's reference-side arrays (filter tables and CAM
-    /// entry bitplanes) are all borrowed from a mapped index image rather
-    /// than owned heap allocations. Fault injection detaches the affected
-    /// arrays copy-on-write, after which this reports `false`.
-    pub fn storage_shared(&self) -> bool {
-        self.filter.tables_shared() && self.searcher.cam().planes_shared()
-    }
-
-    /// Injects seeded hardware faults into this engine's computing CAM and
-    /// filter tables, returning the chosen sites. Used by
-    /// [`SeedingSession`](crate::SeedingSession) at construction when a
-    /// fault plan is active.
-    pub fn inject_faults(
-        &mut self,
-        cam: &casa_cam::CamFaultModel,
-        filter: &casa_filter::FilterFaultModel,
-    ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
-        (
-            self.searcher.inject_faults(cam),
-            self.filter.inject_faults(filter),
-        )
-    }
-
-    /// Seeds one read against this partition. Returned SMEM hits are
-    /// **partition-local**; the caller translates them to global
-    /// coordinates and merges across partitions.
+    /// Seeds one read against this partition on `lane`, writing its
+    /// **partition-local** SMEMs into `out` (cleared first); the caller
+    /// translates them to global coordinates and merges across
+    /// partitions. `codes` are the read's rolling k-mer codes (window
+    /// `config.filter.k`, exactly as [`PackedSeq::kmers`] yields them);
+    /// passing codes that are not the read's own is a logic error.
     ///
     /// Implements the paper's Algorithm 1 with all ablation switches, plus
     /// the §4.3 exact-match pre-processing.
-    pub fn seed_read(&mut self, read: &PackedSeq, stats: &mut SeedingStats) -> Vec<Smem> {
-        let mut out = Vec::new();
-        self.seed_read_into(read, stats, &mut out);
-        out
-    }
-
-    /// [`seed_read`](Self::seed_read) into a caller-owned buffer, cleared
-    /// first — the allocation-free form the session's tile path uses
-    /// end-to-end. Identical output and stats.
-    pub fn seed_read_into(
-        &mut self,
-        read: &PackedSeq,
-        stats: &mut SeedingStats,
-        out: &mut Vec<Smem>,
-    ) {
-        let k = self.config.filter.k;
-        if read.len() < k {
-            self.seed_read_with_codes_into(read, &[], stats, out);
-            return;
-        }
-        // Rolling k-mer codes, once per read: every pivot (and the CRkM
-        // and exact-match lookups) reads its code in O(1) instead of
-        // recomputing an O(k) `kmer_code`. The scratch is taken out of
-        // `self` for the call so the codes can be borrowed alongside the
-        // engine, then put back to keep the allocation pooled.
-        let t = StageTimer::start(self.profiling);
-        let mut codes = std::mem::take(&mut self.kmer_codes);
-        codes.clear();
-        codes.extend(read.kmers(k).map(|(_, code)| code));
-        t.stop(&mut stats.profile, Stage::KmerCodes);
-        self.seed_read_with_codes_into(read, &codes, stats, out);
-        self.kmer_codes = codes;
-    }
-
-    /// [`seed_read_into`](Self::seed_read_into) with the read's rolling
-    /// k-mer codes (window `config.filter.k`, in read order, exactly as
-    /// [`PackedSeq::kmers`] produces them) already computed by the
-    /// caller. The parallel session derives each tile's codes **once**
-    /// and shares them across all partition engines, which would
-    /// otherwise each re-derive the identical values per read. Output
-    /// and statistics are bit-identical to `seed_read_into`; passing
-    /// codes that are not the read's own is a logic error.
-    pub fn seed_read_with_codes_into(
-        &mut self,
+    fn seed_read(
+        &self,
+        lane: &mut Lane,
         read: &PackedSeq,
         codes: &[u64],
         stats: &mut SeedingStats,
@@ -237,25 +139,18 @@ impl PartitionEngine {
     ) {
         out.clear();
         stats.read_passes += 1;
-        let filter_before = self.filter.stats();
-        let cam_before = self.searcher.cam().stats();
-        let mut computing_cycles = 0u64;
-
+        let mut filter = FilterStats::default();
         if read.len() >= self.config.filter.k {
             debug_assert_eq!(codes.len(), read.len() - self.config.filter.k + 1);
-            self.seed_read_body(read, codes, stats, &mut computing_cycles, out);
+            self.seed_read_body(lane, read, codes, stats, &mut filter, out);
         }
-
         stats.smems_reported += out.len() as u64;
-
-        // Activity deltas -> pipeline cycle model.
-        let filter_delta = self.filter.stats().since(&filter_before);
-        stats.filter_ops += filter_delta.lookups + filter_delta.data_reads;
-        stats.computing_cycles += computing_cycles + 2;
-        stats.filter.merge(&filter_delta);
-        stats
-            .cam
-            .merge(&self.searcher.cam().stats().since(&cam_before));
+        // Activity -> pipeline cycle model: the pre-seeding stage issues
+        // the read's lookups and data reads; the computing stage adds its
+        // fixed per-read overhead to the searches and checks booked above.
+        stats.filter_ops += filter.lookups + filter.data_reads;
+        stats.filter.merge(&filter);
+        stats.computing_cycles += 2;
         // DRAM: seed records out. Read streaming is charged once per
         // batch by the accelerator (reads sit in the on-chip buffer while
         // partitions rotate); partition loads amortize over the
@@ -268,17 +163,18 @@ impl PartitionEngine {
     /// surviving pivot's RMEM is searched and recorded before the next
     /// pivot is examined, since pivot gating reads the last recorded RMEM.
     fn seed_read_body(
-        &mut self,
+        &self,
+        lane: &mut Lane,
         read: &PackedSeq,
         codes: &[u64],
         stats: &mut SeedingStats,
-        computing_cycles: &mut u64,
+        filter: &mut FilterStats,
         out: &mut Vec<Smem>,
     ) {
         let k = self.config.filter.k;
 
         if self.config.exact_match_preprocessing
-            && self.try_exact_match_into(read, codes, stats, computing_cycles, out)
+            && self.try_exact_match_into(lane, read, codes, stats, filter, out)
         {
             stats.exact_match_reads += 1;
             return;
@@ -291,8 +187,8 @@ impl PartitionEngine {
         // of its iteration anyway.
         let batched = self.config.use_filter_table && self.batched_filter;
         if batched {
-            let t = StageTimer::start(self.profiling);
-            self.filter.lookup_codes_into(codes, &mut self.indicators);
+            let t = StageTimer::start(lane.profiling);
+            filter.merge(&self.filter.lookup_codes_into(codes, &mut lane.indicators));
             t.stop(&mut stats.profile, Stage::FilterLookup);
         }
 
@@ -307,17 +203,17 @@ impl PartitionEngine {
         // spans stay disjoint (sum of stages ≤ wall, never double
         // counted).
         let inner_before = stats.profile.total_nanos();
-        let loop_timer = StageTimer::start(self.profiling);
+        let loop_timer = StageTimer::start(lane.profiling);
 
         let pivot_count = read.len() - k + 1;
         stats.pivots_total += pivot_count as u64;
         for pivot in 0..pivot_count {
             let si = if self.config.use_filter_table {
                 let si = if batched {
-                    self.indicators[pivot]
+                    lane.indicators[pivot]
                 } else {
-                    let t = StageTimer::start(self.profiling);
-                    let si = self.filter.lookup_code(codes[pivot]);
+                    let t = StageTimer::start(lane.profiling);
+                    let si = self.filter.lookup_code(codes[pivot], filter);
                     t.stop(&mut stats.profile, Stage::FilterLookup);
                     si
                 };
@@ -331,7 +227,7 @@ impl PartitionEngine {
             } else {
                 self.searcher.full_indicator()
             };
-            *computing_cycles += PIVOT_CHECK_CYCLES;
+            stats.computing_cycles += PIVOT_CHECK_CYCLES;
 
             if let Some((_start, end)) = last {
                 // Pivots whose RMEM could only be contained in `last`
@@ -352,8 +248,8 @@ impl PartitionEngine {
                             // Deliberately a fresh lookup even in batched
                             // mode: the seed path issues one here too, so
                             // the FilterStats multisets stay identical.
-                            let t = StageTimer::start(self.profiling);
-                            let si = self.filter.lookup_code(codes[crkm_start]);
+                            let t = StageTimer::start(lane.profiling);
+                            let si = self.filter.lookup_code(codes[crkm_start], filter);
                             t.stop(&mut stats.profile, Stage::FilterLookup);
                             crkm = Some((crkm_start, si));
                             si
@@ -373,12 +269,18 @@ impl PartitionEngine {
             }
 
             stats.rmem_searches += 1;
-            let t = StageTimer::start(self.profiling);
-            self.searcher
-                .rmem_into(read, pivot, &si, &mut self.rmem_scratch);
+            let t = StageTimer::start(lane.profiling);
+            self.searcher.rmem_into(
+                read,
+                pivot,
+                &si,
+                &mut lane.search,
+                &mut stats.cam,
+                &mut lane.rmem,
+            );
             t.stop(&mut stats.profile, Stage::CamSearch);
-            let t = StageTimer::start(self.profiling);
-            self.record_rmem(pivot, out, &mut last, stats, computing_cycles);
+            let t = StageTimer::start(lane.profiling);
+            self.record_rmem(&mut lane.rmem, pivot, out, &mut last, stats);
             t.stop(&mut stats.profile, Stage::ContainMerge);
         }
 
@@ -391,18 +293,17 @@ impl PartitionEngine {
         }
     }
 
-    /// Records the RMEM of `pivot` just computed into `rmem_scratch`:
-    /// containment against `last`, the `last` update, and SMEM emission.
+    /// Records the RMEM of `pivot` just computed into `rmem`: containment
+    /// against `last`, the `last` update, and SMEM emission.
     fn record_rmem(
-        &mut self,
+        &self,
+        rmem: &mut RmemResult,
         pivot: usize,
         smems: &mut Vec<Smem>,
         last: &mut Option<(usize, usize)>,
         stats: &mut SeedingStats,
-        computing_cycles: &mut u64,
     ) {
-        let rmem = &mut self.rmem_scratch;
-        *computing_cycles += rmem.searches;
+        stats.computing_cycles += rmem.searches;
         if rmem.len == 0 {
             return;
         }
@@ -430,11 +331,12 @@ impl PartitionEngine {
     /// Returns `true` (with the single whole-read SMEM pushed into `out`)
     /// when the read is settled here.
     fn try_exact_match_into(
-        &mut self,
+        &self,
+        lane: &mut Lane,
         read: &PackedSeq,
         codes: &[u64],
         stats: &mut SeedingStats,
-        cycles: &mut u64,
+        filter: &mut FilterStats,
         out: &mut Vec<Smem>,
     ) -> bool {
         let (k, m) = (self.config.filter.k, self.config.filter.m);
@@ -451,16 +353,18 @@ impl PartitionEngine {
         let mut first: Option<SearchIndicator> = None;
         let mut prev = usize::MAX;
         let mut consistent = true;
-        let t = StageTimer::start(self.profiling);
+        let t = StageTimer::start(lane.profiling);
         for &off in &offsets {
             if off == prev {
                 continue; // offsets are non-decreasing; skip duplicates
             }
             prev = off;
-            *cycles += 1;
+            stats.computing_cycles += 1;
             let q = off.min(read.len() - k);
             let shift = 2 * (k - (off - q) - m);
-            let si = self.filter.lookup_mmer_code((codes[q] >> shift) & mmask);
+            let si = self
+                .filter
+                .lookup_mmer_code((codes[q] >> shift) & mmask, filter);
             if si.is_empty() {
                 consistent = false; // read cannot match this partition exactly
                 break;
@@ -482,22 +386,159 @@ impl PartitionEngine {
         // Whole-read match attempt from pivot 0 with the first m-mer's
         // indicator (superset of the true occurrence offsets).
         let si = first.expect("offsets is non-empty");
-        let t = StageTimer::start(self.profiling);
-        self.searcher
-            .rmem_into(read, 0, &si, &mut self.rmem_scratch);
+        let t = StageTimer::start(lane.profiling);
+        self.searcher.rmem_into(
+            read,
+            0,
+            &si,
+            &mut lane.search,
+            &mut stats.cam,
+            &mut lane.rmem,
+        );
         t.stop(&mut stats.profile, Stage::CamSearch);
-        *cycles += self.rmem_scratch.searches;
-        if self.rmem_scratch.len == read.len() {
+        stats.computing_cycles += lane.rmem.searches;
+        if lane.rmem.len == read.len() {
             out.push(Smem {
                 read_start: 0,
                 read_end: read.len(),
-                hits: std::mem::take(&mut self.rmem_scratch.positions),
+                hits: std::mem::take(&mut lane.rmem.positions),
             });
             true
         } else {
             false
         }
     }
+}
+
+impl SeedingBackend for CamIndex {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Cam
+    }
+
+    fn seed_tile(
+        &self,
+        lane: &mut Lane,
+        reads: &[PackedSeq],
+        codes: &TileKmerCodes,
+        stats: &mut SeedingStats,
+        out: &mut Vec<Vec<Smem>>,
+    ) {
+        seed_each(reads, out, |i, read, smems| {
+            self.seed_read(lane, read, codes.read(i), stats, smems);
+        });
+    }
+
+    fn inject_faults(
+        &mut self,
+        cam: &casa_cam::CamFaultModel,
+        filter: &casa_filter::FilterFaultModel,
+    ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
+        (
+            self.searcher.inject_faults(cam),
+            self.filter.inject_faults(filter),
+        )
+    }
+
+    /// Fault injection detaches the affected arrays copy-on-write, after
+    /// which this reports `false`.
+    fn storage_shared(&self) -> bool {
+        self.filter.tables_shared() && self.searcher.cam().planes_shared()
+    }
+}
+
+/// One CASA lane bound to one reference partition: a [`CamIndex`] with
+/// its own [`Lane`], for single-threaded callers.
+///
+/// ```
+/// use casa_core::{CasaConfig, PartitionEngine};
+/// use casa_core::stats::SeedingStats;
+/// use casa_genome::PackedSeq;
+///
+/// let part = PackedSeq::from_ascii(&b"GATTACA".repeat(12))?;
+/// let mut engine = PartitionEngine::new(&part, CasaConfig::small(64))?;
+/// let mut stats = SeedingStats::default();
+/// let read = part.subseq(5, 30);
+/// let smems = engine.seed_read(&read, &mut stats);
+/// assert_eq!(smems.len(), 1);
+/// assert_eq!(smems[0].len(), 30);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct PartitionEngine {
+    index: CamIndex,
+    lane: Lane,
+}
+
+impl PartitionEngine {
+    /// Builds the partition's [`CamIndex`] and an unprofiled lane on the
+    /// process's CAM word kernel (`CASA_KERNEL`, else CPU detection).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated configuration invariant (see
+    /// [`CasaConfig::validated`]), or a typed error for an invalid
+    /// `CASA_KERNEL` request.
+    pub fn new(partition: &PackedSeq, config: CasaConfig) -> Result<PartitionEngine, ConfigError> {
+        let kernel = env_kernel()?;
+        Ok(PartitionEngine {
+            index: CamIndex::new(partition, config)?,
+            lane: Lane::new(kernel, false),
+        })
+    }
+
+    /// Switches between the batched pre-seeding lookup pass (default) and
+    /// the per-pivot seed path. Bit-identical outputs and stats either
+    /// way; perfbench's traced run flips this to measure the before/after
+    /// of the batching optimization.
+    pub fn set_batched_filter(&mut self, batched: bool) {
+        self.index.batched_filter = batched;
+    }
+
+    /// Moves this engine onto another CAM word kernel (see
+    /// [`casa_cam::KernelBackend`]); hits and stats are bit-identical
+    /// across kernels. Unsupported requests degrade to the best supported
+    /// kernel.
+    pub fn set_kernel_backend(&mut self, backend: KernelBackend) {
+        self.lane = Lane::new(backend, false);
+    }
+
+    /// The engine's effective CAM word kernel.
+    pub fn kernel_backend(&self) -> KernelBackend {
+        self.lane.kernel_backend()
+    }
+
+    /// The engine's configuration.
+    pub fn config(&self) -> &CasaConfig {
+        &self.index.config
+    }
+
+    /// Seeds one read against this partition. Returned SMEM hits are
+    /// **partition-local**; the caller translates them to global
+    /// coordinates and merges across partitions.
+    pub fn seed_read(&mut self, read: &PackedSeq, stats: &mut SeedingStats) -> Vec<Smem> {
+        let mut out = Vec::new();
+        self.seed_tile_into(std::slice::from_ref(read), stats, &mut out);
+        out.pop().unwrap_or_default()
+    }
+
+    /// Seeds a tile of reads, one output vector per read (cleared first),
+    /// deriving the tile's rolling k-mer codes itself.
+    pub fn seed_tile_into(
+        &mut self,
+        reads: &[PackedSeq],
+        stats: &mut SeedingStats,
+        out: &mut Vec<Vec<Smem>>,
+    ) {
+        let codes = TileKmerCodes::compute(reads, self.index.config.filter.k);
+        self.index
+            .seed_tile(&mut self.lane, reads, &codes, stats, out);
+    }
+}
+
+/// The CAM word kernel `CASA_KERNEL` asks for — an unknown or
+/// CPU-unsupported value is a typed error — else the process default.
+pub(crate) fn env_kernel() -> Result<KernelBackend, ConfigError> {
+    Ok(casa_cam::kernel::backend_from_env()?.unwrap_or_else(casa_cam::kernel::default_backend))
 }
 
 #[cfg(test)]
@@ -666,6 +707,86 @@ mod tests {
         let mut stats = SeedingStats::default();
         let read = part.subseq(0, 4); // shorter than k = 6
         assert!(engine.seed_read(&read, &mut stats).is_empty());
+    }
+
+    /// One lane serves every partition in turn: alternating it between
+    /// indexes of different entry counts (the last partition short), on
+    /// every kernel, fault-free and with stuck-at and bit-flip faults,
+    /// must give the SMEMs and stats of a fresh lane per call — stale
+    /// match-line, mask or indicator words would show here.
+    #[test]
+    fn one_lane_across_partitions_matches_fresh_lanes() {
+        use casa_cam::CamFaultModel;
+        use casa_filter::FilterFaultModel;
+        let reference = generate_reference(&ReferenceProfile::human_like(), 9_000, 57);
+        let config = CasaConfig::small(5_000);
+        let k = config.filter.k;
+        let mut reads: Vec<PackedSeq> = ReadSimulator::new(
+            ReadSimConfig {
+                read_len: 48,
+                ..ReadSimConfig::default()
+            },
+            29,
+        )
+        .simulate(&reference, 24)
+        .into_iter()
+        .map(|r| r.seq)
+        .collect();
+        reads.push(reference.subseq(8_900, 48));
+        reads.push(reference.subseq(100, k - 1));
+        let cuts = [(0, 5_000), (5_000, 2_600), (7_600, 1_400)];
+        let faults = [
+            None,
+            Some((
+                CamFaultModel {
+                    seed: 3,
+                    stuck_rate: 0.02,
+                    flip_rate: 2e-3,
+                },
+                FilterFaultModel {
+                    seed: 3,
+                    flip_rate: 2e-3,
+                },
+            )),
+        ];
+        for fault in faults {
+            let indexes: Vec<CamIndex> = cuts
+                .iter()
+                .map(|&(start, len)| {
+                    let mut index =
+                        CamIndex::new(&reference.subseq(start, len), config).expect("valid config");
+                    if let Some((cam, filter)) = &fault {
+                        let (cam, filter) = index.inject_faults(cam, filter);
+                        assert!(cam.sites() + filter.sites() > 0);
+                    }
+                    index
+                })
+                .collect();
+            let mut smems = 0;
+            for kernel in KernelBackend::supported() {
+                let mut shared = Lane::new(kernel, false);
+                for tile in reads.chunks(7) {
+                    let codes = TileKmerCodes::compute(tile, k);
+                    for index in indexes.iter().chain(indexes.iter().rev()) {
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        let (mut got_stats, mut want_stats) =
+                            (SeedingStats::default(), SeedingStats::default());
+                        index.seed_tile(&mut shared, tile, &codes, &mut got_stats, &mut got);
+                        let mut fresh = Lane::new(kernel, false);
+                        index.seed_tile(&mut fresh, tile, &codes, &mut want_stats, &mut want);
+                        assert_eq!(got, want, "{kernel}, faults {}", fault.is_some());
+                        assert_eq!(
+                            got_stats,
+                            want_stats,
+                            "{kernel}, faults {}",
+                            fault.is_some()
+                        );
+                        smems += got_stats.smems_reported;
+                    }
+                }
+            }
+            assert!(smems > 0);
+        }
     }
 
     #[test]

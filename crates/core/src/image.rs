@@ -39,7 +39,7 @@ use casa_index::SuffixArray;
 use serde_json::{json, Value};
 
 use crate::backend::{build_backend, BackendKind, SeedingBackend};
-use crate::engine::PartitionEngine;
+use crate::engine::CamIndex;
 use crate::{CasaConfig, Error};
 
 /// Typed failure modes of building or loading an index image.
@@ -279,8 +279,8 @@ impl LoadedIndex {
                     what: format!("partition {}: {what}", p.index),
                 }
             })?;
-        let engine = PartitionEngine::from_parts(filter, cam, config).map_err(Error::Config)?;
-        Ok(Box::new(engine))
+        let index = CamIndex::from_parts(filter, cam, config).map_err(Error::Config)?;
+        Ok(Box::new(index))
     }
 
     /// The partition's golden suffix array, borrowed from the mapping if

@@ -64,13 +64,13 @@ pub use backend::{
 pub use casa_cam::{KernelBackend, UnknownKernelError, KERNEL_ENV};
 pub use config::{CasaConfig, CasaConfigBuilder};
 pub use energy_model::CasaHardwareModel;
-pub use engine::PartitionEngine;
+pub use engine::{CamIndex, Lane, PartitionEngine};
 pub use error::{ConfigError, Error};
 pub use faults::{FaultPlan, FaultSites, InjectedFault};
 pub use image::{build_index_image, ImageBuildReport, IndexImageError, LoadedIndex};
 pub use pipeline_sim::{simulate as simulate_pipeline, PipelineSimResult, ReadWork};
 pub use profile::{Stage, StageProfile, StageTimer};
-pub use rmem::{CamSearcher, RmemResult};
+pub use rmem::{CamSearcher, RmemResult, SearchScratch};
 pub use serve::{Admitted, FairQueue, LatencyHistogram, OverloadReason, ServeLimits, ServeMetrics};
 pub use session::{env_defaults, CasaRun, SeedingSession, StrandedRun};
 pub use stats::SeedingStats;

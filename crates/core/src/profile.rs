@@ -13,8 +13,8 @@
 //! overhead when disabled: every instrumentation site is guarded by a
 //! plain `bool` and takes no timestamps unless a caller opted in via
 //! [`SeedingSession::set_profiling`](crate::SeedingSession::set_profiling)
-//! (or [`PartitionEngine::set_profiling`](crate::PartitionEngine::set_profiling)
-//! directly). When enabled, stages are timed as disjoint spans — the sum
+//! (or, driving a backend directly, a [`Lane`](crate::Lane) built with
+//! profiling on). When enabled, stages are timed as disjoint spans — the sum
 //! of all stage times can never exceed the wall time of the run that
 //! produced them, which `crates/core/tests/stage_profile.rs` asserts.
 //!

@@ -21,8 +21,14 @@
 //! sorted entry list — the frontier's successors or the last probe's hits
 //! — and run through [`Bcam::search_list_into`], which touches only the
 //! words holding a candidate.
+//!
+//! A [`CamSearcher`] is only read while searching: every buffer a search
+//! writes sits in the caller's [`SearchScratch`], and CAM activity is
+//! booked into the caller's [`CamStats`].
 
-use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme, KernelBackend, LoadedMask};
+use casa_cam::{
+    Bcam, CamQuery, CamScratch, CamStats, EntryMask, GroupScheme, KernelBackend, LoadedMask,
+};
 use casa_filter::SearchIndicator;
 use casa_genome::PackedSeq;
 
@@ -40,10 +46,11 @@ pub struct RmemResult {
 }
 
 /// Reusable buffers of the multi-stride search, so the hot path issues no
-/// allocations after warm-up. One instance per searcher; contents are
-/// meaningless between calls.
+/// allocations after warm-up, plus the CAM word kernel the search runs
+/// on. One instance per searching thread; it serves searchers of any
+/// size, and its contents are meaningless between calls.
 #[derive(Clone, Debug, Default)]
-struct SearchScratch {
+pub struct SearchScratch {
     /// The chain being driven, reset in place per start offset so its
     /// inner buffers keep their allocations.
     chain: Chain,
@@ -53,6 +60,24 @@ struct SearchScratch {
     loaded: LoadedMask,
     /// Hits of the search just issued.
     hits: Vec<u32>,
+    /// The CAM's match-line words and word kernel.
+    cam: CamScratch,
+}
+
+impl SearchScratch {
+    /// Scratch whose mask searches run on `backend`'s word kernel (an
+    /// unsupported backend falls back as [`CamScratch::new`] describes).
+    pub fn new(backend: KernelBackend) -> SearchScratch {
+        SearchScratch {
+            cam: CamScratch::new(backend),
+            ..SearchScratch::default()
+        }
+    }
+
+    /// The effective CAM word kernel.
+    pub fn kernel_backend(&self) -> KernelBackend {
+        self.cam.kernel_backend()
+    }
 }
 
 /// What a chain is waiting on (see [`Chain::candidate_list`] for what
@@ -307,24 +332,12 @@ pub struct CamSearcher {
     /// Per-group entry masks, precomputed once; the per-call enabled mask
     /// is the word-level OR of the indicator's groups.
     group_masks: Vec<EntryMask>,
-    scratch: SearchScratch,
 }
 
 impl CamSearcher {
     /// Loads a reference partition into the computing CAM.
     pub fn new(partition: &PackedSeq, stride: usize, groups: usize) -> CamSearcher {
-        let cam = Bcam::new(partition, stride);
-        let scheme = GroupScheme::new(groups, stride);
-        let entries = cam.entries();
-        let group_masks = (0..groups)
-            .map(|g| scheme.mask_for_indicator(1 << g, entries))
-            .collect();
-        CamSearcher {
-            cam,
-            scheme,
-            group_masks,
-            scratch: SearchScratch::default(),
-        }
+        CamSearcher::from_cam(Bcam::new(partition, stride), groups)
     }
 
     /// Wraps an already-constructed CAM (typically one whose bit planes
@@ -341,29 +354,12 @@ impl CamSearcher {
             cam,
             scheme,
             group_masks,
-            scratch: SearchScratch::default(),
         }
     }
 
-    /// Selects the word-level kernel backend of the computing CAM (see
-    /// [`Bcam::set_kernel_backend`]).
-    pub fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.cam.set_kernel_backend(backend);
-    }
-
-    /// The computing CAM's effective kernel backend.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.cam.kernel_backend()
-    }
-
-    /// The underlying CAM (for activity counters).
+    /// The underlying CAM.
     pub fn cam(&self) -> &Bcam {
         &self.cam
-    }
-
-    /// Resets the CAM activity counters.
-    pub fn reset_stats(&mut self) {
-        self.cam.reset_stats();
     }
 
     /// Injects seeded faults into the computing CAM (see
@@ -392,24 +388,19 @@ impl CamSearcher {
     }
 
     /// Computes the RMEM starting at `read[pivot..]` using the indicator's
-    /// start offsets and groups.
-    pub fn rmem(&mut self, read: &PackedSeq, pivot: usize, si: &SearchIndicator) -> RmemResult {
-        let mut out = RmemResult::default();
-        self.rmem_into(read, pivot, si, &mut out);
-        out
-    }
-
-    /// [`CamSearcher::rmem`] into a caller-provided result (its buffers are
-    /// reused) — the allocation-free form for hot loops.
+    /// start offsets and groups into `out` (its buffers are reused),
+    /// booking the CAM activity into `stats`.
     ///
     /// Every enabled start offset below the stride becomes a chain, driven
     /// to completion before the next one starts; the longest match wins
     /// and ties append, so positions come out sorted and deduplicated.
     pub fn rmem_into(
-        &mut self,
+        &self,
         read: &PackedSeq,
         pivot: usize,
         si: &SearchIndicator,
+        scratch: &mut SearchScratch,
+        stats: &mut CamStats,
         out: &mut RmemResult,
     ) {
         let stride = self.cam.entry_bases();
@@ -419,7 +410,8 @@ impl CamSearcher {
             enabled,
             loaded,
             hits,
-        } = &mut self.scratch;
+            cam,
+        } = scratch;
         out.len = 0;
         out.positions.clear();
         out.searches = 0;
@@ -439,8 +431,10 @@ impl CamSearcher {
             chain.query.fill_padded(read, pivot, len0, p);
             while chain.phase != Phase::Done {
                 match chain.candidate_list() {
-                    Some(list) => self.cam.search_list_into(&chain.query, list, hits),
-                    None => self.cam.search_loaded_into(&chain.query, loaded, hits),
+                    Some(list) => self.cam.search_list_into(&chain.query, list, stats, hits),
+                    None => self
+                        .cam
+                        .search_loaded_into(&chain.query, loaded, cam, stats, hits),
                 }
                 chain.searches += 1;
                 chain.absorb(hits, read, pivot, stride, entries);
@@ -462,11 +456,52 @@ impl CamSearcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casa_filter::{FilterConfig, PreSeedingFilter};
+    use casa_filter::{FilterConfig, FilterStats, PreSeedingFilter};
     use casa_index::SuffixArray;
 
     fn seq(s: &str) -> PackedSeq {
         PackedSeq::from_ascii(s.as_bytes()).unwrap()
+    }
+
+    /// One RMEM on `scratch`, booking into `stats`.
+    fn rmem_with(
+        searcher: &CamSearcher,
+        read: &PackedSeq,
+        pivot: usize,
+        si: &SearchIndicator,
+        scratch: &mut SearchScratch,
+        stats: &mut CamStats,
+    ) -> RmemResult {
+        let mut out = RmemResult::default();
+        searcher.rmem_into(read, pivot, si, scratch, stats, &mut out);
+        out
+    }
+
+    /// One RMEM on fresh scratch, activity discarded.
+    fn rmem(
+        searcher: &CamSearcher,
+        read: &PackedSeq,
+        pivot: usize,
+        si: &SearchIndicator,
+    ) -> RmemResult {
+        let mut scratch = SearchScratch::default();
+        rmem_with(
+            searcher,
+            read,
+            pivot,
+            si,
+            &mut scratch,
+            &mut CamStats::default(),
+        )
+    }
+
+    /// A filter lookup with its activity discarded.
+    fn lookup(
+        filter: &PreSeedingFilter,
+        read: &PackedSeq,
+        pivot: usize,
+    ) -> Option<SearchIndicator> {
+        filter.lookup(read, pivot, &mut FilterStats::default())
     }
 
     /// RMEM via CAM must equal the suffix-array longest match when driven
@@ -481,8 +516,8 @@ mod tests {
                 .map(|_| casa_genome::Base::from_code(rng.gen_range(0..4)))
                 .collect();
             let sa = SuffixArray::build(&part);
-            let mut filter = PreSeedingFilter::build(&part, cfg);
-            let mut searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
+            let filter = PreSeedingFilter::build(&part, cfg);
+            let searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
             for _ in 0..30 {
                 // read stitched from the partition so k-mers usually hit
                 let s = rng.gen_range(0..part.len() - 60);
@@ -491,13 +526,13 @@ mod tests {
                     read.extend(part.subseq(rng.gen_range(0..200), 10).iter());
                 }
                 for pivot in 0..=read.len() - cfg.k {
-                    let si = filter.lookup(&read, pivot).unwrap();
+                    let si = lookup(&filter, &read, pivot).unwrap();
                     if si.is_empty() {
                         let (l, _) = sa.longest_match(&read, pivot);
                         assert!(l < cfg.k, "filter miss but match of length {l}");
                         continue;
                     }
-                    let rmem = searcher.rmem(&read, pivot, &si);
+                    let rmem = rmem(&searcher, &read, pivot, &si);
                     let (l, iv) = sa.longest_match(&read, pivot);
                     assert_eq!(rmem.len, l, "trial {trial} pivot {pivot}");
                     let mut expect: Vec<u32> = sa.positions(iv).map(|x| x as u32).collect();
@@ -512,10 +547,10 @@ mod tests {
     fn naive_full_indicator_also_finds_rmem() {
         let part = seq("ACGTACGTTTGGAACCAGTCAGGT");
         let sa = SuffixArray::build(&part);
-        let mut searcher = CamSearcher::new(&part, 8, 4);
+        let searcher = CamSearcher::new(&part, 8, 4);
         let full = searcher.full_indicator();
         let read = seq("GTTTGGAACCAG");
-        let rmem = searcher.rmem(&read, 0, &full);
+        let rmem = rmem(&searcher, &read, 0, &full);
         let (l, _) = sa.longest_match(&read, 0);
         assert_eq!(rmem.len, l);
     }
@@ -524,10 +559,10 @@ mod tests {
     fn match_spanning_many_entries() {
         // 64-base match across 8-base entries: 8 strides.
         let part = seq(&"ACGT".repeat(32)); // 128 bases
-        let mut searcher = CamSearcher::new(&part, 8, 4);
+        let searcher = CamSearcher::new(&part, 8, 4);
         let read = part.subseq(4, 64);
         let full = searcher.full_indicator();
-        let rmem = searcher.rmem(&read, 0, &full);
+        let rmem = rmem(&searcher, &read, 0, &full);
         assert_eq!(rmem.len, 64);
         // Occurrences every 4 bases while 64 more bases remain: starts
         // 0,4,...,60 -> but matches starting at odd entry offsets also
@@ -541,10 +576,10 @@ mod tests {
     #[test]
     fn mid_stride_end_found_by_binary_search() {
         let part = seq("AAAAAAAACCCCCCCCGGGGGGGG"); // entries of 8
-        let mut searcher = CamSearcher::new(&part, 8, 4);
+        let searcher = CamSearcher::new(&part, 8, 4);
         // read matches 11 bases: 8 A's then CCC then diverges
         let read = seq("AAAAAAAACCCTTTTT");
-        let rmem = searcher.rmem(&read, 0, &searcher.full_indicator());
+        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator());
         assert_eq!(rmem.len, 11);
         assert_eq!(rmem.positions, vec![0]);
     }
@@ -552,10 +587,10 @@ mod tests {
     #[test]
     fn first_stride_partial_match() {
         let part = seq("ACGTACGTTTTTTTTT");
-        let mut searcher = CamSearcher::new(&part, 8, 4);
+        let searcher = CamSearcher::new(&part, 8, 4);
         // read matches only 5 bases at position 0
         let read = seq("ACGTATTT");
-        let rmem = searcher.rmem(&read, 0, &searcher.full_indicator());
+        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator());
         assert_eq!(rmem.len, 5);
         assert_eq!(rmem.positions, vec![0]);
     }
@@ -563,9 +598,9 @@ mod tests {
     #[test]
     fn no_match_returns_zero() {
         let part = seq("AAAAAAAAAAAAAAAA");
-        let mut searcher = CamSearcher::new(&part, 8, 4);
+        let searcher = CamSearcher::new(&part, 8, 4);
         let read = seq("GGGGGGGG");
-        let rmem = searcher.rmem(&read, 0, &searcher.full_indicator());
+        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator());
         assert_eq!(
             rmem,
             RmemResult {
@@ -580,24 +615,26 @@ mod tests {
     fn group_gating_saves_rows() {
         let part = seq(&"ACGT".repeat(16)); // 8 entries of 8 bases
         let cfg = FilterConfig::small(6, 3);
-        let mut filter = PreSeedingFilter::build(&part, cfg);
-        let mut searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
+        let mut scratch = SearchScratch::default();
         let read = part.subseq(0, 8);
-        let si = filter.lookup(&read, 0).unwrap();
-        searcher.rmem(&read, 0, &si);
-        let gated = searcher.cam().stats().rows_enabled;
-        searcher.reset_stats();
-        searcher.rmem(&read, 0, &searcher.full_indicator());
-        let naive = searcher.cam().stats().rows_enabled;
+        let si = lookup(&filter, &read, 0).unwrap();
+        let mut gated = CamStats::default();
+        rmem_with(&searcher, &read, 0, &si, &mut scratch, &mut gated);
+        let mut naive = CamStats::default();
+        let full = searcher.full_indicator();
+        rmem_with(&searcher, &read, 0, &full, &mut scratch, &mut naive);
+        let (gated, naive) = (gated.rows_enabled, naive.rows_enabled);
         assert!(
             gated <= naive,
             "group gating must not enable more rows ({gated} vs {naive})"
         );
     }
 
-    /// The searcher's scratch (chain, masks, hit buffer) carries over from
-    /// pivot to pivot; reusing it must not change results, searches
-    /// counts, or CAM activity against a fresh searcher per pivot.
+    /// The scratch (chain, masks, hit buffer, match lines) carries over
+    /// from pivot to pivot; reusing it must not change results, searches
+    /// counts, or CAM activity against fresh scratch per pivot.
     #[test]
     fn reused_searcher_matches_fresh_searcher_per_pivot() {
         use rand::{Rng, SeedableRng};
@@ -606,25 +643,25 @@ mod tests {
         let part: PackedSeq = (0..400)
             .map(|_| casa_genome::Base::from_code(rng.gen_range(0..4)))
             .collect();
-        let mut filter = PreSeedingFilter::build(&part, cfg);
-        let mut reused = CamSearcher::new(&part, cfg.stride, cfg.groups);
-        let mut fresh_stats = casa_cam::CamStats::default();
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
+        let mut reused = SearchScratch::default();
+        let (mut reused_stats, mut fresh_stats) = (CamStats::default(), CamStats::default());
         for trial in 0..20 {
             let s = rng.gen_range(0..part.len() - 80);
             let read = part.subseq(s, 60);
             for pivot in 0..=read.len() - cfg.k {
-                let si = filter.lookup(&read, pivot).unwrap();
+                let si = lookup(&filter, &read, pivot).unwrap();
                 if si.is_empty() {
                     continue;
                 }
-                let mut fresh = CamSearcher::new(&part, cfg.stride, cfg.groups);
-                let expect = fresh.rmem(&read, pivot, &si);
-                fresh_stats.merge(&fresh.cam().stats());
-                let got = reused.rmem(&read, pivot, &si);
+                let mut fresh = SearchScratch::default();
+                let expect = rmem_with(&searcher, &read, pivot, &si, &mut fresh, &mut fresh_stats);
+                let got = rmem_with(&searcher, &read, pivot, &si, &mut reused, &mut reused_stats);
                 assert_eq!(got, expect, "trial {trial} pivot {pivot}");
             }
         }
-        assert_eq!(reused.cam().stats(), fresh_stats);
+        assert_eq!(reused_stats, fresh_stats);
     }
 
     /// The CAM activity of a fixed read set — searches, enabled rows,
@@ -634,12 +671,12 @@ mod tests {
     /// or lists), it must book the activity of the equivalent mask.
     #[test]
     fn cam_activity_of_a_fixed_read_set_is_pinned() {
-        use casa_cam::{CamFaultModel, CamStats};
+        use casa_cam::CamFaultModel;
         use casa_genome::synth::{generate_reference, ReferenceProfile};
         use rand::{Rng, SeedableRng};
         let part = generate_reference(&ReferenceProfile::human_like(), 48_000, 21);
         let cfg = FilterConfig::new(12, 6, 40, 20);
-        let mut filter = PreSeedingFilter::build(&part, cfg);
+        let filter = PreSeedingFilter::build(&part, cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2121);
         let reads: Vec<PackedSeq> = (0..48)
             .map(|i| {
@@ -675,21 +712,22 @@ mod tests {
             if let Some(m) = &model {
                 searcher.inject_faults(m);
             }
+            let mut scratch = SearchScratch::default();
+            let mut stats = CamStats::default();
             let mut out = RmemResult::default();
             let (mut searches, mut bases, mut positions) = (0u64, 0usize, 0usize);
             for read in &reads {
                 for pivot in 0..=read.len() - cfg.k {
-                    let si = filter.lookup(read, pivot).unwrap();
+                    let si = lookup(&filter, read, pivot).unwrap();
                     if si.is_empty() {
                         continue;
                     }
-                    searcher.rmem_into(read, pivot, &si, &mut out);
+                    searcher.rmem_into(read, pivot, &si, &mut scratch, &mut stats, &mut out);
                     searches += out.searches;
                     bases += out.len;
                     positions += out.positions.len();
                 }
             }
-            let stats = searcher.cam().stats();
             assert_eq!(stats.searches, searches);
             totals.push((stats, bases, positions));
         }
@@ -724,12 +762,12 @@ mod tests {
         // position recovery.
         let part = seq("AAAAAAAAAAAGGTCCAAAAAAAA"); // GGTCC at 11..16
         let cfg = FilterConfig::small(6, 3); // stride 8
-        let mut filter = PreSeedingFilter::build(&part, cfg);
-        let mut searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
         let read = seq("AGGTCCAA");
-        let si = filter.lookup(&read, 0).unwrap();
+        let si = lookup(&filter, &read, 0).unwrap();
         assert!(si.start_mask & (1 << (10 % 8)) != 0); // AGGTCC at 10, offset 2
-        let rmem = searcher.rmem(&read, 0, &si);
+        let rmem = rmem(&searcher, &read, 0, &si);
         assert!(rmem.len >= 6);
         assert!(rmem.positions.contains(&10));
     }

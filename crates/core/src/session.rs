@@ -26,9 +26,11 @@
 //! * [`SeedingStats`] is a bag of `u64` counters whose merge is plain
 //!   addition, which is commutative and associative, so worker-local stats
 //!   can be folded in any completion order;
-//! * `PartitionEngine::seed_read` reports per-read counter *deltas* and its
-//!   output is a pure function of (partition, read), so engines can be
-//!   reused across tiles, batches, and strands without drift.
+//! * a backend's output and activity are a pure function of (partition,
+//!   read): backends sit read-only in an `Arc`, with no lock, and
+//!   everything a call writes is in the worker's own [`Lane`] or stats,
+//!   which it hands back through `join` — so any number of workers, of one
+//!   batch or of concurrent batches, seed one partition at once.
 //!
 //! # Fault tolerance
 //!
@@ -42,34 +44,16 @@
 //! [`FaultPlan`] can inject tile panics/stalls and hardware faults
 //! (CAM stuck-at lines, CAM/filter bit flips) to exercise these paths
 //! deterministically, plus a sampled golden cross-check that catches
-//! *silent* corruption.
-//!
-//! Lock poisoning (a worker panicking while holding an engine) is
-//! recovered by taking the inner value. Seeding mutates three kinds of
-//! engine state, and none of them can carry a failed attempt's damage
-//! into the next read:
-//!
-//! * cumulative activity counters (filter and CAM stats), which the
-//!   delta-based accounting above tolerates when an abandoned attempt
-//!   advanced them;
-//! * scratch buffers, each cleared or overwritten before it is read: the
-//!   engine's k-mer codes (`PartitionEngine::seed_read_into`),
-//!   batched-filter indicators (`PreSeedingFilter::lookup_codes_into`)
-//!   and RMEM result, the CAM searcher's mask, chain and hit buffer (all
-//!   reset per pivot by
-//!   [`CamSearcher::rmem_into`](crate::CamSearcher::rmem_into)), and the
-//!   CAM's candidate and match-line words (rewritten by every search);
-//! * the `profiling` toggle, which only the session's setter writes,
-//!   never seeding itself.
-//!
-//! With silent-corruption faults injected, output is guaranteed
+//! *silent* corruption. A failed attempt's lane is discarded and the
+//! worker continues on a fresh one; a failed attempt's stats are never
+//! merged. With silent-corruption faults injected, output is guaranteed
 //! bit-identical to the fault-free run only when
 //! `cross_check_fraction == 1.0`; at lower fractions detection (and hence
 //! which tiles fall back) is best-effort. See `DESIGN.md` §2b.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use casa_energy::circuits::CLOCK_HZ;
@@ -78,9 +62,11 @@ use casa_genome::{PackedSeq, Partition};
 use casa_index::smem::{merge_flat_smems, merge_partition_smems, smems_unidirectional};
 use casa_index::{Smem, SuffixArray};
 
+use casa_cam::KernelBackend;
+
 use crate::backend::{build_backend, BackendKind, SeedingBackend, TileKmerCodes};
-use crate::engine::PartitionEngine;
-use crate::error::Error;
+use crate::engine::{env_kernel, Lane, PartitionEngine};
+use crate::error::{ConfigError, Error};
 use crate::faults::{self, FaultPlan, FaultSites, InjectedFault};
 use crate::profile::{Stage, StageTimer};
 use crate::stats::SeedingStats;
@@ -90,20 +76,22 @@ use crate::CasaConfig;
 
 /// Target number of tiles per worker, so the job queue stays long enough
 /// to balance uneven per-read work without shrinking tiles into
-/// lock-bound confetti.
+/// scheduling confetti.
 const TILES_PER_WORKER: usize = 4;
-
-/// Locks a mutex, recovering the inner value if a previous holder
-/// panicked. Safe here because every protected structure is either
-/// overwritten whole (slots), merged from counters that tolerate an
-/// abandoned attempt (stats), or an engine whose scratch is reset before
-/// use — see the module docs.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Marker for a tile attempt whose output failed the golden cross-check.
 struct CrossCheckMismatch;
+
+/// One (partition, tile) job of a batch.
+#[derive(Clone, Copy)]
+struct Job {
+    /// Partition index.
+    pi: usize,
+    /// Tile index.
+    ti: usize,
+    /// Batch index of the tile's first read.
+    read_offset: usize,
+}
 
 /// Every way one supervised tile attempt can end.
 enum AttemptOutcome {
@@ -209,10 +197,10 @@ impl CasaRun {
 
 /// A seeding runtime bound to one reference and configuration.
 ///
-/// Construction is the expensive step (one engine per reference
+/// Construction is the expensive step (one backend per reference
 /// partition); every subsequent [`seed_reads`](SeedingSession::seed_reads)
-/// call reuses the engines. Cloning a session is cheap and shares the
-/// engines, the golden indexes, and the quarantine state.
+/// call reuses the backends. Cloning a session is cheap and shares the
+/// backends, the golden indexes, and the quarantine state.
 ///
 /// ```
 /// use casa_core::{CasaConfig, SeedingSession};
@@ -228,12 +216,16 @@ impl CasaRun {
 #[derive(Clone)]
 pub struct SeedingSession {
     config: CasaConfig,
-    /// Global start coordinate of each partition, indexed like `engines`.
+    /// Global start coordinate of each partition, indexed like `backends`.
     part_starts: Arc<Vec<u32>>,
     /// The partitions themselves (for the golden fallback index builds).
     parts: Arc<Vec<Partition>>,
     backend: BackendKind,
-    engines: Arc<Vec<Mutex<Box<dyn SeedingBackend>>>>,
+    /// One read-only backend per partition, shared by every worker.
+    backends: Arc<Vec<Box<dyn SeedingBackend>>>,
+    /// The CAM word kernel every lane runs (never executed by the
+    /// software backends).
+    kernel: KernelBackend,
     /// Lazily built golden suffix arrays, one per partition.
     golden: Arc<Vec<OnceLock<SuffixArray>>>,
     /// Partitions routed to the golden model after retry exhaustion.
@@ -248,11 +240,8 @@ pub struct SeedingSession {
     /// boundaries; `None` (the default) never cancels. Clones share the
     /// token, so the watchdog's owned session copy observes it too.
     cancel: Option<CancelToken>,
-    /// Whether session-level stages (coordinate translation, assembly,
-    /// cross-partition merge) take wall-clock timestamps — shared across
-    /// clones so the watchdog's owned session copy profiles too. Engine
-    /// stages carry their own flag (see
-    /// [`set_profiling`](Self::set_profiling)).
+    /// Whether batches take wall-clock stage timestamps — shared across
+    /// clones, read once per batch and carried by that batch's lanes.
     profiling: Arc<AtomicBool>,
 }
 
@@ -261,7 +250,8 @@ impl std::fmt::Debug for SeedingSession {
         f.debug_struct("SeedingSession")
             .field("config", &self.config)
             .field("backend", &self.backend)
-            .field("partitions", &self.engines.len())
+            .field("kernel", &self.kernel)
+            .field("partitions", &self.backends.len())
             .field("workers", &self.workers)
             .field("fault_plan", &self.plan)
             .finish()
@@ -301,7 +291,7 @@ pub fn env_defaults(
 }
 
 impl SeedingSession {
-    /// Validates `config`, splits `reference`, and builds one engine per
+    /// Validates `config`, splits `reference`, and builds one backend per
     /// partition.
     ///
     /// If the [`CASA_FAULT_SEED`](faults::FAULT_SEED_ENV) environment
@@ -331,7 +321,7 @@ impl SeedingSession {
     }
 
     /// Like [`new`](Self::new) with an explicit fault plan: hardware
-    /// faults are injected into the freshly built engines and scheduler
+    /// faults are injected into the freshly built backends and scheduler
     /// faults armed for every batch.
     ///
     /// # Errors
@@ -428,7 +418,9 @@ impl SeedingSession {
     /// `min(workers, partitions)` threads ([`build_backends`]), injects
     /// the plan's hardware faults serially, and pre-fills each golden
     /// suffix-array cell that `golden_for` can supply (the rest are built
-    /// on first fallback).
+    /// on first fallback). The CAM backend's word kernel comes from
+    /// `CASA_KERNEL` when set — an invalid value is a typed error — else
+    /// the process default.
     fn assemble(
         reference: &PackedSeq,
         config: CasaConfig,
@@ -447,12 +439,16 @@ impl SeedingSession {
         if partitions.is_empty() {
             return Err(Error::EmptyReference);
         }
+        let kernel = match backend {
+            BackendKind::Cam => env_kernel()?,
+            BackendKind::Fm | BackendKind::Ert => casa_cam::kernel::default_backend(),
+        };
         let part_starts = partitions.iter().map(|p| p.start as u32).collect();
-        let mut engines = build_backends(&partitions, workers, backend_for)?;
+        let mut backends = build_backends(&partitions, workers, backend_for)?;
         let mut fault_sites = FaultSites::default();
-        for (pi, engine) in engines.iter_mut().enumerate() {
+        for (pi, b) in backends.iter_mut().enumerate() {
             let (cam, filter) =
-                engine.inject_faults(&plan.cam_faults_for(pi), &plan.filter_faults_for(pi));
+                b.inject_faults(&plan.cam_faults_for(pi), &plan.filter_faults_for(pi));
             fault_sites.cam.push(cam);
             fault_sites.filter.push(filter);
         }
@@ -469,7 +465,8 @@ impl SeedingSession {
             part_starts: Arc::new(part_starts),
             parts: Arc::new(partitions),
             backend,
-            engines: Arc::new(engines.into_iter().map(Mutex::new).collect()),
+            backends: Arc::new(backends),
+            kernel,
             golden: Arc::new(golden),
             quarantined: Arc::new((0..nparts).map(|_| AtomicBool::new(false)).collect()),
             plan,
@@ -482,15 +479,12 @@ impl SeedingSession {
     }
 
     /// Enables per-stage wall-clock profiling (see [`crate::profile`]) on
-    /// this session and every partition backend; spans accumulate into
-    /// [`SeedingStats::profile`]. Off by default — timings are
-    /// nondeterministic and excluded from the bit-identity contract, so
-    /// runs compared for equality keep this off.
+    /// this session and its clones, from the next batch on; spans
+    /// accumulate into [`SeedingStats::profile`]. Off by default —
+    /// timings are nondeterministic and excluded from the bit-identity
+    /// contract, so runs compared for equality keep this off.
     pub fn set_profiling(&self, enabled: bool) {
         self.profiling.store(enabled, Ordering::Relaxed);
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_profiling(enabled);
-        }
     }
 
     /// Whether per-stage profiling is enabled.
@@ -566,7 +560,7 @@ impl SeedingSession {
 
     /// Number of reference partitions (passes per read batch).
     pub fn partition_count(&self) -> usize {
-        self.engines.len()
+        self.backends.len()
     }
 
     /// Number of partitions currently quarantined to the golden model.
@@ -582,27 +576,25 @@ impl SeedingSession {
         self.workers
     }
 
-    /// Pins every partition engine's CAM word kernel to `backend`,
-    /// overriding the process default (`CASA_KERNEL` or runtime CPU
-    /// detection). All backends produce identical SMEMs and statistics;
-    /// callers must reject unsupported backends first (see
-    /// [`casa_cam::KernelBackend::ensure_supported`]). No-op on the
-    /// software backends.
-    pub fn set_kernel_backend(&self, backend: casa_cam::KernelBackend) {
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_kernel_backend(backend);
-        }
+    /// Pins the CAM word kernel every lane runs, overriding the process
+    /// default (`CASA_KERNEL` or runtime CPU detection). All kernels
+    /// produce identical SMEMs and statistics; the software backends
+    /// never execute one.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Config`] with
+    /// [`ConfigError::UnknownKernelBackend`] if this CPU cannot run
+    /// `kernel` — never a silent fallback to another kernel.
+    pub fn with_kernel_backend(mut self, kernel: KernelBackend) -> Result<SeedingSession, Error> {
+        self.kernel = kernel.ensure_supported().map_err(ConfigError::from)?;
+        Ok(self)
     }
 
-    /// The CAM word kernel the partition engines are currently routed
-    /// through (every engine shares one backend); software backends
-    /// report the process default, which they never execute.
-    pub fn kernel_backend(&self) -> casa_cam::KernelBackend {
-        self.engines
-            .first()
-            .map_or_else(casa_cam::kernel::default_backend, |e| {
-                lock_recover(e).kernel_backend()
-            })
+    /// The CAM word kernel every lane runs; the software backends never
+    /// execute it.
+    pub fn kernel_backend(&self) -> KernelBackend {
+        self.kernel
     }
 
     /// Read count per tile for a batch of `n` reads: enough tiles to keep
@@ -628,24 +620,23 @@ impl SeedingSession {
     }
 
     /// One attempt at a (partition, tile) job: inject any scheduled
-    /// stall/panic, seed the tile through the partition engine, then
-    /// cross-check the sampled reads against the golden model.
+    /// stall/panic, seed the tile through the partition backend on
+    /// `lane`, then cross-check the sampled reads against the golden
+    /// model.
     fn attempt_tile(
         &self,
-        pi: usize,
-        ti: usize,
+        job: Job,
         attempt: usize,
+        lane: &mut Lane,
         tile: &[PackedSeq],
-        codes: Option<&TileKmerCodes>,
-        read_offset: usize,
+        codes: &TileKmerCodes,
     ) -> Result<(Vec<Vec<Smem>>, SeedingStats), CrossCheckMismatch> {
+        let Job { pi, ti, .. } = job;
         if !self.plan.is_noop() {
             if self.plan.should_stall(pi, ti, attempt) {
                 std::thread::sleep(self.plan.stall_duration());
             }
             if self.plan.should_panic(pi, ti, attempt) {
-                // Fires before the engine lock is taken, so injected
-                // panics never poison an engine mid-read.
                 std::panic::panic_any(InjectedFault {
                     partition: pi,
                     tile: ti,
@@ -656,18 +647,8 @@ impl SeedingSession {
         let mut stats = SeedingStats::default();
         let start = self.part_starts[pi];
         let mut out: Vec<Vec<Smem>> = Vec::with_capacity(tile.len());
-        {
-            let mut engine = lock_recover(&self.engines[pi]);
-            match codes {
-                // The batch precomputed this tile's rolling k-mer codes
-                // once; every partition engine consumes the same slice
-                // instead of re-deriving it (output and stats are
-                // bit-identical either way).
-                Some(codes) => engine.seed_tile_with_codes_into(tile, codes, &mut stats, &mut out),
-                None => engine.seed_tile_into(tile, &mut stats, &mut out),
-            }
-        }
-        let t = StageTimer::start(self.profiling());
+        self.backends[pi].seed_tile(lane, tile, codes, &mut stats, &mut out);
+        let t = StageTimer::start(lane.profiling());
         for smems in &mut out {
             for smem in smems {
                 for hit in &mut smem.hits {
@@ -678,7 +659,7 @@ impl SeedingSession {
         t.stop(&mut stats.profile, Stage::TranslateMerge);
         if self.plan.cross_check_fraction > 0.0 {
             for (k, read) in tile.iter().enumerate() {
-                if self.plan.should_check(pi, read_offset + k) {
+                if self.plan.should_check(pi, job.read_offset + k) {
                     stats.crosscheck_reads += 1;
                     if out[k] != self.golden_read(pi, read) {
                         return Err(CrossCheckMismatch);
@@ -692,43 +673,51 @@ impl SeedingSession {
     /// One tile attempt behind whatever supervision is configured: a bare
     /// `catch_unwind` without a deadline, the watchdog thread with one.
     /// Both paths report panics identically; only the watchdog can
-    /// additionally report a timeout.
+    /// additionally report a timeout. Whenever the attempt does not come
+    /// back, `lane` is left as a fresh lane: a lane an attempt panicked
+    /// on or abandoned is never reused.
     fn guarded_attempt(
         &self,
-        pi: usize,
-        ti: usize,
+        job: Job,
         attempt: usize,
+        lane: &mut Lane,
         tile: &[PackedSeq],
-        codes: Option<&TileKmerCodes>,
-        read_offset: usize,
+        codes: &Arc<TileKmerCodes>,
     ) -> AttemptOutcome {
+        let profiling = lane.profiling();
         match self.tile_deadline {
             None => match catch_unwind(AssertUnwindSafe(|| {
-                self.attempt_tile(pi, ti, attempt, tile, codes, read_offset)
+                self.attempt_tile(job, attempt, lane, tile, codes)
             })) {
                 Ok(Ok((out, stats))) => AttemptOutcome::Done(out, Box::new(stats)),
                 Ok(Err(CrossCheckMismatch)) => AttemptOutcome::Mismatch,
-                Err(_panic) => AttemptOutcome::Panicked,
+                Err(_panic) => {
+                    *lane = Lane::new(self.kernel, profiling);
+                    AttemptOutcome::Panicked
+                }
             },
             Some(deadline) => {
                 // The guarded job runs on its own thread and may outlive
-                // the deadline, so it gets owned copies: a cheap session
-                // clone (shared `Arc`s) and the tile's reads. An abandoned
-                // attempt may still advance an engine's cumulative
-                // counters, which the delta-based accounting tolerates
-                // (see the module docs). The shared codes are dropped
-                // rather than cloned — the engine re-derives them, with
-                // bit-identical output and stats — so the supervised path
-                // never copies a whole tile's code table per attempt.
+                // the deadline, so it owns everything it touches: a cheap
+                // session clone (shared `Arc`s), the tile's reads, a handle
+                // on the tile's shared codes, and the worker's lane, which
+                // comes back with the result. An abandoned attempt keeps
+                // its lane and the worker carries on with a fresh one.
                 let session = self.clone();
                 let tile = tile.to_vec();
+                let codes = Arc::clone(codes);
+                let mut owned = std::mem::replace(lane, Lane::new(self.kernel, profiling));
                 match supervisor::run_with_deadline(deadline, self.cancel.as_ref(), move || {
-                    session.attempt_tile(pi, ti, attempt, &tile, None, read_offset)
+                    let result = session.attempt_tile(job, attempt, &mut owned, &tile, &codes);
+                    (result, owned)
                 }) {
-                    GuardedOutcome::Completed(Ok((out, stats))) => {
-                        AttemptOutcome::Done(out, Box::new(stats))
+                    GuardedOutcome::Completed((result, returned)) => {
+                        *lane = returned;
+                        match result {
+                            Ok((out, stats)) => AttemptOutcome::Done(out, Box::new(stats)),
+                            Err(CrossCheckMismatch) => AttemptOutcome::Mismatch,
+                        }
                     }
-                    GuardedOutcome::Completed(Err(CrossCheckMismatch)) => AttemptOutcome::Mismatch,
                     GuardedOutcome::Panicked => AttemptOutcome::Panicked,
                     GuardedOutcome::TimedOut => AttemptOutcome::TimedOut,
                     GuardedOutcome::Cancelled => AttemptOutcome::Cancelled,
@@ -739,23 +728,23 @@ impl SeedingSession {
 
     /// Runs a (partition, tile) job to a definitive result: retry failed
     /// attempts with capped backoff, then quarantine the partition and
-    /// fall back to the golden model. Only the successful attempt's engine
+    /// fall back to the golden model. Only the successful attempt's
     /// stats are merged, so failed attempts never skew the activity
     /// counters.
     fn run_tile(
         &self,
-        pi: usize,
-        ti: usize,
+        job: Job,
+        lane: &mut Lane,
         tile: &[PackedSeq],
-        codes: Option<&TileKmerCodes>,
-        read_offset: usize,
+        codes: &Arc<TileKmerCodes>,
         stats: &mut SeedingStats,
     ) -> Vec<Vec<Smem>> {
+        let Job { pi, ti, .. } = job;
         let attempts = self.plan.max_retries.saturating_add(1);
         for attempt in 0..attempts {
             if self.is_cancelled() {
                 // The batch is being abandoned: hand back a placeholder
-                // (the caller discards every slot on cancellation) and
+                // (the caller discards every result on cancellation) and
                 // never route a cancelled tile into the golden fallback.
                 return vec![Vec::new(); tile.len()];
             }
@@ -764,7 +753,7 @@ impl SeedingSession {
                 // attempts and go straight to the fallback.
                 break;
             }
-            match self.guarded_attempt(pi, ti, attempt, tile, codes, read_offset) {
+            match self.guarded_attempt(job, attempt, lane, tile, codes) {
                 AttemptOutcome::Done(out, attempt_stats) => {
                     stats.merge(&attempt_stats);
                     return out;
@@ -889,83 +878,91 @@ impl SeedingSession {
             return Err(Error::Cancelled);
         }
         self.check_read_lengths(reads)?;
-        let nparts = self.engines.len();
+        let nparts = self.backends.len();
         let tile_len = self.tile_len(reads.len());
         let ntiles = reads.len().div_ceil(tile_len);
         let njobs = nparts * ntiles;
+        let tile_of = |ti: usize| &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
+        // Read once per batch: this batch's lanes carry it.
+        let profiling = self.profiling();
 
-        // Rolling k-mer codes, once per tile: every partition engine
+        // Rolling k-mer codes, once per tile: every partition backend
         // consumes the identical code sequence for the identical reads,
         // so deriving them inside each (partition, tile) job would
         // multiply the extraction work by the partition count. Software
         // backends never read codes — skip the precomputation entirely.
+        // A watchdogged attempt holds its tile's codes through the `Arc`.
         let mut precomputed = crate::StageProfile::default();
-        let tile_codes: Vec<TileKmerCodes> = if self.backend == BackendKind::Cam {
-            let t = StageTimer::start(self.profiling());
-            let k = self.config.filter.k;
+        let tile_codes: Vec<Arc<TileKmerCodes>> = if self.backend == BackendKind::Cam {
+            let t = StageTimer::start(profiling);
             let codes = (0..ntiles)
-                .map(|ti| {
-                    let tile = &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
-                    TileKmerCodes::compute(tile, k)
-                })
+                .map(|ti| Arc::new(TileKmerCodes::compute(tile_of(ti), self.config.filter.k)))
                 .collect();
             t.stop(&mut precomputed, Stage::KmerCodes);
             codes
         } else {
-            Vec::new()
+            vec![Arc::default(); ntiles]
         };
 
-        // One slot per (partition, tile) job; workers claim job ids off a
-        // shared counter. Job ids are tile-major (`ti * nparts + pi`) so
-        // consecutive claims hit different partition engines and rarely
-        // contend on the same lock.
-        let slots: Vec<Mutex<Option<Vec<Vec<Smem>>>>> =
-            (0..njobs).map(|_| Mutex::new(None)).collect();
+        // Workers claim job ids off a shared counter, each on its own
+        // lane, and hand back (job id, output) pairs plus their stats
+        // through `join`. Job ids are tile-major (`ti * nparts + pi`), so
+        // a tile's partitions go out together and its codes stay hot.
         let next_job = AtomicUsize::new(0);
-        let merged_stats = Mutex::new(SeedingStats::default());
-
-        let run_jobs = |local_stats: &mut SeedingStats| loop {
-            if self.is_cancelled() {
-                break;
+        let run_jobs = || {
+            let mut lane = Lane::new(self.kernel, profiling);
+            let mut done = Vec::new();
+            let mut stats = SeedingStats::default();
+            while !self.is_cancelled() {
+                let id = next_job.fetch_add(1, Ordering::Relaxed);
+                if id >= njobs {
+                    break;
+                }
+                let ti = id / nparts;
+                let job = Job {
+                    pi: id % nparts,
+                    ti,
+                    read_offset: ti * tile_len,
+                };
+                let out = self.run_tile(job, &mut lane, tile_of(ti), &tile_codes[ti], &mut stats);
+                done.push((id, out));
             }
-            let job = next_job.fetch_add(1, Ordering::Relaxed);
-            if job >= njobs {
-                break;
-            }
-            let pi = job % nparts;
-            let ti = job / nparts;
-            let tile = &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
-            let out = self.run_tile(pi, ti, tile, tile_codes.get(ti), ti * tile_len, local_stats);
-            *lock_recover(&slots[job]) = Some(out);
+            (done, stats)
         };
 
-        let mut stats = if self.workers == 1 {
+        let results: Vec<_> = if self.workers == 1 {
             // Single worker: run the job loop inline. Same job order and
-            // identical output/stats as the spawned path (slots make order
-            // irrelevant anyway); skipping the per-batch thread
-            // spawn/join keeps small batches out of the scheduler.
-            let mut local_stats = SeedingStats::default();
-            run_jobs(&mut local_stats);
-            local_stats
+            // identical output/stats as the spawned path; skipping the
+            // per-batch thread spawn/join keeps small batches out of the
+            // scheduler.
+            vec![run_jobs()]
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(njobs.max(1)) {
-                    scope.spawn(|| {
-                        let mut local_stats = SeedingStats::default();
-                        run_jobs(&mut local_stats);
-                        lock_recover(&merged_stats).merge(&local_stats);
-                    });
-                }
-            });
-            merged_stats
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
+                let workers: Vec<_> = (0..self.workers.min(njobs.max(1)))
+                    .map(|_| scope.spawn(run_jobs))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| {
+                        w.join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
+                    .collect()
+            })
         };
-        // A cancelled batch stops here: slots may be partially filled (or
-        // hold placeholder output from cancelled tiles), so assembling
-        // them would produce wrong results. Discard everything instead.
+        // A cancelled batch stops here: jobs may be missing (or hold
+        // placeholder output from cancelled tiles), so assembling them
+        // would produce wrong results. Discard everything instead.
         if self.is_cancelled() {
             return Err(Error::Cancelled);
+        }
+        let mut stats = SeedingStats::default();
+        let mut slots: Vec<Option<Vec<Vec<Smem>>>> = vec![None; njobs];
+        for (done, worker_stats) in results {
+            stats.merge(&worker_stats);
+            for (id, out) in done {
+                slots[id] = Some(out);
+            }
         }
         // The shared code extraction happened outside the job loop; fold
         // its span in so KmerCodes stays accounted for under profiling.
@@ -977,22 +974,19 @@ impl SeedingSession {
         // zero-copy: every tile's slot vectors are drained straight into
         // one reused flat scratch per read instead of a per-read
         // `Vec<Vec<Smem>>` of clones.
-        let t = StageTimer::start(self.profiling());
+        let t = StageTimer::start(profiling);
         let mut smems: Vec<Vec<Smem>> = Vec::with_capacity(reads.len());
         let mut flat: Vec<Smem> = Vec::new();
-        let mut tile_outs: Vec<Vec<Vec<Smem>>> = Vec::with_capacity(nparts);
-        for ti in 0..ntiles {
-            tile_outs.clear();
-            for pi in 0..nparts {
-                let out = lock_recover(&slots[ti * nparts + pi])
-                    .take()
-                    .ok_or(Error::Runtime {
+        for (ti, tile_slots) in slots.chunks_mut(nparts).enumerate() {
+            let mut tile_outs = tile_slots
+                .iter_mut()
+                .map(|slot| {
+                    slot.take().ok_or(Error::Runtime {
                         what: "job slot empty after batch",
-                    })?;
-                tile_outs.push(out);
-            }
-            let tile_reads = ((ti + 1) * tile_len).min(reads.len()) - ti * tile_len;
-            for k in 0..tile_reads {
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            for k in 0..tile_of(ti).len() {
                 flat.clear();
                 for part_out in &mut tile_outs {
                     flat.append(&mut part_out[k]);
@@ -1011,7 +1005,7 @@ impl SeedingSession {
     /// Seeds the whole batch through the golden model — the last-resort
     /// path of [`seed_reads`](Self::seed_reads).
     fn golden_batch(&self, reads: &[PackedSeq]) -> CasaRun {
-        let nparts = self.engines.len();
+        let nparts = self.backends.len();
         let mut stats = SeedingStats::default();
         let mut per_read_parts: Vec<Vec<Vec<Smem>>> = vec![Vec::new(); reads.len()];
         for pi in 0..nparts {

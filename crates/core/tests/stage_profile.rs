@@ -141,9 +141,10 @@ proptest! {
                     vec![None]
                 };
                 for kernel in kernels {
-                    if let Some(k) = kernel {
-                        session.set_kernel_backend(k);
-                    }
+                    let session = match kernel {
+                        Some(k) => session.clone().with_kernel_backend(k).expect("supported kernel"),
+                        None => session.clone(),
+                    };
                     let run = session.seed_reads(&reads);
                     prop_assert_eq!(
                         &run.smems, &seed_run.smems,

@@ -13,7 +13,7 @@
 //!   would admit to SMEM computation.
 
 use casa_core::{CasaConfig, PartitionEngine, SeedingStats};
-use casa_filter::{BloomFilter, FilterConfig, PreSeedingFilter};
+use casa_filter::{BloomFilter, FilterConfig, FilterStats, PreSeedingFilter};
 use casa_genome::PackedSeq;
 
 use crate::report::Table;
@@ -93,13 +93,13 @@ pub fn run(scale: Scale) -> Ablations {
         .into_iter()
         .map(|m| {
             let cfg = FilterConfig::new(19, m, 40, 20);
-            let mut filter = PreSeedingFilter::build(&part, cfg);
+            let filter = PreSeedingFilter::build(&part, cfg);
+            let mut st = FilterStats::default();
             for read in &reads {
                 for pivot in 0..=read.len() - cfg.k {
-                    let _ = filter.lookup(read, pivot);
+                    let _ = filter.lookup(read, pivot, &mut st);
                 }
             }
-            let st = filter.stats();
             // Footprint at the paper's 4 Mbase partition sizing.
             let paper_sized = PreSeedingFilterFootprint {
                 m,
@@ -137,7 +137,8 @@ pub fn run(scale: Scale) -> Ablations {
     // --- exact vs Bloom -------------------------------------------------
     let k = 19usize;
     let cfg = FilterConfig::new(k, 10, 40, 20);
-    let mut exact = PreSeedingFilter::build(&part, cfg);
+    let exact = PreSeedingFilter::build(&part, cfg);
+    let mut scratch_stats = FilterStats::default();
     let filter_kinds = [4usize, 8, 16]
         .into_iter()
         .map(|bits| {
@@ -152,7 +153,7 @@ pub fn run(scale: Scale) -> Ablations {
             for read in &reads {
                 for pivot in 0..=read.len() - k {
                     let code = read.kmer_code(pivot, k).expect("bounds");
-                    let truth = !exact.lookup_code(code).is_empty();
+                    let truth = !exact.lookup_code(code, &mut scratch_stats).is_empty();
                     let claimed = bloom.contains(code);
                     exact_hits += u64::from(truth);
                     bloom_hits += u64::from(claimed);

@@ -2,7 +2,7 @@
 //! as the k-mer size grows (the observation motivating CASA's 19-mer
 //! filter — the paper measures a 6.04× drop from k = 12 to k = 19).
 
-use casa_filter::{FilterConfig, PreSeedingFilter};
+use casa_filter::{FilterConfig, FilterStats, PreSeedingFilter};
 
 use crate::report::Table;
 use crate::scenario::{Genome, Scale, Scenario};
@@ -26,11 +26,12 @@ pub fn run(scale: Scale) -> Vec<Fig05Row> {
     [12usize, 14, 16, 19]
         .into_iter()
         .map(|k| {
-            let mut filter = PreSeedingFilter::build(&part, FilterConfig::new(k, 10, 40, 20));
+            let filter = PreSeedingFilter::build(&part, FilterConfig::new(k, 10, 40, 20));
+            let mut stats = FilterStats::default();
             let mut hit_pivots = 0u64;
             for read in &scenario.reads {
                 for pivot in 0..=read.len().saturating_sub(k) {
-                    if filter.contains(read, pivot) {
+                    if filter.contains(read, pivot, &mut stats) {
                         hit_pivots += 1;
                     }
                 }

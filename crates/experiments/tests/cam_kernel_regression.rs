@@ -36,9 +36,12 @@ fn assert_kernel_parity(scenario: &Scenario) {
     );
     let default = run_bytes(&run);
     for backend in KernelBackend::supported() {
-        session.set_kernel_backend(backend);
+        let pinned = session
+            .clone()
+            .with_kernel_backend(backend)
+            .expect("supported kernel");
         assert_eq!(
-            run_bytes(&session.seed_reads(&scenario.reads)),
+            run_bytes(&pinned.seed_reads(&scenario.reads)),
             default,
             "serialized seeding output changed under the {backend} backend"
         );

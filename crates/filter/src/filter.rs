@@ -127,20 +127,6 @@ impl FilterStats {
         self.data_reads += other.data_reads;
         self.hits += other.hits;
     }
-
-    /// The activity booked since the earlier snapshot `before` of the same
-    /// cumulative counters (field-wise `self - before`).
-    pub fn since(&self, before: &FilterStats) -> FilterStats {
-        FilterStats {
-            lookups: self.lookups - before.lookups,
-            mini_index_reads: self.mini_index_reads - before.mini_index_reads,
-            tag_searches: self.tag_searches - before.tag_searches,
-            tag_rows_enabled: self.tag_rows_enabled - before.tag_rows_enabled,
-            tag_physical_rows: self.tag_physical_rows - before.tag_physical_rows,
-            data_reads: self.data_reads - before.data_reads,
-            hits: self.hits - before.hits,
-        }
-    }
 }
 
 /// Seeded fault model for a filter's data array (SRAM bit flips).
@@ -210,17 +196,23 @@ fn row_indicator(row: &Row) -> SearchIndicator {
 
 /// The pre-seeding filter for one reference partition.
 ///
+/// Lookups only read the tables; each books its activity into the
+/// caller's [`FilterStats`], so any number of threads can look up one
+/// filter at once.
+///
 /// ```
 /// use casa_genome::PackedSeq;
-/// use casa_filter::{FilterConfig, PreSeedingFilter};
+/// use casa_filter::{FilterConfig, FilterStats, PreSeedingFilter};
 ///
 /// let part = PackedSeq::from_ascii(b"ACGTACGTTTGGAACCAGTC")?;
-/// let mut filter = PreSeedingFilter::build(&part, FilterConfig::small(6, 3));
+/// let filter = PreSeedingFilter::build(&part, FilterConfig::small(6, 3));
+/// let mut stats = FilterStats::default();
 /// let read = PackedSeq::from_ascii(b"GTACGT")?;
-/// let si = filter.lookup(&read, 0).expect("read long enough");
+/// let si = filter.lookup(&read, 0, &mut stats).expect("read long enough");
 /// assert!(!si.is_empty()); // GTACGT occurs at partition offset 2
 /// let miss = PackedSeq::from_ascii(b"GGGGGG")?;
-/// assert!(filter.lookup(&miss, 0).unwrap().is_empty());
+/// assert!(filter.lookup(&miss, 0, &mut stats).unwrap().is_empty());
+/// assert_eq!(stats.lookups, 2);
 /// # Ok::<(), casa_genome::ParseBaseError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -236,7 +228,6 @@ pub struct PreSeedingFilter {
     /// §5 physical packing of the tag array.
     layout: TagLayout,
     partition_len: usize,
-    stats: FilterStats,
 }
 
 impl PreSeedingFilter {
@@ -286,7 +277,6 @@ impl PreSeedingFilter {
             rows: words.into(),
             layout,
             partition_len: partition.len(),
-            stats: FilterStats::default(),
         }
     }
 
@@ -323,7 +313,6 @@ impl PreSeedingFilter {
             rows: rows.into(),
             layout,
             partition_len,
-            stats: FilterStats::default(),
         })
     }
 
@@ -373,37 +362,42 @@ impl PreSeedingFilter {
     /// otherwise the OR of the indicators of all matching occurrences
     /// ([`SearchIndicator::EMPTY`] when the k-mer is absent — the pivot is
     /// then filterable).
-    pub fn lookup(&mut self, read: &PackedSeq, pivot: usize) -> Option<SearchIndicator> {
+    pub fn lookup(
+        &self,
+        read: &PackedSeq,
+        pivot: usize,
+        stats: &mut FilterStats,
+    ) -> Option<SearchIndicator> {
         let code = read.kmer_code(pivot, self.config.k)?;
-        Some(self.lookup_code(code))
+        Some(self.lookup_code(code, stats))
     }
 
     /// Looks up a pre-computed k-mer code.
-    pub fn lookup_code(&mut self, code: u64) -> SearchIndicator {
+    pub fn lookup_code(&self, code: u64, stats: &mut FilterStats) -> SearchIndicator {
         let rest_bits = 2 * (self.config.k - self.config.m);
         let mmer = (code >> rest_bits) as usize;
         let tag = (code & ((1u64 << rest_bits) - 1)) as u32;
 
-        self.stats.lookups += 1;
-        self.stats.mini_index_reads += 1;
+        stats.lookups += 1;
+        stats.mini_index_reads += 1;
         let lo = self.mini_index[mmer] as usize;
         let hi = self.mini_index[mmer + 1] as usize;
         if lo == hi {
             return SearchIndicator::EMPTY;
         }
         // Range-gated CAM search over the bucket.
-        self.stats.tag_searches += 1;
-        self.stats.tag_rows_enabled += (hi - lo) as u64;
-        self.stats.tag_physical_rows += self.layout.physical_rows(hi - lo) as u64;
+        stats.tag_searches += 1;
+        stats.tag_rows_enabled += (hi - lo) as u64;
+        stats.tag_physical_rows += self.layout.physical_rows(hi - lo) as u64;
         let bucket = &self.rows.as_chunks::<2>().0[lo..hi];
         let first = bucket.partition_point(|r| row_tag(r) < tag);
         let mut si = SearchIndicator::EMPTY;
         for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
-            self.stats.data_reads += 1;
+            stats.data_reads += 1;
             si.merge(row_indicator(row));
         }
         if !si.is_empty() {
-            self.stats.hits += 1;
+            stats.hits += 1;
         }
         si
     }
@@ -416,10 +410,10 @@ impl PreSeedingFilter {
 
     /// Looks up a whole batch of pre-computed k-mer codes in one
     /// software-pipelined pass, filling `out` with one indicator per code
-    /// (cleared first).
+    /// (cleared first) and returning the batch's activity.
     ///
     /// Semantically identical to calling [`lookup_code`](Self::lookup_code)
-    /// per code — same indicators, same [`FilterStats`] deltas — but
+    /// per code — same indicators, same [`FilterStats`] — but
     /// restructured for memory-level parallelism, as the hardware overlaps
     /// its filter stages (paper Fig. 9). A lookup is two dependent misses:
     /// the mini-index slot (`4^m` entries, 4 MB at m = 10) gives `lo..hi`,
@@ -429,8 +423,9 @@ impl PreSeedingFilter {
     /// rows, then runs the unchanged `lookup_code` on code `i`, whose lines
     /// have had two stages to arrive. Prefetches never change what is
     /// read, only when.
-    pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
+    pub fn lookup_codes_into(&self, codes: &[u64], out: &mut Vec<SearchIndicator>) -> FilterStats {
         const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
+        let mut stats = FilterStats::default();
         out.clear();
         out.reserve(codes.len());
         for &code in codes.iter().take(2 * D) {
@@ -446,8 +441,9 @@ impl PreSeedingFilter {
             if let Some(&ahead) = codes.get(i + D) {
                 self.prefetch_bucket(ahead);
             }
-            out.push(self.lookup_code(code));
+            out.push(self.lookup_code(code, &mut stats));
         }
+        stats
     }
 
     /// Pipeline stage 1: starts fetching the mini-index slot of `code`.
@@ -476,34 +472,40 @@ impl PreSeedingFilter {
     /// k-mer sharing it. Used by the exact-match pre-processing (§4.3),
     /// which aligns several non-overlapping m-mers before attempting a
     /// whole-read match.
-    pub fn lookup_mmer(&mut self, read: &PackedSeq, pivot: usize) -> Option<SearchIndicator> {
+    pub fn lookup_mmer(
+        &self,
+        read: &PackedSeq,
+        pivot: usize,
+        stats: &mut FilterStats,
+    ) -> Option<SearchIndicator> {
         let code = read.kmer_code(pivot, self.config.m)?;
-        Some(self.lookup_mmer_code(code))
+        Some(self.lookup_mmer_code(code, stats))
     }
 
     /// [`PreSeedingFilter::lookup_mmer`] for a pre-computed m-mer code —
     /// the form the engine's rolling-code hot path feeds directly.
-    pub fn lookup_mmer_code(&mut self, code: u64) -> SearchIndicator {
+    pub fn lookup_mmer_code(&self, code: u64, stats: &mut FilterStats) -> SearchIndicator {
         let mmer = code as usize;
-        self.stats.lookups += 1;
-        self.stats.mini_index_reads += 1;
+        stats.lookups += 1;
+        stats.mini_index_reads += 1;
         let lo = self.mini_index[mmer] as usize;
         let hi = self.mini_index[mmer + 1] as usize;
         let mut si = SearchIndicator::EMPTY;
         for row in &self.rows.as_chunks::<2>().0[lo..hi] {
-            self.stats.data_reads += 1;
+            stats.data_reads += 1;
             si.merge(row_indicator(row));
         }
         if !si.is_empty() {
-            self.stats.hits += 1;
+            stats.hits += 1;
         }
         si
     }
 
     /// Whether the k-mer at `read[pivot..]` exists in the partition (the
     /// CRkM existence check of Algorithm 1). A full filter lookup.
-    pub fn contains(&mut self, read: &PackedSeq, pivot: usize) -> bool {
-        self.lookup(read, pivot).is_some_and(|si| !si.is_empty())
+    pub fn contains(&self, read: &PackedSeq, pivot: usize, stats: &mut FilterStats) -> bool {
+        self.lookup(read, pivot, stats)
+            .is_some_and(|si| !si.is_empty())
     }
 
     /// Modelled on-chip footprint in bytes:
@@ -517,16 +519,6 @@ impl PreSeedingFilter {
         let tag = n * (2 * (self.config.k - self.config.m) as u64) / 8;
         let data = n * ((self.config.stride + self.config.groups) as u64) / 8;
         mini + tag + data
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> FilterStats {
-        self.stats
-    }
-
-    /// Resets activity counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = FilterStats::default();
     }
 
     /// Injects seeded data-array corruption and returns the flipped rows.
@@ -582,32 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_since_undoes_merge() {
-        let before = FilterStats {
-            lookups: 9,
-            mini_index_reads: 9,
-            tag_searches: 8,
-            tag_rows_enabled: 70,
-            tag_physical_rows: 20,
-            data_reads: 6,
-            hits: 5,
-        };
-        let delta = FilterStats {
-            lookups: 1,
-            mini_index_reads: 2,
-            tag_searches: 3,
-            tag_rows_enabled: 4,
-            tag_physical_rows: 5,
-            data_reads: 6,
-            hits: 7,
-        };
-        let mut after = before;
-        after.merge(&delta);
-        assert_eq!(after.since(&before), delta);
-        assert_eq!(after.since(&after), FilterStats::default());
-    }
-
-    #[test]
     fn batched_lookup_matches_per_code_lookup_including_stats() {
         // The batched pipeline must be observationally identical to
         // per-code lookup_code calls: same indicators in order, same
@@ -642,18 +608,19 @@ mod tests {
         const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
         let lens = [0, 1, D - 1, D, 2 * D, 2 * D + 1, 101 - 19 + 1, codes.len()];
         for (name, filter) in [("built", built), ("shared", shared), ("faulted", faulted)] {
-            let mut serial = filter.clone();
-            let mut batched = filter;
             // Stale garbage in `out` must be cleared; each length runs
-            // twice on the same filter, so stats keep accumulating.
+            // twice on the same filter.
             let mut out = vec![SearchIndicator::EMPTY; 3];
             for len in lens.into_iter().chain(lens) {
                 let batch = &codes[..len];
-                let per_code: Vec<SearchIndicator> =
-                    batch.iter().map(|&c| serial.lookup_code(c)).collect();
-                batched.lookup_codes_into(batch, &mut out);
+                let mut serial = FilterStats::default();
+                let per_code: Vec<SearchIndicator> = batch
+                    .iter()
+                    .map(|&c| filter.lookup_code(c, &mut serial))
+                    .collect();
+                let batched = filter.lookup_codes_into(batch, &mut out);
                 assert_eq!(out, per_code, "{name}: {len} codes");
-                assert_eq!(batched.stats(), serial.stats(), "{name}: {len} codes");
+                assert_eq!(batched, serial, "{name}: {len} codes");
             }
         }
     }
@@ -665,10 +632,11 @@ mod tests {
         // filter from a bloom filter (paper §4.1).
         let part = generate_reference(&ReferenceProfile::human_like(), 3_000, 21);
         let cfg = FilterConfig::small(8, 4);
-        let mut filter = PreSeedingFilter::build(&part, cfg);
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let mut stats = FilterStats::default();
         // all present k-mers hit, with correct indicator bits
         for (x, code) in part.kmers(cfg.k) {
-            let si = filter.lookup_code(code);
+            let si = filter.lookup_code(code, &mut stats);
             assert!(!si.is_empty(), "k-mer at {x} missed");
             assert!(si.start_mask & (1 << (x % cfg.stride)) != 0);
             assert!(si.groups & (1 << ((x / cfg.stride) % cfg.groups)) != 0);
@@ -685,7 +653,7 @@ mod tests {
                 continue;
             }
             assert!(
-                filter.lookup_code(code).is_empty(),
+                filter.lookup_code(code, &mut stats).is_empty(),
                 "false positive for {code}"
             );
             tested += 1;
@@ -701,8 +669,10 @@ mod tests {
             .collect();
         assert!(occs.len() >= 2);
         let cfg = FilterConfig::small(6, 3);
-        let mut filter = PreSeedingFilter::build(&part, cfg);
-        let si = filter.lookup(&seq("ACGTAC"), 0).unwrap();
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let si = filter
+            .lookup(&seq("ACGTAC"), 0, &mut FilterStats::default())
+            .unwrap();
         let mut expect = SearchIndicator::EMPTY;
         for &x in &occs {
             expect.merge(SearchIndicator::of_occurrence(x, cfg.stride, cfg.groups));
@@ -714,10 +684,10 @@ mod tests {
     fn stats_count_range_gated_rows() {
         let part = seq("AAAAAAAAAAAAAAAA"); // single bucket, many rows
         let cfg = FilterConfig::small(6, 3);
-        let mut filter = PreSeedingFilter::build(&part, cfg);
+        let filter = PreSeedingFilter::build(&part, cfg);
         assert_eq!(filter.rows(), 11);
-        filter.lookup(&seq("AAAAAA"), 0).unwrap();
-        let st = filter.stats();
+        let mut st = FilterStats::default();
+        filter.lookup(&seq("AAAAAA"), 0, &mut st).unwrap();
         assert_eq!(st.lookups, 1);
         assert_eq!(st.mini_index_reads, 1);
         assert_eq!(st.tag_searches, 1);
@@ -725,8 +695,7 @@ mod tests {
         assert_eq!(st.data_reads, 11);
         assert_eq!(st.hits, 1);
         // a miss in an empty bucket costs no tag search at all
-        filter.lookup(&seq("GGGGGG"), 0).unwrap();
-        let st = filter.stats();
+        filter.lookup(&seq("GGGGGG"), 0, &mut st).unwrap();
         assert_eq!(st.tag_searches, 1);
         assert_eq!(st.lookups, 2);
     }
@@ -734,20 +703,24 @@ mod tests {
     #[test]
     fn lookup_too_close_to_read_end_is_none() {
         let part = seq("ACGTACGTACGT");
-        let mut filter = PreSeedingFilter::build(&part, FilterConfig::small(6, 3));
+        let filter = PreSeedingFilter::build(&part, FilterConfig::small(6, 3));
         let read = seq("ACGTA");
-        assert!(filter.lookup(&read, 0).is_none());
-        assert!(filter.lookup(&read, 3).is_none());
+        let mut st = FilterStats::default();
+        assert!(filter.lookup(&read, 0, &mut st).is_none());
+        assert!(filter.lookup(&read, 3, &mut st).is_none());
+        assert_eq!(st, FilterStats::default());
     }
 
     #[test]
     fn mmer_lookup_unions_bucket() {
         let part = seq("ACGTTTTACGAAAACGCC");
         let cfg = FilterConfig::small(6, 3);
-        let mut filter = PreSeedingFilter::build(&part, cfg);
+        let filter = PreSeedingFilter::build(&part, cfg);
         // "ACG" occurs at 0, 7, 14 (prefix of k-mers at 0 and 7; the one
         // at 14 has no full 6-mer but ACG-prefixed k-mers at 0/7 cover it).
-        let si = filter.lookup_mmer(&seq("ACG"), 0).unwrap();
+        let si = filter
+            .lookup_mmer(&seq("ACG"), 0, &mut FilterStats::default())
+            .unwrap();
         let mut expect = SearchIndicator::EMPTY;
         for x in [0usize, 7] {
             expect.merge(SearchIndicator::of_occurrence(x, cfg.stride, cfg.groups));
@@ -759,16 +732,16 @@ mod tests {
     fn mmer_code_lookup_matches_mmer_lookup() {
         let part = generate_reference(&ReferenceProfile::human_like(), 2_000, 9);
         let cfg = FilterConfig::small(8, 4);
-        let mut by_read = PreSeedingFilter::build(&part, cfg);
-        let mut by_code = by_read.clone();
+        let filter = PreSeedingFilter::build(&part, cfg);
+        let (mut by_read, mut by_code) = (FilterStats::default(), FilterStats::default());
         for (off, code) in part.kmers(cfg.m).take(200) {
             assert_eq!(
-                by_read.lookup_mmer(&part, off).unwrap(),
-                by_code.lookup_mmer_code(code),
+                filter.lookup_mmer(&part, off, &mut by_read).unwrap(),
+                filter.lookup_mmer_code(code, &mut by_code),
                 "offset {off}"
             );
         }
-        assert_eq!(by_read.stats(), by_code.stats());
+        assert_eq!(by_read, by_code);
     }
 
     #[test]
@@ -782,7 +755,6 @@ mod tests {
             rows: Vec::new().into(),
             layout: TagLayout::paper(4 << 20),
             partition_len: 4 << 20,
-            stats: FilterStats::default(),
         };
         let mb = (1u64 << 20) as f64;
         let total = filter.footprint_bytes() as f64 / mb;
@@ -831,10 +803,11 @@ mod tests {
     #[test]
     fn contains_is_lookup_nonempty() {
         let part = seq("ACGTACGTTTGG");
-        let mut filter = PreSeedingFilter::build(&part, FilterConfig::small(6, 3));
-        assert!(filter.contains(&seq("ACGTAC"), 0));
-        assert!(!filter.contains(&seq("CCCCCC"), 0));
-        assert!(!filter.contains(&seq("ACG"), 0)); // too short
+        let filter = PreSeedingFilter::build(&part, FilterConfig::small(6, 3));
+        let mut st = FilterStats::default();
+        assert!(filter.contains(&seq("ACGTAC"), 0, &mut st));
+        assert!(!filter.contains(&seq("CCCCCC"), 0, &mut st));
+        assert!(!filter.contains(&seq("ACG"), 0, &mut st)); // too short
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!
 //! ```
 //! use casa_genome::PackedSeq;
-//! use casa_filter::{FilterConfig, PreSeedingFilter};
+//! use casa_filter::{FilterConfig, FilterStats, PreSeedingFilter};
 //!
 //! let partition = PackedSeq::from_ascii(&b"GATTACA".repeat(10))?;
-//! let mut filter = PreSeedingFilter::build(&partition, FilterConfig::small(7, 3));
+//! let filter = PreSeedingFilter::build(&partition, FilterConfig::small(7, 3));
 //! let read = PackedSeq::from_ascii(b"TTACAGATTACA")?;
 //! // k-mer at pivot 0 ("TTACAGA") exists; its indicator drives the CAM.
-//! let si = filter.lookup(&read, 0).unwrap();
+//! let si = filter.lookup(&read, 0, &mut FilterStats::default()).unwrap();
 //! assert!(si.start_count() >= 1 && si.group_count() >= 1);
 //! # Ok::<(), casa_genome::ParseBaseError>(())
 //! ```

@@ -7,7 +7,7 @@ use casa::core::{
     CasaConfig, Error, PartitionEngine, SeedingSession, SeedingStats, StreamBatch, StreamConfig,
     StreamError,
 };
-use casa::filter::{FilterConfig, PreSeedingFilter};
+use casa::filter::{FilterConfig, FilterStats, PreSeedingFilter};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{Base, PackedSeq, PartitionScheme};
 use casa::index::smem::smems_unidirectional;
@@ -192,13 +192,17 @@ fn read_longer_than_partition_overlap_is_rejected_not_split() {
 fn filter_with_paper_geometry_on_tiny_partition() {
     // k=19/m=10 on a partition barely larger than k: buckets of size 0/1.
     let part = repeat_seq("ACGTTGCATCGGATCCAGT", 2); // 38 bases
-    let mut filter = PreSeedingFilter::build(&part, FilterConfig::default());
+    let filter = PreSeedingFilter::build(&part, FilterConfig::default());
     assert_eq!(filter.rows(), 38 - 19 + 1);
+    let mut stats = FilterStats::default();
     for (x, _) in part.kmers(19) {
-        assert!(filter.contains(&part, x), "own 19-mer at {x} must hit");
+        assert!(
+            filter.contains(&part, x, &mut stats),
+            "own 19-mer at {x} must hit"
+        );
     }
     let absent = repeat_seq("T", 19);
-    assert!(!filter.contains(&absent, 0));
+    assert!(!filter.contains(&absent, 0, &mut stats));
 }
 
 #[test]

@@ -5,7 +5,10 @@
 //! must preserve that equality under fault injection on the CAM backend.
 
 use casa::core::backend::build_backend;
-use casa::core::{BackendKind, CasaConfig, FaultPlan, SeedingSession, SeedingStats};
+use casa::core::{
+    BackendKind, CasaConfig, FaultPlan, KernelBackend, Lane, SeedingSession, SeedingStats,
+    TileKmerCodes,
+};
 use casa::genome::{Base, PackedSeq};
 use casa::index::smem::smems_unidirectional;
 use casa::index::SuffixArray;
@@ -48,12 +51,15 @@ proptest! {
         let sa = SuffixArray::build(&reference);
         let config = CasaConfig::small(reference.len());
         let golden = smems_unidirectional(&sa, &read, config.min_smem_len);
+        let reads = std::slice::from_ref(&read);
+        let codes = TileKmerCodes::compute(reads, config.filter.k);
         for kind in BackendKind::ALL {
-            let mut backend = build_backend(kind, &reference, config).expect("valid config");
+            let backend = build_backend(kind, &reference, config).expect("valid config");
+            let mut lane = Lane::new(KernelBackend::Scalar, false);
             let mut stats = SeedingStats::default();
             let mut smems = Vec::new();
-            backend.seed_read_into(&read, &mut stats, &mut smems);
-            prop_assert_eq!(&smems, &golden, "{} != golden", kind);
+            backend.seed_tile(&mut lane, reads, &codes, &mut stats, &mut smems);
+            prop_assert_eq!(&smems, &vec![golden.clone()], "{} != golden", kind);
         }
     }
 

@@ -1,13 +1,13 @@
 //! Concurrency hardening for the embeddable API: multiple [`Seeder`] /
 //! [`SeedingSession`](casa::core::SeedingSession) instances over one
 //! shared reference, hammered from many threads at once, must produce
-//! SMEMs bit-identical to a serial single-threaded run — and an
-//! internal panic caught on one clone must never leak a poisoned lock
-//! into the others.
+//! SMEMs bit-identical to a serial single-threaded run and book each
+//! batch's stats exactly as that batch alone would — and an internal
+//! panic caught on one clone must never change what the others compute.
 
 use std::time::Duration;
 
-use casa::core::FaultPlan;
+use casa::core::{FaultPlan, SeedingStats};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use casa::Seeder;
@@ -40,22 +40,42 @@ fn two_seeders_many_threads_stay_bit_identical_to_serial() {
     // Two independent warm instances over the same reference (as two
     // server tenancies would hold), each hit by several threads seeding
     // overlapping chunks concurrently, with sessions cloned per thread.
+    // The chunking rotates per thread so batch boundaries differ across
+    // concurrent callers.
     let seeder_a = build(&reference, 2);
     let seeder_b = build(&reference, 3);
+    let seeder_for = |t: usize| {
+        if t.is_multiple_of(2) {
+            &seeder_a
+        } else {
+            &seeder_b
+        }
+    };
+    let chunk_for = |t: usize| 7 + t % 5;
+    // Every batch's stats as the same seeder books them with no other
+    // caller running: concurrent callers share the read-only index, so
+    // each must still book exactly its own activity.
+    let alone: Vec<Vec<SeedingStats>> = (0..8)
+        .map(|t| {
+            reads
+                .chunks(chunk_for(t))
+                .map(|batch| seeder_for(t).seed_reads(batch).stats)
+                .collect()
+        })
+        .collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|t| {
-                let seeder = if t % 2 == 0 { &seeder_a } else { &seeder_b };
+                let session = seeder_for(t).session().clone();
                 let reads = &reads;
                 let serial = &serial;
+                let alone = &alone[t];
                 scope.spawn(move || {
-                    // Rotate the chunking per thread so batch boundaries
-                    // differ across concurrent callers.
-                    let chunk = 7 + t % 5;
-                    let session = seeder.session().clone();
                     let mut smems = Vec::with_capacity(reads.len());
-                    for batch in reads.chunks(chunk) {
-                        smems.extend(session.seed_reads(batch).smems);
+                    for (b, batch) in reads.chunks(chunk_for(t)).enumerate() {
+                        let run = session.seed_reads(batch);
+                        assert_eq!(run.stats, alone[b], "thread {t} batch {b} stats");
+                        smems.extend(run.smems);
                     }
                     assert_eq!(&smems, serial, "thread {t} diverged from serial");
                 })
@@ -74,9 +94,9 @@ fn caught_panics_do_not_poison_other_sessions() {
 
     // Every tile of partition 0 panics on every attempt: the runtime
     // catches the unwinds, quarantines the partition, and recovers via
-    // the golden model. Clones of this session share engines and
-    // quarantine state — none of them may observe a poisoned lock or a
-    // changed result afterwards.
+    // the golden model. Clones of this session share backends and
+    // quarantine state — none of them may observe a changed result
+    // afterwards.
     let plan = FaultPlan::parse("seed=13,panic=1.0,retries=1,partition=0").unwrap();
     let faulty = Seeder::builder(&reference)
         .partition_len(6_000)
@@ -108,7 +128,7 @@ fn caught_panics_do_not_poison_other_sessions() {
         faulty.session().quarantined_count() >= 1,
         "the panicking partition must end up quarantined"
     );
-    // The instance keeps serving after the storm (locks unpoisoned).
+    // The instance keeps serving after the storm.
     assert_eq!(faulty.seed_reads(&reads).smems, serial);
 
     // Guard threads from any watchdogged attempts drain promptly.

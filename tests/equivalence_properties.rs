@@ -5,9 +5,9 @@
 //! * the CAM padding equivalence of Fig. 7;
 //! * SMEM structural invariants (maximality, non-containment).
 
-use casa::cam::{Bcam, CamQuery, EntryMask};
+use casa::cam::{Bcam, CamQuery, CamStats, EntryMask};
 use casa::core::{CasaConfig, PartitionEngine, SeedingStats};
-use casa::filter::{FilterConfig, PreSeedingFilter};
+use casa::filter::{FilterConfig, FilterStats, PreSeedingFilter};
 use casa::genome::{Base, PackedSeq};
 use casa::index::smem::{merge_partition_smems, smems_brute_force, smems_unidirectional};
 use casa::index::SuffixArray;
@@ -87,10 +87,11 @@ proptest! {
     #[test]
     fn filter_never_lies(partition in dna(100..400), probe in dna(8..40)) {
         let cfg = FilterConfig::small(6, 3);
-        let mut filter = PreSeedingFilter::build(&partition, cfg);
+        let filter = PreSeedingFilter::build(&partition, cfg);
         let sa = SuffixArray::build(&partition);
+        let mut stats = FilterStats::default();
         for pivot in 0..=probe.len().saturating_sub(cfg.k) {
-            let hit = !filter.lookup(&probe, pivot).expect("in range").is_empty();
+            let hit = !filter.lookup(&probe, pivot, &mut stats).expect("in range").is_empty();
             let truth = !sa.interval_of(&probe, pivot, cfg.k).is_empty();
             prop_assert_eq!(hit, truth, "pivot {}", pivot);
         }
@@ -104,7 +105,7 @@ proptest! {
         // Fig. 7: matching a k-mer with p wildcards at entry granularity
         // finds exactly the occurrences at in-entry offset p.
         let stride = 8;
-        let mut cam = Bcam::new(&text, stride);
+        let cam = Bcam::new(&text, stride);
         let start = start % text.len().saturating_sub(len + 1).max(1);
         let pattern = text.subseq(start.min(text.len() - len), len);
         let entries = cam.entries();
@@ -113,7 +114,7 @@ proptest! {
                 break; // pattern would spill into the next entry
             }
             let q = CamQuery::padded(&pattern, 0, len, p);
-            let hits = cam.search(&q, &EntryMask::all(entries));
+            let hits = cam.search(&q, &EntryMask::all(entries), &mut CamStats::default());
             let expected: Vec<u32> = (0..entries)
                 .filter(|&e| {
                     let pos = e * stride + p;

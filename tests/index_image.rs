@@ -86,8 +86,8 @@ fn mapped_index_is_bit_identical_across_backends_kernels_and_workers() {
                 for workers in [1, 2, 8] {
                     let session =
                         SeedingSession::from_image(mapped, workers, FaultPlan::default(), backend)
+                            .and_then(|s| s.with_kernel_backend(kernel))
                             .expect("mapped session");
-                    session.set_kernel_backend(kernel);
                     let run = session.seed_reads(&reads);
                     assert_eq!(
                         run.smems, golden.smems,
