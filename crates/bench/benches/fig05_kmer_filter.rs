@@ -18,7 +18,11 @@ fn bench(c: &mut Criterion) {
                 let mut hits = 0u64;
                 for read in &scenario.reads {
                     for pivot in 0..=read.len() - k {
-                        hits += u64::from(filter.contains(read, pivot, &mut stats));
+                        hits += u64::from(
+                            filter
+                                .lookup(0, read, pivot, &mut stats)
+                                .is_some_and(|si| !si.is_empty()),
+                        );
                     }
                 }
                 hits

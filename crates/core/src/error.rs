@@ -74,6 +74,12 @@ pub enum ConfigError {
         /// Why it was rejected, in human-readable form.
         reason: &'static str,
     },
+    /// The reference holds more k-mer occurrences than the pre-seeding
+    /// filter's `u32` mini-index offsets address.
+    FilterTooLarge {
+        /// The row (k-mer occurrence) count the filter would need.
+        rows: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -115,6 +121,9 @@ impl fmt::Display for ConfigError {
                      (expected one of: cam, fm, ert)"
                 )
             }
+            ConfigError::FilterTooLarge { rows } => {
+                write!(f, "{}", casa_filter::FilterTooLarge { rows })
+            }
         }
     }
 }
@@ -127,6 +136,12 @@ impl From<casa_cam::UnknownKernelError> for ConfigError {
             value: e.value,
             reason: e.reason,
         }
+    }
+}
+
+impl From<casa_filter::FilterTooLarge> for ConfigError {
+    fn from(e: casa_filter::FilterTooLarge) -> ConfigError {
+        ConfigError::FilterTooLarge { rows: e.rows }
     }
 }
 

@@ -501,7 +501,7 @@ mod tests {
         read: &PackedSeq,
         pivot: usize,
     ) -> Option<SearchIndicator> {
-        filter.lookup(read, pivot, &mut FilterStats::default())
+        filter.lookup(0, read, pivot, &mut FilterStats::default())
     }
 
     /// RMEM via CAM must equal the suffix-array longest match when driven

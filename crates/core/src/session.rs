@@ -2,12 +2,15 @@
 //!
 //! [`SeedingSession`] is the batch-seeding runtime (the `casa` facade's
 //! `Seeder` wraps it): it builds one boxed [`SeedingBackend`] per
-//! partition **once** at construction, on up to `workers` threads (the
-//! filter tables, CAM loads, or index builds dominate small-batch runs),
-//! whether the partitions are built from a reference or mapped from an
-//! index image, and then schedules partition ×
-//! tile jobs across a worker pool for each incoming read batch. The backend — the CASA CAM model, the FM-index golden
-//! model, or the ERT model — is a runtime choice
+//! partition — for the CAM backend, over one partition-interleaved
+//! pre-seeding filter they share — **once** at construction, on up to
+//! `workers` threads (the filter tables, CAM loads, or index builds
+//! dominate small-batch runs), whether the partitions are built from a
+//! reference or mapped from an index image, and then schedules tile jobs
+//! across a worker pool for each incoming read batch: a tile's k-mer codes
+//! are looked up in every partition at once, then the tile is seeded
+//! against each partition in turn. The backend — the CASA CAM model, the
+//! FM-index golden model, or the ERT model — is a runtime choice
 //! ([`BackendKind`](crate::BackendKind), selected per process via
 //! [`CASA_BACKEND`](crate::BACKEND_ENV) or per session via
 //! [`with_backend`](SeedingSession::with_backend)); every layer above the
@@ -19,9 +22,10 @@
 //! Results are bit-identical to the serial reference path
 //! ([`SeedingSession::seed_reads_serial`]) at any worker count:
 //!
-//! * each (partition, tile) job writes its SMEMs into a dedicated slot, and
-//!   the final per-read lists are assembled in partition-index order before
-//!   the usual cross-partition merge — so the SMEM stream never depends on
+//! * each tile job seeds its reads against every partition in turn and
+//!   writes each partition's SMEMs into a dedicated slot, and the final
+//!   per-read lists are assembled in partition-index order before the
+//!   usual cross-partition merge — so the SMEM stream never depends on
 //!   scheduling;
 //! * [`SeedingStats`] is a bag of `u64` counters whose merge is plain
 //!   addition, which is commutative and associative, so worker-local stats
@@ -62,10 +66,11 @@ use casa_genome::{PackedSeq, Partition};
 use casa_index::smem::{merge_flat_smems, merge_partition_smems, smems_unidirectional};
 use casa_index::{Smem, SuffixArray};
 
-use casa_cam::KernelBackend;
+use casa_cam::{Bcam, KernelBackend};
+use casa_filter::{FilterFaultReport, PreSeedingFilter};
 
 use crate::backend::{build_backend, BackendKind, SeedingBackend, TileKmerCodes};
-use crate::engine::{env_kernel, Lane, PartitionEngine};
+use crate::engine::{env_kernel, CamIndex, Lane, PartitionEngine};
 use crate::error::{ConfigError, Error};
 use crate::faults::{self, FaultPlan, FaultSites, InjectedFault};
 use crate::profile::{Stage, StageTimer};
@@ -79,10 +84,18 @@ use crate::CasaConfig;
 /// scheduling confetti.
 const TILES_PER_WORKER: usize = 4;
 
+/// Most reads in one tile. A tile job holds its reads' filter indicators
+/// for every partition at once (16 bytes per code and partition: ~680 KB
+/// for 64 reads of 101 bases over 8 partitions), so this bounds each
+/// worker's buffer whatever the batch size.
+const MAX_TILE_READS: usize = 64;
+
 /// Marker for a tile attempt whose output failed the golden cross-check.
 struct CrossCheckMismatch;
 
-/// One (partition, tile) job of a batch.
+/// One (partition, tile) attempt site of a batch: fault decisions, retries
+/// and quarantine are per (partition, tile), though one tile job runs all
+/// of a tile's partitions.
 #[derive(Clone, Copy)]
 struct Job {
     /// Partition index.
@@ -223,6 +236,9 @@ pub struct SeedingSession {
     backend: BackendKind,
     /// One read-only backend per partition, shared by every worker.
     backends: Arc<Vec<Box<dyn SeedingBackend>>>,
+    /// The CAM backends' one partition-interleaved filter, which each
+    /// tile's shared lookup pass reads; `None` for the software backends.
+    filter: Option<Arc<PreSeedingFilter>>,
     /// The CAM word kernel every lane runs (never executed by the
     /// software backends).
     kernel: KernelBackend,
@@ -341,17 +357,21 @@ impl SeedingSession {
 
     /// Like [`with_fault_plan`](Self::with_fault_plan) with an explicit
     /// seeding backend, ignoring the [`CASA_BACKEND`](crate::BACKEND_ENV)
-    /// environment variable. The partition backends are built on
+    /// environment variable. The CAM backend's one partition-interleaved
+    /// filter is built on `workers` threads, and the partition backends on
     /// `min(workers, partitions)` threads; each lands at its partition's
     /// index, so the session does not depend on the build's scheduling.
-    /// Hardware faults are then injected serially through the backend's
-    /// [`inject_faults`](SeedingBackend::inject_faults) hook — a no-op on
-    /// the software backends, which have no CAM lines or filter tables to
-    /// corrupt (scheduler faults still apply).
+    /// Hardware faults are then injected serially, per partition: filter
+    /// faults into the shared filter, CAM faults through the backend's
+    /// [`inject_faults`](SeedingBackend::inject_faults) hook — both no-ops
+    /// on the software backends, which have no CAM lines or filter tables
+    /// to corrupt (scheduler faults still apply).
     ///
     /// # Errors
     ///
-    /// As [`with_fault_plan`](Self::with_fault_plan).
+    /// As [`with_fault_plan`](Self::with_fault_plan), plus
+    /// [`ConfigError::FilterTooLarge`] on the CAM backend for a reference
+    /// of more than `u32::MAX` k-mers.
     pub fn with_backend(
         reference: &PackedSeq,
         config: CasaConfig,
@@ -365,7 +385,24 @@ impl SeedingSession {
             workers,
             plan,
             backend,
-            |p| build_backend(backend, &p.seq, config).map_err(Error::Config),
+            |parts| {
+                let seqs: Vec<&PackedSeq> = parts.iter().map(|p| &p.seq).collect();
+                PreSeedingFilter::build_partitions(&seqs, config.filter, workers)
+                    .map_err(|e| Error::Config(e.into()))
+            },
+            |p, filter| {
+                match filter {
+                    Some(filter) => CamIndex::with_filter(
+                        Arc::clone(filter),
+                        p.index,
+                        Bcam::new(&p.seq, config.filter.stride),
+                        config,
+                    )
+                    .map(|index| Box::new(index) as Box<dyn SeedingBackend>),
+                    None => build_backend(backend, &p.seq, config),
+                }
+                .map_err(Error::Config)
+            },
             |_| None,
         )
     }
@@ -373,7 +410,7 @@ impl SeedingSession {
     /// Builds a session from a loaded index image instead of from scratch.
     ///
     /// For the CAM backend every reference-side array — CAM entry
-    /// bitplanes, pre-seeding filter tables, golden suffix arrays — is
+    /// bitplanes, the pre-seeding filter tables, golden suffix arrays — is
     /// borrowed straight from the image's read-only mapping: no table is
     /// rebuilt and no per-load copy is made, so construction cost is
     /// partition splitting plus page faults. The FM/ERT software baselines
@@ -393,7 +430,8 @@ impl SeedingSession {
     ///
     /// As [`with_backend`](Self::with_backend), plus [`Error::Image`] if a
     /// section the CAM backend needs is missing or shaped wrong (the
-    /// lowest such partition is named, at any worker count).
+    /// filter's first, then the lowest such partition is named, at any
+    /// worker count).
     pub fn from_image(
         index: &crate::image::LoadedIndex,
         workers: usize,
@@ -407,27 +445,33 @@ impl SeedingSession {
             workers,
             plan,
             backend,
-            |p| index.backend_for_partition(backend, p, config),
+            |parts| index.filter(parts),
+            |p, filter| index.backend_for_partition(backend, p, config, filter),
             |p| index.suffix_array_for_partition(p),
         )
     }
 
     /// The one assembly behind [`with_backend`](Self::with_backend) and
     /// [`from_image`](Self::from_image): validates the inputs, splits
-    /// `reference`, gets each partition's backend from `backend_for` on
-    /// `min(workers, partitions)` threads ([`build_backends`]), injects
-    /// the plan's hardware faults serially, and pre-fills each golden
-    /// suffix-array cell that `golden_for` can supply (the rest are built
-    /// on first fallback). The CAM backend's word kernel comes from
-    /// `CASA_KERNEL` when set — an invalid value is a typed error — else
-    /// the process default.
+    /// `reference`, gets the CAM backend's shared filter from
+    /// `filter_for` and injects the plan's filter faults into it, gets
+    /// each partition's backend from `backend_for` (handed the shared
+    /// filter, if any) on `min(workers, partitions)` threads
+    /// ([`build_backends`]), injects the plan's CAM faults serially, and
+    /// pre-fills each golden suffix-array cell that `golden_for` can
+    /// supply (the rest are built on first fallback). The CAM backend's
+    /// word kernel comes from `CASA_KERNEL` when set — an invalid value is
+    /// a typed error — else the process default.
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
         reference: &PackedSeq,
         config: CasaConfig,
         workers: usize,
         plan: FaultPlan,
         backend: BackendKind,
-        backend_for: impl Fn(&Partition) -> Result<Box<dyn SeedingBackend>, Error> + Sync,
+        filter_for: impl FnOnce(&[Partition]) -> Result<PreSeedingFilter, Error>,
+        backend_for: impl Fn(&Partition, Option<&Arc<PreSeedingFilter>>) -> Result<Box<dyn SeedingBackend>, Error>
+            + Sync,
         golden_for: impl Fn(&Partition) -> Option<SuffixArray>,
     ) -> Result<SeedingSession, Error> {
         if workers == 0 {
@@ -444,14 +488,28 @@ impl SeedingSession {
             BackendKind::Fm | BackendKind::Ert => casa_cam::kernel::default_backend(),
         };
         let part_starts = partitions.iter().map(|p| p.start as u32).collect();
-        let mut backends = build_backends(&partitions, workers, backend_for)?;
+        let nparts = partitions.len();
         let mut fault_sites = FaultSites::default();
-        for (pi, b) in backends.iter_mut().enumerate() {
-            let (cam, filter) =
-                b.inject_faults(&plan.cam_faults_for(pi), &plan.filter_faults_for(pi));
-            fault_sites.cam.push(cam);
-            fault_sites.filter.push(filter);
-        }
+        let filter = match backend {
+            BackendKind::Cam => {
+                let mut filter = filter_for(&partitions)?;
+                fault_sites.filter = (0..nparts)
+                    .map(|pi| filter.inject_faults(pi, &plan.filter_faults_for(pi)))
+                    .collect();
+                Some(Arc::new(filter))
+            }
+            BackendKind::Fm | BackendKind::Ert => {
+                fault_sites.filter = vec![FilterFaultReport::default(); nparts];
+                None
+            }
+        };
+        let mut backends =
+            build_backends(&partitions, workers, |p| backend_for(p, filter.as_ref()))?;
+        fault_sites.cam = backends
+            .iter_mut()
+            .enumerate()
+            .map(|(pi, b)| b.inject_faults(&plan.cam_faults_for(pi)))
+            .collect();
         if plan.tile_panic_rate > 0.0 {
             faults::silence_injected_panics();
         }
@@ -459,13 +517,13 @@ impl SeedingSession {
             .iter()
             .map(|p| golden_for(p).map_or_else(OnceLock::new, OnceLock::from))
             .collect();
-        let nparts = partitions.len();
         Ok(SeedingSession {
             config,
             part_starts: Arc::new(part_starts),
             parts: Arc::new(partitions),
             backend,
             backends: Arc::new(backends),
+            filter,
             kernel,
             golden: Arc::new(golden),
             quarantined: Arc::new((0..nparts).map(|_| AtomicBool::new(false)).collect()),
@@ -598,9 +656,44 @@ impl SeedingSession {
     }
 
     /// Read count per tile for a batch of `n` reads: enough tiles to keep
-    /// every worker busy, never less than one read.
+    /// every worker busy, never less than one read nor more than
+    /// [`MAX_TILE_READS`].
     fn tile_len(&self, n: usize) -> usize {
-        n.div_ceil(self.workers * TILES_PER_WORKER).max(1)
+        n.div_ceil(self.workers * TILES_PER_WORKER)
+            .clamp(1, MAX_TILE_READS)
+    }
+
+    /// Makes `codes` the tile's own: its rolling k-mer codes and, when the
+    /// filter table is in use, the shared pre-seeding pass over every
+    /// partition at once — each booked as one span. Reuses the buffers
+    /// unless an abandoned watchdog attempt still holds them. Software
+    /// backends read no codes, so their tiles get none.
+    fn prepare_tile(
+        &self,
+        codes: &mut Arc<TileKmerCodes>,
+        tile: &[PackedSeq],
+        profiling: bool,
+        stats: &mut SeedingStats,
+    ) {
+        if self.backend != BackendKind::Cam {
+            return;
+        }
+        if Arc::get_mut(codes).is_none() {
+            *codes = Arc::default();
+        }
+        let codes = Arc::get_mut(codes).expect("a fresh Arc is unique");
+        let t = StageTimer::start(profiling);
+        codes.refill(tile, self.config.filter.k);
+        t.stop(&mut stats.profile, Stage::KmerCodes);
+        if let Some(filter) = self
+            .filter
+            .as_ref()
+            .filter(|_| self.config.use_filter_table)
+        {
+            let t = StageTimer::start(profiling);
+            codes.look_up(filter);
+            t.stop(&mut stats.profile, Stage::FilterLookup);
+        }
     }
 
     /// Seeds one read through the golden FM-index model of partition `pi`,
@@ -868,7 +961,7 @@ impl SeedingSession {
     ///
     /// * [`Error::ReadTooLong`] if a read is longer than
     ///   [`max_read_len`](Self::max_read_len) (nothing is seeded);
-    /// * [`Error::Runtime`] if a job slot is empty after the batch — a
+    /// * [`Error::Runtime`] if a tile slot is empty after the batch — a
     ///   scheduler invariant violation, not an injected fault (those are
     ///   recovered internally);
     /// * [`Error::Cancelled`] if the session's cancel token fired before
@@ -881,65 +974,55 @@ impl SeedingSession {
         let nparts = self.backends.len();
         let tile_len = self.tile_len(reads.len());
         let ntiles = reads.len().div_ceil(tile_len);
-        let njobs = nparts * ntiles;
         let tile_of = |ti: usize| &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
         // Read once per batch: this batch's lanes carry it.
         let profiling = self.profiling();
 
-        // Rolling k-mer codes, once per tile: every partition backend
-        // consumes the identical code sequence for the identical reads,
-        // so deriving them inside each (partition, tile) job would
-        // multiply the extraction work by the partition count. Software
-        // backends never read codes — skip the precomputation entirely.
-        // A watchdogged attempt holds its tile's codes through the `Arc`.
-        let mut precomputed = crate::StageProfile::default();
-        let tile_codes: Vec<Arc<TileKmerCodes>> = if self.backend == BackendKind::Cam {
-            let t = StageTimer::start(profiling);
-            let codes = (0..ntiles)
-                .map(|ti| Arc::new(TileKmerCodes::compute(tile_of(ti), self.config.filter.k)))
-                .collect();
-            t.stop(&mut precomputed, Stage::KmerCodes);
-            codes
-        } else {
-            vec![Arc::default(); ntiles]
-        };
-
-        // Workers claim job ids off a shared counter, each on its own
-        // lane, and hand back (job id, output) pairs plus their stats
-        // through `join`. Job ids are tile-major (`ti * nparts + pi`), so
-        // a tile's partitions go out together and its codes stay hot.
-        let next_job = AtomicUsize::new(0);
-        let run_jobs = || {
+        // Workers claim tiles off a shared counter, each on its own lane
+        // and tile buffers, and seed a tile against every partition in
+        // turn: its rolling k-mer codes and filter indicators are fetched
+        // once (`prepare_tile`) and stay hot while the partitions consume
+        // them. Each worker hands back (tile, per-partition outputs)
+        // pairs plus its stats through `join`. A watchdogged attempt
+        // holds its tile's codes through the `Arc`.
+        let next_tile = AtomicUsize::new(0);
+        let run_tiles = || {
             let mut lane = Lane::new(self.kernel, profiling);
+            let mut codes = Arc::new(TileKmerCodes::default());
             let mut done = Vec::new();
             let mut stats = SeedingStats::default();
             while !self.is_cancelled() {
-                let id = next_job.fetch_add(1, Ordering::Relaxed);
-                if id >= njobs {
+                let ti = next_tile.fetch_add(1, Ordering::Relaxed);
+                if ti >= ntiles {
                     break;
                 }
-                let ti = id / nparts;
-                let job = Job {
-                    pi: id % nparts,
-                    ti,
-                    read_offset: ti * tile_len,
-                };
-                let out = self.run_tile(job, &mut lane, tile_of(ti), &tile_codes[ti], &mut stats);
-                done.push((id, out));
+                let tile = tile_of(ti);
+                self.prepare_tile(&mut codes, tile, profiling, &mut stats);
+                let outs: Vec<Vec<Vec<Smem>>> = (0..nparts)
+                    .map(|pi| {
+                        let job = Job {
+                            pi,
+                            ti,
+                            read_offset: ti * tile_len,
+                        };
+                        self.run_tile(job, &mut lane, tile, &codes, &mut stats)
+                    })
+                    .collect();
+                done.push((ti, outs));
             }
             (done, stats)
         };
 
         let results: Vec<_> = if self.workers == 1 {
-            // Single worker: run the job loop inline. Same job order and
+            // Single worker: run the tile loop inline. Same tile order and
             // identical output/stats as the spawned path; skipping the
             // per-batch thread spawn/join keeps small batches out of the
             // scheduler.
-            vec![run_jobs()]
+            vec![run_tiles()]
         } else {
             std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..self.workers.min(njobs.max(1)))
-                    .map(|_| scope.spawn(run_jobs))
+                let workers: Vec<_> = (0..self.workers.min(ntiles.max(1)))
+                    .map(|_| scope.spawn(run_tiles))
                     .collect();
                 workers
                     .into_iter()
@@ -950,23 +1033,20 @@ impl SeedingSession {
                     .collect()
             })
         };
-        // A cancelled batch stops here: jobs may be missing (or hold
-        // placeholder output from cancelled tiles), so assembling them
+        // A cancelled batch stops here: tiles may be missing (or hold
+        // placeholder output from cancelled attempts), so assembling them
         // would produce wrong results. Discard everything instead.
         if self.is_cancelled() {
             return Err(Error::Cancelled);
         }
         let mut stats = SeedingStats::default();
-        let mut slots: Vec<Option<Vec<Vec<Smem>>>> = vec![None; njobs];
+        let mut slots: Vec<Option<Vec<Vec<Vec<Smem>>>>> = vec![None; ntiles];
         for (done, worker_stats) in results {
             stats.merge(&worker_stats);
-            for (id, out) in done {
-                slots[id] = Some(out);
+            for (ti, outs) in done {
+                slots[ti] = Some(outs);
             }
         }
-        // The shared code extraction happened outside the job loop; fold
-        // its span in so KmerCodes stays accounted for under profiling.
-        stats.profile.merge(&precomputed);
         stats.dram_bytes += read_stream_bytes(reads);
 
         // Assemble each read's per-partition results in partition order
@@ -977,15 +1057,10 @@ impl SeedingSession {
         let t = StageTimer::start(profiling);
         let mut smems: Vec<Vec<Smem>> = Vec::with_capacity(reads.len());
         let mut flat: Vec<Smem> = Vec::new();
-        for (ti, tile_slots) in slots.chunks_mut(nparts).enumerate() {
-            let mut tile_outs = tile_slots
-                .iter_mut()
-                .map(|slot| {
-                    slot.take().ok_or(Error::Runtime {
-                        what: "job slot empty after batch",
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+        for (ti, slot) in slots.iter_mut().enumerate() {
+            let mut tile_outs = slot.take().ok_or(Error::Runtime {
+                what: "tile slot empty after batch",
+            })?;
             for k in 0..tile_of(ti).len() {
                 flat.clear();
                 for part_out in &mut tile_outs {

@@ -97,7 +97,7 @@ pub fn run(scale: Scale) -> Ablations {
             let mut st = FilterStats::default();
             for read in &reads {
                 for pivot in 0..=read.len() - cfg.k {
-                    let _ = filter.lookup(read, pivot, &mut st);
+                    let _ = filter.lookup(0, read, pivot, &mut st);
                 }
             }
             // Footprint at the paper's 4 Mbase partition sizing.
@@ -153,7 +153,7 @@ pub fn run(scale: Scale) -> Ablations {
             for read in &reads {
                 for pivot in 0..=read.len() - k {
                     let code = read.kmer_code(pivot, k).expect("bounds");
-                    let truth = !exact.lookup_code(code, &mut scratch_stats).is_empty();
+                    let truth = !exact.lookup_code(0, code, &mut scratch_stats).is_empty();
                     let claimed = bloom.contains(code);
                     exact_hits += u64::from(truth);
                     bloom_hits += u64::from(claimed);

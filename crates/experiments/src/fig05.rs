@@ -31,7 +31,10 @@ pub fn run(scale: Scale) -> Vec<Fig05Row> {
             let mut hit_pivots = 0u64;
             for read in &scenario.reads {
                 for pivot in 0..=read.len().saturating_sub(k) {
-                    if filter.contains(read, pivot, &mut stats) {
+                    if filter
+                        .lookup(0, read, pivot, &mut stats)
+                        .is_some_and(|si| !si.is_empty())
+                    {
                         hit_pivots += 1;
                     }
                 }

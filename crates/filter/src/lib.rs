@@ -8,6 +8,11 @@
 //! 98.9 % pivot reduction ("table" bar of Fig. 15); the indicators feed the
 //! alignment analysis that pushes it to 99.9 % ("table+analysis").
 //!
+//! One [`PreSeedingFilter`] holds the tables of every partition of a
+//! reference, interleaved by partition, so one pass looks a read's k-mers
+//! up in all partitions at once while each partition keeps the
+//! indicators, activity counters and fault sites of its own filter.
+//!
 //! # Example
 //!
 //! ```
@@ -18,7 +23,7 @@
 //! let filter = PreSeedingFilter::build(&partition, FilterConfig::small(7, 3));
 //! let read = PackedSeq::from_ascii(b"TTACAGATTACA")?;
 //! // k-mer at pivot 0 ("TTACAGA") exists; its indicator drives the CAM.
-//! let si = filter.lookup(&read, 0, &mut FilterStats::default()).unwrap();
+//! let si = filter.lookup(0, &read, 0, &mut FilterStats::default()).unwrap();
 //! assert!(si.start_count() >= 1 && si.group_count() >= 1);
 //! # Ok::<(), casa_genome::ParseBaseError>(())
 //! ```
@@ -36,7 +41,8 @@ mod layout;
 
 pub use bloom::BloomFilter;
 pub use filter::{
-    FilterConfig, FilterFaultModel, FilterFaultReport, FilterStats, PreSeedingFilter,
+    FilterConfig, FilterFaultModel, FilterFaultReport, FilterStats, FilterTooLarge,
+    PreSeedingFilter,
 };
 pub use indicator::SearchIndicator;
 pub use layout::TagLayout;

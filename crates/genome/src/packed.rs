@@ -351,6 +351,7 @@ impl Iterator for KmerIter<'_> {
     /// `(start position, k-mer code)`.
     type Item = (usize, u64);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, u64)> {
         if !self.primed {
             self.code = self.seq.kmer_code(0, self.k)?;

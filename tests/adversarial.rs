@@ -197,12 +197,16 @@ fn filter_with_paper_geometry_on_tiny_partition() {
     let mut stats = FilterStats::default();
     for (x, _) in part.kmers(19) {
         assert!(
-            filter.contains(&part, x, &mut stats),
+            filter
+                .lookup(0, &part, x, &mut stats)
+                .is_some_and(|si| !si.is_empty()),
             "own 19-mer at {x} must hit"
         );
     }
     let absent = repeat_seq("T", 19);
-    assert!(!filter.contains(&absent, 0, &mut stats));
+    assert!(filter
+        .lookup(0, &absent, 0, &mut stats)
+        .is_some_and(|si| si.is_empty()));
 }
 
 #[test]

@@ -91,7 +91,7 @@ proptest! {
         let sa = SuffixArray::build(&partition);
         let mut stats = FilterStats::default();
         for pivot in 0..=probe.len().saturating_sub(cfg.k) {
-            let hit = !filter.lookup(&probe, pivot, &mut stats).expect("in range").is_empty();
+            let hit = !filter.lookup(0, &probe, pivot, &mut stats).expect("in range").is_empty();
             let truth = !sa.interval_of(&probe, pivot, cfg.k).is_empty();
             prop_assert_eq!(hit, truth, "pivot {}", pivot);
         }

@@ -8,7 +8,8 @@
 //! hot-swap the image under a live `casa-serve` with concurrent clients
 //! in flight — zero dropped or erroring requests; and refuse a version-1
 //! image (separate tag and data arrays) with a typed error from both
-//! opens and from `/admin/reload`.
+//! opens and from `/admin/reload`, and a version-2 image (one filter per
+//! partition) with a typed error naming both versions.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -19,6 +20,7 @@ use casa::core::{
     build_index_image, BackendKind, CasaConfig, Error, FaultPlan, IndexImageError, KernelBackend,
     LoadedIndex, SeedingSession,
 };
+use casa::filter::PreSeedingFilter;
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use casa::serve::{IndexProvenance, ServeConfig, Server};
@@ -442,7 +444,7 @@ fn version_one_images_are_refused_typed_by_open_and_reload() {
     let (reference, reads) = workload(6);
     let config = CasaConfig::paper(PART_LEN, READ_LEN);
     let dir = scratch_dir("v1");
-    let current = dir.join("v2.casaimg");
+    let current = dir.join("current.casaimg");
     let old = dir.join("v1.casaimg");
     let index = build_image(&reference, config, &current);
     build_index_image(&reference, config, &old).expect("image builds");
@@ -494,5 +496,52 @@ fn version_one_images_are_refused_typed_by_open_and_reload() {
     assert_eq!(resp.status, 200);
     assert_eq!(String::from_utf8(resp.body).unwrap(), expected);
     assert!(server.shutdown().clean(), "drain must be clean");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_two_images_are_refused_naming_both_versions() {
+    // A version-2 image as that format laid it out: one filter section
+    // pair per partition, each partition's own filter.
+    let (reference, _) = workload(0);
+    let config = CasaConfig::small(7_000);
+    let dir = scratch_dir("v2");
+    let current = dir.join("v3.casaimg");
+    build_index_image(&reference, config, &current).expect("image builds");
+    let image = IndexImage::open(&current).expect("image maps back");
+    let mut builder = ImageBuilder::new(image.config_bytes());
+    for section in image.sections() {
+        let kind = SectionKind::from_code(section.kind).expect("known section kind");
+        if !matches!(kind, SectionKind::FilterMini | SectionKind::FilterData) {
+            let bytes = image.section_bytes(section);
+            builder.add_bytes(kind, section.partition, bytes, section.elem_count);
+        }
+    }
+    let parts = config.partitioning.split(&reference);
+    assert!(parts.len() > 1, "workload must span several partitions");
+    for p in &parts {
+        let filter = PreSeedingFilter::build(&p.seq, config.filter);
+        builder.add_u32s(SectionKind::FilterMini, p.index as u32, filter.mini_index());
+        builder.add_u64s(SectionKind::FilterData, p.index as u32, filter.row_words());
+    }
+    let old = dir.join("v2.casaimg");
+    builder.write_file(&old).expect("write version-2 layout");
+    rewrite_version(&old, 2);
+
+    for (name, opened) in [
+        ("open", LoadedIndex::open(&old)),
+        ("open_fast", LoadedIndex::open_fast(&old)),
+    ] {
+        let err = opened.expect_err("a version-2 image must not open");
+        assert!(
+            matches!(err, IndexImageError::Image(ImageError::BadVersion(2))),
+            "{name}: {err:?}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("version 2") && text.contains("supported: 3"),
+            "{name}: the error must name both versions: {text}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
