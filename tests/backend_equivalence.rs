@@ -9,6 +9,7 @@ use casa::core::{
     BackendKind, CasaConfig, FaultPlan, KernelBackend, Lane, SeedingSession, SeedingStats,
     TileKmerCodes,
 };
+use casa::filter::PreSeedingFilter;
 use casa::genome::{Base, PackedSeq};
 use casa::index::smem::smems_unidirectional;
 use casa::index::SuffixArray;
@@ -52,7 +53,10 @@ proptest! {
         let config = CasaConfig::small(reference.len());
         let golden = smems_unidirectional(&sa, &read, config.min_smem_len);
         let reads = std::slice::from_ref(&read);
-        let codes = TileKmerCodes::compute(reads, config.filter.k);
+        // The tile's codes and shared filter pass, as a session prepares
+        // them; the software backends ignore both.
+        let mut codes = TileKmerCodes::compute(reads, config.filter.k);
+        codes.look_up(&PreSeedingFilter::build(&reference, config.filter));
         for kind in BackendKind::ALL {
             let backend = build_backend(kind, &reference, config).expect("valid config");
             let mut lane = Lane::new(KernelBackend::Scalar, false);
