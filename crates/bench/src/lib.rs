@@ -12,6 +12,7 @@
 //! | `fig16_inexact` | Fig. 16 inexact-only seeding |
 //! | `table4_breakdown` | Table 4 area/power derivation |
 //! | `kernels` | substrate micro-benchmarks (SA-IS, FM, CAM, SW, Myers) |
+//! | `ingest` | FASTA (MB/s) and FASTQ (ns/read) parsing at `casa-seed` scale |
 //!
 //! Run with `cargo bench -p casa-bench` (or a single target via
 //! `--bench fig12_throughput`). The experiment *numbers* come from the

@@ -9,14 +9,14 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use casa_align::aligner::{align_read, AlignConfig};
 use casa_core::{
     BackendKind, CancelToken, CasaConfig, CheckpointError, FaultPlan, KernelBackend, LoadedIndex,
     SeedingSession, StrandedRun, StreamBatch, StreamConfig, StreamError, StreamingSession,
 };
-use casa_genome::fasta::{read_fasta_from_path, FastaError, NPolicy};
+use casa_genome::fasta::{FastaError, FastaRecord, FastaStream, NPolicy};
 use casa_genome::fastq::{FastqError, FastqRecord, FastqStream};
 use casa_genome::sam::{write_sam, write_sam_header, SamFormatter, SamRecord, FLAG_REVERSE};
 use casa_genome::{Base, PackedSeq};
@@ -377,6 +377,44 @@ fn fasta_err(e: FastaError) -> CliError {
     }
 }
 
+/// Loads the reference a `--reference` FASTA names: its first record,
+/// with `N` (and every other non-`ACGT` byte) replaced by `A`, the
+/// paper's preprocessing. Every record is parsed, so a malformed later
+/// record still fails the load, but only the first is kept; a file with
+/// more than one logs a `warn` line naming the count and the kept
+/// record. Logs one `info` line with the base count and load time.
+///
+/// # Errors
+///
+/// [`CliError::Io`] if the file cannot be read, [`CliError::Parse`] for
+/// malformed FASTA or a file with no records.
+pub(crate) fn load_reference(path: &Path) -> Result<FastaRecord, CliError> {
+    let start = Instant::now();
+    let mut records = FastaStream::from_path(path, NPolicy::Replace(Base::A)).map_err(fasta_err)?;
+    let first = records
+        .next()
+        .transpose()
+        .map_err(fasta_err)?
+        .ok_or_else(|| CliError::Parse("reference FASTA has no records".into()))?;
+    for later in &mut records {
+        later.map_err(fasta_err)?;
+    }
+    let id = first.name.split_whitespace().next().unwrap_or("");
+    if records.record_index() > 1 {
+        casa_core::log_warn!(
+            "reference {} holds {} records; indexing only the first, {id:?}",
+            path.display(),
+            records.record_index()
+        );
+    }
+    casa_core::log_info!(
+        "reference {id}: {} bases read in {:.1} ms",
+        first.seq.len(),
+        start.elapsed().as_secs_f64() * 1e3
+    );
+    Ok(first)
+}
+
 /// Maps a FASTQ reader error: file-open failures stay IO errors,
 /// malformed content is a parse error.
 fn fastq_err(e: FastqError) -> CliError {
@@ -547,12 +585,7 @@ pub fn run_with_cancel(options: &Options, cancel: &CancelToken) -> Result<RunSum
         ),
         None => None,
     };
-    let fasta =
-        read_fasta_from_path(&options.reference, NPolicy::Replace(Base::A)).map_err(fasta_err)?;
-    let record = fasta
-        .into_iter()
-        .next()
-        .ok_or_else(|| CliError::Parse("reference FASTA has no records".into()))?;
+    let record = load_reference(&options.reference)?;
     let reference = record.seq;
     let rname: String = record
         .name
@@ -920,12 +953,7 @@ pub fn run_index<W: Write>(cmd: &IndexCommand, mut out: W) -> Result<(), CliErro
             partition_len,
             read_len,
         } => {
-            let fasta =
-                read_fasta_from_path(reference, NPolicy::Replace(Base::A)).map_err(fasta_err)?;
-            let record = fasta
-                .into_iter()
-                .next()
-                .ok_or_else(|| CliError::Parse("reference FASTA has no records".into()))?;
+            let record = load_reference(reference)?;
             let part_len = (*partition_len).min(record.seq.len().saturating_sub(1).max(1));
             let config = CasaConfig::builder()
                 .partition_len(part_len)
@@ -1729,6 +1757,75 @@ mod tests {
             std::fs::read_to_string(dir.join("stream.tsv")).unwrap(),
             std::fs::read_to_string(dir.join("batch.tsv")).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One reference written as 60-, 70- and 80-column lines, on a single
+    /// line, in lowercase and with CRLF line ends: every layout must give
+    /// the same SAM, seed dump and index image.
+    #[test]
+    fn reference_layouts_give_identical_sam_and_image() {
+        let dir = std::env::temp_dir().join(format!("casa_cli_layout_{}", std::process::id()));
+        let (_, fq_path, _) = write_inputs(&dir, 20);
+        let text = generate_reference(&ReferenceProfile::human_like(), 20_000, 7).to_string();
+        let lines = |width: usize| -> Vec<&str> {
+            (0..text.len())
+                .step_by(width)
+                .map(|i| &text[i..(i + width).min(text.len())])
+                .collect()
+        };
+        let layouts = [
+            ("w60", lines(60).join("\n") + "\n"),
+            ("w70", lines(70).join("\n") + "\n"),
+            ("w80", lines(80).join("\n") + "\n"),
+            ("single", text.clone() + "\n"),
+            ("lower", (lines(70).join("\n") + "\n").to_ascii_lowercase()),
+            ("crlf", lines(70).join("\r\n") + "\r\n"),
+        ];
+        let mut outputs = Vec::new();
+        for (tag, body) in &layouts {
+            let header = if *tag == "crlf" { "\r\n" } else { "\n" };
+            let ref_path = dir.join(format!("{tag}.fa"));
+            std::fs::write(&ref_path, format!(">chrStream{header}{body}")).unwrap();
+            let options = Options {
+                sam_out: Some(dir.join(format!("{tag}.sam"))),
+                seeds_out: Some(dir.join(format!("{tag}.tsv"))),
+                partition_len: 8_000,
+                threads: Some(2),
+                ..base_options(ref_path.clone(), fq_path.clone())
+            };
+            run(&options).unwrap();
+            let mut built = Vec::new();
+            run_index(
+                &IndexCommand::Build {
+                    reference: ref_path,
+                    out: dir.join(format!("{tag}.casaimg")),
+                    partition_len: 8_000,
+                    read_len: 101,
+                },
+                &mut built,
+            )
+            .unwrap();
+            let built = String::from_utf8(built).unwrap();
+            let fingerprint = built
+                .split("fingerprint ")
+                .nth(1)
+                .expect("build line names the fingerprint")
+                .trim_end_matches([')', '\n'])
+                .to_string();
+            let read = |ext: &str| std::fs::read(dir.join(format!("{tag}.{ext}"))).unwrap();
+            outputs.push((*tag, read("sam"), read("tsv"), fingerprint));
+        }
+        let (_, sam, tsv, fingerprint) = &outputs[0];
+        assert!(!sam.is_empty() && !tsv.is_empty());
+        for (tag, other_sam, other_tsv, other_fingerprint) in &outputs[1..] {
+            assert!(
+                other_sam == sam,
+                "{tag}: SAM differs from the 60-column layout"
+            );
+            assert!(other_tsv == tsv, "{tag}: seed dump differs");
+            assert_eq!(other_fingerprint, fingerprint, "{tag}: image fingerprint");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1418,17 +1418,12 @@ impl ServeOptions {
     /// A human-readable message for unreadable FASTA files, bad fault
     /// specs, or config derivation failures.
     pub fn build_seeder(&self) -> Result<Seeder, String> {
-        use casa_genome::fasta::{read_fasta_from_path, NPolicy};
         use casa_genome::synth::{generate_reference, ReferenceProfile};
-        use casa_genome::Base;
 
         let reference = match (&self.reference, self.synth_len) {
             (Some(path), _) => {
-                read_fasta_from_path(path, NPolicy::Replace(Base::A))
+                crate::cli::load_reference(path)
                     .map_err(|e| format!("cannot read {}: {e}", path.display()))?
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| format!("{}: FASTA has no records", path.display()))?
                     .seq
             }
             (None, Some(len)) => {

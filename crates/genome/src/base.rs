@@ -38,7 +38,7 @@ pub enum Base {
 /// reader offers the same policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParseBaseError {
-    byte: u8,
+    pub(crate) byte: u8,
 }
 
 impl ParseBaseError {

@@ -11,6 +11,7 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
+use crate::lines::{trim_end, utf8, ByteLines, FILE_BUFFER};
 use crate::{Base, PackedSeq};
 
 /// A named FASTA record.
@@ -161,6 +162,13 @@ impl PendingRecord {
 /// only the record under construction in memory. Fused after the first
 /// error.
 ///
+/// Lines are split inside the reader's buffer and sequence lines are
+/// packed straight into 2-bit words ([`PackedSeq`]'s ASCII packer), so
+/// sequence text is never held as a `String`. Header lines must be UTF-8
+/// ([`FastaError::Io`] with [`io::ErrorKind::InvalidData`] otherwise); in
+/// a sequence line any byte outside `ACGTacgt`, non-ASCII included,
+/// follows the [`NPolicy`].
+///
 /// ```
 /// use casa_genome::fasta::{FastaStream, NPolicy};
 /// let input = b">chr1\nACGT\n>chr2\nTT\nGG\n" as &[u8];
@@ -171,7 +179,7 @@ impl PendingRecord {
 /// # Ok::<(), casa_genome::fasta::FastaError>(())
 /// ```
 pub struct FastaStream<R: BufRead> {
-    lines: std::iter::Enumerate<io::Lines<R>>,
+    lines: ByteLines<R>,
     policy: NPolicy,
     current: Option<PendingRecord>,
     /// Completed records yielded so far (the next record's 0-based index).
@@ -189,7 +197,8 @@ impl FastaStream<BufReader<File>> {
         path: P,
         policy: NPolicy,
     ) -> Result<FastaStream<BufReader<File>>, FastaError> {
-        Ok(FastaStream::new(BufReader::new(File::open(path)?), policy))
+        let file = BufReader::with_capacity(FILE_BUFFER, File::open(path)?);
+        Ok(FastaStream::new(file, policy))
     }
 }
 
@@ -197,7 +206,7 @@ impl<R: BufRead> FastaStream<R> {
     /// Wraps `reader` in a streaming record iterator.
     pub fn new(reader: R, policy: NPolicy) -> FastaStream<R> {
         FastaStream {
-            lines: reader.lines().enumerate(),
+            lines: ByteLines::new(reader),
             policy,
             current: None,
             record: 0,
@@ -212,51 +221,40 @@ impl<R: BufRead> FastaStream<R> {
     }
 
     /// Advances past lines until a record completes (next header or EOF).
-    fn read_record(&mut self) -> Option<Result<FastaRecord, FastaError>> {
+    fn read_record(&mut self) -> Result<Option<FastaRecord>, FastaError> {
         loop {
-            let Some((idx, line)) = self.lines.next() else {
+            let Some((number, line)) = self.lines.next_line()? else {
                 // EOF: flush the record under construction, if any.
-                let pending = self.current.take()?;
-                return Some(pending.finish(self.record));
+                return self
+                    .current
+                    .take()
+                    .map(|p| p.finish(self.record))
+                    .transpose();
             };
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => return Some(Err(e.into())),
-            };
-            let line = line.trim_end();
+            let line = trim_end(line);
             if line.is_empty() {
                 continue;
             }
-            if let Some(header) = line.strip_prefix('>') {
-                let finished = self.current.take();
-                self.current = Some(PendingRecord {
-                    name: header.trim().to_string(),
+            if let Some(header) = line.strip_prefix(b">") {
+                let finished = self.current.replace(PendingRecord {
+                    name: utf8(header)?.trim().to_string(),
                     seq: PackedSeq::new(),
-                    header_line: idx + 1,
+                    header_line: number,
                 });
                 if let Some(pending) = finished {
-                    return Some(pending.finish(self.record));
+                    return pending.finish(self.record).map(Some);
                 }
             } else {
-                let Some(pending) = self.current.as_mut() else {
-                    return Some(Err(FastaError::MissingHeader));
-                };
-                for &byte in line.as_bytes() {
-                    match Base::try_from(byte) {
-                        Ok(b) => pending.seq.push(b),
-                        Err(_) => match self.policy {
-                            NPolicy::Reject => {
-                                return Some(Err(FastaError::InvalidBase {
-                                    record: self.record,
-                                    line: idx + 1,
-                                    byte,
-                                }))
-                            }
-                            NPolicy::Replace(b) => pending.seq.push(b),
-                            NPolicy::Skip => {}
-                        },
-                    }
-                }
+                let pending = self.current.as_mut().ok_or(FastaError::MissingHeader)?;
+                let record = self.record;
+                pending
+                    .seq
+                    .extend_ascii(line, self.policy)
+                    .map_err(|byte| FastaError::InvalidBase {
+                        record,
+                        line: number,
+                        byte,
+                    })?;
             }
         }
     }
@@ -269,7 +267,7 @@ impl<R: BufRead> Iterator for FastaStream<R> {
         if self.done {
             return None;
         }
-        let item = self.read_record();
+        let item = self.read_record().transpose();
         match &item {
             Some(Ok(_)) => self.record += 1,
             None | Some(Err(_)) => self.done = true,

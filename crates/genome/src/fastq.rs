@@ -13,7 +13,9 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use crate::fasta::NPolicy;
-use crate::{Base, PackedSeq};
+use crate::lines::{utf8, ByteLines, FILE_BUFFER};
+use crate::packed::is_base_byte;
+use crate::PackedSeq;
 
 /// A FASTQ record: name, sequence and per-base Phred+33 qualities.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,6 +92,13 @@ impl From<io::Error> for FastqError {
 /// first error (a malformed stream has no trustworthy resynchronization
 /// point).
 ///
+/// Lines are split inside the reader's buffer and the sequence line is
+/// packed straight into 2-bit words, its qualities copied alongside.
+/// Header, `+` and quality lines must be UTF-8 ([`FastqError::Io`] with
+/// [`io::ErrorKind::InvalidData`] otherwise); in the sequence line any
+/// byte outside `ACGTacgt`, non-ASCII included, follows the [`NPolicy`].
+/// Sequence lines are not trimmed: a stray space is a non-`ACGT` byte.
+///
 /// ```
 /// use casa_genome::fastq::FastqStream;
 /// use casa_genome::fasta::NPolicy;
@@ -102,10 +111,13 @@ impl From<io::Error> for FastqError {
 /// # Ok::<(), casa_genome::fastq::FastqError>(())
 /// ```
 pub struct FastqStream<R: BufRead> {
-    lines: std::iter::Enumerate<io::Lines<R>>,
+    lines: ByteLines<R>,
     policy: NPolicy,
     record: usize,
     done: bool,
+    /// The current record's sequence line, held until its quality line
+    /// has been checked (a length mismatch outranks a bad base).
+    seq_line: Vec<u8>,
 }
 
 impl FastqStream<BufReader<File>> {
@@ -118,7 +130,8 @@ impl FastqStream<BufReader<File>> {
         path: P,
         policy: NPolicy,
     ) -> Result<FastqStream<BufReader<File>>, FastqError> {
-        Ok(FastqStream::new(BufReader::new(File::open(path)?), policy))
+        let file = BufReader::with_capacity(FILE_BUFFER, File::open(path)?);
+        Ok(FastqStream::new(file, policy))
     }
 }
 
@@ -126,10 +139,11 @@ impl<R: BufRead> FastqStream<R> {
     /// Wraps `reader` in a streaming record iterator.
     pub fn new(reader: R, policy: NPolicy) -> FastqStream<R> {
         FastqStream {
-            lines: reader.lines().enumerate(),
+            lines: ByteLines::new(reader),
             policy,
             record: 0,
             done: false,
+            seq_line: Vec::new(),
         }
     }
 
@@ -140,90 +154,66 @@ impl<R: BufRead> FastqStream<R> {
     }
 
     /// Reads the next record, or `None` at a clean end of stream.
-    fn read_record(&mut self) -> Option<Result<FastqRecord, FastqError>> {
-        loop {
-            let (idx, header) = self.lines.next()?;
-            let header = match header {
-                Ok(h) => h,
-                Err(e) => return Some(Err(e.into())),
+    fn read_record(&mut self) -> Result<Option<FastqRecord>, FastqError> {
+        let record = self.record;
+        let malformed = |line, what| FastqError::Malformed { record, line, what };
+        let truncated = |line| malformed(line, "truncated record");
+        // The header is the first line that is not blank.
+        let (header_line, name) = loop {
+            let Some((number, line)) = self.lines.next_line()? else {
+                return Ok(None);
             };
+            let header = utf8(line)?;
             if header.trim().is_empty() {
                 continue;
             }
-            return Some(self.parse_record(idx, &header));
+            let name = header
+                .strip_prefix('@')
+                .ok_or_else(|| malformed(number, "expected '@' header"))?;
+            break (number, name.trim().to_string());
+        };
+        let (seq_line, line) = self
+            .lines
+            .next_line()?
+            .ok_or_else(|| truncated(header_line + 1))?;
+        self.seq_line.clear();
+        self.seq_line.extend_from_slice(line);
+        let (plus_line, line) = self
+            .lines
+            .next_line()?
+            .ok_or_else(|| truncated(seq_line + 1))?;
+        if !utf8(line)?.starts_with('+') {
+            return Err(malformed(plus_line, "expected '+' separator"));
         }
-    }
-
-    /// Parses one record whose header line (`idx`, 0-based) has been read.
-    fn parse_record(&mut self, idx: usize, header: &str) -> Result<FastqRecord, FastqError> {
-        let record = self.record;
-        let name = header
-            .strip_prefix('@')
-            .ok_or(FastqError::Malformed {
+        let (qual_line, qual) = self
+            .lines
+            .next_line()?
+            .ok_or_else(|| truncated(plus_line + 1))?;
+        utf8(qual)?;
+        if qual.len() != self.seq_line.len() {
+            return Err(malformed(
+                qual_line,
+                "quality length differs from sequence length",
+            ));
+        }
+        let mut seq = PackedSeq::with_capacity(self.seq_line.len());
+        seq.extend_ascii(&self.seq_line, self.policy)
+            .map_err(|byte| FastqError::InvalidBase {
                 record,
-                line: idx + 1,
-                what: "expected '@' header",
-            })?
-            .trim()
-            .to_string();
-        let (seq_idx, seq_line) = self.lines.next().ok_or(FastqError::Malformed {
-            record,
-            line: idx + 2,
-            what: "truncated record",
-        })?;
-        let seq_line = seq_line?;
-        let (plus_idx, plus_line) = self.lines.next().ok_or(FastqError::Malformed {
-            record,
-            line: seq_idx + 2,
-            what: "truncated record",
-        })?;
-        let plus_line = plus_line?;
-        if !plus_line.starts_with('+') {
-            return Err(FastqError::Malformed {
-                record,
-                line: plus_idx + 1,
-                what: "expected '+' separator",
-            });
-        }
-        let (qual_idx, qual_line) = self.lines.next().ok_or(FastqError::Malformed {
-            record,
-            line: plus_idx + 2,
-            what: "truncated record",
-        })?;
-        let qual_line = qual_line?;
-        if qual_line.len() != seq_line.len() {
-            return Err(FastqError::Malformed {
-                record,
-                line: qual_idx + 1,
-                what: "quality length differs from sequence length",
-            });
-        }
-        let mut seq = PackedSeq::with_capacity(seq_line.len());
-        let mut qual = Vec::with_capacity(qual_line.len());
-        for (&byte, &q) in seq_line.as_bytes().iter().zip(qual_line.as_bytes()) {
-            match Base::try_from(byte) {
-                Ok(b) => {
-                    seq.push(b);
-                    qual.push(q);
-                }
-                Err(_) => match self.policy {
-                    NPolicy::Reject => {
-                        return Err(FastqError::InvalidBase {
-                            record,
-                            line: seq_idx + 1,
-                            byte,
-                        })
-                    }
-                    NPolicy::Replace(b) => {
-                        seq.push(b);
-                        qual.push(q);
-                    }
-                    NPolicy::Skip => {}
-                },
-            }
-        }
+                line: seq_line,
+                byte,
+            })?;
+        let qual = if seq.len() == qual.len() {
+            qual.to_vec()
+        } else {
+            // NPolicy::Skip dropped bases: drop their qualities too.
+            (self.seq_line.iter().zip(qual))
+                .filter(|&(&byte, _)| is_base_byte(byte))
+                .map(|(_, &q)| q)
+                .collect()
+        };
         self.record += 1;
-        Ok(FastqRecord { name, seq, qual })
+        Ok(Some(FastqRecord { name, seq, qual }))
     }
 }
 
@@ -234,7 +224,7 @@ impl<R: BufRead> Iterator for FastqStream<R> {
         if self.done {
             return None;
         }
-        let item = self.read_record();
+        let item = self.read_record().transpose();
         if matches!(item, None | Some(Err(_))) {
             self.done = true;
         }

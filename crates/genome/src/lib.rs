@@ -38,6 +38,9 @@
 #![warn(missing_docs)]
 
 mod base;
+mod lines;
+#[cfg(test)]
+mod oracle;
 mod packed;
 
 pub mod fasta;

@@ -6,8 +6,31 @@ use std::iter::FromIterator;
 use serde::{Deserialize, Serialize};
 
 use crate::base::{Base, ParseBaseError};
+use crate::fasta::NPolicy;
 
 const BASES_PER_WORD: usize = 32;
+
+/// [`ASCII_CODE`] entry of every byte outside `ACGTacgt`.
+const NOT_A_BASE: u8 = 4;
+
+/// The 2-bit code of each byte: `ACGTacgt` map to their [`Base`] codes,
+/// every other byte to [`NOT_A_BASE`].
+static ASCII_CODE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut code = 0;
+    while code < 4 {
+        table[b"ACGT"[code] as usize] = code as u8;
+        table[b"acgt"[code] as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
+/// Whether `byte` is one of `ACGTacgt`.
+#[inline]
+pub(crate) fn is_base_byte(byte: u8) -> bool {
+    ASCII_CODE[usize::from(byte)] != NOT_A_BASE
+}
 
 /// A DNA sequence packed at 2 bits per base (32 bases per `u64` word).
 ///
@@ -53,10 +76,82 @@ impl PackedSeq {
     /// Returns [`ParseBaseError`] on the first byte outside `ACGTacgt`.
     pub fn from_ascii(ascii: &[u8]) -> Result<PackedSeq, ParseBaseError> {
         let mut seq = PackedSeq::with_capacity(ascii.len());
-        for &b in ascii {
-            seq.push(Base::try_from(b)?);
-        }
+        seq.extend_ascii(ascii, NPolicy::Reject)
+            .map_err(|byte| ParseBaseError { byte })?;
         Ok(seq)
+    }
+
+    /// Appends ASCII nucleotides (case-insensitive): the one ASCII→2-bit
+    /// path behind [`PackedSeq::from_ascii`] and the FASTA and FASTQ
+    /// readers.
+    ///
+    /// Each 32-byte chunk maps through [`ASCII_CODE`] into one packed
+    /// word; only a chunk holding a byte outside `ACGTacgt` goes base by
+    /// base, applying `policy` to each such byte. Under
+    /// [`NPolicy::Reject`] it stops at the first one and returns it, with
+    /// the bases before it appended.
+    pub(crate) fn extend_ascii(&mut self, ascii: &[u8], policy: NPolicy) -> Result<(), u8> {
+        // Continue the partial last word in a register; store it back at
+        // the end.
+        let mut fill = self.len % BASES_PER_WORD;
+        let mut acc = if fill == 0 {
+            0
+        } else {
+            self.words.pop().expect("a partial word holds the tail")
+        };
+        self.len -= fill;
+        let mut result = Ok(());
+        'chunks: for chunk in ascii.chunks(BASES_PER_WORD) {
+            let mut word = 0u64;
+            let mut seen = 0u8;
+            for (i, &byte) in chunk.iter().enumerate() {
+                let code = ASCII_CODE[usize::from(byte)];
+                seen |= code;
+                word |= u64::from(code & 3) << (2 * i);
+            }
+            if seen & NOT_A_BASE == 0 {
+                self.append_packed(&mut acc, &mut fill, word, chunk.len());
+                continue;
+            }
+            for &byte in chunk {
+                let code = match ASCII_CODE[usize::from(byte)] {
+                    NOT_A_BASE => match policy {
+                        NPolicy::Reject => {
+                            result = Err(byte);
+                            break 'chunks;
+                        }
+                        NPolicy::Replace(base) => base.code(),
+                        NPolicy::Skip => continue,
+                    },
+                    code => code,
+                };
+                self.append_packed(&mut acc, &mut fill, u64::from(code), 1);
+            }
+        }
+        if fill > 0 {
+            self.words.push(acc);
+            self.len += fill;
+        }
+        result
+    }
+
+    /// Adds `n` (1..=32) bases packed in `word` to the `fill` (< 32)
+    /// bases held in `acc`, storing the word once it holds 32.
+    #[inline]
+    fn append_packed(&mut self, acc: &mut u64, fill: &mut usize, word: u64, n: usize) {
+        *acc |= word << (2 * *fill);
+        *fill += n;
+        if *fill >= BASES_PER_WORD {
+            self.words.push(*acc);
+            self.len += BASES_PER_WORD;
+            *fill -= BASES_PER_WORD;
+            // The bases of `word` that did not fit.
+            *acc = if *fill == 0 {
+                0
+            } else {
+                word >> (2 * (n - *fill))
+            };
+        }
     }
 
     /// Number of bases in the sequence.

@@ -117,3 +117,66 @@ fn exact_match_preprocessing_matches_slow_path_results() {
         assert!(run_with.stats.rmem_searches <= run_without.stats.rmem_searches);
     }
 }
+
+/// `casa-seed` indexes only a reference's first record: a second record
+/// leaves the SAM exactly as the first record alone gives it, and is
+/// named in a warning; a malformed later record still fails the run.
+#[test]
+fn multi_record_reference_indexes_the_first_and_warns() {
+    let dir = std::env::temp_dir().join(format!("casa_multi_record_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let main = generate_reference(&ReferenceProfile::human_like(), 12_000, 31);
+    let extra = generate_reference(&ReferenceProfile::human_like(), 3_000, 32);
+    let reads: Vec<FastqRecord> = ReadSimulator::new(ReadSimConfig::default(), 5)
+        .simulate(&main, 12)
+        .into_iter()
+        .map(|r| FastqRecord {
+            name: r.name,
+            qual: vec![b'I'; r.seq.len()],
+            seq: r.seq,
+        })
+        .collect();
+    let fastq = dir.join("reads.fq");
+    write_fastq(std::fs::File::create(&fastq).expect("create FASTQ"), &reads).expect("FASTQ");
+    let first = format!(">chrMain first\n{main}\n");
+    let inputs = [
+        ("one", first.clone()),
+        ("two", format!("{first}>chrExtra\n{extra}\n")),
+        ("truncated", format!("{first}>chrEmpty\n")),
+    ];
+    let mut outcomes = Vec::new();
+    for (tag, text) in &inputs {
+        let fasta = dir.join(format!("{tag}.fa"));
+        std::fs::write(&fasta, text).expect("write FASTA");
+        let sam = dir.join(format!("{tag}.sam"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_casa-seed"))
+            .args(["--reference", fasta.to_str().unwrap()])
+            .args(["--reads", fastq.to_str().unwrap()])
+            .args(["--sam", sam.to_str().unwrap(), "--partition", "6000"])
+            .env("CASA_LOG", "info")
+            .output()
+            .expect("run casa-seed");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        outcomes.push((out.status.success(), std::fs::read(&sam).ok(), stderr));
+    }
+    let [(one_ok, one_sam, one_log), (two_ok, two_sam, two_log), (bad_ok, _, bad_log)] =
+        &outcomes[..]
+    else {
+        unreachable!()
+    };
+    assert!(*one_ok && *two_ok, "{one_log}\n{two_log}");
+    assert_eq!(two_sam, one_sam, "a second record must not change the SAM");
+    assert!(!one_log.contains("records;"), "{one_log}");
+    assert!(
+        two_log.contains("holds 2 records; indexing only the first, \"chrMain\""),
+        "{two_log}"
+    );
+    let loaded = "reference chrMain: 12000 bases read in ";
+    assert!(
+        one_log.contains(loaded) && two_log.contains(loaded),
+        "{two_log}"
+    );
+    assert!(!*bad_ok, "a truncated later record must fail the run");
+    assert!(bad_log.contains("truncated fasta record 1"), "{bad_log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
