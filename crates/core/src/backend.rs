@@ -41,7 +41,7 @@
 //! and [`SeedingStats`]. Fault injection is the only mutation, and
 //! happens at construction.
 
-use casa_filter::{FilterStats, PreSeedingFilter, SearchIndicator};
+use casa_filter::{FilterHit, FilterStats, PreSeedingFilter, SparsePass};
 use casa_genome::PackedSeq;
 use casa_index::smem::smems_bidirectional;
 use casa_index::{BiFmIndex, ErtIndex, Smem};
@@ -154,17 +154,19 @@ impl std::fmt::Display for BackendKind {
 
 /// Rolling k-mer codes for a tile of reads, computed once by the session
 /// and shared across every partition backend — and, for the CAM backend,
-/// the tile's shared pre-seeding pass over them.
+/// the tile's shared sparse pre-seeding pass over them.
 ///
 /// Each partition engine derives the same per-read code sequence (the
 /// window size is `config.filter.k`, identical for all partitions), so
 /// letting every (partition, tile) job re-derive it multiplies that work
 /// by the partition count. Likewise every partition looks the same codes
 /// up in the filter, and one partition-interleaved filter answers all
-/// partitions for a code at once ([`look_up`](Self::look_up)). The
-/// session computes each tile's codes and pass once and passes them to
-/// [`SeedingBackend::seed_tile`]; backends that do not consume codes
-/// ignore them, and are handed an empty instance.
+/// partitions for a code at once ([`look_up`](Self::look_up)), keeping
+/// only the hits: per partition, the (pivot, indicator) pairs of each
+/// read whose k-mer the partition holds — on reads from another genome,
+/// almost none. The session computes each tile's codes and pass once and
+/// passes them to [`SeedingBackend::seed_tile`]; backends that do not
+/// consume codes ignore them, and are handed an empty instance.
 #[derive(Clone, Debug, Default)]
 pub struct TileKmerCodes {
     /// Every read's rolling codes, concatenated in read order.
@@ -172,14 +174,10 @@ pub struct TileKmerCodes {
     /// `offsets[i]..offsets[i + 1]` bounds read `i`'s codes in `codes`.
     /// A read shorter than `k` contributes an empty range.
     offsets: Vec<usize>,
-    /// The pass's indicators, partition-major:
-    /// `indicators[p · codes.len() + c]`.
-    indicators: Vec<SearchIndicator>,
-    /// The pass's activity per read and partition:
-    /// `filter_stats[i · parts + p]`.
-    filter_stats: Vec<FilterStats>,
-    /// Partitions the pass covered; 0 when no pass ran.
-    parts: usize,
+    /// The pass over the codes, one group per read: each partition's
+    /// hits and each read's activity per partition. Covers no partition
+    /// when no pass ran.
+    pass: SparsePass,
 }
 
 impl TileKmerCodes {
@@ -201,43 +199,30 @@ impl TileKmerCodes {
             self.codes.extend(read.kmers(k).map(|(_, code)| code));
             self.offsets.push(self.codes.len());
         }
-        self.parts = 0;
+        self.pass.clear();
     }
 
     /// The shared pre-seeding pass: looks every code up in every
     /// partition of `filter` at once
-    /// ([`PreSeedingFilter::lookup_grouped_into`]), keeping each
-    /// partition's indicators and each read's activity per partition for
-    /// [`looked_up`](Self::looked_up). `filter` must use this tile's `k`.
+    /// ([`PreSeedingFilter::lookup_sparse_into`]), keeping each read's
+    /// hits and activity per partition for [`looked_up`](Self::looked_up).
+    /// `filter` must use this tile's `k`.
     pub fn look_up(&mut self, filter: &PreSeedingFilter) {
-        filter.lookup_grouped_into(
-            &self.codes,
-            &self.offsets,
-            &mut self.indicators,
-            &mut self.filter_stats,
-        );
-        self.parts = filter.partitions();
+        filter.lookup_sparse_into(&self.codes, &self.offsets, &mut self.pass);
     }
 
-    /// Read `i`'s share of the pass in partition `part`: its indicator per
-    /// code and the activity of fetching them.
+    /// Read `i`'s share of the pass in partition `part`: its hits —
+    /// (pivot, indicator) for each pivot whose k-mer the partition holds,
+    /// in ascending pivot order — and the activity of looking all its
+    /// pivots up.
     ///
     /// # Panics
     ///
     /// Panics unless a [`look_up`](Self::look_up) covering partition
     /// `part` ran since the codes were computed, or if read `i` is beyond
     /// the tile.
-    pub fn looked_up(&self, part: usize, i: usize) -> (&[SearchIndicator], &FilterStats) {
-        assert!(
-            part < self.parts,
-            "no filter pass over partition {part} ran for this tile"
-        );
-        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
-        let base = part * self.codes.len();
-        (
-            &self.indicators[base + lo..base + hi],
-            &self.filter_stats[i * self.parts + part],
-        )
+    pub fn looked_up(&self, part: usize, i: usize) -> (&[FilterHit], &FilterStats) {
+        (self.pass.hits(i, part), self.pass.stats(i, part))
     }
 
     /// Read `i`'s rolling codes; empty for reads shorter than `k` and for
@@ -268,12 +253,12 @@ pub trait SeedingBackend: Send + Sync {
     /// tile's activity onto `stats`. `codes` holds the tile's rolling
     /// k-mer codes ([`TileKmerCodes::compute`] with `config.filter.k`)
     /// for backends that consume them — the CAM backend, which with its
-    /// filter table on also takes its partition's indicators from the
-    /// tile's shared filter pass, so [`TileKmerCodes::look_up`] must have
+    /// filter table on walks only its partition's hits from the tile's
+    /// shared sparse filter pass, so [`TileKmerCodes::look_up`] must have
     /// run over the filter it reads (or an equal one) — and may be empty
     /// for the others; passing codes or a pass that are not the tile's own
-    /// to the CAM backend is a logic error. Output and stats are a pure function of
-    /// (partition, reads): the lane is scratch only.
+    /// to the CAM backend is a logic error. Output and stats are a pure
+    /// function of (partition, reads): the lane is scratch only.
     fn seed_tile(
         &self,
         lane: &mut Lane,

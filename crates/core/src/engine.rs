@@ -7,15 +7,15 @@
 //! [`Lane`] per worker holding everything a seeding call writes. Filter
 //! and CAM activity go straight into the caller's [`SeedingStats`].
 //! A session's indexes share one partition-interleaved
-//! [`PreSeedingFilter`], each reading its own partition of it, and consume
-//! the indicators the session's shared lookup pass fetched for them
+//! [`PreSeedingFilter`], each reading its own partition of it, and walk
+//! only the hits the session's shared sparse pass found for them
 //! ([`TileKmerCodes::look_up`]). [`PartitionEngine`] is one index with its
 //! own single-partition filter and lane, for single-threaded callers.
 
 use std::sync::Arc;
 
 use casa_cam::KernelBackend;
-use casa_filter::{FilterStats, PreSeedingFilter, SearchIndicator};
+use casa_filter::{FilterHit, FilterStats, PreSeedingFilter, SearchIndicator};
 use casa_genome::PackedSeq;
 use casa_index::Smem;
 
@@ -68,6 +68,17 @@ impl Lane {
     }
 }
 
+/// One read's walk through the pivot loop: the read, its codes, and the
+/// state carried from pivot to pivot.
+struct PivotWalk<'r> {
+    read: &'r PackedSeq,
+    codes: &'r [u64],
+    /// (start, end) of the last non-contained RMEM.
+    last: Option<(usize, usize)>,
+    /// Cached CRkM indicator for the current `last` value.
+    crkm: Option<(usize, SearchIndicator)>,
+}
+
 /// One partition's CAM-backend index — its partition of the filter
 /// tables, CAM planes and stuck-at masks, group masks, config — only read
 /// once construction and fault injection are done.
@@ -80,7 +91,7 @@ pub struct CamIndex {
     /// This partition's index in `filter`.
     part: usize,
     searcher: CamSearcher,
-    /// Whether pivot indicators come from the tile's shared lookup pass
+    /// Whether pivot indicators come from the tile's shared sparse pass
     /// ([`TileKmerCodes::look_up`], default) or the per-pivot path.
     /// Outputs and stats are bit-identical either way; the switch exists
     /// so perfbench's traced run can measure before/after.
@@ -146,8 +157,8 @@ impl CamIndex {
     /// partitions. `codes` are the read's rolling k-mer codes (window
     /// `config.filter.k`, exactly as [`PackedSeq::kmers`] yields them),
     /// and `looked_up` — given exactly when pivot lookups are batched —
-    /// this partition's indicator per code and the activity of fetching
-    /// them; passing codes or indicators that are not the read's own is a
+    /// this partition's hits among them and the activity of looking them
+    /// all up; passing codes or hits that are not the read's own is a
     /// logic error.
     ///
     /// Implements the paper's Algorithm 1 with all ablation switches, plus
@@ -157,7 +168,7 @@ impl CamIndex {
         lane: &mut Lane,
         read: &PackedSeq,
         codes: &[u64],
-        looked_up: Option<(&[SearchIndicator], &FilterStats)>,
+        looked_up: Option<(&[FilterHit], &FilterStats)>,
         stats: &mut SeedingStats,
         out: &mut Vec<Smem>,
     ) {
@@ -192,7 +203,7 @@ impl CamIndex {
         lane: &mut Lane,
         read: &PackedSeq,
         codes: &[u64],
-        looked_up: Option<(&[SearchIndicator], &FilterStats)>,
+        looked_up: Option<(&[FilterHit], &FilterStats)>,
         stats: &mut SeedingStats,
         filter: &mut FilterStats,
         out: &mut Vec<Smem>,
@@ -206,24 +217,12 @@ impl CamIndex {
             return;
         }
 
-        // Batched pre-seeding: every pivot's indicator, fetched by the
-        // tile's memory-level-parallel pass before any pivot loop starts.
-        // Same lookup multiset — and therefore the same FilterStats — as
-        // the per-pivot path, which looks every pivot's k-mer up at the
-        // top of its iteration anyway; a read settled above books none.
-        let batched = looked_up.is_some();
-        let indicators: &[SearchIndicator] = match looked_up {
-            Some((indicators, booked)) => {
-                filter.merge(booked);
-                indicators
-            }
-            None => &[],
+        let mut walk = PivotWalk {
+            read,
+            codes,
+            last: None,
+            crkm: None,
         };
-
-        // (start, end) of the last non-contained RMEM.
-        let mut last: Option<(usize, usize)> = None;
-        // Cached CRkM indicator for the current `last` value.
-        let mut crkm: Option<(usize, SearchIndicator)> = None;
 
         // Loop bookkeeping that is not a filter lookup, CAM search, or
         // containment record is the pivot-analysis stage; it is derived by
@@ -235,83 +234,33 @@ impl CamIndex {
 
         let pivot_count = read.len() - k + 1;
         stats.pivots_total += pivot_count as u64;
-        for pivot in 0..pivot_count {
-            let si = if self.config.use_filter_table {
-                let si = if batched {
-                    indicators[pivot]
-                } else {
-                    let t = StageTimer::start(lane.profiling);
-                    let si = self.filter.lookup_code(self.part, codes[pivot], filter);
-                    t.stop(&mut stats.profile, Stage::FilterLookup);
-                    si
-                };
-                if si.is_empty() {
-                    // Dies in the pre-seeding stage; the computing
-                    // controller never sees this pivot.
-                    stats.pivots_filtered_table += 1;
-                    continue;
-                }
-                si
-            } else {
-                self.searcher.full_indicator()
-            };
-            stats.computing_cycles += PIVOT_CHECK_CYCLES;
-
-            if let Some((_start, end)) = last {
-                // Pivots whose RMEM could only be contained in `last`
-                // unless it crosses the closest right k-mer. In naive
-                // mode `last` may be shorter than k; the analyses then
-                // have no CRkM to reason about.
-                let crkm_start = (end + 1).saturating_sub(k); // covers read[end]
-                if self.config.use_pivot_analysis && end + 1 >= k && pivot <= crkm_start {
-                    if end >= read.len() {
-                        // `last` reaches the read end: nothing to the
-                        // right can escape containment.
-                        stats.pivots_filtered_crkm += 1;
-                        continue;
-                    }
-                    let crkm_si = match crkm {
-                        Some((s, si)) if s == crkm_start => si,
-                        _ => {
-                            // Deliberately a fresh lookup even in batched
-                            // mode: the seed path issues one here too, so
-                            // the FilterStats multisets stay identical.
-                            let t = StageTimer::start(lane.profiling);
-                            let si = self
-                                .filter
-                                .lookup_code(self.part, codes[crkm_start], filter);
-                            t.stop(&mut stats.profile, Stage::FilterLookup);
-                            crkm = Some((crkm_start, si));
-                            si
-                        }
-                    };
-                    if crkm_si.is_empty() {
-                        // Analysis 1: `last` is non-extendable.
-                        stats.pivots_filtered_crkm += 1;
-                        continue;
-                    }
-                    // Analysis 2: shifted-AND alignment estimate.
-                    if !si.may_align_with(crkm_si, crkm_start - pivot, self.config.filter.stride) {
-                        stats.pivots_filtered_align += 1;
-                        continue;
-                    }
+        match looked_up {
+            // Sparse pre-seeding: the tile's pass looked every pivot up
+            // and kept only the hits. Every other pivot dies in the
+            // pre-seeding stage; the computing controller never sees it.
+            // Same lookup multiset — and therefore the same FilterStats —
+            // as the per-pivot path; a read settled above books none.
+            Some((hits, booked)) => {
+                filter.merge(booked);
+                stats.pivots_filtered_table += (pivot_count - hits.len()) as u64;
+                for hit in hits {
+                    let (pivot, si) = (hit.code as usize, hit.indicator);
+                    self.pivot_step(lane, &mut walk, pivot, si, stats, filter, out);
                 }
             }
-
-            stats.rmem_searches += 1;
-            let t = StageTimer::start(lane.profiling);
-            self.searcher.rmem_into(
-                read,
-                pivot,
-                &si,
-                &mut lane.search,
-                &mut stats.cam,
-                &mut lane.rmem,
-            );
-            t.stop(&mut stats.profile, Stage::CamSearch);
-            let t = StageTimer::start(lane.profiling);
-            self.record_rmem(&mut lane.rmem, pivot, out, &mut last, stats);
-            t.stop(&mut stats.profile, Stage::ContainMerge);
+            None => {
+                for (pivot, &code) in codes.iter().enumerate() {
+                    let si = if self.config.use_filter_table {
+                        let t = StageTimer::start(lane.profiling);
+                        let si = self.filter.lookup_code(self.part, code, filter);
+                        t.stop(&mut stats.profile, Stage::FilterLookup);
+                        si
+                    } else {
+                        self.searcher.full_indicator()
+                    };
+                    self.pivot_step(lane, &mut walk, pivot, si, stats, filter, out);
+                }
+            }
         }
 
         if loop_timer.enabled() {
@@ -321,6 +270,88 @@ impl CamIndex {
                 .profile
                 .add(Stage::PivotAnalysis, wall.saturating_sub(inner));
         }
+    }
+
+    /// One pivot of Algorithm 1, given its indicator `si`: the
+    /// pre-seeding verdict, the CRkM gating, and for a surviving pivot
+    /// its RMEM search and containment record. Pivots must come in
+    /// ascending order; one the filter table dropped may be skipped
+    /// (it would change nothing but `pivots_filtered_table`).
+    #[allow(clippy::too_many_arguments)]
+    fn pivot_step(
+        &self,
+        lane: &mut Lane,
+        walk: &mut PivotWalk<'_>,
+        pivot: usize,
+        si: SearchIndicator,
+        stats: &mut SeedingStats,
+        filter: &mut FilterStats,
+        out: &mut Vec<Smem>,
+    ) {
+        let k = self.config.filter.k;
+        if self.config.use_filter_table && si.is_empty() {
+            // Dies in the pre-seeding stage; the computing controller
+            // never sees this pivot.
+            stats.pivots_filtered_table += 1;
+            return;
+        }
+        stats.computing_cycles += PIVOT_CHECK_CYCLES;
+
+        if let Some((_start, end)) = walk.last {
+            // Pivots whose RMEM could only be contained in `last`
+            // unless it crosses the closest right k-mer. In naive
+            // mode `last` may be shorter than k; the analyses then
+            // have no CRkM to reason about.
+            let crkm_start = (end + 1).saturating_sub(k); // covers read[end]
+            if self.config.use_pivot_analysis && end + 1 >= k && pivot <= crkm_start {
+                if end >= walk.read.len() {
+                    // `last` reaches the read end: nothing to the
+                    // right can escape containment.
+                    stats.pivots_filtered_crkm += 1;
+                    return;
+                }
+                let crkm_si = match walk.crkm {
+                    Some((s, si)) if s == crkm_start => si,
+                    _ => {
+                        // Deliberately a fresh lookup even in batched
+                        // mode: the seed path issues one here too, so
+                        // the FilterStats multisets stay identical.
+                        let t = StageTimer::start(lane.profiling);
+                        let si = self
+                            .filter
+                            .lookup_code(self.part, walk.codes[crkm_start], filter);
+                        t.stop(&mut stats.profile, Stage::FilterLookup);
+                        walk.crkm = Some((crkm_start, si));
+                        si
+                    }
+                };
+                if crkm_si.is_empty() {
+                    // Analysis 1: `last` is non-extendable.
+                    stats.pivots_filtered_crkm += 1;
+                    return;
+                }
+                // Analysis 2: shifted-AND alignment estimate.
+                if !si.may_align_with(crkm_si, crkm_start - pivot, self.config.filter.stride) {
+                    stats.pivots_filtered_align += 1;
+                    return;
+                }
+            }
+        }
+
+        stats.rmem_searches += 1;
+        let t = StageTimer::start(lane.profiling);
+        self.searcher.rmem_into(
+            walk.read,
+            pivot,
+            &si,
+            &mut lane.search,
+            &mut stats.cam,
+            &mut lane.rmem,
+        );
+        t.stop(&mut stats.profile, Stage::CamSearch);
+        let t = StageTimer::start(lane.profiling);
+        self.record_rmem(&mut lane.rmem, pivot, out, &mut walk.last, stats);
+        t.stop(&mut stats.profile, Stage::ContainMerge);
     }
 
     /// Records the RMEM of `pivot` just computed into `rmem`: containment
@@ -652,40 +683,99 @@ mod tests {
     }
 
     /// The per-pivot filter path (kept for perfbench's traced run) must
-    /// match the default batched pass: same SMEMs, same `SeedingStats`,
+    /// match the default sparse pass: same SMEMs, same `SeedingStats`,
     /// `FilterStats` included, with and without exact-match
-    /// preprocessing.
+    /// preprocessing — on reads from the partition and from a foreign
+    /// genome (at k = 12 nearly every foreign pivot is filtered), on a
+    /// clean filter and on one with data-array faults (where a match can
+    /// lose every start bit and still reach the walk).
     #[test]
     fn per_pivot_filter_path_equals_batched_pass() {
+        use casa_filter::{FilterConfig, FilterFaultModel};
         let part = generate_reference(&ReferenceProfile::human_like(), 6_000, 21);
-        let reads = ReadSimulator::new(
+        let foreign = generate_reference(&ReferenceProfile::mouse_like(), 6_000, 22);
+        let sim = ReadSimulator::new(
             ReadSimConfig {
                 read_len: 48,
                 ..ReadSimConfig::default()
             },
             17,
-        )
-        .simulate(&part, 40);
-        for exact in [true, false] {
-            let mut cfg = CasaConfig::small(part.len());
-            cfg.exact_match_preprocessing = exact;
-            let mut batched = PartitionEngine::new(&part, cfg).expect("valid config");
-            let mut per_pivot = PartitionEngine::new(&part, cfg).expect("valid config");
-            per_pivot.set_batched_filter(false);
-            let mut batched_stats = SeedingStats::default();
-            let mut per_pivot_stats = SeedingStats::default();
-            for read in &reads {
-                assert_eq!(
-                    per_pivot.seed_read(&read.seq, &mut per_pivot_stats),
-                    batched.seed_read(&read.seq, &mut batched_stats),
-                    "exact={exact} read {}",
-                    read.name
-                );
+        );
+        let native: Vec<PackedSeq> = sim.simulate(&part, 40).into_iter().map(|r| r.seq).collect();
+        let foreign: Vec<PackedSeq> = sim
+            .simulate(&foreign, 40)
+            .into_iter()
+            .map(|r| r.seq)
+            .collect();
+        let mut wide = CasaConfig::small(part.len());
+        wide.filter = FilterConfig::small(12, 6);
+        wide.min_smem_len = 12;
+        let faults = [
+            None,
+            Some(FilterFaultModel {
+                seed: 8,
+                flip_rate: 0.05,
+            }),
+        ];
+        let mut cleared_walked = false;
+        for base in [CasaConfig::small(part.len()), wide] {
+            for fault in faults {
+                let mut filter = PreSeedingFilter::build(&part, base.filter);
+                if let Some(model) = &fault {
+                    assert!(filter.inject_faults(0, model).sites() > 0);
+                }
+                let filter = Arc::new(filter);
+                for exact in [true, false] {
+                    let mut cfg = base;
+                    cfg.exact_match_preprocessing = exact;
+                    let index = |batched| {
+                        let cam = casa_cam::Bcam::new(&part, cfg.filter.stride);
+                        let mut index = CamIndex::with_filter(Arc::clone(&filter), 0, cam, cfg)
+                            .expect("valid config");
+                        index.batched_filter = batched;
+                        index
+                    };
+                    let (batched, per_pivot) = (index(true), index(false));
+                    for (name, reads) in [("native", &native), ("foreign", &foreign)] {
+                        let at = format!(
+                            "k={} faults={} exact={exact} {name}",
+                            cfg.filter.k,
+                            fault.is_some()
+                        );
+                        let mut codes = TileKmerCodes::compute(reads, cfg.filter.k);
+                        codes.look_up(&filter);
+                        cleared_walked |= (0..reads.len()).any(|i| {
+                            codes
+                                .looked_up(0, i)
+                                .0
+                                .iter()
+                                .any(|h| h.indicator.is_empty())
+                        });
+                        let mut lane = Lane::new(casa_cam::kernel::default_backend(), false);
+                        let (mut want, mut got) = (Vec::new(), Vec::new());
+                        let (mut want_stats, mut got_stats) =
+                            (SeedingStats::default(), SeedingStats::default());
+                        per_pivot.seed_tile(&mut lane, reads, &codes, &mut want_stats, &mut want);
+                        batched.seed_tile(&mut lane, reads, &codes, &mut got_stats, &mut got);
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(got_stats, want_stats, "{at}");
+                        assert!(got_stats.filter.lookups > 0, "{at}");
+                        if name == "native" {
+                            assert!(got_stats.rmem_searches > 0, "{at}");
+                        } else if cfg.filter.k == 12 {
+                            assert!(
+                                got_stats.pivots_filtered_table * 10 > got_stats.pivots_total * 9,
+                                "{at}: foreign pivots must nearly all be filtered"
+                            );
+                        }
+                    }
+                }
             }
-            assert!(batched_stats.rmem_searches > 0);
-            assert!(batched_stats.filter.lookups > 0);
-            assert_eq!(per_pivot_stats, batched_stats, "exact={exact}");
         }
+        assert!(
+            cleared_walked,
+            "a match with no start bit must reach the walk"
+        );
     }
 
     #[test]

@@ -84,10 +84,10 @@ use crate::CasaConfig;
 /// scheduling confetti.
 const TILES_PER_WORKER: usize = 4;
 
-/// Most reads in one tile. A tile job holds its reads' filter indicators
-/// for every partition at once (16 bytes per code and partition: ~680 KB
-/// for 64 reads of 101 bases over 8 partitions), so this bounds each
-/// worker's buffer whatever the batch size.
+/// Most reads in one tile. Tiling is part of the recovery contract:
+/// fault decisions hash (partition, tile, attempt), so the tiles a batch
+/// is cut into fix where injected panics and stalls land, and with them
+/// `tile_retries` and the other recovery counters.
 const MAX_TILE_READS: usize = 64;
 
 /// Marker for a tile attempt whose output failed the golden cross-check.
@@ -1267,7 +1267,11 @@ mod tests {
         let reference = generate_reference(&ReferenceProfile::human_like(), 4_000, 17);
         let mut config = CasaConfig::small(700);
         config.partitioning = casa_genome::PartitionScheme::new(700, 60);
-        let reads = reads_for(&reference, 30, 44, 5);
+        // Reads from the reference, then from a foreign genome: the
+        // tile pass finds almost no hits for the latter.
+        let mut reads = reads_for(&reference, 30, 44, 5);
+        let foreign = generate_reference(&ReferenceProfile::mouse_like(), 4_000, 18);
+        reads.extend(reads_for(&foreign, 30, 44, 6));
         let serial = SeedingSession::new(&reference, config, 1)
             .expect("valid config")
             .seed_reads_serial(&reads);

@@ -16,7 +16,7 @@
 //! In software the tag and data arrays are one table of fused 16-byte
 //! rows, two `u64` words each: `w0` is the start mask and
 //! `w1 = groups | tag << 32`. A tag match and its indicator share a cache
-//! line, so a hit costs two dependent misses (mini index → row), not
+//! line, so a lookup costs two dependent misses (mini index → rows), not
 //! three.
 //!
 //! One [`PreSeedingFilter`] holds the tables of every partition of a
@@ -24,12 +24,23 @@
 //! slot, partition, tag), the rows of one k-mer in ascending
 //! partition-offset order, and one prefix-sum table
 //! `mini[slot · P + p]` bounds partition `p`'s sub-bucket of a slot. The
-//! `P` sub-buckets of a slot are contiguous, so looking a k-mer up in
-//! every partition at once ([`lookup_codes_into`](PreSeedingFilter::lookup_codes_into))
-//! costs one or two mini-index lines and a few row lines instead of `P`
-//! separate pairs of misses. Each partition still behaves exactly like
+//! `P` sub-buckets of a slot are contiguous, so the **sparse pass**
+//! ([`lookup_sparse_into`](PreSeedingFilter::lookup_sparse_into)) looks
+//! a k-mer up in every partition at once: it reads the slot's `P + 1`
+//! mini-index entries (one or two lines), books every partition's
+//! activity from them, scans the slot's rows (a few lines) once with the
+//! tag compare, and keeps only the hits — as the hardware powers only the
+//! rows between the pointers. Each partition still behaves exactly like
 //! its own filter — same indicators, same [`FilterStats`], same fault
 //! sites — and `P = 1` is the single-partition layout word for word.
+//!
+//! With the bookkeeping gone the pass is bound by memory, and over tables
+//! of 100+ MB (an 8 Mb reference holds a 32 MB mini index and 128 MB of
+//! rows) a miss on 4 KB pages is usually a TLB miss too. A build
+//! therefore advises the kernel to back its tables with transparent huge
+//! pages before writing them (per allocation, 2 MB-aligned interior only;
+//! where the system's THP mode is `never` the advice does nothing).
+//! Tables mapped from an index image are file-backed and get no advice.
 //!
 //! Because every k-mer of the partition is enumerated, the filter has **no
 //! false positives and no misses** (unlike GenCache's bloom filter), and
@@ -171,6 +182,134 @@ impl FilterFaultReport {
     }
 }
 
+/// One hit of a sparse pass ([`PreSeedingFilter::lookup_sparse_into`]):
+/// a code whose tag matched rows of a partition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FilterHit {
+    /// The code's index within its group — a read's pivot.
+    pub code: u32,
+    /// The OR of the matching rows' indicators. Empty only when data-array
+    /// faults cleared every start bit, which the pivot then dies of.
+    pub indicator: SearchIndicator,
+}
+
+/// What one sparse pass found over codes in consecutive groups: each
+/// partition's hits, in ascending code order and bounded per group, and
+/// each group's activity per partition. Reused across passes, it keeps
+/// its buffers' capacity.
+#[derive(Clone, Debug, Default)]
+pub struct SparsePass {
+    /// Partitions the pass covered; 0 before any pass.
+    parts: usize,
+    /// `hits[p]`: partition `p`'s hits, group after group.
+    hits: Vec<Vec<FilterHit>>,
+    /// `starts[g · P + p]..starts[(g + 1) · P + p]` bounds group `g`'s
+    /// hits in `hits[p]`.
+    starts: Vec<u32>,
+    /// `stats[g · P + p]`: group `g`'s activity in partition `p`.
+    stats: Vec<FilterStats>,
+}
+
+impl SparsePass {
+    /// Drops any previous pass, keeping the buffers, for a pass over
+    /// `parts` partitions.
+    fn reset(&mut self, parts: usize) {
+        self.parts = parts;
+        self.hits.resize_with(parts, Vec::new);
+        for hits in &mut self.hits {
+            hits.clear();
+        }
+        self.starts.clear();
+        self.starts.resize(parts, 0);
+        self.stats.clear();
+    }
+
+    /// Forgets the pass, keeping the buffers: [`hits`](Self::hits) and
+    /// [`stats`](Self::stats) panic until the next one.
+    pub fn clear(&mut self) {
+        self.reset(0);
+    }
+
+    /// Group `group`'s hits in partition `part`, in ascending code order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pass covered no such group or partition.
+    pub fn hits(&self, group: usize, part: usize) -> &[FilterHit] {
+        assert!(part < self.parts, "the pass covered no partition {part}");
+        let at = group * self.parts + part;
+        &self.hits[part][self.starts[at] as usize..self.starts[at + self.parts] as usize]
+    }
+
+    /// Group `group`'s activity in partition `part`: exactly the
+    /// [`FilterStats`] of looking its codes up one by one there.
+    ///
+    /// # Panics
+    ///
+    /// As [`hits`](Self::hits).
+    pub fn stats(&self, group: usize, part: usize) -> &FilterStats {
+        assert!(part < self.parts, "the pass covered no partition {part}");
+        &self.stats[group * self.parts + part]
+    }
+}
+
+/// Sparse-pass stage 1: starts fetching the mini-index entries of the
+/// slot whose first entry is `first` (they can straddle a line boundary).
+#[inline(always)]
+fn prefetch_slot(mini: &[u32], first: usize, parts: usize) {
+    prefetch(&mini[first]);
+    prefetch(&mini[first + parts]);
+}
+
+/// Sparse-pass stage 2: reads the mini-index entries of the slot whose
+/// first entry is `first` and starts fetching the lines of its rows over
+/// all partitions.
+#[inline(always)]
+fn prefetch_rows(mini: &[u32], table: &[Row], first: usize, parts: usize) {
+    let (lo, hi) = (mini[first] as usize, mini[first + parts] as usize);
+    if lo != hi {
+        for row in (lo..hi)
+            .step_by(4)
+            .take(PreSeedingFilter::PREFETCH_ROW_LINES)
+        {
+            prefetch(&table[row]);
+        }
+        prefetch(&table[hi - 1]);
+    }
+}
+
+/// One partition's range-gating activity over a group of codes, booked
+/// from its sub-bucket sizes alone; `u64`, since a group's summed sizes
+/// can exceed `u32` in a large repetitive partition.
+#[derive(Clone, Copy, Default)]
+struct GateLane {
+    /// Tag searches: codes whose sub-bucket is not empty.
+    searches: u64,
+    /// Logical rows powered: the summed sub-bucket sizes.
+    enabled: u64,
+    /// Physical rows activated: each size capped at `gap` (§5 packing).
+    physical: u64,
+    /// The partition's [`TagLayout::address_gap`].
+    gap: u64,
+}
+
+impl GateLane {
+    #[inline(always)]
+    fn book(&mut self, size: u32) {
+        let size = u64::from(size);
+        self.searches += u64::from(size != 0);
+        self.enabled += size;
+        self.physical += size.min(self.gap);
+    }
+
+    /// The booked (searches, enabled, physical) counts, reset to zero.
+    fn take(&mut self) -> (u64, u64, u64) {
+        let counts = (self.searches, self.enabled, self.physical);
+        (self.searches, self.enabled, self.physical) = (0, 0, 0);
+        counts
+    }
+}
+
 /// Hints the CPU to start loading the cache line holding `*r` into all
 /// cache levels without waiting for it. A no-op off x86_64.
 #[inline(always)]
@@ -184,6 +323,47 @@ pub(crate) fn prefetch<T>(r: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = r;
+}
+
+/// The transparent huge page size of x86_64 and aarch64 Linux.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The 2 MB-aligned interior of the `len` bytes at `addr`, as
+/// `(start, len)`: the whole huge pages inside the range, or `None` when
+/// it holds none — always below 2 MB, so a small allocation is never
+/// split.
+fn huge_page_range(addr: usize, len: usize) -> Option<(usize, usize)> {
+    if len < HUGE_PAGE {
+        return None;
+    }
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
+    (end > start).then(|| (start, end - start))
+}
+
+/// Advises the kernel to back the interior of `buf` with transparent huge
+/// pages ([`huge_page_range`]), before its first write: a filter pass
+/// touches lines all over the 100+ MB tables, and with 4 KB pages most of
+/// them also miss the TLB. Advice only — errors are ignored, and where
+/// the system's THP mode is `never` it does nothing. A no-op off Linux.
+#[allow(unsafe_code)]
+fn advise_huge_pages<T>(buf: &mut [T]) {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::c_void;
+        const MADV_HUGEPAGE: i32 = 14;
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+        }
+        if let Some((start, len)) = huge_page_range(buf.as_mut_ptr() as usize, size_of_val(buf)) {
+            // SAFETY: the range lies inside `buf`, which this thread
+            // borrows mutably; MADV_HUGEPAGE changes how its pages are
+            // backed, never their contents.
+            unsafe { madvise(start as *mut c_void, len, MADV_HUGEPAGE) };
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = buf;
 }
 
 const DOMAIN_FILTER_FLIP: u64 = 0x21;
@@ -411,6 +591,7 @@ impl PreSeedingFilter {
         let slots = 1usize << (2 * config.m);
         let span = slots.div_ceil(threads.clamp(1, slots)) * parts;
         let mut mini = vec![0u32; slots * parts + 1];
+        advise_huge_pages(&mut mini);
         mini[slots * parts] = total as u32;
         // Each thread's range of slots: its first slot and its entries.
         fn ranges(entries: &mut [u32], span: usize, parts: usize) -> Vec<(usize, &mut [u32])> {
@@ -449,6 +630,7 @@ impl PreSeedingFilter {
         // Pass 2: each range's rows follow the rows of the ranges before
         // it; the relative starts are the scatter cursors.
         let mut words = vec![0u64; 2 * total];
+        advise_huge_pages(&mut words);
         let mut jobs = Vec::new();
         let (mut rows, mut base) = (words.as_chunks_mut::<2>().0, 0);
         for ((first, cursors), len) in ranges(&mut mini[..buckets], span, parts)
@@ -692,7 +874,7 @@ impl PreSeedingFilter {
         si
     }
 
-    /// Pipeline distance `D` of the batched pass, in codes. While code `i`
+    /// Pipeline distance `D` of the sparse pass, in codes. While code `i`
     /// is looked up, the rows of code `i + D`'s slot and the mini-index
     /// entries of code `i + 2D` are in flight. Tuned with interleaved
     /// runs; a constant, not a knob.
@@ -702,26 +884,24 @@ impl PreSeedingFilter {
     /// partitions rarely span more.
     const PREFETCH_ROW_LINES: usize = 4;
 
-    /// Looks up a batch of pre-computed k-mer codes in every partition in
-    /// one software-pipelined pass, filling `out` (cleared first) with one
-    /// indicator per (partition, code) — partition-major,
-    /// `out[p · codes.len() + i]` — and returning the batch's activity
-    /// summed over the partitions. With `P = 1` that is one indicator per
-    /// code.
+    /// Most rows a slot may hold, over all partitions, for the sparse pass
+    /// to scan it whole; a larger slot (poly-A, tandem repeats) is
+    /// bisected per partition instead, as [`lookup_code`](Self::lookup_code)
+    /// does, so the pass's worst case is the per-code lookup's.
+    const SCAN_ROWS: usize = 32;
+
+    /// Looks up a batch of pre-computed k-mer codes in every partition,
+    /// filling `out` (cleared first) with one indicator per (partition,
+    /// code) — partition-major, `out[p · codes.len() + i]` — and
+    /// returning the batch's activity summed over the partitions. With
+    /// `P = 1` that is one indicator per code.
     ///
-    /// Semantically identical to calling [`lookup_code`](Self::lookup_code)
-    /// per partition and code — same indicators, same [`FilterStats`] —
-    /// but restructured for memory-level parallelism, as the hardware
-    /// overlaps its filter stages (paper Fig. 9). A lookup is two
-    /// dependent misses: the mini-index entries of the code's slot give
-    /// every partition's sub-bucket, and the sub-buckets hold the fused
-    /// tag/data rows. At code `i` the pass prefetches the mini-index
-    /// entries of code `i + 2D`, reads the (by now resident) entries of
-    /// code `i + D` and prefetches its slot's rows, then searches every
-    /// partition's sub-bucket for code `i`, whose lines have had two
-    /// stages to arrive. Prefetches never change what is read, only when.
+    /// Same indicators and [`FilterStats`] as calling
+    /// [`lookup_code`](Self::lookup_code) per partition and code: the
+    /// sparse pass ([`lookup_sparse_into`](Self::lookup_sparse_into))
+    /// with its hits scattered into a dense table.
     pub fn lookup_codes_into(&self, codes: &[u64], out: &mut Vec<SearchIndicator>) -> FilterStats {
-        let mut per_part = vec![FilterStats::default(); self.partitions()];
+        let mut per_part = Vec::new();
         self.lookup_grouped_into(codes, &[0, codes.len()], out, &mut per_part);
         per_part.iter().fold(FilterStats::default(), |mut sum, s| {
             sum.merge(s);
@@ -730,85 +910,170 @@ impl PreSeedingFilter {
     }
 
     /// [`lookup_codes_into`](Self::lookup_codes_into) for codes in
-    /// consecutive groups — a tile's reads — booking each group's activity
-    /// per partition: group `g` holds `codes[bounds[g]..bounds[g + 1]]`
-    /// (`bounds` starts at 0 and ends at `codes.len()`), and its activity
-    /// in partition `p` lands in `stats[g · P + p]` (resized and zeroed
-    /// first). Indicators land in `out` as for `lookup_codes_into`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` does not start at 0, end at `codes.len()` and
-    /// never decrease.
-    pub fn lookup_grouped_into(
+    /// consecutive groups, booking group `g`'s activity in partition `p`
+    /// in `stats[g · P + p]` (cleared first).
+    fn lookup_grouped_into(
         &self,
         codes: &[u64],
         bounds: &[usize],
         out: &mut Vec<SearchIndicator>,
         stats: &mut Vec<FilterStats>,
     ) {
+        let mut pass = SparsePass::default();
+        self.lookup_sparse_into(codes, bounds, &mut pass);
+        let n = codes.len();
+        out.clear();
+        out.resize(self.partitions() * n, SearchIndicator::EMPTY);
+        for (g, &first) in bounds[..bounds.len() - 1].iter().enumerate() {
+            for p in 0..self.partitions() {
+                for hit in pass.hits(g, p) {
+                    out[p * n + first + hit.code as usize] = hit.indicator;
+                }
+            }
+        }
+        stats.clear();
+        stats.extend_from_slice(&pass.stats);
+    }
+
+    /// The sparse pre-seeding pass: looks a batch of pre-computed k-mer
+    /// codes, in consecutive groups (a tile's reads), up in every
+    /// partition at once, and keeps only what matched. Group `g` holds
+    /// `codes[bounds[g]..bounds[g + 1]]` (`bounds` starts at 0 and ends at
+    /// `codes.len()`). `pass` (cleared first) receives, per group and
+    /// partition, a [`FilterHit`] for every code whose tag matched a row
+    /// of the partition, in ascending code order, and the group's
+    /// activity in the partition.
+    ///
+    /// Per code, the pass reads the slot's `P + 1` mini-index entries once
+    /// and books every partition's tag search, enabled rows and physical
+    /// rows from the sub-bucket sizes; it then scans the slot's rows once,
+    /// across all partitions, with the tag compare (a slot of more than
+    /// 32 rows is bisected per partition instead, so a repeat costs no
+    /// more than per-code lookups do).
+    /// Lookups and mini-index reads are booked per group in bulk. The
+    /// result is exactly what [`lookup_code`](Self::lookup_code) per
+    /// partition and code gives — the hits are its non-empty indicators
+    /// (plus any faulted match whose start bits were all cleared, which
+    /// is a data read but no hit), the stats its [`FilterStats`] — but
+    /// the work is bound by memory, not bookkeeping: a code costs two
+    /// dependent misses, the mini-index entries of its slot and the
+    /// slot's rows. At code `i` the pass prefetches the mini-index entries
+    /// of code `i + 2D`, reads the (by now resident) entries of code
+    /// `i + D` and prefetches its slot's rows, then scans code `i`'s slot,
+    /// whose lines have had two stages to arrive, as the hardware overlaps
+    /// its filter stages (paper Fig. 9). Prefetches never change what is
+    /// read, only when.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` does not start at 0, end at `codes.len()` and
+    /// never decrease, or if `codes` holds more than `u32::MAX` codes.
+    pub fn lookup_sparse_into(&self, codes: &[u64], bounds: &[usize], pass: &mut SparsePass) {
         const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
         assert!(
             bounds.first() == Some(&0) && bounds.last() == Some(&codes.len()) && bounds.is_sorted(),
             "group bounds must run from 0 to the code count"
         );
-        let (n, parts) = (codes.len(), self.partitions());
-        out.clear();
-        out.resize(parts * n, SearchIndicator::EMPTY);
-        stats.clear();
-        stats.resize((bounds.len() - 1) * parts, FilterStats::default());
-        let mini = self.mini_index.as_slice();
+        assert!(
+            u32::try_from(codes.len()).is_ok(),
+            "too many codes for one pass"
+        );
+        let parts = self.partitions();
+        pass.reset(parts);
+        let (mini, table) = (self.mini_index.as_slice(), self.table());
+        let first_entry = |code: u64| self.slot_and_tag(code).0 * parts;
+        let mut lanes: Vec<GateLane> = self
+            .layouts
+            .iter()
+            .map(|l| GateLane {
+                gap: l.address_gap as u64,
+                ..GateLane::default()
+            })
+            .collect();
         for &code in codes.iter().take(2 * D) {
-            self.prefetch_slot(code);
+            prefetch_slot(mini, first_entry(code), parts);
         }
         for &code in codes.iter().take(D) {
-            self.prefetch_rows(code);
+            prefetch_rows(mini, table, first_entry(code), parts);
         }
-        let mut group = 0;
-        for (i, &code) in codes.iter().enumerate() {
-            if let Some(&ahead) = codes.get(i + 2 * D) {
-                self.prefetch_slot(ahead);
+        for group in bounds.windows(2) {
+            let booked = pass.stats.len();
+            pass.stats.resize(booked + parts, FilterStats::default());
+            let stats = &mut pass.stats[booked..];
+            for i in group[0]..group[1] {
+                if let Some(&ahead) = codes.get(i + 2 * D) {
+                    prefetch_slot(mini, first_entry(ahead), parts);
+                }
+                if let Some(&ahead) = codes.get(i + D) {
+                    prefetch_rows(mini, table, first_entry(ahead), parts);
+                }
+                let (slot, tag) = self.slot_and_tag(codes[i]);
+                let sub = &mini[slot * parts..=(slot + 1) * parts];
+                for (w, lane) in sub.windows(2).zip(&mut lanes) {
+                    lane.book(w[1] - w[0]);
+                }
+                // Books partition `p`'s matching rows — how many were
+                // read, the OR of their indicators — and emits the hit.
+                let mut hit = |p: usize, reads: u64, indicator: SearchIndicator| {
+                    stats[p].data_reads += reads;
+                    stats[p].hits += u64::from(!indicator.is_empty());
+                    pass.hits[p].push(FilterHit {
+                        code: (i - group[0]) as u32,
+                        indicator,
+                    });
+                };
+                let (lo, hi) = (sub[0] as usize, sub[parts] as usize);
+                if hi - lo <= Self::SCAN_ROWS {
+                    // One scan over the slot; the rows of a partition's
+                    // matches are contiguous, partitions in order.
+                    let mut p = 0;
+                    let mut run: Option<(usize, u64, SearchIndicator)> = None;
+                    for (r, row) in table[lo..hi].iter().enumerate() {
+                        if row_tag(row) != tag {
+                            continue;
+                        }
+                        while sub[p + 1] as usize <= lo + r {
+                            p += 1;
+                        }
+                        match &mut run {
+                            Some((part, reads, si)) if *part == p => {
+                                *reads += 1;
+                                si.merge(row_indicator(row));
+                            }
+                            _ => {
+                                if let Some((part, reads, si)) =
+                                    run.replace((p, 1, row_indicator(row)))
+                                {
+                                    hit(part, reads, si);
+                                }
+                            }
+                        }
+                    }
+                    if let Some((part, reads, si)) = run {
+                        hit(part, reads, si);
+                    }
+                } else {
+                    for p in 0..parts {
+                        let bucket = &table[sub[p] as usize..sub[p + 1] as usize];
+                        let first = bucket.partition_point(|r| row_tag(r) < tag);
+                        let (mut reads, mut si) = (0, SearchIndicator::EMPTY);
+                        for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
+                            reads += 1;
+                            si.merge(row_indicator(row));
+                        }
+                        if reads > 0 {
+                            hit(p, reads, si);
+                        }
+                    }
+                }
             }
-            if let Some(&ahead) = codes.get(i + D) {
-                self.prefetch_rows(ahead);
+            let n = (group[1] - group[0]) as u64;
+            for (p, (s, lane)) in stats.iter_mut().zip(&mut lanes).enumerate() {
+                s.lookups = n;
+                s.mini_index_reads = n;
+                (s.tag_searches, s.tag_rows_enabled, s.tag_physical_rows) = lane.take();
+                pass.starts.push(pass.hits[p].len() as u32);
             }
-            while bounds[group + 1] <= i {
-                group += 1;
-            }
-            let (slot, tag) = self.slot_and_tag(code);
-            let sub = &mini[slot * parts..=(slot + 1) * parts];
-            let book = &mut stats[group * parts..(group + 1) * parts];
-            for (p, s) in book.iter_mut().enumerate() {
-                out[p * n + i] = self.search_bucket(p, sub[p], sub[p + 1], tag, s);
-            }
-        }
-    }
-
-    /// Pipeline stage 1: starts fetching the mini-index entries of
-    /// `code`'s slot (they can straddle a line boundary).
-    #[inline(always)]
-    fn prefetch_slot(&self, code: u64) {
-        let parts = self.partitions();
-        let first = self.slot_and_tag(code).0 * parts;
-        prefetch(&self.mini_index[first]);
-        prefetch(&self.mini_index[first + parts]);
-    }
-
-    /// Pipeline stage 2: reads the mini-index entries of `code`'s slot and
-    /// starts fetching the lines of its rows over all partitions — a tag
-    /// search reads every line of a sub-bucket it bisects.
-    #[inline(always)]
-    fn prefetch_rows(&self, code: u64) {
-        let parts = self.partitions();
-        let first = self.slot_and_tag(code).0 * parts;
-        let mini = self.mini_index.as_slice();
-        let (lo, hi) = (mini[first] as usize, mini[first + parts] as usize);
-        if lo != hi {
-            let table = self.table();
-            for row in (lo..hi).step_by(4).take(Self::PREFETCH_ROW_LINES) {
-                prefetch(&table[row]);
-            }
-            prefetch(&table[hi - 1]);
         }
     }
 
@@ -962,6 +1227,142 @@ mod tests {
                 assert_eq!(out, per_code, "{name}: {len} codes");
                 assert_eq!(batched, serial, "{name}: {len} codes");
             }
+        }
+    }
+
+    #[test]
+    fn sparse_pass_equals_per_code_lookups_including_stats() {
+        // Oracle: lookup_code per partition and code. Each group's hits
+        // in a partition are the codes that read a data row there, with
+        // their indicators, in code order — the non-empty indicators plus
+        // any match whose start bits a fault cleared — and its stats are
+        // the summed per-code stats. A repetitive reference (a poly-A run,
+        // as N runs under NPolicy::Replace(A) leave, and a tandem repeat)
+        // makes slots too large to scan; partitions of unequal length; on
+        // owned, shared and fault-detached storage; at the pipeline's
+        // edge lengths.
+        let cfg = FilterConfig::small(9, 5);
+        let rest_bits = 2 * (cfg.k - cfg.m);
+        let mut reference = generate_reference(&ReferenceProfile::human_like(), 5_000, 19);
+        reference.extend(seq(&"A".repeat(300)).iter());
+        reference.extend(seq(&"ACGTTG".repeat(50)).iter());
+        reference.extend(generate_reference(&ReferenceProfile::human_like(), 400, 20).iter());
+        const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
+        let mut pass = SparsePass::default();
+        for nparts in [1, 3, 8] {
+            let cut = reference.len() / nparts;
+            let parts: Vec<PackedSeq> = (0..nparts)
+                .map(|p| {
+                    let start = p * cut;
+                    let len = if p + 1 == nparts {
+                        reference.len() - start
+                    } else {
+                        cut + p * 7
+                    };
+                    reference.subseq(start, len.min(reference.len() - start))
+                })
+                .collect();
+            let refs: Vec<&PackedSeq> = parts.iter().collect();
+            let built = PreSeedingFilter::build_partitions(&refs, cfg, 2).unwrap();
+            let shared = shared_copy(&built);
+            let mut faulted = shared_copy(&built);
+            for p in 0..nparts {
+                let model = FilterFaultModel {
+                    seed: 60 + p as u64,
+                    flip_rate: 0.02,
+                };
+                faulted.inject_faults(p, &model);
+            }
+            assert!(shared.tables_shared() && !faulted.rows.is_shared());
+            // A row whose k-mer occurs once in its partition loses its
+            // only start bit: a data read, but no hit.
+            let (part, x, cleared) = parts
+                .iter()
+                .enumerate()
+                .find_map(|(p, part)| {
+                    let (x, code) = part.kmers(cfg.k).nth(40)?;
+                    let once = part.kmers(cfg.k).filter(|&(_, c)| c == code).count() == 1;
+                    once.then_some((p, x, code))
+                })
+                .expect("a k-mer that occurs once");
+            let (slot, tag) = faulted.slot_and_tag(cleared);
+            let bucket = slot * nparts + part;
+            let (lo, hi) = (
+                faulted.mini_index()[bucket],
+                faulted.mini_index()[bucket + 1],
+            );
+            let table = faulted.rows.to_mut().as_chunks_mut::<2>().0;
+            let row = (lo..hi)
+                .find(|&r| row_tag(&table[r as usize]) == tag)
+                .expect("the k-mer's row");
+            table[row as usize][0] = 0;
+            assert!(faulted
+                .lookup(part, &parts[part], x, &mut FilterStats::default())
+                .unwrap()
+                .is_empty());
+
+            // Present and absent codes interleaved, the cleared k-mer, then
+            // repeats and the poly-A k-mer.
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(nparts as u64);
+            let mut codes: Vec<u64> = parts
+                .iter()
+                .flat_map(|part| part.kmers(cfg.k).step_by(11).map(|(_, c)| c))
+                .flat_map(|c| [c, rng.gen_range(0..(1u64 << (2 * cfg.k)))])
+                .collect();
+            codes.insert(2 * D + 1, cleared);
+            codes.extend_from_slice(&codes.clone()[..40]);
+            codes.push(0); // poly-A
+            let slot_rows = |c: u64| {
+                let slot = (c >> rest_bits) as usize;
+                built.mini_index()[(slot + 1) * nparts] - built.mini_index()[slot * nparts]
+            };
+            assert!(
+                codes
+                    .iter()
+                    .any(|&c| slot_rows(c) as usize > PreSeedingFilter::SCAN_ROWS),
+                "some slot must be bisected"
+            );
+            assert!(codes
+                .iter()
+                .any(|&c| (1..=PreSeedingFilter::SCAN_ROWS as u32).contains(&slot_rows(c))));
+
+            let lens = [0, 1, D - 1, D, 2 * D, 2 * D + 1, 101 - 19 + 1, codes.len()];
+            let mut cleared_seen = false;
+            for (name, filter) in [
+                ("built", &built),
+                ("shared", &shared),
+                ("faulted", &faulted),
+            ] {
+                for len in lens {
+                    // An empty group in the middle; the rest uneven.
+                    let bounds = [0, len / 3, len / 3, len];
+                    filter.lookup_sparse_into(&codes[..len], &bounds, &mut pass);
+                    for (g, w) in bounds.windows(2).enumerate() {
+                        for p in 0..nparts {
+                            let mut want = FilterStats::default();
+                            let mut hits = Vec::new();
+                            for (i, &code) in codes[w[0]..w[1]].iter().enumerate() {
+                                let mut one = FilterStats::default();
+                                let indicator = filter.lookup_code(p, code, &mut one);
+                                if one.data_reads > 0 {
+                                    hits.push(FilterHit {
+                                        code: i as u32,
+                                        indicator,
+                                    });
+                                }
+                                want.merge(&one);
+                            }
+                            let at =
+                                format!("{nparts} parts, {name}, {len} codes, group {g}, part {p}");
+                            assert_eq!(pass.hits(g, p), &hits[..], "{at}");
+                            assert_eq!(pass.stats(g, p), &want, "{at}");
+                            cleared_seen |= hits.iter().any(|h| h.indicator.is_empty());
+                        }
+                    }
+                }
+            }
+            assert!(cleared_seen, "{nparts} parts: the cleared row must be met");
         }
     }
 
@@ -1165,13 +1566,10 @@ mod tests {
         assert_eq!(st.lookups, 2);
     }
 
-    #[test]
-    fn built_tables_equal_a_sorted_occurrence_list_word_for_word() {
-        // Oracle: every (k-mer code, offset) pair sorted, packed row by
-        // row. The in-place build must produce exactly these words, and a
-        // filter reassembled from them must be the same filter.
-        let part = generate_reference(&ReferenceProfile::human_like(), 5_000, 31);
-        let cfg = FilterConfig::small(9, 4);
+    /// Oracle tables of a one-partition filter: every (k-mer code,
+    /// offset) pair sorted, packed row by row, under the prefix sums of
+    /// the m-mer slots.
+    fn sorted_occurrence_tables(part: &PackedSeq, cfg: FilterConfig) -> (Vec<u32>, Vec<u64>) {
         let rest_bits = 2 * (cfg.k - cfg.m);
         let mut occs: Vec<(u64, usize)> = part.kmers(cfg.k).map(|(x, c)| (c, x)).collect();
         occs.sort_unstable();
@@ -1186,14 +1584,77 @@ mod tests {
         for i in 1..mini.len() {
             mini[i] += mini[i - 1];
         }
+        (mini, words)
+    }
+
+    #[test]
+    fn built_tables_equal_a_sorted_occurrence_list_word_for_word() {
+        // The in-place build must produce exactly the oracle's words, and
+        // a filter reassembled from them must be the same filter.
+        let part = generate_reference(&ReferenceProfile::human_like(), 5_000, 31);
+        let cfg = FilterConfig::small(9, 4);
+        let (mini, words) = sorted_occurrence_tables(&part, cfg);
         let built = PreSeedingFilter::build(&part, cfg);
         assert_eq!(built.mini_index(), &mini[..]);
         assert_eq!(built.row_words(), &words[..]);
-        assert_eq!(built.rows(), occs.len());
+        assert_eq!(built.rows(), words.len() / 2);
         let shared = shared_copy(&built);
         assert!(shared.tables_shared() && !built.tables_shared());
         assert_eq!(shared.mini_index(), built.mini_index());
         assert_eq!(shared.row_words(), built.row_words());
+    }
+
+    #[test]
+    fn tables_advised_onto_huge_pages_equal_the_oracle_word_for_word() {
+        // m = 10 makes a 4 MB mini index and 300k bases a 4.8 MB row
+        // table: both hold whole huge pages, so the build advises both
+        // before writing them. The advice changes the backing, never the
+        // words.
+        let part = generate_reference(&ReferenceProfile::human_like(), 300_000, 32);
+        let cfg = FilterConfig::new(14, 10, 40, 20);
+        let built = PreSeedingFilter::build(&part, cfg);
+        for (name, addr, len) in [
+            (
+                "mini",
+                built.mini_index().as_ptr() as usize,
+                size_of_val(built.mini_index()),
+            ),
+            (
+                "rows",
+                built.row_words().as_ptr() as usize,
+                size_of_val(built.row_words()),
+            ),
+        ] {
+            assert!(
+                huge_page_range(addr, len).is_some(),
+                "{name} table was not advised"
+            );
+        }
+        let (mini, words) = sorted_occurrence_tables(&part, cfg);
+        assert!(built.mini_index() == mini, "mini index differs");
+        assert!(built.row_words() == words, "rows differ");
+    }
+
+    #[test]
+    fn huge_page_range_is_the_aligned_interior() {
+        const MB: usize = 1 << 20;
+        // Below one huge page: never, aligned or not.
+        assert_eq!(huge_page_range(0, 0), None);
+        assert_eq!(huge_page_range(4 * MB, 2 * MB - 1), None);
+        assert_eq!(huge_page_range(4 * MB + 8, MB), None);
+        // Exactly one aligned huge page, and a longer aligned range.
+        assert_eq!(huge_page_range(4 * MB, 2 * MB), Some((4 * MB, 2 * MB)));
+        assert_eq!(huge_page_range(4 * MB, 5 * MB), Some((4 * MB, 4 * MB)));
+        // Unaligned: only the whole pages inside.
+        assert_eq!(huge_page_range(4 * MB + 16, 2 * MB), None);
+        assert_eq!(huge_page_range(4 * MB + 16, 4 * MB), Some((6 * MB, 2 * MB)));
+        assert_eq!(
+            huge_page_range(2 * MB - 4096, 6 * MB),
+            Some((2 * MB, 4 * MB))
+        );
+        // Ranges at the top of the address space do not wrap.
+        assert_eq!(huge_page_range(usize::MAX - 8, 4 * MB), None);
+        assert_eq!(huge_page_range(usize::MAX - 3 * MB, 3 * MB), None);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! # Ok::<(), casa_genome::ParseBaseError>(())
 //! ```
 
-// `deny` instead of `forbid`: the cache prefetch in `filter` carries a
-// scoped `#[allow(unsafe_code)]`; everything else in the crate stays safe.
+// `deny` instead of `forbid`: the cache prefetch and the huge-page advice
+// in `filter` carry a scoped `#[allow(unsafe_code)]`; everything else in
+// the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
@@ -41,8 +42,8 @@ mod layout;
 
 pub use bloom::BloomFilter;
 pub use filter::{
-    FilterConfig, FilterFaultModel, FilterFaultReport, FilterStats, FilterTooLarge,
-    PreSeedingFilter,
+    FilterConfig, FilterFaultModel, FilterFaultReport, FilterHit, FilterStats, FilterTooLarge,
+    PreSeedingFilter, SparsePass,
 };
 pub use indicator::SearchIndicator;
 pub use layout::TagLayout;
