@@ -309,6 +309,31 @@ pub struct LoadedMask {
     hi: usize,
 }
 
+impl LoadedMask {
+    /// Clips the candidate words to `entries` and books what every search
+    /// over them costs: `rows` enabled rows, the activated arrays and the
+    /// nonzero word span. The one tail of [`Bcam::load_mask`] and
+    /// [`Bcam::load_groups`].
+    fn seal(&mut self, entries: usize, rows: u64) {
+        let n = self.words.len();
+        if n * 64 > entries {
+            let tail = entries - (n - 1) * 64;
+            self.words[n - 1] &= (1u64 << tail) - 1;
+        }
+        (self.lo, self.hi) = word_span(&self.words);
+        self.entries = entries;
+        self.rows = rows;
+        // Peripheral activation: one per 256-row array holding a
+        // candidate. Words never straddle arrays, so each aligned chunk
+        // of words is one array.
+        self.arrays = self
+            .words
+            .chunks(WORDS_PER_ARRAY)
+            .filter(|array| array.iter().any(|&w| w != 0))
+            .count() as u64;
+    }
+}
+
 /// What a mask search writes — match-line words and a loaded mask — and
 /// the word kernel that computes them. One per searching thread, for CAMs
 /// of any size; contents are meaningless between searches.
@@ -558,26 +583,46 @@ impl Bcam {
     /// A mask may be shorter or longer than the entry count; out-of-range
     /// enabled bits cost `rows_enabled` but never participate.
     pub fn load_mask(&self, enabled: &EntryMask, out: &mut LoadedMask) {
-        let entries = self.entries();
         let mwords = enabled.words();
-        let n = self.ewords.min(mwords.len());
         out.words.clear();
-        out.words.extend_from_slice(&mwords[..n]);
-        if n * 64 > entries {
-            let tail = entries - (n - 1) * 64;
-            out.words[n - 1] &= (1u64 << tail) - 1;
+        out.words
+            .extend_from_slice(&mwords[..self.ewords.min(mwords.len())]);
+        out.seal(self.entries(), enabled.count() as u64);
+    }
+
+    /// Loads the groups `group_bits` powers under `scheme` into `out` —
+    /// what [`Bcam::load_mask`] makes of
+    /// [`GroupScheme::mask_for_indicator`]`(group_bits, self.entries())`,
+    /// without building that mask. Entry `e` sits in group `e mod G`, so
+    /// the enabled words repeat every `G / gcd(G, 64)` words: one period
+    /// is set by stepping `G` from each set group and tiled over the CAM,
+    /// and the enabled-row count is the sum of per-group counts
+    /// ([`GroupScheme::enabled_count`]). Group bits at or above `G` power
+    /// nothing.
+    pub fn load_groups(&self, scheme: &GroupScheme, group_bits: u32, out: &mut LoadedMask) {
+        let groups = scheme.groups;
+        let n = self.ewords;
+        // G / gcd(G, 64) words; 64 is a power of two, so the gcd is the
+        // power of two dividing G, capped at 64.
+        let period = (groups >> groups.trailing_zeros().min(6)).min(n);
+        out.words.clear();
+        out.words.resize(n, 0);
+        let mut bits = group_bits;
+        while bits != 0 {
+            let g = bits.trailing_zeros() as usize;
+            if g >= groups {
+                break;
+            }
+            bits &= bits - 1;
+            for e in (g..period * 64).step_by(groups) {
+                set_mask_bit(&mut out.words, e);
+            }
         }
-        (out.lo, out.hi) = word_span(&out.words);
-        out.entries = entries;
-        out.rows = enabled.count() as u64;
-        // Peripheral activation: one per 256-row array holding a
-        // candidate. Words never straddle arrays, so each aligned chunk
-        // of words is one array.
-        out.arrays = out
-            .words
-            .chunks(WORDS_PER_ARRAY)
-            .filter(|array| array.iter().any(|&w| w != 0))
-            .count() as u64;
+        for w in period..n {
+            out.words[w] = out.words[w - period];
+        }
+        let entries = self.entries();
+        out.seal(entries, scheme.enabled_count(group_bits, entries) as u64);
     }
 
     /// [`Bcam::search_into`] over a mask already loaded by
@@ -785,30 +830,17 @@ impl Bcam {
 pub struct GroupScheme {
     /// Number of groups (the paper uses 20).
     pub groups: usize,
-    /// Bases per entry (the paper uses 40).
-    pub entry_bases: usize,
 }
 
 impl GroupScheme {
-    /// Creates a scheme.
+    /// Creates a scheme of `groups` groups.
     ///
     /// # Panics
     ///
-    /// Panics if either field is zero.
-    pub fn new(groups: usize, entry_bases: usize) -> GroupScheme {
-        assert!(
-            groups > 0 && entry_bases > 0,
-            "groups and entry_bases must be positive"
-        );
-        GroupScheme {
-            groups,
-            entry_bases,
-        }
-    }
-
-    /// Group of the entry containing reference position `x`.
-    pub fn group_of_position(&self, x: usize) -> usize {
-        (x / self.entry_bases) % self.groups
+    /// Panics if `groups` is zero.
+    pub fn new(groups: usize) -> GroupScheme {
+        assert!(groups > 0, "groups must be positive");
+        GroupScheme { groups }
     }
 
     /// Group of entry `e`.
@@ -816,13 +848,8 @@ impl GroupScheme {
         e % self.groups
     }
 
-    /// One-hot indicator bit for position `x` (fits the paper's ≤ 32-group
-    /// regime in a `u32`).
-    pub fn indicator_of_position(&self, x: usize) -> u32 {
-        1u32 << self.group_of_position(x)
-    }
-
-    /// Enables every entry of every group whose indicator bit is set.
+    /// Enables every entry of every group whose indicator bit is set —
+    /// entry by entry, the oracle of [`Bcam::load_groups`].
     pub fn mask_for_indicator(&self, indicator: u32, total_entries: usize) -> EntryMask {
         let mut mask = EntryMask::new(total_entries);
         for e in 0..total_entries {
@@ -950,18 +977,15 @@ mod tests {
 
     #[test]
     fn group_scheme_round_robin() {
-        let g = GroupScheme::new(4, 10);
+        let g = GroupScheme::new(4);
         assert_eq!(g.group_of_entry(0), 0);
         assert_eq!(g.group_of_entry(5), 1);
-        assert_eq!(g.group_of_position(0), 0);
-        assert_eq!(g.group_of_position(39), 3); // entry 3
-        assert_eq!(g.group_of_position(45), 0); // entry 4
-        assert_eq!(g.indicator_of_position(25), 1 << 2);
+        assert_eq!(g.group_of_entry(7), 3);
     }
 
     #[test]
     fn group_mask_and_count_agree() {
-        let g = GroupScheme::new(5, 8);
+        let g = GroupScheme::new(5);
         for total in [0usize, 1, 7, 23, 100] {
             for indicator in [0u32, 0b1, 0b10101, 0b11111] {
                 let mask = g.mask_for_indicator(indicator, total);
@@ -972,6 +996,51 @@ mod tests {
                 );
                 for e in mask.iter_ones() {
                     assert!(indicator & (1 << g.group_of_entry(e)) != 0);
+                }
+            }
+        }
+    }
+
+    /// `load_groups` loads exactly what `load_mask` makes of the entry-
+    /// by-entry group mask — same words, rows, arrays and span — across
+    /// group counts that do and do not divide 64, entry counts around
+    /// word, period and array boundaries, and indicators naming single
+    /// groups, random sets, every group, and groups at or above `G`.
+    #[test]
+    fn load_groups_equals_loading_the_group_mask() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6a7e);
+        let reference: PackedSeq = (0..25_003)
+            .map(|_| Base::from_code(rng.gen_range(0..4)))
+            .collect();
+        let (mut expect, mut got) = (LoadedMask::default(), LoadedMask::default());
+        for groups in [1usize, 2, 3, 7, 20, 32] {
+            let scheme = GroupScheme::new(groups);
+            let below = if groups == 32 {
+                u32::MAX
+            } else {
+                (1u32 << groups) - 1
+            };
+            let mut indicators: Vec<u32> = (0..groups).map(|g| 1 << g).collect();
+            indicators.extend((0..8).map(|_| rng.next_u32() & below));
+            indicators.extend([0, u32::MAX, below, !below, (!below) | 1]);
+            for entries in [0, 1, groups - 1, 63, 64, 65, 255, 256, 257, 320, 25_003] {
+                let cam = Bcam::new(&reference.subseq(0, entries), 1);
+                assert_eq!(cam.entries(), entries);
+                for &bits in &indicators {
+                    let mask = scheme.mask_for_indicator(bits, entries);
+                    cam.load_mask(&mask, &mut expect);
+                    cam.load_groups(&scheme, bits, &mut got);
+                    let case = format!("G {groups}, {entries} entries, bits {bits:#x}");
+                    // The mask spans exactly the entries, so its words are
+                    // the clipped candidates and its popcount the rows.
+                    assert_eq!(got.words, mask.words(), "mask words: {case}");
+                    assert_eq!(got.rows, mask.count() as u64, "mask rows: {case}");
+                    assert_eq!(got.words, expect.words, "words: {case}");
+                    assert_eq!(got.rows, expect.rows, "rows: {case}");
+                    assert_eq!(got.arrays, expect.arrays, "arrays: {case}");
+                    assert_eq!((got.lo, got.hi), (expect.lo, expect.hi), "span: {case}");
+                    assert_eq!(got.entries, expect.entries, "entries: {case}");
                 }
             }
         }

@@ -1,13 +1,11 @@
 //! Runtime-dispatched word-level kernels for the CAM hot loops.
 //!
-//! The two primitives every CAM search spends its time in are
-//!
-//! * the fused match-line column walk ([`KernelOps::match_cols`]: `ml =
-//!   init & plane & plane & …`, 64 entries per word), and
-//! * the indicator word-OR that builds enable masks (`dst |= group`),
-//!
-//! and both are embarrassingly data-parallel across words. This module
-//! provides three interchangeable backends for them:
+//! The primitive every CAM mask search spends its time in is the fused
+//! match-line column walk ([`KernelOps::match_cols`]: `ml = init & plane
+//! & plane & …`, 64 entries per word), which is embarrassingly
+//! data-parallel across words. (Group-gated enable masks need no kernel:
+//! [`crate::Bcam::load_groups`] tiles one period of words.) This module
+//! provides three interchangeable backends for it:
 //!
 //! * [`KernelBackend::Scalar`] — the plain one-`u64`-at-a-time loop
 //!   (the PR 3 kernel, kept as the portable baseline);
@@ -149,17 +147,15 @@ impl fmt::Display for KernelBackend {
     }
 }
 
-/// Function table for the word-level kernels of one backend.
+/// Function table for the word-level kernel of one backend.
 ///
 /// `match_cols` runs a whole query's column walk (see
-/// [`KernelOps::match_cols`]); `or_into(dst, src)` computes `dst[i] |=
-/// src[i]` over `dst.len()` words. Each method asserts its length
-/// contract once per call, before dispatching, so every backend panics
-/// identically on a violation and the unchecked AVX2 bodies are never
-/// reached with short operands.
+/// [`KernelOps::match_cols`]). It asserts its length contract once per
+/// call, before dispatching, so every backend panics identically on a
+/// violation and the unchecked AVX2 body is never reached with short
+/// operands.
 pub struct KernelOps {
     backend: KernelBackend,
-    or_into: fn(&mut [u64], &[u64]),
     match_cols: MatchColsFn,
 }
 
@@ -172,17 +168,6 @@ impl KernelOps {
     /// The backend this table belongs to.
     pub fn backend(&self) -> KernelBackend {
         self.backend
-    }
-
-    /// `dst |= src` word-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() < dst.len()`.
-    #[inline]
-    pub fn or_into(&self, dst: &mut [u64], src: &[u64]) {
-        assert!(src.len() >= dst.len(), "or_into: src shorter than dst");
-        (self.or_into)(dst, src)
     }
 
     /// Whole-query match-line evaluation: `ml = init`, then `ml &=
@@ -239,20 +224,17 @@ impl fmt::Debug for KernelOps {
 
 static SCALAR_OPS: KernelOps = KernelOps {
     backend: KernelBackend::Scalar,
-    or_into: or_into_scalar,
     match_cols: match_cols_scalar,
 };
 
 static U64X4_OPS: KernelOps = KernelOps {
     backend: KernelBackend::U64x4,
-    or_into: or_into_u64x4,
     match_cols: match_cols_u64x4,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_OPS: KernelOps = KernelOps {
     backend: KernelBackend::Avx2,
-    or_into: or_into_avx2,
     match_cols: match_cols_avx2,
 };
 
@@ -262,7 +244,6 @@ static AVX2_OPS: KernelOps = KernelOps {
 #[cfg(not(target_arch = "x86_64"))]
 static AVX2_OPS: KernelOps = KernelOps {
     backend: KernelBackend::Avx2,
-    or_into: or_into_u64x4,
     match_cols: match_cols_u64x4,
 };
 
@@ -313,12 +294,6 @@ fn and_plane_scalar(dst: &mut [u64], src: &[u64]) -> u64 {
         any |= *d;
     }
     any
-}
-
-fn or_into_scalar(dst: &mut [u64], src: &[u64]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
 }
 
 fn and_plane_u64x4(dst: &mut [u64], src: &[u64]) -> u64 {
@@ -430,29 +405,6 @@ fn match_cols_u64x4(
     any
 }
 
-fn or_into_u64x4(dst: &mut [u64], src: &[u64]) {
-    let n = dst.len();
-    let mut chunks = dst.chunks_exact_mut(4);
-    let mut schunks = src[..n].chunks_exact(4);
-    for (d, s) in chunks.by_ref().zip(schunks.by_ref()) {
-        d[0] |= s[0];
-        d[1] |= s[1];
-        d[2] |= s[2];
-        d[3] |= s[3];
-    }
-    for (d, &s) in chunks.into_remainder().iter_mut().zip(schunks.remainder()) {
-        *d |= s;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
-    // SAFETY: `ops()` hands this out only after AVX2 detection, and
-    // `KernelOps::or_into` (the only caller) asserts `src.len() >= dst.len()`.
-    unsafe { avx2::or_into(dst, src) }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn match_cols_avx2(
@@ -503,25 +455,6 @@ mod avx2 {
             i += 1;
         }
         tail | hor(any)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn or_into(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-            let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_or_si256(d, s),
-            );
-            i += 4;
-        }
-        while i < n {
-            dst[i] |= src[i];
-            i += 1;
-        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -681,21 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_with_scalar() {
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 100] {
-            let src = words(len + 2, len as u64 + 1);
-            for b in KernelBackend::supported() {
-                let ops = b.ops();
-                let mut expect_or = words(len, 11);
-                or_into_scalar(&mut expect_or, &src);
-                let mut got_or = words(len, 11);
-                ops.or_into(&mut got_or, &src);
-                assert_eq!(got_or, expect_or, "or_into {b} len {len}");
-            }
-        }
-    }
-
-    #[test]
     fn match_cols_agrees_with_chained_and_plane() {
         use casa_genome::Base;
         // ewords = 16 with n up to 16 exercises every AVX2 register-resident
@@ -768,8 +686,6 @@ mod tests {
         let driven = [Symbol::Any, Symbol::Base(Base::T)]; // plane id 7
         for b in KernelBackend::supported() {
             let ops = b.ops();
-            let short_src = catch_unwind(|| ops.or_into(&mut [0; 8], &[0; 1]));
-            assert!(short_src.is_err(), "{b}: or_into short src");
             let short_init =
                 catch_unwind(|| ops.match_cols(&mut [0; 8], &[0; 1], &[0; 64], 8, &driven));
             assert!(short_init.is_err(), "{b}: match_cols short init");

@@ -7,23 +7,26 @@
 //!   wildcard-padded [`CamQuery`], per-search activity counters booked
 //!   into the caller's [`CamStats`];
 //! * [`EntryMask`] — entry-level power gating (only enabled rows search);
-//! * [`GroupScheme`] — CASA's group-level gating (§3 "CAM Grouping").
+//! * [`GroupScheme`] — CASA's group-level gating (§3 "CAM Grouping"),
+//!   loaded straight from an indicator's group bits by
+//!   [`Bcam::load_groups`].
 //!
 //! # Example
 //!
 //! ```
 //! use casa_genome::PackedSeq;
-//! use casa_cam::{Bcam, CamQuery, CamStats, EntryMask, GroupScheme};
+//! use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, GroupScheme, LoadedMask};
 //!
 //! let reference = PackedSeq::from_ascii(b"ACGTACGTTTTTGGGGCCCC")?;
 //! let cam = Bcam::new(&reference, 4);
-//! let scheme = GroupScheme::new(2, 4);
+//! let scheme = GroupScheme::new(2);
 //! // k-mer TTTT lives at position 8 -> entry 2 -> group 0.
-//! let indicator = scheme.indicator_of_position(8);
-//! let enabled = scheme.mask_for_indicator(indicator, cam.entries());
+//! let mut loaded = LoadedMask::default();
+//! cam.load_groups(&scheme, 1 << scheme.group_of_entry(8 / 4), &mut loaded);
 //! let q = CamQuery::padded(&reference, 8, 4, 0);
-//! let mut stats = CamStats::default();
-//! assert_eq!(cam.search(&q, &enabled, &mut stats), vec![2]);
+//! let (mut stats, mut hits) = (CamStats::default(), Vec::new());
+//! cam.search_loaded_into(&q, &loaded, &mut CamScratch::default(), &mut stats, &mut hits);
+//! assert_eq!(hits, vec![2]);
 //! // Only 3 of the 5 entries were powered.
 //! assert_eq!(stats.rows_enabled, 3);
 //! # Ok::<(), casa_genome::ParseBaseError>(())

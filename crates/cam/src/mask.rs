@@ -100,20 +100,6 @@ impl EntryMask {
         })
     }
 
-    /// Bitwise OR with another mask of the same length, through the
-    /// process-default word kernel (the indicator word-OR of the seeding
-    /// hot path; see [`crate::kernel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &EntryMask) {
-        assert_eq!(self.len, other.len, "mask lengths differ");
-        crate::kernel::default_backend()
-            .ops()
-            .or_into(&mut self.words, &other.words);
-    }
-
     /// The backing `u64` words, 64 entries per word, bit `i % 64` of word
     /// `i / 64` for entry `i`. Bits at or above `len` are always zero.
     /// This is the representation the bit-parallel CAM kernel consumes
@@ -172,16 +158,6 @@ mod tests {
             m.set(b);
         }
         assert_eq!(m.iter_ones().collect::<Vec<_>>(), bits);
-    }
-
-    #[test]
-    fn union_merges() {
-        let mut a = EntryMask::new(70);
-        a.set(1);
-        let mut b = EntryMask::new(70);
-        b.set(69);
-        a.union_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 69]);
     }
 
     #[test]

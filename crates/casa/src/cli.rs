@@ -739,10 +739,9 @@ fn run_streaming(
     let kernel = session.kernel_backend().as_str();
     let backend = session.backend().as_str();
     let stream = StreamingSession::new(
-        session,
+        session.with_tile_deadline(options.tile_deadline_ms.map(Duration::from_millis)),
         StreamConfig {
             batch_reads: options.batch_reads,
-            tile_deadline: options.tile_deadline_ms.map(Duration::from_millis),
             checkpoint: options.checkpoint.clone(),
             both_strands: true,
             ..StreamConfig::default()

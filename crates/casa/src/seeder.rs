@@ -275,11 +275,13 @@ impl Seeder {
     }
 
     /// Seeds a read stream in bounded batches through the supervised
-    /// streaming runtime, handing each seeded batch to `sink`. See
-    /// [`StreamingSession::run`] for the full contract (bounded
-    /// ingestion, watchdog, cancellation, checkpointing — available by
-    /// constructing the [`StreamingSession`] over
-    /// [`session`](Self::session) directly when those knobs are needed).
+    /// streaming runtime, handing each seeded batch to `sink`. Tile
+    /// attempts run under the seeder's own watchdog deadline
+    /// ([`SeederBuilder::tile_deadline`]). See [`StreamingSession::run`]
+    /// for the full contract (bounded ingestion, watchdog, cancellation,
+    /// checkpointing — available by constructing the [`StreamingSession`]
+    /// over [`session`](Self::session) directly when those knobs are
+    /// needed).
     ///
     /// # Errors
     ///
@@ -405,6 +407,41 @@ mod tests {
         assert_eq!(
             seeder.session().tile_deadline(),
             Some(Duration::from_millis(250))
+        );
+    }
+
+    /// The builder's tile deadline is the only one: a stream seeded with
+    /// the default [`StreamConfig`] still runs every tile attempt under
+    /// it, so stalls longer than the deadline are caught and counted.
+    #[test]
+    fn seed_stream_keeps_the_builder_tile_deadline() {
+        let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 5);
+        let plan = FaultPlan {
+            seed: 3,
+            tile_stall_rate: 1.0,
+            tile_stall_ms: 50.0,
+            max_retries: 1,
+            ..FaultPlan::default()
+        };
+        let seeder = Seeder::builder(&reference)
+            .config(CasaConfig::small(1_000))
+            .workers(1)
+            .fault_plan(plan)
+            .tile_deadline(Duration::from_millis(5))
+            .build()
+            .expect("valid build");
+        let reads: Vec<PackedSeq> = (0..4).map(|i| reference.subseq(i * 600, 40)).collect();
+        let report = seeder
+            .seed_stream(
+                StreamConfig::default(),
+                reads.into_iter().map(Ok::<_, std::convert::Infallible>),
+                |_: &StreamBatch<PackedSeq>| Ok(Vec::new()),
+            )
+            .expect("stream completes");
+        assert_eq!(report.reads, 4);
+        assert!(
+            report.stats.deadline_stalls > 0,
+            "stalls must be caught by the builder's deadline"
         );
     }
 

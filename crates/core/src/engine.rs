@@ -80,7 +80,7 @@ struct PivotWalk<'r> {
 }
 
 /// One partition's CAM-backend index — its partition of the filter
-/// tables, CAM planes and stuck-at masks, group masks, config — only read
+/// tables, CAM planes and stuck-at masks, group scheme, config — only read
 /// once construction and fault injection are done.
 #[derive(Clone, Debug)]
 pub struct CamIndex {

@@ -15,8 +15,11 @@
 //!
 //! A search costs what its candidates cost. The first search of every
 //! chain, and the binary probes refining a first search that found
-//! nothing, run over the pivot's group mask, which is loaded once per
-//! pivot ([`Bcam::load_mask`]) and shared by every start offset. Stride
+//! nothing, run over the rows of the pivot's indicated groups. Those are
+//! loaded once per pivot, straight from the indicator's group bits
+//! ([`Bcam::load_groups`]: entry `e` is in group `e mod G`, so one period
+//! of words is tiled over the CAM and the row count is a sum of per-group
+//! counts), and shared by every start offset. Stride
 //! searches and all other binary probes carry their candidates as a
 //! sorted entry list — the frontier's successors or the last probe's hits
 //! — and run through [`Bcam::search_list_into`], which touches only the
@@ -26,9 +29,7 @@
 //! writes sits in the caller's [`SearchScratch`], and CAM activity is
 //! booked into the caller's [`CamStats`].
 
-use casa_cam::{
-    Bcam, CamQuery, CamScratch, CamStats, EntryMask, GroupScheme, KernelBackend, LoadedMask,
-};
+use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, GroupScheme, KernelBackend, LoadedMask};
 use casa_filter::SearchIndicator;
 use casa_genome::PackedSeq;
 
@@ -54,9 +55,8 @@ pub struct SearchScratch {
     /// The chain being driven, reset in place per start offset so its
     /// inner buffers keep their allocations.
     chain: Chain,
-    /// The pivot's group-gated enable mask, and its loaded form shared by
-    /// every mask search of the pivot.
-    enabled: EntryMask,
+    /// The pivot's indicated groups, loaded once and shared by every mask
+    /// search of the pivot.
     loaded: LoadedMask,
     /// Hits of the search just issued.
     hits: Vec<u32>,
@@ -84,7 +84,7 @@ impl SearchScratch {
 /// each phase's query searches over).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Phase {
-    /// The wildcard-padded first search, over the pivot's group mask.
+    /// The wildcard-padded first search, over the pivot's loaded groups.
     #[default]
     First,
     /// A full-stride chase search, over the successor list `succ`.
@@ -153,7 +153,7 @@ impl Chain {
     }
 
     /// The candidates of the search in flight as a sorted entry list, or
-    /// `None` when it searches the pivot's group mask: the first search,
+    /// `None` when it searches the pivot's loaded groups: the first search,
     /// and the probes of a binary search refining it until one hits.
     fn candidate_list(&self) -> Option<&[u32]> {
         match self.phase {
@@ -329,9 +329,6 @@ fn positions_of(dst: &mut Vec<u32>, entries_now: &[u32], steps: usize, stride: u
 pub struct CamSearcher {
     cam: Bcam,
     scheme: GroupScheme,
-    /// Per-group entry masks, precomputed once; the per-call enabled mask
-    /// is the word-level OR of the indicator's groups.
-    group_masks: Vec<EntryMask>,
 }
 
 impl CamSearcher {
@@ -342,18 +339,11 @@ impl CamSearcher {
 
     /// Wraps an already-constructed CAM (typically one whose bit planes
     /// are shared from a mapped index image; see
-    /// [`Bcam::from_shared_planes`]). Group masks are recomputed — they
-    /// are tiny (`groups × entries/64` words) next to the planes.
+    /// [`Bcam::from_shared_planes`]).
     pub fn from_cam(cam: Bcam, groups: usize) -> CamSearcher {
-        let scheme = GroupScheme::new(groups, cam.entry_bases());
-        let entries = cam.entries();
-        let group_masks = (0..groups)
-            .map(|g| scheme.mask_for_indicator(1 << g, entries))
-            .collect();
         CamSearcher {
             cam,
-            scheme,
-            group_masks,
+            scheme: GroupScheme::new(groups),
         }
     }
 
@@ -407,7 +397,6 @@ impl CamSearcher {
         let entries = self.cam.entries();
         let SearchScratch {
             chain,
-            enabled,
             loaded,
             hits,
             cam,
@@ -415,8 +404,7 @@ impl CamSearcher {
         out.len = 0;
         out.positions.clear();
         out.searches = 0;
-        si.enabled_mask_into(&self.group_masks, enabled);
-        self.cam.load_mask(enabled, loaded);
+        self.cam.load_groups(&self.scheme, si.groups, loaded);
         let remaining = read.len() - pivot;
         let mut start_bits = si.start_mask;
         while start_bits != 0 {
@@ -632,7 +620,7 @@ mod tests {
         );
     }
 
-    /// The scratch (chain, masks, hit buffer, match lines) carries over
+    /// The scratch (chain, loaded groups, hit buffer, match lines) carries over
     /// from pivot to pivot; reusing it must not change results, searches
     /// counts, or CAM activity against fresh scratch per pivot.
     #[test]

@@ -34,7 +34,11 @@
 //!   read): backends sit read-only in an `Arc`, with no lock, and
 //!   everything a call writes is in the worker's own [`Lane`] or stats,
 //!   which it hands back through `join` — so any number of workers, of one
-//!   batch or of concurrent batches, seed one partition at once.
+//!   batch or of concurrent batches, seed one partition at once;
+//! * a batch is cut into fixed 64-read tiles whatever the worker count,
+//!   so crash faults, which are hashed per (partition, tile, attempt),
+//!   land on the same attempts — and book the same recovery counters —
+//!   at every worker count, as long as no partition is quarantined.
 //!
 //! # Fault tolerance
 //!
@@ -79,16 +83,13 @@ use crate::stream::supervisor::{self, GuardedOutcome};
 use crate::stream::CancelToken;
 use crate::CasaConfig;
 
-/// Target number of tiles per worker, so the job queue stays long enough
-/// to balance uneven per-read work without shrinking tiles into
-/// scheduling confetti.
-const TILES_PER_WORKER: usize = 4;
-
-/// Most reads in one tile. Tiling is part of the recovery contract:
-/// fault decisions hash (partition, tile, attempt), so the tiles a batch
-/// is cut into fix where injected panics and stalls land, and with them
-/// `tile_retries` and the other recovery counters.
-const MAX_TILE_READS: usize = 64;
+/// Reads per tile: every batch is cut into tiles of this many reads (the
+/// last one shorter), whatever the worker count. Tiling is part of the
+/// recovery contract: fault decisions hash (partition, tile, attempt), so
+/// the tiles a batch is cut into fix where injected panics and stalls
+/// land, and with them `tile_retries` and the other recovery counters —
+/// which therefore do not depend on the worker count either.
+const TILE_READS: usize = 64;
 
 /// Marker for a tile attempt whose output failed the golden cross-check.
 struct CrossCheckMismatch;
@@ -655,14 +656,6 @@ impl SeedingSession {
         self.kernel
     }
 
-    /// Read count per tile for a batch of `n` reads: enough tiles to keep
-    /// every worker busy, never less than one read nor more than
-    /// [`MAX_TILE_READS`].
-    fn tile_len(&self, n: usize) -> usize {
-        n.div_ceil(self.workers * TILES_PER_WORKER)
-            .clamp(1, MAX_TILE_READS)
-    }
-
     /// Makes `codes` the tile's own: its rolling k-mer codes and, when the
     /// filter table is in use, the shared pre-seeding pass over every
     /// partition at once — each booked as one span. Reuses the buffers
@@ -972,9 +965,8 @@ impl SeedingSession {
         }
         self.check_read_lengths(reads)?;
         let nparts = self.backends.len();
-        let tile_len = self.tile_len(reads.len());
-        let ntiles = reads.len().div_ceil(tile_len);
-        let tile_of = |ti: usize| &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
+        let ntiles = reads.len().div_ceil(TILE_READS);
+        let tile_of = |ti: usize| &reads[ti * TILE_READS..((ti + 1) * TILE_READS).min(reads.len())];
         // Read once per batch: this batch's lanes carry it.
         let profiling = self.profiling();
 
@@ -1003,7 +995,7 @@ impl SeedingSession {
                         let job = Job {
                             pi,
                             ti,
-                            read_offset: ti * tile_len,
+                            read_offset: ti * TILE_READS,
                         };
                         self.run_tile(job, &mut lane, tile, &codes, &mut stats)
                     })
@@ -1430,7 +1422,7 @@ mod tests {
                 .expect("valid config")
                 .with_tile_deadline(Some(Duration::from_secs(10)));
         let slowest_tile = reads
-            .chunks(clean_session.tile_len(reads.len()))
+            .chunks(TILE_READS)
             .map(|tile| {
                 let started = std::time::Instant::now();
                 timing_session.seed_reads(tile);

@@ -13,8 +13,9 @@
 //!
 //! Three supervision mechanisms wrap the per-batch work:
 //!
-//! * **Watchdog deadlines** — when [`StreamConfig::tile_deadline`] is
-//!   set, every tile attempt runs under the `supervisor` watchdog; an
+//! * **Watchdog deadlines** — when the wrapped session has a tile
+//!   deadline ([`SeedingSession::with_tile_deadline`], the one place it
+//!   is set), every tile attempt runs under the `supervisor` watchdog; an
 //!   attempt that overruns is abandoned and retried exactly like a
 //!   panicking attempt (capped backoff, then partition quarantine to the
 //!   golden model), so output stays bit-identical. Stalls detected this
@@ -49,7 +50,6 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 use casa_genome::fasta::FastaRecord;
 use casa_genome::fastq::FastqRecord;
@@ -68,8 +68,6 @@ pub struct StreamConfig {
     pub batch_reads: usize,
     /// Batches the bounded ring may hold between reader and executor.
     pub ring_capacity: usize,
-    /// Watchdog deadline per tile attempt; `None` disables the watchdog.
-    pub tile_deadline: Option<Duration>,
     /// Checkpoint journal path; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Completed batches between periodic checkpoint writes.
@@ -83,7 +81,6 @@ impl Default for StreamConfig {
         StreamConfig {
             batch_reads: 512,
             ring_capacity: 4,
-            tile_deadline: None,
             checkpoint: None,
             checkpoint_every: 16,
             both_strands: false,
@@ -313,8 +310,9 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
-    /// Wraps `session` with the streaming runtime described by `config`
-    /// (the session's tile attempts run under `config.tile_deadline`).
+    /// Wraps `session` with the streaming runtime described by `config`.
+    /// The session's tile attempts keep its own watchdog deadline
+    /// ([`SeedingSession::tile_deadline`]).
     ///
     /// # Errors
     ///
@@ -323,7 +321,6 @@ impl StreamingSession {
     /// structural bound.
     pub fn new(session: SeedingSession, config: StreamConfig) -> Result<StreamingSession, Error> {
         let config = config.validated()?;
-        let session = session.with_tile_deadline(config.tile_deadline);
         Ok(StreamingSession {
             session,
             config,

@@ -101,12 +101,12 @@ fn run_point(
     let config = scenario.casa_config();
     let build = |checkpoint: Option<PathBuf>| {
         let session = SeedingSession::with_fault_plan(&scenario.reference, config, workers, *plan)
-            .expect("scenario config is valid");
+            .expect("scenario config is valid")
+            .with_tile_deadline(deadline);
         StreamingSession::new(
             session,
             StreamConfig {
                 batch_reads,
-                tile_deadline: deadline,
                 checkpoint,
                 checkpoint_every: 1,
                 ..StreamConfig::default()

@@ -7,9 +7,11 @@
 //! * the **start positions** — a one-hot mask over `x mod s` (s = CAM entry
 //!   stride), telling the computing CAM how many wildcard bases to pad;
 //! * the **group indicator** — a one-hot mask over CAM groups, so only
-//!   groups that contain the k-mer are powered during the search.
+//!   groups that contain the k-mer are powered during the search. Entry
+//!   `e` is in group `e mod G`, so these bits alone fix the powered rows:
+//!   the computing CAM loads them straight from the bits (`casa-cam`'s
+//!   `Bcam::load_groups`), with no entry-wide mask built here.
 
-use casa_cam::EntryMask;
 use serde::{Deserialize, Serialize};
 
 /// Aggregated search indicator of one k-mer in one reference partition.
@@ -65,32 +67,6 @@ impl SearchIndicator {
     /// Number of groups that must be powered.
     pub fn group_count(&self) -> u32 {
         self.groups.count_ones()
-    }
-
-    /// Rebuilds `out` as the union of the group masks this indicator
-    /// powers: `out = ⋃ { group_masks[g] : bit g of groups set }`.
-    ///
-    /// `group_masks[g]` must be the precomputed [`EntryMask`] of group `g`
-    /// (all masks the same length); the union runs through the
-    /// word-vectorized [`EntryMask::union_with`] kernel. Group bits at or
-    /// above `group_masks.len()` are ignored (an indicator can name more
-    /// groups than a small partition realizes). This is the enable-mask
-    /// construction of the seeding hot path (§3 CAM grouping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask lengths differ.
-    pub fn enabled_mask_into(&self, group_masks: &[EntryMask], out: &mut EntryMask) {
-        let len = group_masks.first().map_or(0, EntryMask::len);
-        out.reset(len);
-        let mut groups = self.groups;
-        while groups != 0 {
-            let g = groups.trailing_zeros() as usize;
-            groups &= groups - 1;
-            if let Some(mask) = group_masks.get(g) {
-                out.union_with(mask);
-            }
-        }
     }
 
     /// The paper's shifted-AND alignment test (§4.2, Analysis 2): whether a
@@ -212,33 +188,5 @@ mod tests {
     #[should_panic(expected = "stride")]
     fn oversized_stride_rejected() {
         SearchIndicator::of_occurrence(0, 65, 20);
-    }
-
-    #[test]
-    fn enabled_mask_unions_exactly_the_set_groups() {
-        // 3 groups over 10 entries, round-robin.
-        let masks: Vec<EntryMask> = (0..3)
-            .map(|g| {
-                let mut m = EntryMask::new(10);
-                for e in 0..10 {
-                    if e % 3 == g {
-                        m.set(e);
-                    }
-                }
-                m
-            })
-            .collect();
-        let si = SearchIndicator {
-            start_mask: 0b1,
-            groups: 0b101,
-        };
-        let mut out = EntryMask::new(1); // wrong size: must be reset
-        si.enabled_mask_into(&masks, &mut out);
-        let expect: Vec<usize> = (0..10).filter(|e| e % 3 != 1).collect();
-        assert_eq!(out.iter_ones().collect::<Vec<_>>(), expect);
-        // Empty indicator -> empty mask of the right length.
-        SearchIndicator::EMPTY.enabled_mask_into(&masks, &mut out);
-        assert_eq!(out.count(), 0);
-        assert_eq!(out.len(), 10);
     }
 }

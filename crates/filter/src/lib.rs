@@ -13,6 +13,10 @@
 //! up in all partitions at once while each partition keeps the
 //! indicators, activity counters and fault sites of its own filter.
 //!
+//! The crate stops at the indicator: it knows nothing of the computing
+//! CAM. An indicator's group bits are plain bits, which the CAM model
+//! (`casa-cam`'s `Bcam::load_groups`) turns into powered rows itself.
+//!
 //! # Example
 //!
 //! ```

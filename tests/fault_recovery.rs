@@ -9,6 +9,9 @@
 //! * the partition backends, built from the reference or mapped from an
 //!   index image on up to `workers` threads, come out the same at every
 //!   worker count: same fault sites, SMEMs and stats;
+//! * a batch is cut into the same tiles at every worker count, so crash
+//!   faults that never exhaust their retries book the same full stats,
+//!   recovery counters included, at 1, 2 and 8 workers;
 //! * a malformed `CASA_FAULT_SEED` makes `casa-seed` and `casa-serve`
 //!   fail naming the variable, instead of running fault-free.
 
@@ -133,6 +136,46 @@ fn parallel_session_build_is_deterministic_under_hardware_faults() {
         assert_eq!(run.stats, expected.stats, "{leg}: stats");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_recovery_stats_do_not_depend_on_worker_count() {
+    // Tiling fixes where (partition, tile, attempt)-hashed crash faults
+    // land. With retries that are never exhausted no partition is
+    // quarantined, so every counter — retries included — is a function
+    // of the batch alone, not of how many workers share its tiles.
+    let (reference, _, config) = workload();
+    let reads: Vec<PackedSeq> = ReadSimulator::new(ReadSimConfig::default(), 29)
+        .simulate(&reference, 240)
+        .into_iter()
+        .map(|r| r.seq)
+        .collect();
+    let panics = FaultPlan {
+        seed: 17,
+        tile_panic_rate: 0.2,
+        max_retries: 8,
+        ..FaultPlan::default()
+    };
+    for plan in [FaultPlan::ci_plan(42), panics] {
+        let runs = [1usize, 2, 8].map(|workers| {
+            let session = SeedingSession::with_fault_plan(&reference, config, workers, plan)
+                .expect("valid plan");
+            (workers, session.seed_reads(&reads))
+        });
+        let (_, first) = &runs[0];
+        assert!(first.stats.tile_retries > 0, "{plan:?}: panics should fire");
+        assert_eq!(first.stats.partitions_quarantined, 0, "{plan:?}");
+        for (workers, run) in &runs[1..] {
+            assert_eq!(
+                run.smems, first.smems,
+                "{plan:?}: SMEMs at {workers} workers"
+            );
+            assert_eq!(
+                run.stats, first.stats,
+                "{plan:?}: stats at {workers} workers"
+            );
+        }
+    }
 }
 
 #[test]

@@ -66,10 +66,12 @@ fn streaming_session(
     config: CasaConfig,
     workers: usize,
     plan: &FaultPlan,
+    deadline: Option<Duration>,
     stream: StreamConfig,
 ) -> StreamingSession {
-    let session =
-        SeedingSession::with_fault_plan(reference, config, workers, *plan).expect("valid config");
+    let session = SeedingSession::with_fault_plan(reference, config, workers, *plan)
+        .expect("valid config")
+        .with_tile_deadline(deadline);
     StreamingSession::new(session, stream).expect("valid stream config")
 }
 
@@ -87,7 +89,6 @@ fn cancelled_plus_resumed_equals_uninterrupted_across_workers_and_plans() {
             let ckpt = dir.join(format!("p{pi}_w{workers}.ckpt"));
             let stream = StreamConfig {
                 batch_reads: 8,
-                tile_deadline: deadline,
                 checkpoint: Some(ckpt.clone()),
                 checkpoint_every: 1,
                 ..StreamConfig::default()
@@ -99,6 +100,7 @@ fn cancelled_plus_resumed_equals_uninterrupted_across_workers_and_plans() {
                 config,
                 workers,
                 &plan,
+                deadline,
                 StreamConfig {
                     checkpoint: None,
                     ..stream.clone()
@@ -110,7 +112,8 @@ fn cancelled_plus_resumed_equals_uninterrupted_across_workers_and_plans() {
             })
             .expect("uninterrupted run succeeds");
 
-            let session = streaming_session(&reference, config, workers, &plan, stream.clone());
+            let session =
+                streaming_session(&reference, config, workers, &plan, deadline, stream.clone());
             let token = session.cancel_token();
             let mut merged = Outputs::new();
             let interrupted = session
@@ -125,7 +128,8 @@ fn cancelled_plus_resumed_equals_uninterrupted_across_workers_and_plans() {
             assert!(interrupted.cancelled);
             assert!(interrupted.batches < whole.batches);
 
-            let resumer = streaming_session(&reference, config, workers, &plan, stream.clone());
+            let resumer =
+                streaming_session(&reference, config, workers, &plan, deadline, stream.clone());
             let checkpoint = resumer.load_checkpoint(&ckpt).expect("checkpoint loads");
             let resumed = resumer
                 .resume(
@@ -165,7 +169,7 @@ fn resume_consumes_but_does_not_reseed_the_watermark() {
         batch_reads: 10,
         ..StreamConfig::default()
     };
-    let session = streaming_session(&reference, config, 2, &plan, stream);
+    let session = streaming_session(&reference, config, 2, &plan, None, stream);
     let checkpoint = StreamCheckpoint {
         fingerprint: session.fingerprint(),
         batch_reads: 10,
