@@ -6,7 +6,7 @@ use casa_align::aligner::{align_read, AlignConfig};
 use casa_align::chain::{anchors_from_smems, chain_anchors, ChainConfig};
 use casa_align::myers::edit_distance;
 use casa_align::sw::{extend_right, Scoring};
-use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, EntryMask, KernelBackend};
+use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, EntryMask, KernelBackend, LoadedMask};
 use casa_filter::BloomFilter;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -62,39 +62,37 @@ fn bench(c: &mut Criterion) {
     let cam = Bcam::new(&part, 40);
     let entries = cam.entries();
     let mut stats = CamStats::default();
+    let full = EntryMask::all(entries);
     group.bench_function("cam_full_search_40k", |b| {
         let q = CamQuery::padded(&reads[0], 0, 19, 3);
-        let mask = EntryMask::all(entries);
-        b.iter(|| cam.search(&q, &mask, &mut stats).len())
+        let (mut loaded, mut scratch, mut hits) =
+            (LoadedMask::default(), CamScratch::default(), Vec::new());
+        b.iter(|| {
+            cam.load_mask(&full, &mut loaded);
+            cam.search_loaded_into(&q, &loaded, &mut scratch, &mut stats, &mut hits);
+            hits.len()
+        })
     });
 
-    // Fused bit-parallel search vs the scalar oracle on the same
-    // 1000-entry partition, a batch of real read prefixes per iteration:
-    // one fused column walk per query for each supported backend, and
-    // through the shared-mask batch entry point on the default backend.
+    // Fused bit-parallel search on the same 1000-entry partition, a batch
+    // of real read prefixes per iteration: one mask load and one fused
+    // column walk per query for each supported backend, and through the
+    // shared-mask batch entry point on the default backend.
     let cam_queries: Vec<_> = reads
         .iter()
         .map(|r| CamQuery::padded(r, 0, 19, 3))
         .collect();
-    let full = EntryMask::all(entries);
     group.throughput(Throughput::Elements(cam_queries.len() as u64));
-    group.bench_function("cam_search_scalar_oracle_40k", |b| {
-        b.iter(|| {
-            cam_queries
-                .iter()
-                .map(|q| cam.search_scalar(q, &full, &mut stats).len())
-                .sum::<usize>()
-        })
-    });
     for backend in KernelBackend::supported() {
         let mut scratch = CamScratch::new(backend);
         group.bench_function(format!("cam_search_fused_{backend}_40k"), |b| {
-            let mut hits = Vec::new();
+            let (mut loaded, mut hits) = (LoadedMask::default(), Vec::new());
             b.iter(|| {
                 cam_queries
                     .iter()
                     .map(|q| {
-                        cam.search_into(q, &full, &mut scratch, &mut stats, &mut hits);
+                        cam.load_mask(&full, &mut loaded);
+                        cam.search_loaded_into(q, &loaded, &mut scratch, &mut stats, &mut hits);
                         hits.len()
                     })
                     .sum::<usize>()

@@ -9,28 +9,30 @@
 //! enabled rows, searches, and match events.
 //!
 //! Searches are evaluated by a **bit-parallel kernel**: construction
-//! precomputes, for every (column, base) pair, a bitset over the entries
-//! storing that base at that column, and a search ANDs the driven columns'
-//! planes with its candidate entries 64 entries per `u64` word — the
-//! software analogue of the hardware's parallel match lines. Candidates
-//! come in two forms, each with one search:
+//! stores, for every (column, base) pair, a bitset over the entries
+//! storing that base at that column. These bit planes are the CAM's
+//! cells — no other copy of the partition is kept — and a search ANDs
+//! the driven columns' planes with its candidate entries 64 entries per
+//! `u64` word, the software analogue of the hardware's parallel match
+//! lines. Candidates come in two forms, each with one search:
 //!
-//! * an **enable mask** ([`EntryMask`]), for searches that power whole
-//!   groups. [`Bcam::load_mask`] clips it to the entries and books its
-//!   rows, arrays and nonzero word span once; each
-//!   [`Bcam::search_loaded_into`] over it is one fused column walk
-//!   ([`KernelOps::match_cols`]) across that span.
-//!   [`Bcam::search_into`] and [`Bcam::search_batch_into`] load and search
-//!   in one call.
+//! * an **enable mask**, for searches that power whole groups.
+//!   [`Bcam::load_mask`] (an [`EntryMask`]) or [`Bcam::load_groups`] (an
+//!   indicator's group bits) clips it to the entries and books its rows,
+//!   arrays and nonzero word span once; each [`Bcam::search_loaded_into`]
+//!   over it is one fused column walk ([`KernelOps::match_cols`]) across
+//!   that span. [`Bcam::search_batch_into`] loads a mask and searches a
+//!   batch of queries over it in one call.
 //! * a **sorted entry list**, for searches that power a few chosen rows —
 //!   the successors of the last hits under DFF-based selective enabling
 //!   (paper §4.1). [`Bcam::search_list_into`] touches only the words
 //!   holding a candidate, so it costs what its candidates cost.
 //!
-//! Both end in the same fault-aware hit extraction. The original
-//! entry-at-a-time walk is kept as [`Bcam::search_scalar`], the
-//! verification oracle; every search produces the hits and [`CamStats`]
-//! it would over the equivalent mask.
+//! Both end in the same fault-aware hit extraction, and every search
+//! produces the hits and [`CamStats`] it would over the equivalent mask.
+//! The entry-at-a-time oracle the kernels are checked against lives in the
+//! tests: it evaluates the partition with a [`CamFaultReport`] applied
+//! and never reads the planes.
 //!
 //! A [`Bcam`] is only read by searches: what a search writes lives in a
 //! caller-owned [`CamScratch`] and [`CamStats`], so any number of threads
@@ -110,14 +112,6 @@ impl CamQuery {
     pub fn is_empty(&self) -> bool {
         self.symbols.is_empty()
     }
-
-    /// Number of non-wildcard symbols (driven columns).
-    pub fn driven_columns(&self) -> usize {
-        self.symbols
-            .iter()
-            .filter(|s| matches!(s, Symbol::Base(_)))
-            .count()
-    }
 }
 
 /// Cumulative activity counters of a CAM instance.
@@ -154,12 +148,6 @@ const _: () = assert!(ROWS_PER_ARRAY.is_multiple_of(64));
 
 /// Mask words per physical array (see `ROWS_PER_ARRAY` const assert).
 const WORDS_PER_ARRAY: usize = ROWS_PER_ARRAY / 64;
-
-/// Reads bit `i` of an entry bitmask.
-#[inline]
-fn mask_bit(words: &[u64], i: usize) -> bool {
-    (words[i / 64] >> (i % 64)) & 1 == 1
-}
 
 /// Sets bit `i` of an entry bitmask.
 #[inline]
@@ -206,7 +194,7 @@ fn push_hits(hits: &mut Vec<u32>, w: usize, mut word: u64) {
 ///
 /// * **stuck-at match lines** — an entry whose match line is stuck low
 ///   never reports a match; stuck high, it always does;
-/// * **cell bit flips** — a stored base has one bit of its 2-bit code
+/// * **cell bit flips** — a stored base has the low bit of its 2-bit code
 ///   flipped, silently corrupting every search that touches it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CamFaultModel {
@@ -249,32 +237,35 @@ const DOMAIN_CAM_FLIP: u64 = 0x12;
 ///
 /// ```
 /// use casa_genome::PackedSeq;
-/// use casa_cam::{Bcam, CamQuery, CamStats, EntryMask};
+/// use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, EntryMask, LoadedMask};
 ///
 /// let seq = PackedSeq::from_ascii(b"AACATTGTCACTTTCATAAC")?; // Fig. 10 CAM
 /// let cam = Bcam::new(&seq, 5);
 /// assert_eq!(cam.entries(), 4);
-/// // Search TGTCA with no padding: matches entry 1 exactly.
+/// // Search TGTCA with no padding over every entry: matches entry 1.
+/// let mut loaded = LoadedMask::default();
+/// cam.load_mask(&EntryMask::all(4), &mut loaded);
 /// let q = CamQuery::padded(&seq, 5, 5, 0);
-/// let mut stats = CamStats::default();
-/// let hits = cam.search(&q, &EntryMask::all(4), &mut stats);
+/// let (mut stats, mut hits) = (CamStats::default(), Vec::new());
+/// cam.search_loaded_into(&q, &loaded, &mut CamScratch::default(), &mut stats, &mut hits);
 /// assert_eq!(hits, vec![1]);
 /// assert_eq!(stats.rows_enabled, 4);
 /// # Ok::<(), casa_genome::ParseBaseError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct Bcam {
-    seq: PackedSeq,
+    /// Stored bases (the partition length).
+    len: usize,
     entry_bases: usize,
     /// Stuck-at match lines as entry bitmasks (bit `e % 64` of word
     /// `e / 64`), the same word layout as [`EntryMask`] and the planes.
     stuck_zero: Vec<u64>,
     stuck_one: Vec<u64>,
-    /// Bit planes: `planes[(col * 4 + base) * ewords + w]` holds one bit
-    /// per entry whose stored base at column `col` is `base`. Entries past
-    /// the end of `seq` (the final short entry's missing columns) have no
-    /// bit in any plane of those columns, so a driven column there can
-    /// never match — exactly the scalar `entry_matches` semantics.
+    /// Bit planes, the stored cells: `planes[(col * 4 + base) * ewords +
+    /// w]` holds one bit per entry whose stored base at column `col` is
+    /// `base`. Every stored base sets exactly one bit of its column's four
+    /// planes; the final short entry's missing columns set none, so a
+    /// driven column there can never match.
     ///
     /// Either heap-owned (built in process) or a shared view into a
     /// mapped index image; fault injection converts shared planes to
@@ -334,14 +325,13 @@ impl LoadedMask {
     }
 }
 
-/// What a mask search writes — match-line words and a loaded mask — and
-/// the word kernel that computes them. One per searching thread, for CAMs
+/// What a mask search writes — its match-line words — and the word kernel
+/// that computes them. One per searching thread, for CAMs
 /// of any size; contents are meaningless between searches.
 #[derive(Clone, Debug)]
 pub struct CamScratch {
     ops: &'static KernelOps,
     matchline: Vec<u64>,
-    loaded: LoadedMask,
 }
 
 impl CamScratch {
@@ -351,7 +341,6 @@ impl CamScratch {
         CamScratch {
             ops: backend.ops(),
             matchline: Vec::new(),
-            loaded: LoadedMask::default(),
         }
     }
 
@@ -377,40 +366,47 @@ impl Bcam {
     pub fn new(seq: &PackedSeq, entry_bases: usize) -> Bcam {
         assert!(entry_bases > 0, "entry_bases must be positive");
         let ewords = seq.len().div_ceil(entry_bases).div_ceil(64);
-        let mut cam = Bcam {
-            seq: seq.clone(),
+        let mut planes = vec![0u64; entry_bases * 4 * ewords];
+        let (mut e, mut col) = (0, 0);
+        for b in seq.iter() {
+            planes[(col * 4 + b.code() as usize) * ewords + e / 64] |= 1 << (e % 64);
+            col += 1;
+            if col == entry_bases {
+                (e, col) = (e + 1, 0);
+            }
+        }
+        Bcam {
+            len: seq.len(),
             entry_bases,
             stuck_zero: vec![0; ewords],
             stuck_one: vec![0; ewords],
-            planes: Vec::new().into(),
+            planes: planes.into(),
             ewords,
             has_stuck: false,
-        };
-        cam.rebuild_planes();
-        cam
+        }
     }
 
-    /// Reassembles a CAM from `seq` plus prebuilt bit planes — the
-    /// zero-copy image-loading path. The planes stay shared (typically
+    /// Reassembles a CAM of `len` stored bases from prebuilt bit planes —
+    /// the zero-copy image-loading path. The planes stay shared (typically
     /// mmap-backed) until a mutation (bit-flip fault injection) detaches
     /// them; everything else behaves exactly as after [`Bcam::new`].
     ///
-    /// Fails if the plane array does not have the shape `rebuild_planes`
-    /// would produce for this sequence and stride.
+    /// Fails if the plane array does not have the shape [`Bcam::new`]
+    /// gives `len` bases at this stride.
     pub fn from_shared_planes(
-        seq: &PackedSeq,
+        len: usize,
         entry_bases: usize,
         planes: SharedSlice<u64>,
     ) -> Result<Bcam, &'static str> {
         if entry_bases == 0 {
             return Err("entry_bases must be positive");
         }
-        let ewords = seq.len().div_ceil(entry_bases).div_ceil(64);
+        let ewords = len.div_ceil(entry_bases).div_ceil(64);
         if planes.as_slice().len() != entry_bases * 4 * ewords {
             return Err("CAM plane array has the wrong shape for this sequence");
         }
         Ok(Bcam {
-            seq: seq.clone(),
+            len,
             entry_bases,
             stuck_zero: vec![0; ewords],
             stuck_one: vec![0; ewords],
@@ -430,34 +426,14 @@ impl Bcam {
         self.planes.is_shared()
     }
 
-    /// Recomputes the per-(column, base) bit planes from the stored
-    /// sequence. Called at construction and after bit-flip fault injection
-    /// mutates `seq` (detaching shared planes first, copy-on-write).
-    fn rebuild_planes(&mut self) {
-        let ewords = self.ewords;
-        let entry_bases = self.entry_bases;
-        let n_entries = self.entries();
-        let planes = self.planes.to_mut();
-        planes.clear();
-        planes.resize(entry_bases * 4 * ewords, 0);
-        for e in 0..n_entries {
-            let base_offset = e * entry_bases;
-            let cols = entry_bases.min(self.seq.len() - base_offset);
-            let (w, bit) = (e / 64, e % 64);
-            for col in 0..cols {
-                let b = self.seq.base(base_offset + col).code() as usize;
-                planes[(col * 4 + b) * ewords + w] |= 1 << bit;
-            }
-        }
-    }
-
     /// Injects seeded faults into this CAM and returns the chosen sites.
     ///
     /// Stuck-at entries are recorded and override match-line behaviour in
-    /// [`Bcam::search`]; bit flips mutate the stored sequence in place (the
-    /// corruption is silent — searches, [`Bcam::entry_matches`] and
-    /// [`Bcam::seq`] all see the flipped bases). Calling this again adds
-    /// further stuck-at sites and flips on top of the existing ones.
+    /// every search. A bit flip corrupts a stored cell in place, silently:
+    /// the base's code `c` becomes `c ^ 1`, so the entry's bit moves from
+    /// plane `(col, c)` to plane `(col, c ^ 1)` (detaching shared planes
+    /// first, copy-on-write). Calling this again adds further stuck-at
+    /// sites and flips on top of the existing ones.
     pub fn inject_faults(&mut self, model: &CamFaultModel) -> CamFaultReport {
         let mut report = CamFaultReport::default();
         for e in 0..self.entries() {
@@ -476,31 +452,27 @@ impl Bcam {
         }
         if model.flip_rate > 0.0 {
             // Ascending site scan, so the report is sorted by construction.
-            let flips: Vec<usize> = (0..self.seq.len())
+            report.flipped_bases = (0..self.len as u32)
                 .filter(|&i| {
                     coin(
-                        site_hash(model.seed, &[DOMAIN_CAM_FLIP, i as u64]),
+                        site_hash(model.seed, &[DOMAIN_CAM_FLIP, u64::from(i)]),
                         model.flip_rate,
                     )
                 })
                 .collect();
-            if !flips.is_empty() {
-                let mut next = 0usize;
-                self.seq = self
-                    .seq
-                    .iter()
-                    .enumerate()
-                    .map(|(i, b)| {
-                        if next < flips.len() && flips[next] == i {
-                            next += 1;
-                            Base::from_code(b.code() ^ 1)
-                        } else {
-                            b
-                        }
-                    })
-                    .collect();
-                report.flipped_bases = flips.into_iter().map(|i| i as u32).collect();
-                self.rebuild_planes();
+            if !report.flipped_bases.is_empty() {
+                let (stride, ewords) = (self.entry_bases, self.ewords);
+                let planes = self.planes.to_mut();
+                for &i in &report.flipped_bases {
+                    let (e, col) = (i as usize / stride, i as usize % stride);
+                    let bit = 1u64 << (e % 64);
+                    let at = |code: usize| (col * 4 + code) * ewords + e / 64;
+                    let code = (0..4)
+                        .find(|&code| planes[at(code)] & bit != 0)
+                        .expect("a stored base sets one plane of its column");
+                    planes[at(code)] &= !bit;
+                    planes[at(code ^ 1)] |= bit;
+                }
             }
         }
         report
@@ -508,7 +480,7 @@ impl Bcam {
 
     /// Number of entries (rows).
     pub fn entries(&self) -> usize {
-        self.seq.len().div_ceil(self.entry_bases)
+        self.len.div_ceil(self.entry_bases)
     }
 
     /// Bases per entry (the stride `s`).
@@ -516,49 +488,10 @@ impl Bcam {
         self.entry_bases
     }
 
-    /// The stored sequence.
-    pub fn seq(&self) -> &PackedSeq {
-        &self.seq
-    }
-
-    /// Searches the CAM on the process-default kernel: returns the
-    /// indices of enabled entries that match `query`, ascending, and books
-    /// one search and `enabled.count()` enabled rows into `stats`.
-    ///
-    /// An entry matches if every driven query column equals the entry's
-    /// base at that column; querying past the end of the stored sequence
-    /// (final short entry) mismatches on driven columns.
-    pub fn search(&self, query: &CamQuery, enabled: &EntryMask, stats: &mut CamStats) -> Vec<u32> {
-        let mut hits = Vec::new();
-        self.search_into(query, enabled, &mut CamScratch::default(), stats, &mut hits);
-        hits
-    }
-
-    /// [`Bcam::search`] on `scratch`'s kernel into a caller-provided hit
-    /// buffer (cleared first) — the allocation-free form for hot loops.
-    pub fn search_into(
-        &self,
-        query: &CamQuery,
-        enabled: &EntryMask,
-        scratch: &mut CamScratch,
-        stats: &mut CamStats,
-        hits: &mut Vec<u32>,
-    ) {
-        let mut loaded = std::mem::take(&mut scratch.loaded);
-        self.load_mask(enabled, &mut loaded);
-        self.search_loaded_into(query, &loaded, scratch, stats, hits);
-        scratch.loaded = loaded;
-    }
-
     /// Searches `queries` against a shared enable mask on the
     /// process-default kernel, returning the activity booked. `hits` is
-    /// resized to `queries.len()`; hits and [`CamStats`] are bit-identical
-    /// to calling [`Bcam::search_into`] once per query in order.
-    ///
-    /// The mask is loaded once for the whole call (see
-    /// [`Bcam::load_mask`]); each query then books the identical counter
-    /// increments, so the integer sums (and therefore [`CamStats`]) are
-    /// unchanged.
+    /// resized to `queries.len()`: [`Bcam::load_mask`] once, then
+    /// [`Bcam::search_loaded_into`] per query in order.
     pub fn search_batch_into(
         &self,
         queries: &[CamQuery],
@@ -591,9 +524,9 @@ impl Bcam {
     }
 
     /// Loads the groups `group_bits` powers under `scheme` into `out` —
-    /// what [`Bcam::load_mask`] makes of
-    /// [`GroupScheme::mask_for_indicator`]`(group_bits, self.entries())`,
-    /// without building that mask. Entry `e` sits in group `e mod G`, so
+    /// what [`Bcam::load_mask`] makes of the mask enabling every entry of
+    /// those groups, without building that mask. Entry `e` sits in group
+    /// `e mod G` (see [`GroupScheme`]), so
     /// the enabled words repeat every `G / gcd(G, 64)` words: one period
     /// is set by stepping `G` from each set group and tiled over the CAM,
     /// and the enabled-row count is the sum of per-group counts
@@ -625,13 +558,19 @@ impl Bcam {
         out.seal(entries, scheme.enabled_count(group_bits, entries) as u64);
     }
 
-    /// [`Bcam::search_into`] over a mask already loaded by
-    /// [`Bcam::load_mask`]: hits and [`CamStats`] are identical to
-    /// searching the mask itself. One fused kernel call runs the whole
-    /// column walk — ml = candidates AND every driven plane, with the
-    /// early exit on a dead line — inside the nonzero candidate span;
-    /// shifting the plane base by `lo` keeps each plane row's window
-    /// aligned with the clipped slices.
+    /// Searches `query` over a mask loaded by [`Bcam::load_mask`] or
+    /// [`Bcam::load_groups`] on `scratch`'s kernel, writing the enabled
+    /// entries that match into `hits` (cleared first, ascending) and
+    /// booking one search, the mask's enabled rows and activated arrays,
+    /// and the matches into `stats`. An entry matches if every driven
+    /// query column equals its stored base at that column; a driven
+    /// column past the end of the stored sequence (the final short entry)
+    /// mismatches, and a query wider than an entry matches nothing stored.
+    ///
+    /// One fused kernel call runs the whole column walk — ml = candidates
+    /// AND every driven plane, with the early exit on a dead line — inside
+    /// the nonzero candidate span; shifting the plane base by `lo` keeps
+    /// each plane row's window aligned with the clipped slices.
     ///
     /// # Panics
     ///
@@ -660,9 +599,9 @@ impl Bcam {
             scratch.matchline.resize(hi, 0);
         }
         let ml = &mut scratch.matchline[lo..hi];
-        // A query wider than an entry matches nothing stored (the scalar
-        // oracle bails at column `entry_bases`); its line is dead from the
-        // start and only stuck-one overrides can still fire.
+        // A query wider than an entry matches nothing stored: no plane
+        // holds column `entry_bases`, so its line is dead from the start
+        // and only stuck-one overrides can still fire.
         let any = if query.len() <= self.entry_bases && lo < hi {
             scratch.ops.match_cols(
                 ml,
@@ -697,7 +636,7 @@ impl Bcam {
     /// Searches only the entries listed in `candidates` — strictly
     /// ascending entry indices — as DFF-based selective enabling does for
     /// the successors of the last hits (paper §4.1). Hits and
-    /// [`CamStats`] are identical to [`Bcam::search_into`] over a mask
+    /// [`CamStats`] are identical to [`Bcam::search_loaded_into`] over a mask
     /// with exactly those bits set, but the work is proportional to the
     /// candidates, not to the CAM: each word holding a candidate is
     /// evaluated alone (candidate bits AND each driven column's plane
@@ -764,57 +703,6 @@ impl Bcam {
     fn stuck_override(&self, w: usize, cand: u64, ml: u64) -> u64 {
         (cand & !self.stuck_zero[w]) & (self.stuck_one[w] | ml)
     }
-
-    /// [`Bcam::search`] through the scalar entry-at-a-time walk — the
-    /// verification oracle the bit-parallel kernel is tested against.
-    /// Books the same activity counters as `search`.
-    pub fn search_scalar(
-        &self,
-        query: &CamQuery,
-        enabled: &EntryMask,
-        stats: &mut CamStats,
-    ) -> Vec<u32> {
-        stats.searches += 1;
-        stats.rows_enabled += enabled.count() as u64;
-        // The original reference evaluation: walk enabled entries one by
-        // one, comparing column by column through `entry_matches`.
-        let entries = self.entries();
-        let mut hits = Vec::new();
-        let mut last_array = usize::MAX;
-        for e in enabled.iter_ones().take_while(|&e| e < entries) {
-            let array = e / ROWS_PER_ARRAY;
-            if array != last_array {
-                stats.arrays_activated += 1;
-                last_array = array;
-            }
-            // Stuck-at match lines override the comparison outcome.
-            if !mask_bit(&self.stuck_zero, e)
-                && (mask_bit(&self.stuck_one, e) || self.entry_matches(e, query))
-            {
-                hits.push(e as u32);
-            }
-        }
-        stats.matches += hits.len() as u64;
-        hits
-    }
-
-    /// Whether entry `e` matches `query` (no activity recorded; used by the
-    /// simulator for assertions and by `search`).
-    pub fn entry_matches(&self, e: usize, query: &CamQuery) -> bool {
-        let base_offset = e * self.entry_bases;
-        for (i, sym) in query.symbols().iter().enumerate() {
-            if i >= self.entry_bases {
-                return false; // query wider than an entry
-            }
-            if let Symbol::Base(b) = sym {
-                match self.seq.get(base_offset + i) {
-                    Some(stored) if stored == *b => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
-    }
 }
 
 /// Round-robin grouping of CAM entries for group-level power gating
@@ -843,23 +731,6 @@ impl GroupScheme {
         GroupScheme { groups }
     }
 
-    /// Group of entry `e`.
-    pub fn group_of_entry(&self, e: usize) -> usize {
-        e % self.groups
-    }
-
-    /// Enables every entry of every group whose indicator bit is set —
-    /// entry by entry, the oracle of [`Bcam::load_groups`].
-    pub fn mask_for_indicator(&self, indicator: u32, total_entries: usize) -> EntryMask {
-        let mut mask = EntryMask::new(total_entries);
-        for e in 0..total_entries {
-            if indicator & (1 << self.group_of_entry(e)) != 0 {
-                mask.set(e);
-            }
-        }
-        mask
-    }
-
     /// Number of entries enabled by `indicator` out of `total_entries`
     /// (cheap count without building a mask).
     pub fn enabled_count(&self, indicator: u32, total_entries: usize) -> usize {
@@ -885,6 +756,56 @@ mod tests {
         PackedSeq::from_ascii(s.as_bytes()).unwrap()
     }
 
+    /// `query` over `enabled` on `scratch`: load the mask, then search it.
+    fn search_on(
+        cam: &Bcam,
+        query: &CamQuery,
+        enabled: &EntryMask,
+        scratch: &mut CamScratch,
+        stats: &mut CamStats,
+    ) -> Vec<u32> {
+        let (mut loaded, mut hits) = (LoadedMask::default(), Vec::new());
+        cam.load_mask(enabled, &mut loaded);
+        cam.search_loaded_into(query, &loaded, scratch, stats, &mut hits);
+        hits
+    }
+
+    /// [`search_on`] on the process-default kernel.
+    fn search(cam: &Bcam, query: &CamQuery, enabled: &EntryMask, stats: &mut CamStats) -> Vec<u32> {
+        search_on(cam, query, enabled, &mut CamScratch::default(), stats)
+    }
+
+    /// The mask enabling every entry whose group `e mod G` has its bit set
+    /// in `indicator`, built entry by entry.
+    fn group_mask(scheme: &GroupScheme, indicator: u32, total_entries: usize) -> EntryMask {
+        let mut mask = EntryMask::new(total_entries);
+        for e in 0..total_entries {
+            if indicator & (1 << (e % scheme.groups)) != 0 {
+                mask.set(e);
+            }
+        }
+        mask
+    }
+
+    /// `seq` with the low code bit of every base in `flipped` toggled.
+    fn flip_bases(seq: &PackedSeq, flipped: &[u32]) -> PackedSeq {
+        let mut codes: Vec<u8> = seq.iter().map(Base::code).collect();
+        for &i in flipped {
+            codes[i as usize] ^= 1;
+        }
+        codes.into_iter().map(Base::from_code).collect()
+    }
+
+    /// The same CAM over shared (image-style) planes.
+    fn shared_copy(cam: &Bcam, len: usize) -> Bcam {
+        use casa_genome::SliceView;
+        use std::sync::Arc;
+        let planes = SharedSlice::new(Arc::new(cam.planes().to_vec()) as Arc<dyn SliceView<u64>>);
+        let shared = Bcam::from_shared_planes(len, cam.entry_bases(), planes).unwrap();
+        assert!(shared.planes_shared());
+        shared
+    }
+
     #[test]
     fn paper_fig10_layout() {
         // Fig. 10 stores AACAT | TGTCA | CTTTC | ATAAC in 5-base entries.
@@ -896,8 +817,8 @@ mod tests {
                 .map(|c| Symbol::Base(Base::try_from(c).unwrap()))
                 .collect(),
         );
-        assert!(cam.entry_matches(2, &q));
-        assert!(!cam.entry_matches(0, &q));
+        let hits = search(&cam, &q, &EntryMask::all(4), &mut CamStats::default());
+        assert_eq!(hits, vec![2]);
     }
 
     #[test]
@@ -910,8 +831,8 @@ mod tests {
         let read = seq("GTC");
         let q = CamQuery::padded(&read, 0, 3, 1);
         assert_eq!(q.len(), 4);
-        assert_eq!(q.driven_columns(), 3);
-        let hits = cam.search(&q, &EntryMask::all(4), &mut CamStats::default());
+        assert_eq!(q.symbols()[0], Symbol::Any);
+        let hits = search(&cam, &q, &EntryMask::all(4), &mut CamStats::default());
         assert_eq!(hits, vec![1]);
     }
 
@@ -921,12 +842,12 @@ mod tests {
         let cam = Bcam::new(&s, 4); // 4 identical entries
         let q = CamQuery::padded(&s, 0, 4, 0);
         let mut st = CamStats::default();
-        let all = cam.search(&q, &EntryMask::all(4), &mut st);
+        let all = search(&cam, &q, &EntryMask::all(4), &mut st);
         assert_eq!(all, vec![0, 1, 2, 3]);
         let mut two = EntryMask::new(4);
         two.set(1);
         two.set(3);
-        let some = cam.search(&q, &two, &mut st);
+        let some = search(&cam, &q, &two, &mut st);
         assert_eq!(some, vec![1, 3]);
         assert_eq!(st.searches, 2);
         assert_eq!(st.rows_enabled, 6); // 4 + 2
@@ -941,12 +862,12 @@ mod tests {
         let mut st = CamStats::default();
         let q = CamQuery::padded(&seq("ACGG"), 0, 4, 0);
         assert_eq!(
-            cam.search(&q, &EntryMask::all(2), &mut st),
+            search(&cam, &q, &EntryMask::all(2), &mut st),
             Vec::<u32>::new()
         );
         // entry 1 is short: query "AC" matches, "ACXX->ACGT" does not.
         let q2 = CamQuery::padded(&seq("AC"), 0, 2, 0);
-        assert_eq!(cam.search(&q2, &EntryMask::all(2), &mut st), vec![0, 1]);
+        assert_eq!(search(&cam, &q2, &EntryMask::all(2), &mut st), vec![0, 1]);
     }
 
     #[test]
@@ -954,7 +875,11 @@ mod tests {
         let s = seq("ACGTACGT");
         let cam = Bcam::new(&s, 4);
         let q = CamQuery::padded(&s, 0, 5, 0);
-        assert!(!cam.entry_matches(0, &q));
+        let mut st = CamStats::default();
+        assert!(search(&cam, &q, &EntryMask::all(2), &mut st).is_empty());
+        let mut list_hits = Vec::new();
+        cam.search_list_into(&q, &[0, 1], &mut st, &mut list_hits);
+        assert!(list_hits.is_empty());
     }
 
     #[test]
@@ -964,23 +889,34 @@ mod tests {
         let q = CamQuery::new(vec![]);
         assert!(q.is_empty());
         let mut st = CamStats::default();
-        assert_eq!(cam.search(&q, &EntryMask::all(2), &mut st), vec![0, 1]);
+        assert_eq!(search(&cam, &q, &EntryMask::all(2), &mut st), vec![0, 1]);
         assert_eq!(st.matches, 2);
     }
 
     #[test]
     fn wildcards_are_not_driven() {
+        // A wildcard column matches whatever the entries store there.
         let q = CamQuery::new(vec![Symbol::Any, Symbol::Base(Base::A), Symbol::Any]);
-        assert_eq!(q.driven_columns(), 1);
         assert_eq!(q.len(), 3);
+        let cam = Bcam::new(&seq("CAGTAAGGG"), 3); // CAG | TAA | GGG
+        let hits = search(&cam, &q, &EntryMask::all(3), &mut CamStats::default());
+        assert_eq!(hits, vec![0, 1]);
     }
 
     #[test]
     fn group_scheme_round_robin() {
+        // Entry e sits in group e mod G: group 1 of 4 over 10 entries is
+        // entries 1, 5 and 9.
         let g = GroupScheme::new(4);
-        assert_eq!(g.group_of_entry(0), 0);
-        assert_eq!(g.group_of_entry(5), 1);
-        assert_eq!(g.group_of_entry(7), 3);
+        let cam = Bcam::new(&seq("ACGTACGTAC"), 1);
+        let mut loaded = LoadedMask::default();
+        cam.load_groups(&g, 1 << 1, &mut loaded);
+        let q = CamQuery::new(Vec::new());
+        let (mut st, mut hits) = (CamStats::default(), Vec::new());
+        cam.search_loaded_into(&q, &loaded, &mut CamScratch::default(), &mut st, &mut hits);
+        assert_eq!(hits, vec![1, 5, 9]);
+        assert_eq!(st.rows_enabled, 3);
+        assert_eq!(g.enabled_count(1 << 3, 10), 2);
     }
 
     #[test]
@@ -988,15 +924,12 @@ mod tests {
         let g = GroupScheme::new(5);
         for total in [0usize, 1, 7, 23, 100] {
             for indicator in [0u32, 0b1, 0b10101, 0b11111] {
-                let mask = g.mask_for_indicator(indicator, total);
+                let mask = group_mask(&g, indicator, total);
                 assert_eq!(
                     mask.count(),
                     g.enabled_count(indicator, total),
                     "total {total} ind {indicator:b}"
                 );
-                for e in mask.iter_ones() {
-                    assert!(indicator & (1 << g.group_of_entry(e)) != 0);
-                }
             }
         }
     }
@@ -1028,7 +961,7 @@ mod tests {
                 let cam = Bcam::new(&reference.subseq(0, entries), 1);
                 assert_eq!(cam.entries(), entries);
                 for &bits in &indicators {
-                    let mask = scheme.mask_for_indicator(bits, entries);
+                    let mask = group_mask(&scheme, bits, entries);
                     cam.load_mask(&mask, &mut expect);
                     cam.load_groups(&scheme, bits, &mut got);
                     let case = format!("G {groups}, {entries} entries, bits {bits:#x}");
@@ -1059,12 +992,12 @@ mod tests {
         mask.set(599);
         let q = CamQuery::new(vec![Symbol::Base(Base::A)]);
         let mut st = CamStats::default();
-        cam.search(&q, &mask, &mut st);
+        search(&cam, &q, &mask, &mut st);
         assert_eq!(st.arrays_activated, 3);
         assert_eq!(st.rows_enabled, 3);
         // Full-array search touches all 3 arrays.
         let mut st = CamStats::default();
-        cam.search(&q, &EntryMask::all(600), &mut st);
+        search(&cam, &q, &EntryMask::all(600), &mut st);
         assert_eq!(st.arrays_activated, 3);
     }
 
@@ -1082,7 +1015,7 @@ mod tests {
         let rb = b.inject_faults(&model);
         assert_eq!(ra, rb);
         assert!(ra.sites() > 0, "expected some fault sites at these rates");
-        assert_eq!(a.seq(), b.seq());
+        assert_eq!(a.planes(), b.planes());
         // A different seed picks different sites.
         let rc = Bcam::new(&s, 5).inject_faults(&CamFaultModel { seed: 43, ..model });
         assert_ne!(ra, rc);
@@ -1103,14 +1036,14 @@ mod tests {
         // Query that matches every healthy entry.
         let q = CamQuery::padded(&s, 0, 4, 0);
         let mut st = CamStats::default();
-        let hits = cam.search(&q, &EntryMask::all(10), &mut st);
+        let hits = search(&cam, &q, &EntryMask::all(10), &mut st);
         for z in &report.stuck_zero {
             assert!(!hits.contains(z), "stuck-zero entry {z} matched");
         }
         // Query that matches no healthy entry: only stuck-one lines fire.
         let t: PackedSeq = std::iter::repeat_n(Base::T, 4).collect();
         let q = CamQuery::padded(&t, 0, 4, 0);
-        let hits = cam.search(&q, &EntryMask::all(10), &mut st);
+        let hits = search(&cam, &q, &EntryMask::all(10), &mut st);
         assert_eq!(hits, report.stuck_one);
     }
 
@@ -1124,14 +1057,26 @@ mod tests {
             flip_rate: 0.02,
         });
         assert!(!report.flipped_bases.is_empty());
-        for &i in &report.flipped_bases {
-            assert_ne!(cam.seq().base(i as usize), Base::G);
+        // A flipped G reads as T; every other cell still stores G. So a
+        // one-column query for T at column c hits exactly the entries
+        // with a flip at offset c.
+        for col in 0..5 {
+            let mut symbols = vec![Symbol::Any; col];
+            symbols.push(Symbol::Base(Base::T));
+            let hits = search(
+                &cam,
+                &CamQuery::new(symbols),
+                &EntryMask::all(cam.entries()),
+                &mut CamStats::default(),
+            );
+            let expect: Vec<u32> = report
+                .flipped_bases
+                .iter()
+                .filter(|&&i| i as usize % 5 == col)
+                .map(|&i| i / 5)
+                .collect();
+            assert_eq!(hits, expect, "column {col}");
         }
-        // Unflipped bases are untouched.
-        assert_eq!(
-            cam.seq().iter().filter(|&b| b != Base::G).count(),
-            report.flipped_bases.len()
-        );
     }
 
     #[test]
@@ -1140,7 +1085,54 @@ mod tests {
         let mut cam = Bcam::new(&s, 4);
         let report = cam.inject_faults(&CamFaultModel::default());
         assert_eq!(report, CamFaultReport::default());
-        assert_eq!(cam.seq(), &s);
+        assert_eq!(cam.planes(), Bcam::new(&s, 4).planes());
+    }
+
+    /// A bit flip moves the cell's bit to its neighbour plane: after one
+    /// or two injections in a row, on owned planes and on planes shared
+    /// from an image (detached copy-on-write), the planes equal those
+    /// [`Bcam::new`] builds over the sequence with every reported flip
+    /// applied — strides that do and do not divide the length, and a
+    /// second model whose flips overlap the first's.
+    #[test]
+    fn flipped_planes_equal_planes_built_from_the_flipped_sequence() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf1a9);
+        let reference: PackedSeq = (0..3_001)
+            .map(|_| Base::from_code(rng.gen_range(0..4)))
+            .collect();
+        let models = [
+            CamFaultModel {
+                seed: 5,
+                stuck_rate: 0.02,
+                flip_rate: 0.03,
+            },
+            CamFaultModel {
+                seed: 6,
+                stuck_rate: 0.0,
+                flip_rate: 0.5,
+            },
+        ];
+        for stride in [1, 7, 40] {
+            let built = Bcam::new(&reference, stride);
+            for storage in ["owned", "shared"] {
+                for rounds in [1, 2] {
+                    let mut cam = match storage {
+                        "owned" => built.clone(),
+                        _ => shared_copy(&built, reference.len()),
+                    };
+                    let mut expect = reference.clone();
+                    for model in &models[..rounds] {
+                        let report = cam.inject_faults(model);
+                        assert!(!report.flipped_bases.is_empty());
+                        expect = flip_bases(&expect, &report.flipped_bases);
+                    }
+                    let case = format!("stride {stride}, {storage}, {rounds} round(s)");
+                    assert!(!cam.planes_shared(), "{case}: flips detach the planes");
+                    assert_eq!(cam.planes(), Bcam::new(&expect, stride).planes(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1156,12 +1148,10 @@ mod tests {
         for backend in KernelBackend::supported() {
             let mut scratch = CamScratch::new(backend);
             let mut stats = CamStats::default();
-            let mut expect = Vec::new();
-            for q in &queries {
-                let mut one = Vec::new();
-                cam.search_into(q, &enabled, &mut scratch, &mut stats, &mut one);
-                expect.push(one);
-            }
+            let expect: Vec<Vec<u32>> = queries
+                .iter()
+                .map(|q| search_on(&cam, q, &enabled, &mut scratch, &mut stats))
+                .collect();
             assert_eq!(hits, expect, "backend {backend}");
             assert_eq!(batch_stats, stats, "backend {backend}");
         }
@@ -1200,9 +1190,8 @@ mod tests {
         for cam in [Bcam::new(&big, 4), Bcam::new(&small, 4), Bcam::new(&big, 4)] {
             let enabled = EntryMask::all(cam.entries());
             let (mut a, mut b) = (CamStats::default(), CamStats::default());
-            let (mut reused, mut fresh) = (Vec::new(), Vec::new());
-            cam.search_into(&q, &enabled, &mut shared, &mut a, &mut reused);
-            cam.search_into(&q, &enabled, &mut CamScratch::default(), &mut b, &mut fresh);
+            let reused = search_on(&cam, &q, &enabled, &mut shared, &mut a);
+            let fresh = search_on(&cam, &q, &enabled, &mut CamScratch::default(), &mut b);
             assert_eq!(reused, fresh);
             assert_eq!(a, b);
         }

@@ -3,9 +3,9 @@
 //! Models the paper's §2.3 / Fig. 4 NOR-type BCAM at the level the
 //! cycle/energy simulator needs:
 //!
-//! * [`Bcam`] — entries of packed DNA bases, parallel match against a
-//!   wildcard-padded [`CamQuery`], per-search activity counters booked
-//!   into the caller's [`CamStats`];
+//! * [`Bcam`] — entries of packed DNA bases held as per-(column, base)
+//!   bit planes, parallel match against a wildcard-padded [`CamQuery`],
+//!   per-search activity counters booked into the caller's [`CamStats`];
 //! * [`EntryMask`] — entry-level power gating (only enabled rows search);
 //! * [`GroupScheme`] — CASA's group-level gating (§3 "CAM Grouping"),
 //!   loaded straight from an indicator's group bits by
@@ -20,9 +20,9 @@
 //! let reference = PackedSeq::from_ascii(b"ACGTACGTTTTTGGGGCCCC")?;
 //! let cam = Bcam::new(&reference, 4);
 //! let scheme = GroupScheme::new(2);
-//! // k-mer TTTT lives at position 8 -> entry 2 -> group 0.
+//! // k-mer TTTT lives at position 8 -> entry 2 -> group 2 mod 2 = 0.
 //! let mut loaded = LoadedMask::default();
-//! cam.load_groups(&scheme, 1 << scheme.group_of_entry(8 / 4), &mut loaded);
+//! cam.load_groups(&scheme, 1 << 0, &mut loaded);
 //! let q = CamQuery::padded(&reference, 8, 4, 0);
 //! let (mut stats, mut hits) = (CamStats::default(), Vec::new());
 //! cam.search_loaded_into(&q, &loaded, &mut CamScratch::default(), &mut stats, &mut hits);

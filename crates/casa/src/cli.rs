@@ -13,13 +13,15 @@ use std::time::{Duration, Instant};
 
 use casa_align::aligner::{align_read, AlignConfig};
 use casa_core::{
-    BackendKind, CancelToken, CasaConfig, CheckpointError, FaultPlan, KernelBackend, LoadedIndex,
+    BackendKind, CancelToken, CheckpointError, FaultPlan, KernelBackend, LoadedIndex,
     SeedingSession, StrandedRun, StreamBatch, StreamConfig, StreamError, StreamingSession,
 };
 use casa_genome::fasta::{FastaError, FastaRecord, FastaStream, NPolicy};
 use casa_genome::fastq::{FastqError, FastqRecord, FastqStream};
 use casa_genome::sam::{write_sam, write_sam_header, SamFormatter, SamRecord, FLAG_REVERSE};
 use casa_genome::{Base, PackedSeq};
+
+use crate::seeder::derive_config;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
@@ -459,7 +461,7 @@ fn prepare_session(
         // its tables from the mapping.
         Some(index) => SeedingSession::from_image(index, workers, plan, backend)?,
         None => {
-            let config = build_config(options, reference, read_len)?;
+            let config = derive_config(reference.len(), options.partition_len, read_len)?;
             SeedingSession::with_backend(reference, config, workers, plan, backend)?
         }
     };
@@ -489,39 +491,26 @@ fn prepare_session(
     Ok((session, "mapped", micros))
 }
 
-/// Derives the accelerator configuration from the reference and read
-/// lengths.
-fn build_config(
-    options: &Options,
-    reference: &PackedSeq,
-    read_len: usize,
-) -> Result<CasaConfig, CliError> {
-    let part_len = options
-        .partition_len
-        .min(reference.len().saturating_sub(1).max(1));
-    Ok(CasaConfig::builder()
-        .partition_len(part_len)
-        .read_len(read_len.max(2))
-        .build()?)
-}
-
 /// Renders one read's seeds as TSV lines onto `dump`.
 fn dump_seeds(dump: &mut String, name: &str, reverse: bool, smems: &[casa_index::Smem]) {
     use std::fmt::Write as _;
+    let strand = if reverse { '-' } else { '+' };
     for s in smems {
-        let _ = writeln!(
-            dump,
-            "{}\t{}\t{}\t{}\t{}",
-            name,
-            if reverse { '-' } else { '+' },
-            s.read_start,
-            s.read_end,
-            s.hits
-                .iter()
-                .map(|h| h.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        let _ = write!(dump, "{name}\t{strand}\t{}\t{}\t", s.read_start, s.read_end);
+        write_hits(dump, &s.hits);
+        dump.push('\n');
+    }
+}
+
+/// Appends an SMEM's hits to `out` as comma-separated decimal positions —
+/// the hit column of the CLI's seed dump and of `casa-serve`'s TSV.
+pub(crate) fn write_hits(out: &mut String, hits: &[u32]) {
+    use std::fmt::Write as _;
+    for (i, h) in hits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{h}");
     }
 }
 
@@ -953,11 +942,7 @@ pub fn run_index<W: Write>(cmd: &IndexCommand, mut out: W) -> Result<(), CliErro
             read_len,
         } => {
             let record = load_reference(reference)?;
-            let part_len = (*partition_len).min(record.seq.len().saturating_sub(1).max(1));
-            let config = CasaConfig::builder()
-                .partition_len(part_len)
-                .read_len((*read_len).max(2))
-                .build()?;
+            let config = derive_config(record.seq.len(), *partition_len, *read_len)?;
             let report = casa_core::build_index_image(&record.seq, config, image_path)
                 .map_err(casa_core::Error::from)?;
             let micros = report.elapsed.as_micros() as u64;

@@ -34,6 +34,26 @@ use casa_core::{
 };
 use casa_genome::PackedSeq;
 
+/// The paper design point for a reference of `reference_len` bases cut
+/// into partitions of `partition_len` (clamped below the reference
+/// length) and reads of `read_len` (at least 2) — the configuration
+/// [`SeederBuilder`], `casa-seed` and `casa-seed index build` derive.
+///
+/// # Errors
+///
+/// The [`ConfigError`](casa_core::ConfigError) of an inconsistent
+/// geometry, such as reads longer than the partitions.
+pub(crate) fn derive_config(
+    reference_len: usize,
+    partition_len: usize,
+    read_len: usize,
+) -> Result<CasaConfig, casa_core::ConfigError> {
+    CasaConfig::builder()
+        .partition_len(partition_len.min(reference_len.saturating_sub(1).max(1)))
+        .read_len(read_len.max(2))
+        .build()
+}
+
 /// Configures and builds a [`Seeder`]. Created by [`Seeder::builder`].
 ///
 /// Geometry comes either from an explicit [`config`](Self::config) or from
@@ -137,15 +157,7 @@ impl<'a> SeederBuilder<'a> {
     pub fn build(self) -> Result<Seeder, Error> {
         let config = match self.config {
             Some(config) => config,
-            None => {
-                let part_len = self
-                    .partition_len
-                    .min(self.reference.len().saturating_sub(1).max(1));
-                CasaConfig::builder()
-                    .partition_len(part_len)
-                    .read_len(self.read_len.max(2))
-                    .build()?
-            }
+            None => derive_config(self.reference.len(), self.partition_len, self.read_len)?,
         };
         let (backend, plan, workers) = env_defaults(self.backend, self.fault_plan, self.workers)?;
         let mut session =

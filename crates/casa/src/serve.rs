@@ -1157,17 +1157,9 @@ fn render_smems(out: &mut String, smems: &[Vec<Smem>]) {
     use std::fmt::Write as _;
     for (ri, read_smems) in smems.iter().enumerate() {
         for s in read_smems {
-            let _ = writeln!(
-                out,
-                "{ri}\t{}\t{}\t{}",
-                s.read_start,
-                s.read_end,
-                s.hits
-                    .iter()
-                    .map(|h| h.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
+            let _ = write!(out, "{ri}\t{}\t{}\t", s.read_start, s.read_end);
+            crate::cli::write_hits(out, &s.hits);
+            out.push('\n');
         }
     }
 }

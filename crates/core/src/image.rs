@@ -292,12 +292,11 @@ impl LoadedIndex {
             .image
             .u64_view(SectionKind::CamPlanes, p.index as u32)
             .ok_or_else(|| missing("CAM planes", p.index))?;
-        let cam =
-            Bcam::from_shared_planes(&p.seq, config.filter.stride, planes).map_err(|what| {
-                Error::Image {
-                    what: format!("partition {}: {what}", p.index),
-                }
-            })?;
+        let cam = Bcam::from_shared_planes(p.seq.len(), config.filter.stride, planes).map_err(
+            |what| Error::Image {
+                what: format!("partition {}: {what}", p.index),
+            },
+        )?;
         let index = CamIndex::with_filter(Arc::clone(filter), p.index, cam, config)
             .map_err(Error::Config)?;
         Ok(Box::new(index))

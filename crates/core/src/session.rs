@@ -37,18 +37,23 @@
 //!   batch or of concurrent batches, seed one partition at once;
 //! * a batch is cut into fixed 64-read tiles whatever the worker count,
 //!   so crash faults, which are hashed per (partition, tile, attempt),
-//!   land on the same attempts — and book the same recovery counters —
-//!   at every worker count, as long as no partition is quarantined.
+//!   land on the same attempts at every worker count; and quarantine
+//!   takes effect from a snapshot taken when the batch starts, so every
+//!   tile of a partition that fails during the batch still makes all its
+//!   attempts. The recovery counters — retries, cross-check mismatches,
+//!   fallbacks, quarantines — are then a function of the plan and the
+//!   batch too, equal at every worker count.
 //!
 //! # Fault tolerance
 //!
 //! Every job runs inside `catch_unwind` and is retried with capped backoff
 //! up to [`FaultPlan::max_retries`] times; when a tile's attempts are
-//! exhausted its partition is **quarantined** and every read of every tile
-//! of that partition is re-seeded through the FM-index golden model
-//! ([`casa_index::smem::smems_unidirectional`]), whose per-partition output
-//! the engine is proven bit-identical to by the `casa_equals_golden_*`
-//! tests — so recovered batches keep their exact output. A seeded
+//! exhausted its reads are re-seeded through the FM-index golden model
+//! ([`casa_index::smem::smems_unidirectional`]) and its partition is
+//! **quarantined**: from the next batch on, every tile of that partition
+//! goes straight to the golden model. The `casa_equals_golden_*` tests
+//! prove the engine bit-identical to the golden model's per-partition
+//! output, so recovered batches keep their exact output. A seeded
 //! [`FaultPlan`] can inject tile panics/stalls and hardware faults
 //! (CAM stuck-at lines, CAM/filter bit flips) to exercise these paths
 //! deterministically, plus a sampled golden cross-check that catches
@@ -816,28 +821,31 @@ impl SeedingSession {
     /// attempts with capped backoff, then quarantine the partition and
     /// fall back to the golden model. Only the successful attempt's
     /// stats are merged, so failed attempts never skew the activity
-    /// counters.
+    /// counters. A partition in `quarantined_at_start` (the flags as the
+    /// batch began) goes straight to the fallback; one quarantined
+    /// during the batch does not, so what a tile attempts never depends
+    /// on how far other workers got.
     fn run_tile(
         &self,
         job: Job,
+        quarantined_at_start: &[bool],
         lane: &mut Lane,
         tile: &[PackedSeq],
         codes: &Arc<TileKmerCodes>,
         stats: &mut SeedingStats,
     ) -> Vec<Vec<Smem>> {
         let Job { pi, ti, .. } = job;
-        let attempts = self.plan.max_retries.saturating_add(1);
+        let attempts = if quarantined_at_start[pi] {
+            0
+        } else {
+            self.plan.max_retries.saturating_add(1)
+        };
         for attempt in 0..attempts {
             if self.is_cancelled() {
                 // The batch is being abandoned: hand back a placeholder
                 // (the caller discards every result on cancellation) and
                 // never route a cancelled tile into the golden fallback.
                 return vec![Vec::new(); tile.len()];
-            }
-            if self.quarantined[pi].load(Ordering::Relaxed) {
-                // The partition already failed elsewhere; skip the doomed
-                // attempts and go straight to the fallback.
-                break;
             }
             match self.guarded_attempt(job, attempt, lane, tile, codes) {
                 AttemptOutcome::Done(out, attempt_stats) => {
@@ -871,6 +879,10 @@ impl SeedingSession {
                 // `FaultPlan::retry_backoff`).
                 std::thread::sleep(self.plan.retry_backoff(pi, ti, attempt));
             }
+        }
+        if self.is_cancelled() {
+            // As above: a cancelled tile never reaches the fallback.
+            return vec![Vec::new(); tile.len()];
         }
         if !self.quarantined[pi].swap(true, Ordering::Relaxed) {
             stats.partitions_quarantined += 1;
@@ -967,8 +979,15 @@ impl SeedingSession {
         let nparts = self.backends.len();
         let ntiles = reads.len().div_ceil(TILE_READS);
         let tile_of = |ti: usize| &reads[ti * TILE_READS..((ti + 1) * TILE_READS).min(reads.len())];
-        // Read once per batch: this batch's lanes carry it.
+        // Read once per batch: this batch's lanes carry the profiling
+        // switch, and its tiles skip only partitions quarantined before
+        // it began.
         let profiling = self.profiling();
+        let quarantined_at_start: Vec<bool> = self
+            .quarantined
+            .iter()
+            .map(|q| q.load(Ordering::Relaxed))
+            .collect();
 
         // Workers claim tiles off a shared counter, each on its own lane
         // and tile buffers, and seed a tile against every partition in
@@ -997,7 +1016,14 @@ impl SeedingSession {
                             ti,
                             read_offset: ti * TILE_READS,
                         };
-                        self.run_tile(job, &mut lane, tile, &codes, &mut stats)
+                        self.run_tile(
+                            job,
+                            &quarantined_at_start,
+                            &mut lane,
+                            tile,
+                            &codes,
+                            &mut stats,
+                        )
                     })
                     .collect();
                 done.push((ti, outs));

@@ -5,10 +5,11 @@
 //! `recv_timeout` expires: the guarded job keeps running to completion in
 //! the background, but its result is discarded (the channel send fails
 //! silently) and the scheduler immediately moves on to the retry. This is
-//! sound here because a tile attempt's only shared side effects are the
-//! partition engine's cumulative activity counters, and the session's
-//! delta-based accounting explicitly tolerates counters advanced by an
-//! abandoned attempt (see the `session` module docs).
+//! sound here because a tile attempt has no shared side effects: the
+//! partition backends it reads are immutable, and everything it writes —
+//! its lane, its SMEMs, its stats — it owns and hands back only through
+//! the result an abandoned attempt never delivers (see the `session`
+//! module docs).
 //!
 //! # Guard-thread lifecycle
 //!

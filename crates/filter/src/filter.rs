@@ -386,6 +386,21 @@ fn row_indicator(row: &Row) -> SearchIndicator {
     }
 }
 
+/// The rows of a tag-sorted (sub-)bucket whose tag is `tag`: how many
+/// there are (each a data read) and the OR of their indicators. The one
+/// matcher of per-code lookups and of the sparse pass's bisected slots.
+#[inline(always)]
+fn match_bucket(bucket: &[Row], tag: u32) -> (u64, SearchIndicator) {
+    let first = bucket.partition_point(|r| row_tag(r) < tag);
+    let mut si = SearchIndicator::EMPTY;
+    let mut reads = 0;
+    for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
+        reads += 1;
+        si.merge(row_indicator(row));
+    }
+    (reads, si)
+}
+
 /// Rows (k-mer occurrences) of a partition of `len` bases.
 fn partition_rows(len: usize, k: usize) -> usize {
     (len + 1).saturating_sub(k)
@@ -861,13 +876,8 @@ impl PreSeedingFilter {
         stats.tag_searches += 1;
         stats.tag_rows_enabled += (hi - lo) as u64;
         stats.tag_physical_rows += self.layouts[part].physical_rows(hi - lo) as u64;
-        let bucket = &self.table()[lo..hi];
-        let first = bucket.partition_point(|r| row_tag(r) < tag);
-        let mut si = SearchIndicator::EMPTY;
-        for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
-            stats.data_reads += 1;
-            si.merge(row_indicator(row));
-        }
+        let (reads, si) = match_bucket(&self.table()[lo..hi], tag);
+        stats.data_reads += reads;
         if !si.is_empty() {
             stats.hits += 1;
         }
@@ -901,38 +911,22 @@ impl PreSeedingFilter {
     /// sparse pass ([`lookup_sparse_into`](Self::lookup_sparse_into))
     /// with its hits scattered into a dense table.
     pub fn lookup_codes_into(&self, codes: &[u64], out: &mut Vec<SearchIndicator>) -> FilterStats {
-        let mut per_part = Vec::new();
-        self.lookup_grouped_into(codes, &[0, codes.len()], out, &mut per_part);
-        per_part.iter().fold(FilterStats::default(), |mut sum, s| {
-            sum.merge(s);
-            sum
-        })
-    }
-
-    /// [`lookup_codes_into`](Self::lookup_codes_into) for codes in
-    /// consecutive groups, booking group `g`'s activity in partition `p`
-    /// in `stats[g · P + p]` (cleared first).
-    fn lookup_grouped_into(
-        &self,
-        codes: &[u64],
-        bounds: &[usize],
-        out: &mut Vec<SearchIndicator>,
-        stats: &mut Vec<FilterStats>,
-    ) {
         let mut pass = SparsePass::default();
-        self.lookup_sparse_into(codes, bounds, &mut pass);
+        self.lookup_sparse_into(codes, &[0, codes.len()], &mut pass);
         let n = codes.len();
         out.clear();
         out.resize(self.partitions() * n, SearchIndicator::EMPTY);
-        for (g, &first) in bounds[..bounds.len() - 1].iter().enumerate() {
-            for p in 0..self.partitions() {
-                for hit in pass.hits(g, p) {
-                    out[p * n + first + hit.code as usize] = hit.indicator;
-                }
+        for p in 0..self.partitions() {
+            for hit in pass.hits(0, p) {
+                out[p * n + hit.code as usize] = hit.indicator;
             }
         }
-        stats.clear();
-        stats.extend_from_slice(&pass.stats);
+        pass.stats
+            .iter()
+            .fold(FilterStats::default(), |mut sum, s| {
+                sum.merge(s);
+                sum
+            })
     }
 
     /// The sparse pre-seeding pass: looks a batch of pre-computed k-mer
@@ -1055,12 +1049,7 @@ impl PreSeedingFilter {
                 } else {
                     for p in 0..parts {
                         let bucket = &table[sub[p] as usize..sub[p + 1] as usize];
-                        let first = bucket.partition_point(|r| row_tag(r) < tag);
-                        let (mut reads, mut si) = (0, SearchIndicator::EMPTY);
-                        for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
-                            reads += 1;
-                            si.merge(row_indicator(row));
-                        }
+                        let (reads, si) = match_bucket(bucket, tag);
                         if reads > 0 {
                             hit(p, reads, si);
                         }
@@ -1157,6 +1146,34 @@ impl PreSeedingFilter {
 mod tests {
     use super::*;
     use casa_genome::synth::{generate_reference, ReferenceProfile};
+
+    impl PreSeedingFilter {
+        /// [`lookup_codes_into`](Self::lookup_codes_into) for codes in
+        /// consecutive groups, booking group `g`'s activity in partition
+        /// `p` in `stats[g · P + p]` (cleared first).
+        fn lookup_grouped_into(
+            &self,
+            codes: &[u64],
+            bounds: &[usize],
+            out: &mut Vec<SearchIndicator>,
+            stats: &mut Vec<FilterStats>,
+        ) {
+            let mut pass = SparsePass::default();
+            self.lookup_sparse_into(codes, bounds, &mut pass);
+            let n = codes.len();
+            out.clear();
+            out.resize(self.partitions() * n, SearchIndicator::EMPTY);
+            for (g, &first) in bounds[..bounds.len() - 1].iter().enumerate() {
+                for p in 0..self.partitions() {
+                    for hit in pass.hits(g, p) {
+                        out[p * n + first + hit.code as usize] = hit.indicator;
+                    }
+                }
+            }
+            stats.clear();
+            stats.extend_from_slice(&pass.stats);
+        }
+    }
 
     fn seq(s: &str) -> PackedSeq {
         PackedSeq::from_ascii(s.as_bytes()).unwrap()

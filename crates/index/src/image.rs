@@ -661,16 +661,6 @@ impl IndexImage {
             if end > total_len {
                 return Err(ImageError::Truncated("section payload"));
             }
-            if verify == VerifyMode::Full {
-                let region = &bytes[byte_off as usize..(byte_off + padded) as usize];
-                let computed = match cast::u64s(region) {
-                    Some(words) => fnv1a_words(words),
-                    None => fnv1a_words_of_bytes(region),
-                };
-                if computed != checksum {
-                    return Err(ImageError::BadChecksum("section payload"));
-                }
-            }
             sections.push(SectionInfo {
                 kind,
                 partition,
@@ -682,19 +672,25 @@ impl IndexImage {
         }
 
         let aligned = (bytes.as_ptr() as usize).is_multiple_of(8);
-        Ok(IndexImage {
+        let mut image = IndexImage {
             map,
             path,
             fingerprint,
             config,
             sections,
             aligned,
-            payloads_verified: verify == VerifyMode::Full,
-        })
+            payloads_verified: false,
+        };
+        if verify == VerifyMode::Full {
+            image.verify_payloads()?;
+        }
+        Ok(image)
     }
 
     /// Runs the payload checksums a [`VerifyMode::Meta`] open skipped
-    /// (idempotent; a no-op after a [`VerifyMode::Full`] open).
+    /// (idempotent; a no-op after a [`VerifyMode::Full`] open, which runs
+    /// them here too). Each section's region is its payload padded to a
+    /// `u64` multiple; the section table checks kept it in the file.
     ///
     /// # Errors
     ///

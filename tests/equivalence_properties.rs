@@ -5,7 +5,7 @@
 //! * the CAM padding equivalence of Fig. 7;
 //! * SMEM structural invariants (maximality, non-containment).
 
-use casa::cam::{Bcam, CamQuery, CamStats, EntryMask};
+use casa::cam::{Bcam, CamQuery, CamScratch, CamStats, EntryMask, LoadedMask};
 use casa::core::{CasaConfig, PartitionEngine, SeedingStats};
 use casa::filter::{FilterConfig, FilterStats, PreSeedingFilter};
 use casa::genome::{Base, PackedSeq};
@@ -109,12 +109,15 @@ proptest! {
         let start = start % text.len().saturating_sub(len + 1).max(1);
         let pattern = text.subseq(start.min(text.len() - len), len);
         let entries = cam.entries();
+        let mut loaded = LoadedMask::default();
+        cam.load_mask(&EntryMask::all(entries), &mut loaded);
+        let (mut scratch, mut hits) = (CamScratch::default(), Vec::new());
         for p in 0..stride.min(stride) {
             if p + len > stride {
                 break; // pattern would spill into the next entry
             }
             let q = CamQuery::padded(&pattern, 0, len, p);
-            let hits = cam.search(&q, &EntryMask::all(entries), &mut CamStats::default());
+            cam.search_loaded_into(&q, &loaded, &mut scratch, &mut CamStats::default(), &mut hits);
             let expected: Vec<u32> = (0..entries)
                 .filter(|&e| {
                     let pos = e * stride + p;
@@ -122,7 +125,7 @@ proptest! {
                 })
                 .map(|e| e as u32)
                 .collect();
-            prop_assert_eq!(hits, expected, "pad {}", p);
+            prop_assert_eq!(&hits, &expected, "pad {}", p);
         }
     }
 

@@ -9,14 +9,15 @@
 //! * the partition backends, built from the reference or mapped from an
 //!   index image on up to `workers` threads, come out the same at every
 //!   worker count: same fault sites, SMEMs and stats;
-//! * a batch is cut into the same tiles at every worker count, so crash
-//!   faults that never exhaust their retries book the same full stats,
-//!   recovery counters included, at 1, 2 and 8 workers;
+//! * a batch is cut into the same tiles at every worker count, and
+//!   quarantine takes effect from the batch's start, so crash faults and
+//!   silent faults — whether or not they exhaust their retries — book the
+//!   same full stats, recovery counters included, at 1, 2 and 8 workers;
 //! * a malformed `CASA_FAULT_SEED` makes `casa-seed` and `casa-serve`
 //!   fail naming the variable, instead of running fault-free.
 
 use casa::core::{
-    build_index_image, BackendKind, CasaConfig, FaultPlan, LoadedIndex, SeedingSession,
+    build_index_image, BackendKind, CasaConfig, CasaRun, FaultPlan, LoadedIndex, SeedingSession,
 };
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
@@ -138,6 +139,44 @@ fn parallel_session_build_is_deterministic_under_hardware_faults() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Seeds `reads` under `plan` in fresh sessions at 1, 2 and 8 workers,
+/// asserts the SMEMs and the full stats — recovery counters included —
+/// equal at every worker count, and returns the 1-worker run.
+fn run_at_every_worker_count(
+    reference: &PackedSeq,
+    config: CasaConfig,
+    reads: &[PackedSeq],
+    plan: FaultPlan,
+) -> CasaRun {
+    let runs = [1usize, 2, 8].map(|workers| {
+        let session =
+            SeedingSession::with_fault_plan(reference, config, workers, plan).expect("valid plan");
+        (workers, session.seed_reads(reads))
+    });
+    let (_, first) = &runs[0];
+    for (workers, run) in &runs[1..] {
+        assert_eq!(
+            run.smems, first.smems,
+            "{plan:?}: SMEMs at {workers} workers"
+        );
+        assert_eq!(
+            run.stats, first.stats,
+            "{plan:?}: stats at {workers} workers"
+        );
+    }
+    let [(_, first), ..] = runs;
+    first
+}
+
+/// 240 reads: four 64-read tiles, the last one short.
+fn recovery_reads(reference: &PackedSeq) -> Vec<PackedSeq> {
+    ReadSimulator::new(ReadSimConfig::default(), 29)
+        .simulate(reference, 240)
+        .into_iter()
+        .map(|r| r.seq)
+        .collect()
+}
+
 #[test]
 fn crash_recovery_stats_do_not_depend_on_worker_count() {
     // Tiling fixes where (partition, tile, attempt)-hashed crash faults
@@ -145,11 +184,7 @@ fn crash_recovery_stats_do_not_depend_on_worker_count() {
     // quarantined, so every counter — retries included — is a function
     // of the batch alone, not of how many workers share its tiles.
     let (reference, _, config) = workload();
-    let reads: Vec<PackedSeq> = ReadSimulator::new(ReadSimConfig::default(), 29)
-        .simulate(&reference, 240)
-        .into_iter()
-        .map(|r| r.seq)
-        .collect();
+    let reads = recovery_reads(&reference);
     let panics = FaultPlan {
         seed: 17,
         tile_panic_rate: 0.2,
@@ -157,24 +192,60 @@ fn crash_recovery_stats_do_not_depend_on_worker_count() {
         ..FaultPlan::default()
     };
     for plan in [FaultPlan::ci_plan(42), panics] {
-        let runs = [1usize, 2, 8].map(|workers| {
-            let session = SeedingSession::with_fault_plan(&reference, config, workers, plan)
-                .expect("valid plan");
-            (workers, session.seed_reads(&reads))
-        });
-        let (_, first) = &runs[0];
+        let first = run_at_every_worker_count(&reference, config, &reads, plan);
         assert!(first.stats.tile_retries > 0, "{plan:?}: panics should fire");
         assert_eq!(first.stats.partitions_quarantined, 0, "{plan:?}");
-        for (workers, run) in &runs[1..] {
-            assert_eq!(
-                run.smems, first.smems,
-                "{plan:?}: SMEMs at {workers} workers"
-            );
-            assert_eq!(
-                run.stats, first.stats,
-                "{plan:?}: stats at {workers} workers"
-            );
-        }
+    }
+}
+
+#[test]
+fn quarantine_recovery_stats_do_not_depend_on_worker_count() {
+    // Quarantine takes effect from a snapshot of the flags taken as the
+    // batch starts, so a partition that fails during the batch still has
+    // every one of its tiles make all their attempts: the recovery
+    // counters stay a function of the plan and the batch.
+    let (reference, _, config) = workload();
+    let reads = recovery_reads(&reference);
+    let tiles = reads.len().div_ceil(64) as u64;
+    let clean = SeedingSession::with_fault_plan(&reference, config, 1, FaultPlan::default())
+        .expect("valid config")
+        .seed_reads(&reads);
+
+    // Every attempt panics. `partition=` gates hardware faults only, so
+    // the panics fire on every partition, and every partition exhausts
+    // its retries on every tile of the batch.
+    let exhausting = FaultPlan::parse("seed=13,panic=1.0,retries=2,partition=0").unwrap();
+    let parts = SeedingSession::with_fault_plan(&reference, config, 1, exhausting)
+        .expect("valid plan")
+        .partition_count() as u64;
+    let run = run_at_every_worker_count(&reference, config, &reads, exhausting);
+    assert_eq!(run.smems, clean.smems, "fallback restores the output");
+    assert_eq!(run.stats.tile_retries, parts * tiles * 3);
+    assert_eq!(run.stats.partitions_quarantined, parts);
+    assert_eq!(run.stats.fallback_reads, parts * reads.len() as u64);
+
+    // Silent corruption confined to partition 0, every read
+    // cross-checked: each of its tiles mismatches on every attempt.
+    let silent = FaultPlan {
+        seed: 7,
+        cam_stuck_rate: 0.3,
+        cam_flip_rate: 2e-3,
+        filter_flip_rate: 1e-3,
+        cross_check_fraction: 1.0,
+        max_retries: 1,
+        only_partition: Some(0),
+        ..FaultPlan::default()
+    };
+    let run = run_at_every_worker_count(&reference, config, &reads, silent);
+    assert_eq!(run.smems, clean.smems, "fallback restores the output");
+    assert!(run.stats.crosscheck_reads > 0);
+    if matches!(
+        BackendKind::from_env(),
+        Ok(None) | Ok(Some(BackendKind::Cam))
+    ) {
+        // Hardware faults exist only on the CAM backend.
+        assert!(run.stats.crosscheck_mismatches > 0);
+        assert_eq!(run.stats.partitions_quarantined, 1);
     }
 }
 
