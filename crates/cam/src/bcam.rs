@@ -30,6 +30,17 @@
 //!
 //! Both end in the same fault-aware hit extraction, and every search
 //! produces the hits and [`CamStats`] it would over the equivalent mask.
+//!
+//! A search that powers whole groups but whose hits the caller can bound
+//! — the seeding engine knows from the pre-seeding filter where a query's
+//! first bases occur — runs as a third form:
+//! [`Bcam::search_candidates_into`] evaluates only the listed candidate
+//! entries, as a list search does, yet books what the group search books
+//! ([`Bcam::group_cost`]: the rows and arrays of [`Bcam::load_groups`]'s
+//! mask, from the group bits alone). Its hits equal the group search's
+//! exactly when the candidates include every entry of the groups the
+//! query matches, which only holds on a CAM without injected faults: a
+//! stuck-one line or a flipped cell matches where the reference does not.
 //! The entry-at-a-time oracle the kernels are checked against lives in the
 //! tests: it evaluates the partition with a [`CamFaultReport`] applied
 //! and never reads the planes.
@@ -277,6 +288,22 @@ pub struct Bcam {
     /// can skip the stuck-at override formula (it degenerates to the
     /// match-line words themselves).
     has_stuck: bool,
+    /// Whether any fault site (stuck-at or bit flip) exists.
+    faulted: bool,
+}
+
+/// What a search over the entries of an indicator's groups books: the
+/// enabled rows and activated arrays of the mask [`Bcam::load_groups`]
+/// loads for those groups, computed by [`Bcam::group_cost`] from the
+/// group bits alone. Consumed by [`Bcam::search_candidates_into`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GroupCost {
+    /// Enabled rows.
+    rows: u64,
+    /// Distinct 256-row arrays holding an enabled entry.
+    arrays: u64,
+    /// Entry count of the CAM this cost was computed for.
+    entries: usize,
 }
 
 /// An enable mask loaded for searching: its words clipped to one CAM's
@@ -383,6 +410,7 @@ impl Bcam {
             planes: planes.into(),
             ewords,
             has_stuck: false,
+            faulted: false,
         }
     }
 
@@ -413,6 +441,7 @@ impl Bcam {
             planes: planes.into(),
             ewords,
             has_stuck: false,
+            faulted: false,
         })
     }
 
@@ -475,7 +504,14 @@ impl Bcam {
                 }
             }
         }
+        self.faulted |= report.sites() > 0;
         report
+    }
+
+    /// Whether fault injection placed any fault site (stuck-at or bit
+    /// flip) in this CAM.
+    pub fn is_faulted(&self) -> bool {
+        self.faulted
     }
 
     /// Number of entries (rows).
@@ -556,6 +592,76 @@ impl Bcam {
         }
         let entries = self.entries();
         out.seal(entries, scheme.enabled_count(group_bits, entries) as u64);
+    }
+
+    /// What a search over the groups `group_bits` powers under `scheme`
+    /// books — the rows and arrays of the mask [`Bcam::load_groups`]
+    /// loads for them — without loading it. Entry `e` sits in group
+    /// `e mod G`, so the rows are the per-group counts
+    /// ([`GroupScheme::enabled_count`]), and an array holds an enabled
+    /// entry when it holds at least `G` entries (one of every group) or
+    /// one of its fewer entries is in a set group. Group bits at or above
+    /// `G` power nothing.
+    pub fn group_cost(&self, scheme: &GroupScheme, group_bits: u32) -> GroupCost {
+        let (groups, entries) = (scheme.groups, self.entries());
+        let powered = |e: usize| group_bits.checked_shr((e % groups) as u32).unwrap_or(0) & 1 != 0;
+        let rows = scheme.enabled_count(group_bits, entries) as u64;
+        let arrays = if rows == 0 {
+            0
+        } else {
+            (0..entries)
+                .step_by(ROWS_PER_ARRAY)
+                .filter(|&start| {
+                    let len = ROWS_PER_ARRAY.min(entries - start);
+                    len >= groups || (start..start + len).any(powered)
+                })
+                .count() as u64
+        };
+        GroupCost {
+            rows,
+            arrays,
+            entries,
+        }
+    }
+
+    /// Searches `query` over an indicator's groups, booking what
+    /// [`Bcam::search_loaded_into`] over [`Bcam::load_groups`]'s mask books
+    /// — one search, `cost`'s rows and arrays ([`Bcam::group_cost`]), and
+    /// the matches — but evaluating only `candidates`, strictly ascending
+    /// entries of those groups, as [`Bcam::search_list_into`] does. Its
+    /// hits (into `hits`, cleared first, ascending) are the group search's
+    /// when the candidates include every entry of the groups that the
+    /// query matches; the caller derives them from where the query's
+    /// bases occur in the stored sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CAM holds an injected fault (a faulted entry can
+    /// match where the sequence does not, so no candidate list can be
+    /// known to cover its hits), or if `cost` was computed for a CAM with
+    /// a different entry count.
+    pub fn search_candidates_into(
+        &self,
+        query: &CamQuery,
+        cost: &GroupCost,
+        candidates: &[u32],
+        stats: &mut CamStats,
+        hits: &mut Vec<u32>,
+    ) {
+        assert!(
+            !self.faulted,
+            "a faulted CAM can match outside any candidate list"
+        );
+        assert_eq!(
+            cost.entries,
+            self.entries(),
+            "group cost computed for a CAM of another size"
+        );
+        stats.searches += 1;
+        stats.rows_enabled += cost.rows;
+        stats.arrays_activated += cost.arrays;
+        self.match_list(query, candidates, hits);
+        stats.matches += hits.len() as u64;
     }
 
     /// Searches `query` over a mask loaded by [`Bcam::load_mask`] or
@@ -651,19 +757,28 @@ impl Bcam {
         stats: &mut CamStats,
         hits: &mut Vec<u32>,
     ) {
+        stats.searches += 1;
+        stats.rows_enabled += candidates.len() as u64;
+        stats.arrays_activated += self.match_list(query, candidates, hits);
+        stats.matches += hits.len() as u64;
+    }
+
+    /// The word loop of [`Bcam::search_list_into`] and
+    /// [`Bcam::search_candidates_into`]: writes the in-range candidates
+    /// matching `query` into `hits` (cleared first) and returns how many
+    /// distinct arrays hold an in-range candidate.
+    fn match_list(&self, query: &CamQuery, candidates: &[u32], hits: &mut Vec<u32>) -> u64 {
         debug_assert!(
             candidates.windows(2).all(|p| p[0] < p[1]),
             "candidate list must be strictly ascending"
         );
-        stats.searches += 1;
-        stats.rows_enabled += candidates.len() as u64;
         hits.clear();
         let entries = self.entries() as u32;
         let in_range = &candidates[..candidates.partition_point(|&e| e < entries)];
         // See `search_loaded_into`: an over-wide query leaves every line
         // dead.
         let fits = query.len() <= self.entry_bases;
-        let mut last_array = usize::MAX;
+        let (mut arrays, mut last_array) = (0, usize::MAX);
         let mut rest = in_range;
         while let Some(&first) = rest.first() {
             let w = first as usize / 64;
@@ -674,7 +789,7 @@ impl Bcam {
             rest = &rest[in_word..];
             let array = w / WORDS_PER_ARRAY;
             if array != last_array {
-                stats.arrays_activated += 1;
+                arrays += 1;
                 last_array = array;
             }
             let mut ml = if fits { cand } else { 0 };
@@ -693,7 +808,7 @@ impl Bcam {
             };
             push_hits(hits, w, word);
         }
-        stats.matches += hits.len() as u64;
+        arrays
     }
 
     /// Applies the stuck-at match lines of word `w` to the match-line word
@@ -935,7 +1050,8 @@ mod tests {
     }
 
     /// `load_groups` loads exactly what `load_mask` makes of the entry-
-    /// by-entry group mask — same words, rows, arrays and span — across
+    /// by-entry group mask — same words, rows, arrays and span — and
+    /// `group_cost` books the same rows and arrays without loading, across
     /// group counts that do and do not divide 64, entry counts around
     /// word, period and array boundaries, and indicators naming single
     /// groups, random sets, every group, and groups at or above `G`.
@@ -974,9 +1090,74 @@ mod tests {
                     assert_eq!(got.arrays, expect.arrays, "arrays: {case}");
                     assert_eq!((got.lo, got.hi), (expect.lo, expect.hi), "span: {case}");
                     assert_eq!(got.entries, expect.entries, "entries: {case}");
+                    let cost = cam.group_cost(&scheme, bits);
+                    assert_eq!(
+                        (cost.rows, cost.arrays, cost.entries),
+                        (got.rows, got.arrays, got.entries),
+                        "cost: {case}"
+                    );
                 }
             }
         }
+    }
+
+    /// Over candidates that include every hit of the group search — the
+    /// hits plus random other entries of the powered groups — a candidate
+    /// search finds the group search's hits and books its `CamStats`, on
+    /// CAMs of one to several arrays, with group counts that do and do not
+    /// divide 256.
+    #[test]
+    fn candidate_search_equals_the_group_search_it_covers() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xca4d);
+        let reference: PackedSeq = (0..9_000)
+            .map(|_| Base::from_code(rng.gen_range(0..4)))
+            .collect();
+        let (mut loaded, mut expect, mut got) = (LoadedMask::default(), Vec::new(), Vec::new());
+        for (len, stride, groups) in [(9_000, 7, 5), (2_000, 8, 4), (300, 3, 20), (40, 4, 32)] {
+            let cam = Bcam::new(&reference.subseq(0, len), stride);
+            let scheme = GroupScheme::new(groups);
+            for _ in 0..200 {
+                let bits = rng.next_u32() & rng.next_u32();
+                let (from, pad) = (rng.gen_range(0..len - stride), rng.gen_range(0..stride));
+                let q = CamQuery::padded(&reference, from, rng.gen_range(0..=stride - pad), pad);
+                cam.load_groups(&scheme, bits, &mut loaded);
+                let mut want = CamStats::default();
+                let mut scratch = CamScratch::default();
+                cam.search_loaded_into(&q, &loaded, &mut scratch, &mut want, &mut expect);
+                let mut candidates = expect.clone();
+                candidates.extend(
+                    (0..cam.entries() as u32)
+                        .filter(|&e| bits.checked_shr(e % groups as u32).unwrap_or(0) & 1 != 0)
+                        .filter(|_| rng.gen_bool(0.1)),
+                );
+                candidates.sort_unstable();
+                candidates.dedup();
+                let mut stats = CamStats::default();
+                let cost = cam.group_cost(&scheme, bits);
+                cam.search_candidates_into(&q, &cost, &candidates, &mut stats, &mut got);
+                let case = format!("{len} bases, stride {stride}, G {groups}, bits {bits:#x}");
+                assert_eq!(got, expect, "{case}");
+                assert_eq!(stats, want, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "faulted CAM")]
+    fn candidate_search_refuses_a_faulted_cam() {
+        let s: PackedSeq = std::iter::repeat_n(Base::A, 400).collect();
+        let mut cam = Bcam::new(&s, 4);
+        assert!(!cam.is_faulted());
+        cam.inject_faults(&CamFaultModel {
+            seed: 1,
+            stuck_rate: 0.0,
+            flip_rate: 0.05,
+        });
+        assert!(cam.is_faulted());
+        let cost = cam.group_cost(&GroupScheme::new(4), 1);
+        let q = CamQuery::padded(&s, 0, 4, 0);
+        cam.search_candidates_into(&q, &cost, &[0], &mut CamStats::default(), &mut Vec::new());
     }
 
     #[test]

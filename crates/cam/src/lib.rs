@@ -43,8 +43,8 @@ pub mod kernel;
 mod mask;
 
 pub use bcam::{
-    Bcam, CamFaultModel, CamFaultReport, CamQuery, CamScratch, CamStats, GroupScheme, LoadedMask,
-    Symbol, ROWS_PER_ARRAY,
+    Bcam, CamFaultModel, CamFaultReport, CamQuery, CamScratch, CamStats, GroupCost, GroupScheme,
+    LoadedMask, Symbol, ROWS_PER_ARRAY,
 };
 pub use kernel::{KernelBackend, UnknownKernelError, KERNEL_ENV};
 pub use mask::EntryMask;

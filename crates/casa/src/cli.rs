@@ -140,7 +140,10 @@ options:
   --fault-spec <spec>  inject seeded faults, e.g.
                        seed=42,panic=0.1,cam-flip=1e-4,check=1.0
                        (keys: seed, panic, stall, cam-stuck, cam-flip,
-                       filter-flip, check, retries, partition)
+                       filter-flip, check, retries, partition;
+                       partition=N confines cam-stuck, cam-flip and
+                       filter-flip to partition N, while panics and
+                       stalls hit every partition)
   --max-retries <n>    per-tile retry budget before a partition is
                        quarantined to the golden model (default 3)
   --stream             stream reads in bounded batches instead of

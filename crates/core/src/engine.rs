@@ -340,10 +340,12 @@ impl CamIndex {
 
         stats.rmem_searches += 1;
         let t = StageTimer::start(lane.profiling);
+        let bucket = self.filter.sub_bucket(self.part, walk.codes[pivot]);
         self.searcher.rmem_into(
             walk.read,
             pivot,
             &si,
+            Some(self.filter.occurrences(self.part, bucket)),
             &mut lane.search,
             &mut stats.cam,
             &mut lane.rmem,
@@ -445,13 +447,16 @@ impl CamIndex {
             return false;
         }
         // Whole-read match attempt from pivot 0 with the first m-mer's
-        // indicator (superset of the true occurrence offsets).
+        // indicator (superset of the true occurrence offsets), over that
+        // m-mer's occurrences: the sub-bucket of the k-mer at 0.
         let si = first.expect("offsets is non-empty");
         let t = StageTimer::start(lane.profiling);
+        let bucket = self.filter.sub_bucket(self.part, codes[0]);
         self.searcher.rmem_into(
             read,
             0,
             &si,
+            Some(self.filter.occurrences(self.part, bucket)),
             &mut lane.search,
             &mut stats.cam,
             &mut lane.rmem,
@@ -495,9 +500,9 @@ impl SeedingBackend for CamIndex {
         self.searcher.inject_faults(cam)
     }
 
-    /// Fault injection detaches the affected arrays copy-on-write (the
-    /// filter's when its owner injects into it), after which this reports
-    /// `false`.
+    /// CAM bit-flip injection detaches the planes copy-on-write, after
+    /// which this reports `false`; filter faults live in an overlay and
+    /// leave the filter's tables shared.
     fn storage_shared(&self) -> bool {
         self.filter.tables_shared() && self.searcher.cam().planes_shared()
     }

@@ -80,7 +80,9 @@ pub struct FaultPlan {
     pub cross_check_fraction: f64,
     /// Failed tile attempts to retry before quarantining the partition.
     pub max_retries: usize,
-    /// Restrict hardware-fault injection to one partition (`None` = all).
+    /// Restrict hardware-fault injection — CAM and filter faults — to one
+    /// partition (`None` = all). Tile panics and stalls ignore it: they
+    /// fire on every partition at their rates.
     pub only_partition: Option<usize>,
 }
 
@@ -158,7 +160,9 @@ impl FaultPlan {
     ///
     /// Keys: `seed`, `panic`, `stall`, `stall-ms`, `cam-stuck`, `cam-flip`,
     /// `filter-flip`, `check`, `retries`, `partition`. Unlisted keys keep
-    /// their defaults.
+    /// their defaults. `partition=N` confines the hardware faults
+    /// (`cam-stuck`, `cam-flip`, `filter-flip`) to partition `N`; the
+    /// scheduler faults (`panic`, `stall`) still hit every partition.
     ///
     /// ```
     /// use casa_core::faults::FaultPlan;
@@ -525,6 +529,41 @@ mod tests {
             ..plan
         };
         assert_ne!(open.cam_faults_for(0).seed, open.cam_faults_for(1).seed);
+    }
+
+    #[test]
+    fn only_partition_leaves_tile_panics_and_stalls_on_every_partition() {
+        // `partition=` gates hardware faults only: every (partition, tile,
+        // attempt) panic and stall decision is the unrestricted plan's.
+        let open = FaultPlan {
+            seed: 13,
+            tile_panic_rate: 0.5,
+            tile_stall_rate: 0.5,
+            ..FaultPlan::default()
+        };
+        let confined = FaultPlan {
+            only_partition: Some(0),
+            ..open
+        };
+        let (mut panics, mut stalls) = (0, 0);
+        for pi in 0..6 {
+            for ti in 0..4 {
+                for attempt in 0..3 {
+                    let (p, s) = (
+                        confined.should_panic(pi, ti, attempt),
+                        confined.should_stall(pi, ti, attempt),
+                    );
+                    assert_eq!(p, open.should_panic(pi, ti, attempt), "{pi} {ti} {attempt}");
+                    assert_eq!(s, open.should_stall(pi, ti, attempt), "{pi} {ti} {attempt}");
+                    panics += usize::from(p && pi > 0);
+                    stalls += usize::from(s && pi > 0);
+                }
+            }
+        }
+        assert!(
+            panics > 0 && stalls > 0,
+            "partitions other than 0 must panic and stall too"
+        );
     }
 
     #[test]

@@ -15,23 +15,51 @@
 //!
 //! A search costs what its candidates cost. The first search of every
 //! chain, and the binary probes refining a first search that found
-//! nothing, run over the rows of the pivot's indicated groups. Those are
-//! loaded once per pivot, straight from the indicator's group bits
-//! ([`Bcam::load_groups`]: entry `e` is in group `e mod G`, so one period
-//! of words is tiled over the CAM and the row count is a sum of per-group
-//! counts), and shared by every start offset. Stride
+//! nothing, power the rows of the pivot's indicated groups. Stride
 //! searches and all other binary probes carry their candidates as a
 //! sorted entry list — the frontier's successors or the last probe's hits
 //! — and run through [`Bcam::search_list_into`], which touches only the
 //! words holding a candidate.
 //!
+//! A group search whose query covers at least `m` bases need not walk
+//! the groups either: the pre-seeding filter knows where the pivot's
+//! m-mer occurs ([`Occurrences`], the rows of its sub-bucket). For start
+//! offset `p` the candidates are the entries `x / s` of the rows `x` with
+//! `x mod s = p` whose group `(x / s) mod G` is indicated, plus the
+//! indicated entries holding an offset `e·s + p` at or past the tail
+//! (the last `k − 1` offsets, which start no k-mer and so have no row).
+//! Every hit of the group search is an indicated entry `e` whose columns
+//! from `p` on match the read from the pivot, so the m-mer occurs at
+//! `e·s + p`: a row of the sub-bucket or a tail offset, hence a
+//! candidate. [`Bcam::search_candidates_into`] evaluates only those
+//! entries and books the group search's rows and arrays
+//! ([`Bcam::group_cost`]), so hits and [`CamStats`] are the group
+//! search's. A CAM with injected faults can match where the partition
+//! does not, a query of fewer than `m` bases is not bounded by the
+//! m-mer's occurrences, and a sub-bucket of more than
+//! [`OCCURRENCE_ROWS`] rows (a repeat) costs more to list and search
+//! than the walk; those searches walk the groups, loaded from the
+//! indicator's group bits ([`Bcam::load_groups`]: entry `e` is in group
+//! `e mod G`, so one period of words is tiled over the CAM) the first
+//! time a pivot needs them.
+//!
 //! A [`CamSearcher`] is only read while searching: every buffer a search
 //! writes sits in the caller's [`SearchScratch`], and CAM activity is
 //! booked into the caller's [`CamStats`].
 
-use casa_cam::{Bcam, CamQuery, CamScratch, CamStats, GroupScheme, KernelBackend, LoadedMask};
-use casa_filter::SearchIndicator;
+use casa_cam::{
+    Bcam, CamQuery, CamScratch, CamStats, GroupCost, GroupScheme, KernelBackend, LoadedMask,
+};
+use casa_filter::{Occurrences, SearchIndicator};
 use casa_genome::PackedSeq;
+
+/// Most rows a pivot's sub-bucket may hold for its group searches to run
+/// over its occurrences; a larger one keeps the group walk, whose cost
+/// does not grow with the occurrences. Over 1 Mb partitions (stride 40,
+/// 20 groups, m = 10) on a 2-vCPU AVX2 Xeon, the occurrence path saved
+/// 1.5 µs per group search at 220 rows, broke even near 440 and lost
+/// 2.2 µs at 880; this bound keeps a margin below that crossover.
+pub const OCCURRENCE_ROWS: usize = 256;
 
 /// Result of one RMEM computation in the CAM.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -55,8 +83,8 @@ pub struct SearchScratch {
     /// The chain being driven, reset in place per start offset so its
     /// inner buffers keep their allocations.
     chain: Chain,
-    /// The pivot's indicated groups, loaded once and shared by every mask
-    /// search of the pivot.
+    /// The pivot's indicated groups, loaded the first time one of its
+    /// group searches walks them and shared by the rest.
     loaded: LoadedMask,
     /// Hits of the search just issued.
     hits: Vec<u32>,
@@ -80,11 +108,11 @@ impl SearchScratch {
     }
 }
 
-/// What a chain is waiting on (see [`Chain::candidate_list`] for what
-/// each phase's query searches over).
+/// What a chain is waiting on (see [`Chain::candidates`] for what each
+/// phase's query searches over).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Phase {
-    /// The wildcard-padded first search, over the pivot's loaded groups.
+    /// The wildcard-padded first search, over the pivot's groups.
     #[default]
     First,
     /// A full-stride chase search, over the successor list `succ`.
@@ -96,6 +124,16 @@ enum Phase {
     Done,
 }
 
+/// What the search in flight searches over.
+enum Candidates<'a> {
+    /// The listed entries, booked as such.
+    List(&'a [u32]),
+    /// The pivot's groups, evaluated over the listed occurrences.
+    Occurrences(&'a [u32]),
+    /// The pivot's groups, walked.
+    Groups,
+}
+
 /// One (pivot, start offset) search chain: the sequential chase of
 /// `rmem` for a single start offset, unrolled into an explicit state
 /// machine with at most one CAM search in flight.
@@ -103,6 +141,13 @@ enum Phase {
 struct Chain {
     /// In-entry start offset (wildcard pad of the first search).
     p: usize,
+    /// Fewest read bases a group search must cover to run over
+    /// `occurrences`; `usize::MAX` when the pivot's occurrences are not
+    /// used.
+    occurrence_bases: usize,
+    /// The entries a group search of this chain can hit, when it covers
+    /// `occurrence_bases` bases (see the module docs).
+    occurrences: Vec<u32>,
     phase: Phase,
     /// Bases matched through the last completed stride.
     matched: usize,
@@ -139,8 +184,10 @@ struct Chain {
 impl Chain {
     /// Re-arms the chain for a new (pivot, start offset) pair, keeping its
     /// buffer allocations.
-    fn reset(&mut self, p: usize) {
+    fn reset(&mut self, p: usize, occurrence_bases: usize) {
         self.p = p;
+        self.occurrence_bases = occurrence_bases;
+        self.occurrences.clear();
         self.phase = Phase::First;
         self.matched = 0;
         self.steps = 0;
@@ -152,16 +199,24 @@ impl Chain {
         self.positions.clear();
     }
 
-    /// The candidates of the search in flight as a sorted entry list, or
-    /// `None` when it searches the pivot's loaded groups: the first search,
-    /// and the probes of a binary search refining it until one hits.
-    fn candidate_list(&self) -> Option<&[u32]> {
+    /// What the search in flight searches over: the pivot's groups for
+    /// the first search and the probes of a binary search refining it
+    /// until one hits — over the occurrences when the query covers enough
+    /// read bases — and a sorted entry list for every other search.
+    fn candidates(&self) -> Candidates<'_> {
+        let groups = |bases: usize| {
+            if bases >= self.occurrence_bases {
+                Candidates::Occurrences(&self.occurrences)
+            } else {
+                Candidates::Groups
+            }
+        };
         match self.phase {
-            Phase::First => None,
-            Phase::Stride => Some(&self.succ),
-            Phase::Binary if !self.bp_hits.is_empty() => Some(&self.bp_hits),
-            Phase::Binary if self.bp_first => None,
-            Phase::Binary => Some(&self.succ),
+            Phase::First => groups(self.cur_len),
+            Phase::Stride => Candidates::List(&self.succ),
+            Phase::Binary if !self.bp_hits.is_empty() => Candidates::List(&self.bp_hits),
+            Phase::Binary if self.bp_first => groups(self.bp_mid),
+            Phase::Binary => Candidates::List(&self.succ),
             Phase::Done => unreachable!("no search in flight on a finished chain"),
         }
     }
@@ -379,16 +434,22 @@ impl CamSearcher {
 
     /// Computes the RMEM starting at `read[pivot..]` using the indicator's
     /// start offsets and groups into `out` (its buffers are reused),
-    /// booking the CAM activity into `stats`.
+    /// booking the CAM activity into `stats`. `occurrences`, when given,
+    /// are those of the m-mer at `read[pivot..]` in this CAM's partition
+    /// (its filter sub-bucket, [`casa_filter::PreSeedingFilter::occurrences`]);
+    /// they only speed the group searches up (see the module docs), and
+    /// giving another m-mer's is a logic error.
     ///
     /// Every enabled start offset below the stride becomes a chain, driven
     /// to completion before the next one starts; the longest match wins
     /// and ties append, so positions come out sorted and deduplicated.
+    #[allow(clippy::too_many_arguments)]
     pub fn rmem_into(
         &self,
         read: &PackedSeq,
         pivot: usize,
         si: &SearchIndicator,
+        occurrences: Option<Occurrences<'_>>,
         scratch: &mut SearchScratch,
         stats: &mut CamStats,
         out: &mut RmemResult,
@@ -404,7 +465,12 @@ impl CamSearcher {
         out.len = 0;
         out.positions.clear();
         out.searches = 0;
-        self.cam.load_groups(&self.scheme, si.groups, loaded);
+        let groups = self.scheme.groups;
+        let powered = |e: usize| si.groups.checked_shr((e % groups) as u32).unwrap_or(0) & 1 != 0;
+        let mut loaded_groups = false;
+        let mut cost: Option<GroupCost> = None;
+        let occurrences =
+            occurrences.filter(|occ| occ.len() <= OCCURRENCE_ROWS && !self.cam.is_faulted());
         let remaining = read.len() - pivot;
         let mut start_bits = si.start_mask;
         while start_bits != 0 {
@@ -413,16 +479,49 @@ impl CamSearcher {
             if p >= stride {
                 break;
             }
-            chain.reset(p);
+            chain.reset(p, occurrences.map_or(usize::MAX, |occ| occ.m()));
+            if let Some(occ) = occurrences {
+                // Offset p's rows, then its tail entries, which lie above
+                // every row's. Rows are kept only before the tail and
+                // deduplicated, so even a corrupt image's rows leave the
+                // list strictly ascending.
+                let tail = occ.tail();
+                chain.occurrences.extend(
+                    occ.offsets()
+                        .filter(|&x| x < tail && x % stride == p && powered(x / stride))
+                        .map(|x| (x / stride) as u32),
+                );
+                chain.occurrences.sort_unstable();
+                chain.occurrences.dedup();
+                let first_tail = tail.saturating_sub(p).div_ceil(stride);
+                chain.occurrences.extend(
+                    (first_tail..entries)
+                        .filter(|&e| powered(e))
+                        .map(|e| e as u32),
+                );
+            }
             let len0 = (stride - p).min(remaining);
             chain.cur_len = len0;
             chain.query.fill_padded(read, pivot, len0, p);
             while chain.phase != Phase::Done {
-                match chain.candidate_list() {
-                    Some(list) => self.cam.search_list_into(&chain.query, list, stats, hits),
-                    None => self
-                        .cam
-                        .search_loaded_into(&chain.query, loaded, cam, stats, hits),
+                match chain.candidates() {
+                    Candidates::List(list) => {
+                        self.cam.search_list_into(&chain.query, list, stats, hits)
+                    }
+                    Candidates::Occurrences(list) => {
+                        let cost = cost
+                            .get_or_insert_with(|| self.cam.group_cost(&self.scheme, si.groups));
+                        self.cam
+                            .search_candidates_into(&chain.query, cost, list, stats, hits)
+                    }
+                    Candidates::Groups => {
+                        if !loaded_groups {
+                            self.cam.load_groups(&self.scheme, si.groups, loaded);
+                            loaded_groups = true;
+                        }
+                        self.cam
+                            .search_loaded_into(&chain.query, loaded, cam, stats, hits)
+                    }
                 }
                 chain.searches += 1;
                 chain.absorb(hits, read, pivot, stride, entries);
@@ -457,11 +556,12 @@ mod tests {
         read: &PackedSeq,
         pivot: usize,
         si: &SearchIndicator,
+        occurrences: Option<Occurrences<'_>>,
         scratch: &mut SearchScratch,
         stats: &mut CamStats,
     ) -> RmemResult {
         let mut out = RmemResult::default();
-        searcher.rmem_into(read, pivot, si, scratch, stats, &mut out);
+        searcher.rmem_into(read, pivot, si, occurrences, scratch, stats, &mut out);
         out
     }
 
@@ -471,6 +571,7 @@ mod tests {
         read: &PackedSeq,
         pivot: usize,
         si: &SearchIndicator,
+        occurrences: Option<Occurrences<'_>>,
     ) -> RmemResult {
         let mut scratch = SearchScratch::default();
         rmem_with(
@@ -478,9 +579,21 @@ mod tests {
             read,
             pivot,
             si,
+            occurrences,
             &mut scratch,
             &mut CamStats::default(),
         )
+    }
+
+    /// The occurrences of the m-mer at `read[pivot..]` in `filter`'s
+    /// partition 0.
+    fn occurrences<'f>(
+        filter: &'f PreSeedingFilter,
+        read: &PackedSeq,
+        pivot: usize,
+    ) -> Option<Occurrences<'f>> {
+        let code = read.kmer_code(pivot, filter.config().k)?;
+        Some(filter.occurrences(0, filter.sub_bucket(0, code)))
     }
 
     /// A filter lookup with its activity discarded.
@@ -520,7 +633,8 @@ mod tests {
                         assert!(l < cfg.k, "filter miss but match of length {l}");
                         continue;
                     }
-                    let rmem = rmem(&searcher, &read, pivot, &si);
+                    let occ = occurrences(&filter, &read, pivot);
+                    let rmem = rmem(&searcher, &read, pivot, &si, occ);
                     let (l, iv) = sa.longest_match(&read, pivot);
                     assert_eq!(rmem.len, l, "trial {trial} pivot {pivot}");
                     let mut expect: Vec<u32> = sa.positions(iv).map(|x| x as u32).collect();
@@ -538,7 +652,7 @@ mod tests {
         let searcher = CamSearcher::new(&part, 8, 4);
         let full = searcher.full_indicator();
         let read = seq("GTTTGGAACCAG");
-        let rmem = rmem(&searcher, &read, 0, &full);
+        let rmem = rmem(&searcher, &read, 0, &full, None);
         let (l, _) = sa.longest_match(&read, 0);
         assert_eq!(rmem.len, l);
     }
@@ -550,7 +664,7 @@ mod tests {
         let searcher = CamSearcher::new(&part, 8, 4);
         let read = part.subseq(4, 64);
         let full = searcher.full_indicator();
-        let rmem = rmem(&searcher, &read, 0, &full);
+        let rmem = rmem(&searcher, &read, 0, &full, None);
         assert_eq!(rmem.len, 64);
         // Occurrences every 4 bases while 64 more bases remain: starts
         // 0,4,...,60 -> but matches starting at odd entry offsets also
@@ -567,7 +681,7 @@ mod tests {
         let searcher = CamSearcher::new(&part, 8, 4);
         // read matches 11 bases: 8 A's then CCC then diverges
         let read = seq("AAAAAAAACCCTTTTT");
-        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator());
+        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator(), None);
         assert_eq!(rmem.len, 11);
         assert_eq!(rmem.positions, vec![0]);
     }
@@ -578,7 +692,7 @@ mod tests {
         let searcher = CamSearcher::new(&part, 8, 4);
         // read matches only 5 bases at position 0
         let read = seq("ACGTATTT");
-        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator());
+        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator(), None);
         assert_eq!(rmem.len, 5);
         assert_eq!(rmem.positions, vec![0]);
     }
@@ -588,7 +702,7 @@ mod tests {
         let part = seq("AAAAAAAAAAAAAAAA");
         let searcher = CamSearcher::new(&part, 8, 4);
         let read = seq("GGGGGGGG");
-        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator());
+        let rmem = rmem(&searcher, &read, 0, &searcher.full_indicator(), None);
         assert_eq!(
             rmem,
             RmemResult {
@@ -609,10 +723,11 @@ mod tests {
         let read = part.subseq(0, 8);
         let si = lookup(&filter, &read, 0).unwrap();
         let mut gated = CamStats::default();
-        rmem_with(&searcher, &read, 0, &si, &mut scratch, &mut gated);
+        let occ = occurrences(&filter, &read, 0);
+        rmem_with(&searcher, &read, 0, &si, occ, &mut scratch, &mut gated);
         let mut naive = CamStats::default();
         let full = searcher.full_indicator();
-        rmem_with(&searcher, &read, 0, &full, &mut scratch, &mut naive);
+        rmem_with(&searcher, &read, 0, &full, occ, &mut scratch, &mut naive);
         let (gated, naive) = (gated.rows_enabled, naive.rows_enabled);
         assert!(
             gated <= naive,
@@ -644,8 +759,25 @@ mod tests {
                     continue;
                 }
                 let mut fresh = SearchScratch::default();
-                let expect = rmem_with(&searcher, &read, pivot, &si, &mut fresh, &mut fresh_stats);
-                let got = rmem_with(&searcher, &read, pivot, &si, &mut reused, &mut reused_stats);
+                let occ = occurrences(&filter, &read, pivot);
+                let expect = rmem_with(
+                    &searcher,
+                    &read,
+                    pivot,
+                    &si,
+                    occ,
+                    &mut fresh,
+                    &mut fresh_stats,
+                );
+                let got = rmem_with(
+                    &searcher,
+                    &read,
+                    pivot,
+                    &si,
+                    occ,
+                    &mut reused,
+                    &mut reused_stats,
+                );
                 assert_eq!(got, expect, "trial {trial} pivot {pivot}");
             }
         }
@@ -655,8 +787,9 @@ mod tests {
     /// The CAM activity of a fixed read set — searches, enabled rows,
     /// activated arrays and matches — is the energy model's input, so it
     /// is pinned to recorded totals, fault-free and under stuck-at and
-    /// bit-flip faults: however the chain carries its candidates (masks
-    /// or lists), it must book the activity of the equivalent mask.
+    /// bit-flip faults: however the chain carries its candidates (masks,
+    /// lists or the pivot's occurrences), it must book the activity of
+    /// the equivalent mask.
     #[test]
     fn cam_activity_of_a_fixed_read_set_is_pinned() {
         use casa_cam::CamFaultModel;
@@ -710,7 +843,8 @@ mod tests {
                     if si.is_empty() {
                         continue;
                     }
-                    searcher.rmem_into(read, pivot, &si, &mut scratch, &mut stats, &mut out);
+                    let occ = occurrences(&filter, read, pivot);
+                    searcher.rmem_into(read, pivot, &si, occ, &mut scratch, &mut stats, &mut out);
                     searches += out.searches;
                     bases += out.len;
                     positions += out.positions.len();
@@ -744,6 +878,149 @@ mod tests {
         assert_eq!(totals, pinned);
     }
 
+    /// Length of the poly-A run of an occurrence case: its m-mer's
+    /// sub-bucket exceeds [`OCCURRENCE_ROWS`].
+    const POLY_A: usize = OCCURRENCE_ROWS + 50;
+
+    /// An occurrence-search case: a partition with a poly-A run (whose
+    /// m-mer sub-bucket exceeds [`OCCURRENCE_ROWS`]) and a tandem copy,
+    /// reads that are windows of it with substitutions, windows running
+    /// off its end (m-mers at the tail offsets, which have no row), poly-A
+    /// reads and unrelated reads; a filter geometry; and filter and CAM
+    /// fault switches.
+    fn occurrence_case() -> impl Strategy<Value = OccurrenceCase> {
+        use casa_genome::Base;
+        let geometries = [
+            FilterConfig::new(6, 3, 8, 4),
+            FilterConfig::new(8, 4, 8, 5),
+            FilterConfig::new(10, 5, 7, 3),
+            FilterConfig::new(12, 6, 40, 20),
+        ];
+        (0..geometries.len(), 0..u64::MAX, 2 * POLY_A..2_500, 0u8..4).prop_map(
+            move |(geometry, seed, len, faults)| {
+                use rand::{Rng, SeedableRng};
+                let (cfg, filter_faults, cam_faults) =
+                    (geometries[geometry], faults & 1 != 0, faults & 2 != 0);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut codes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4)).collect();
+                let run = rng.gen_range(0..len - POLY_A);
+                codes[run..run + POLY_A].fill(0);
+                let (from, to) = (rng.gen_range(0..len / 2), rng.gen_range(len / 2..len - 60));
+                codes.copy_within(from..from + 60, to);
+                let part: PackedSeq = codes.iter().map(|&c| Base::from_code(c)).collect();
+                let mut reads = Vec::new();
+                for i in 0..12 {
+                    let read_len = rng.gen_range(cfg.k..60);
+                    let mut read: Vec<u8> = match i % 4 {
+                        0 | 1 => {
+                            let s = rng.gen_range(0..len - read_len);
+                            let mut w = codes[s..s + read_len].to_vec();
+                            if i % 4 == 1 {
+                                let at = rng.gen_range(0..read_len);
+                                w[at] ^= rng.gen_range(1..4);
+                            }
+                            w
+                        }
+                        2 => {
+                            let s = len - rng.gen_range(cfg.m..cfg.k + 8).min(len);
+                            codes[s..].to_vec()
+                        }
+                        _ => (0..read_len).map(|_| rng.gen_range(0..4)).collect(),
+                    };
+                    while read.len() < read_len.max(cfg.k) {
+                        read.push(rng.gen_range(0..4));
+                    }
+                    reads.push(read.iter().map(|&c| Base::from_code(c)).collect());
+                }
+                reads.push(std::iter::repeat_n(Base::A, 40).collect());
+                OccurrenceCase {
+                    cfg,
+                    part,
+                    reads,
+                    seed,
+                    filter_faults,
+                    cam_faults,
+                }
+            },
+        )
+    }
+
+    #[derive(Debug, Clone)]
+    struct OccurrenceCase {
+        cfg: FilterConfig,
+        part: PackedSeq,
+        reads: Vec<PackedSeq>,
+        seed: u64,
+        filter_faults: bool,
+        cam_faults: bool,
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Group searches over the pivot's occurrences find exactly the
+        /// hits of group searches over the mask, and book the same
+        /// `CamStats`: the RMEM and the activity of every pivot equal the
+        /// mask-only search's (`occurrences` = `None`). Each pivot runs
+        /// under its filter indicator (the pivot path), the §4.3 m-mer
+        /// indicator at pivot 0, the full indicator, and a random one
+        /// (start offsets the partition may not hold, as a filter fault
+        /// leaves; groups missing some occurrences). First searches and
+        /// probes cover fewer and more than `m` bases wherever a start
+        /// offset lies within `m` of the stride or the read is short.
+        #[test]
+        fn occurrence_searches_equal_group_mask_searches(case in occurrence_case()) {
+            use casa_cam::CamFaultModel;
+            use casa_filter::FilterFaultModel;
+            use rand::{RngCore, SeedableRng};
+            let cfg = case.cfg;
+            let mut filter = PreSeedingFilter::build(&case.part, cfg);
+            if case.filter_faults {
+                let model = FilterFaultModel { seed: case.seed, flip_rate: 0.05 };
+                filter.inject_faults(0, &model);
+            }
+            let mut searcher = CamSearcher::new(&case.part, cfg.stride, cfg.groups);
+            if case.cam_faults {
+                searcher.inject_faults(&CamFaultModel {
+                    seed: case.seed,
+                    stuck_rate: 0.02,
+                    flip_rate: 0.01,
+                });
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(case.seed ^ 0x0cc);
+            let (mut scratch, mut mask_scratch) = (SearchScratch::default(), SearchScratch::default());
+            let (mut got, mut want) = (RmemResult::default(), RmemResult::default());
+            let rest_bits = 2 * (cfg.k - cfg.m);
+            for (r, read) in case.reads.iter().enumerate() {
+                for pivot in 0..=read.len() - cfg.k {
+                    let code = read.kmer_code(pivot, cfg.k).unwrap();
+                    let occ = filter.occurrences(0, filter.sub_bucket(0, code));
+                    let mut stats = FilterStats::default();
+                    let mut indicators = vec![
+                        filter.lookup_code(0, code, &mut stats),
+                        searcher.full_indicator(),
+                        SearchIndicator {
+                            start_mask: rng.next_u64() & searcher.full_indicator().start_mask,
+                            groups: rng.next_u32(),
+                        },
+                    ];
+                    if pivot == 0 {
+                        indicators.push(filter.lookup_mmer_code(0, code >> rest_bits, &mut stats));
+                    }
+                    for si in indicators.iter().filter(|si| !si.is_empty()) {
+                        let (mut got_stats, mut want_stats) = (CamStats::default(), CamStats::default());
+                        searcher.rmem_into(read, pivot, si, Some(occ), &mut scratch, &mut got_stats, &mut got);
+                        searcher.rmem_into(read, pivot, si, None, &mut mask_scratch, &mut want_stats, &mut want);
+                        prop_assert_eq!(&got, &want, "read {} pivot {} indicator {:?}", r, pivot, si);
+                        prop_assert_eq!(got_stats, want_stats, "read {} pivot {} indicator {:?}", r, pivot, si);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn padded_start_offsets_are_honored() {
         // Place a unique 6-mer at an offset 3 inside an entry and verify
@@ -755,7 +1032,7 @@ mod tests {
         let read = seq("AGGTCCAA");
         let si = lookup(&filter, &read, 0).unwrap();
         assert!(si.start_mask & (1 << (10 % 8)) != 0); // AGGTCC at 10, offset 2
-        let rmem = rmem(&searcher, &read, 0, &si);
+        let rmem = rmem(&searcher, &read, 0, &si, occurrences(&filter, &read, 0));
         assert!(rmem.len >= 6);
         assert!(rmem.positions.contains(&10));
     }

@@ -13,11 +13,22 @@
 //!    occurrence's [`SearchIndicator`]; rows behind matching tag entries
 //!    are read and OR-ed.
 //!
-//! In software the tag and data arrays are one table of fused 16-byte
-//! rows, two `u64` words each: `w0` is the start mask and
-//! `w1 = groups | tag << 32`. A tag match and its indicator share a cache
-//! line, so a lookup costs two dependent misses (mini index → rows), not
-//! three.
+//! In software the tag and data arrays are one table of 8-byte rows, one
+//! `u64` word each: `x | tag << 32`, the occurrence's partition offset
+//! `x` beside its tag. The data array needs no bits of its own: an
+//! occurrence's indicator is a pure function of `x`
+//! ([`SearchIndicator::of_occurrence`]: start bit `x mod s`, group
+//! `(x / s) mod G`), so a lookup derives it from each matching row, and a
+//! tag match and its indicator share a cache line — two dependent misses
+//! (mini index → rows), not three. A line holds 8 rows, so a slot of the
+//! 8 Mb reference's table (~7.6 rows on average over 8 M rows and 4^10
+//! slots) is one or two lines. The offsets also tell the computing CAM
+//! which of its entries hold an m-mer (see [`Occurrences`]).
+//!
+//! Data-array faults ([`FilterFaultModel`]) do not touch the rows: they
+//! live in a sparse per-filter overlay mapping a row to the start-mask
+//! bits flipped in its indicator, applied wherever an indicator is read,
+//! so a mapped filter stays shared when faults are injected into it.
 //!
 //! One [`PreSeedingFilter`] holds the tables of every partition of a
 //! reference, **interleaved by partition**: rows are ordered by (m-mer
@@ -35,7 +46,7 @@
 //! sites — and `P = 1` is the single-partition layout word for word.
 //!
 //! With the bookkeeping gone the pass is bound by memory, and over tables
-//! of 100+ MB (an 8 Mb reference holds a 32 MB mini index and 128 MB of
+//! of 100 MB (an 8 Mb reference holds a 32 MB mini index and 64 MB of
 //! rows) a miss on 4 KB pages is usually a TLB miss too. A build
 //! therefore advises the kernel to back its tables with transparent huge
 //! pages before writing them (per allocation, 2 MB-aligned interior only;
@@ -156,10 +167,11 @@ impl FilterStats {
 ///
 /// Site selection hashes `(seed, row)` with
 /// [`casa_genome::mix::site_hash`], so the same model always corrupts the
-/// same rows. Each faulty row has one bit of its start mask flipped:
-/// clearing a set bit silently hides an occurrence (a wrong-SMEM hazard the
-/// sampled cross-check exists to catch), setting a clear bit only triggers
-/// a spurious — and harmless — CAM search.
+/// same rows. Each faulty row has one bit of its indicator's start mask
+/// flipped: clearing a set bit silently hides an occurrence (a wrong-SMEM
+/// hazard the sampled cross-check exists to catch), setting a clear bit
+/// only triggers a spurious — and harmless — CAM search. The row's offset
+/// and tag are never touched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FilterFaultModel {
     /// Seed for site selection.
@@ -191,6 +203,68 @@ pub struct FilterHit {
     /// The OR of the matching rows' indicators. Empty only when data-array
     /// faults cleared every start bit, which the pivot then dies of.
     pub indicator: SearchIndicator,
+}
+
+/// Rows `lo..hi` of a filter's table: one partition's sub-bucket of an
+/// m-mer slot, i.e. the k-mer occurrences whose first `m` bases are that
+/// m-mer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SubBucket {
+    /// First row.
+    pub lo: u32,
+    /// One past the last row.
+    pub hi: u32,
+}
+
+impl SubBucket {
+    /// Rows in the sub-bucket.
+    pub fn len(&self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+
+    /// Whether the sub-bucket holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.lo == self.hi
+    }
+}
+
+/// Where one m-mer occurs in one partition, as its sub-bucket records it
+/// ([`PreSeedingFilter::occurrences`]): the offset of every row, which is
+/// every occurrence starting a k-mer — all but those at or past
+/// [`tail`](Self::tail), the last `k − 1` offsets, which have no row.
+#[derive(Clone, Copy, Debug)]
+pub struct Occurrences<'a> {
+    rows: &'a [u64],
+    m: usize,
+    tail: usize,
+}
+
+impl<'a> Occurrences<'a> {
+    /// The rows' partition offsets, in (tag, offset) order.
+    pub fn offsets(&self) -> impl Iterator<Item = usize> + 'a {
+        self.rows.iter().map(|&row| row_offset(row))
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the sub-bucket holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The m-mer's length `m`.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// The first partition offset that starts no k-mer (the partition's
+    /// length − k + 1, or 0): an occurrence there or later has no row.
+    pub fn tail(&self) -> usize {
+        self.tail
+    }
 }
 
 /// What one sparse pass found over codes in consecutive groups: each
@@ -265,11 +339,11 @@ fn prefetch_slot(mini: &[u32], first: usize, parts: usize) {
 /// first entry is `first` and starts fetching the lines of its rows over
 /// all partitions.
 #[inline(always)]
-fn prefetch_rows(mini: &[u32], table: &[Row], first: usize, parts: usize) {
+fn prefetch_rows(mini: &[u32], table: &[u64], first: usize, parts: usize) {
     let (lo, hi) = (mini[first] as usize, mini[first + parts] as usize);
     if lo != hi {
         for row in (lo..hi)
-            .step_by(4)
+            .step_by(ROWS_PER_LINE)
             .take(PreSeedingFilter::PREFETCH_ROW_LINES)
         {
             prefetch(&table[row]);
@@ -343,7 +417,7 @@ fn huge_page_range(addr: usize, len: usize) -> Option<(usize, usize)> {
 
 /// Advises the kernel to back the interior of `buf` with transparent huge
 /// pages ([`huge_page_range`]), before its first write: a filter pass
-/// touches lines all over the 100+ MB tables, and with 4 KB pages most of
+/// touches lines all over the ~100 MB tables, and with 4 KB pages most of
 /// them also miss the TLB. Advice only — errors are ignored, and where
 /// the system's THP mode is `never` it does nothing. A no-op off Linux.
 #[allow(unsafe_code)]
@@ -368,37 +442,53 @@ fn advise_huge_pages<T>(buf: &mut [T]) {
 
 const DOMAIN_FILTER_FLIP: u64 = 0x21;
 
-/// One fused tag/data row: `[start_mask, groups | tag << 32]`.
-type Row = [u64; 2];
+/// Rows per 64-byte cache line.
+const ROWS_PER_LINE: usize = 64 / size_of::<u64>();
 
-fn pack_row(tag: u32, si: SearchIndicator) -> Row {
-    [si.start_mask, u64::from(si.groups) | u64::from(tag) << 32]
+/// One tag/data row: the occurrence's partition offset `x` and its
+/// `(k − m)`-mer tag, `x | tag << 32`.
+fn pack_row(tag: u32, x: usize) -> u64 {
+    x as u64 | u64::from(tag) << 32
 }
 
-fn row_tag(row: &Row) -> u32 {
-    (row[1] >> 32) as u32
+fn row_tag(row: u64) -> u32 {
+    (row >> 32) as u32
 }
 
-fn row_indicator(row: &Row) -> SearchIndicator {
-    SearchIndicator {
-        start_mask: row[0],
-        groups: row[1] as u32,
+fn row_offset(row: u64) -> usize {
+    row as u32 as usize
+}
+
+/// The data-array faults of a filter, as a sparse overlay on its rows'
+/// indicators: `(row, start-mask XOR)` pairs sorted by row, none zero.
+#[derive(Clone, Debug, Default)]
+struct FaultOverlay(Vec<(u32, u64)>);
+
+impl FaultOverlay {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
-}
 
-/// The rows of a tag-sorted (sub-)bucket whose tag is `tag`: how many
-/// there are (each a data read) and the OR of their indicators. The one
-/// matcher of per-code lookups and of the sparse pass's bisected slots.
-#[inline(always)]
-fn match_bucket(bucket: &[Row], tag: u32) -> (u64, SearchIndicator) {
-    let first = bucket.partition_point(|r| row_tag(r) < tag);
-    let mut si = SearchIndicator::EMPTY;
-    let mut reads = 0;
-    for row in bucket[first..].iter().take_while(|r| row_tag(r) == tag) {
-        reads += 1;
-        si.merge(row_indicator(row));
+    /// The start-mask bits flipped in row `row`'s indicator.
+    fn xor(&self, row: usize) -> u64 {
+        self.0
+            .binary_search_by_key(&row, |&(r, _)| r as usize)
+            .map_or(0, |i| self.0[i].1)
     }
-    (reads, si)
+
+    /// Flips `flips`' bits on top of the overlay's.
+    fn flip(&mut self, flips: &[(u32, u64)]) {
+        self.0.extend_from_slice(flips);
+        self.0.sort_by_key(|&(r, _)| r);
+        self.0.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 ^= later.1;
+            }
+            same
+        });
+        self.0.retain(|&(_, xor)| xor != 0);
+    }
 }
 
 /// Rows (k-mer occurrences) of a partition of `len` bases.
@@ -530,13 +620,15 @@ pub struct PreSeedingFilter {
     /// partition `p`'s sub-bucket of m-mer `slot`. Owned when built in
     /// process, shared when loaded from an index image (likewise `rows`).
     mini_index: SliceStore<u32>,
-    /// Fused tag/data rows, two words each (see the module docs), sorted
-    /// by (m-mer, partition, tag).
+    /// Tag/data rows, one word each (see the module docs), sorted by
+    /// (m-mer, partition, tag, offset).
     rows: SliceStore<u64>,
     /// Each partition's length in bases.
     partition_lens: Vec<usize>,
     /// Each partition's §5 physical packing of its tag array.
     layouts: Vec<TagLayout>,
+    /// Injected data-array faults (see [`FaultOverlay`]).
+    faults: FaultOverlay,
 }
 
 impl PreSeedingFilter {
@@ -573,9 +665,10 @@ impl PreSeedingFilter {
     ///
     /// Two passes over the rolling k-mer codes: the first counts each
     /// (m-mer, partition) sub-bucket into the mini index, the second
-    /// scatters every occurrence to its sub-bucket's cursor in ascending
-    /// offset order. A stable sort by tag inside each sub-bucket then
-    /// leaves the rows of one k-mer in ascending offset order. Each thread
+    /// scatters every occurrence's row to its sub-bucket's cursor. Sorting
+    /// each sub-bucket's words then orders its rows by (tag, offset), so
+    /// the rows of one k-mer are in ascending offset order — what a stable
+    /// sort by tag of the rows in scatter (offset) order gives. Each thread
     /// owns a contiguous range of m-mer slots — its share of the mini
     /// index and of the row table — and scans every partition, keeping
     /// the codes that fall in its range, so the tables are written in
@@ -644,10 +737,10 @@ impl PreSeedingFilter {
 
         // Pass 2: each range's rows follow the rows of the ranges before
         // it; the relative starts are the scatter cursors.
-        let mut words = vec![0u64; 2 * total];
+        let mut words = vec![0u64; total];
         advise_huge_pages(&mut words);
         let mut jobs = Vec::new();
-        let (mut rows, mut base) = (words.as_chunks_mut::<2>().0, 0);
+        let (mut rows, mut base) = (&mut words[..], 0);
         for ((first, cursors), len) in ranges(&mut mini[..buckets], span, parts)
             .into_iter()
             .zip(range_rows)
@@ -676,18 +769,17 @@ impl PreSeedingFilter {
                         prefetch(&rows[cursors[ahead.bucket] as usize]);
                     }
                     let cursor = &mut cursors[o.bucket];
-                    let si = SearchIndicator::of_occurrence(o.offset, config.stride, config.groups);
-                    rows[*cursor as usize] = pack_row(o.tag, si);
+                    rows[*cursor as usize] = pack_row(o.tag, o.offset);
                     *cursor += 1;
                 }
             });
             // Each cursor now sits on its sub-bucket's end: sort each
-            // sub-bucket by tag, then store its absolute start.
+            // sub-bucket by (tag, offset), then store its absolute start.
             let mut start = 0;
             for cursor in cursors.iter_mut() {
                 let end = *cursor;
                 if end - start > 1 {
-                    rows[start as usize..end as usize].sort_by_key(row_tag);
+                    rows[start as usize..end as usize].sort_unstable();
                 }
                 *cursor = base + start;
                 start = end;
@@ -717,12 +809,13 @@ impl PreSeedingFilter {
             rows,
             partition_lens,
             layouts,
+            faults: FaultOverlay::default(),
         }
     }
 
     /// Reassembles a filter from prebuilt tables — the zero-copy
-    /// image-loading path. `rows` holds the fused rows, two `u64` words
-    /// each, as [`row_words`](Self::row_words) returns them;
+    /// image-loading path. `rows` holds the rows, one `u64` word each, as
+    /// [`row_words`](Self::row_words) returns them;
     /// `partition_lens` the partitions' lengths in bases. Behaves exactly
     /// like the filter [`build_partitions`](Self::build_partitions) would
     /// produce for the same partitions and config.
@@ -745,15 +838,12 @@ impl PreSeedingFilter {
             return Err("filter mini index has the wrong length for m and the partition count");
         }
         let words = rows.as_slice().len();
-        if !words.is_multiple_of(2) {
-            return Err("filter row table has an odd word count");
-        }
-        if mini[buckets] as usize != words / 2 {
+        if mini[buckets] as usize != words {
             return Err("filter mini index total disagrees with the row count");
         }
         let total = PreSeedingFilter::table_rows(partition_lens, config.k)
             .map_err(|_| "filter row count exceeds what the u32 mini index addresses")?;
-        if total as usize != words / 2 {
+        if total as usize != words {
             return Err("filter row count disagrees with the partition lengths");
         }
         Ok(PreSeedingFilter::assemble(
@@ -770,8 +860,8 @@ impl PreSeedingFilter {
         self.mini_index.as_slice()
     }
 
-    /// The fused row table, two words per row: `w0` is the start mask,
-    /// `w1 = groups | tag << 32` (the image writer persists these).
+    /// The row table, one word per row: `x | tag << 32` (the image writer
+    /// persists these).
     pub fn row_words(&self) -> &[u64] {
         self.rows.as_slice()
     }
@@ -787,10 +877,6 @@ impl PreSeedingFilter {
         )
     }
 
-    fn table(&self) -> &[Row] {
-        self.rows.as_chunks::<2>().0
-    }
-
     /// Number of partitions `P`.
     pub fn partitions(&self) -> usize {
         self.partition_lens.len()
@@ -801,7 +887,8 @@ impl PreSeedingFilter {
         &self.partition_lens
     }
 
-    /// Whether the tables are backed by shared (mapped) storage.
+    /// Whether the tables are backed by shared (mapped) storage. Fault
+    /// injection leaves them as they are.
     pub fn tables_shared(&self) -> bool {
         self.mini_index.is_shared() && self.rows.is_shared()
     }
@@ -813,7 +900,7 @@ impl PreSeedingFilter {
 
     /// Number of tag/data rows (k-mer occurrences) over all partitions.
     pub fn rows(&self) -> usize {
-        self.rows.len() / 2
+        self.rows.len()
     }
 
     /// Partition `part`'s §5 physical packing of its tag array.
@@ -847,41 +934,89 @@ impl PreSeedingFilter {
         Some(self.lookup_code(part, code, stats))
     }
 
-    /// Looks up a pre-computed k-mer code in partition `part`.
+    /// Looks up a pre-computed k-mer code in partition `part`: one
+    /// mini-index read, and for a non-empty sub-bucket one range-gated tag
+    /// search powering it whole plus a data read per matching row.
     pub fn lookup_code(&self, part: usize, code: u64, stats: &mut FilterStats) -> SearchIndicator {
-        let (slot, tag) = self.slot_and_tag(code);
-        let bucket = slot * self.partitions() + part;
-        let mini = self.mini_index.as_slice();
-        self.search_bucket(part, mini[bucket], mini[bucket + 1], tag, stats)
-    }
-
-    /// Partition `part`'s range-gated tag search over its sub-bucket
-    /// `lo..hi`: one mini-index read, and for a non-empty sub-bucket one
-    /// tag search powering it whole plus a data read per matching row.
-    #[inline(always)]
-    fn search_bucket(
-        &self,
-        part: usize,
-        lo: u32,
-        hi: u32,
-        tag: u32,
-        stats: &mut FilterStats,
-    ) -> SearchIndicator {
-        let (lo, hi) = (lo as usize, hi as usize);
+        let tag = self.slot_and_tag(code).1;
+        let bucket = self.sub_bucket(part, code);
         stats.lookups += 1;
         stats.mini_index_reads += 1;
-        if lo == hi {
+        if bucket.is_empty() {
             return SearchIndicator::EMPTY;
         }
         stats.tag_searches += 1;
-        stats.tag_rows_enabled += (hi - lo) as u64;
-        stats.tag_physical_rows += self.layouts[part].physical_rows(hi - lo) as u64;
-        let (reads, si) = match_bucket(&self.table()[lo..hi], tag);
+        stats.tag_rows_enabled += bucket.len() as u64;
+        stats.tag_physical_rows += self.layouts[part].physical_rows(bucket.len()) as u64;
+        let (reads, si) = self.match_bucket(bucket, tag);
         stats.data_reads += reads;
         if !si.is_empty() {
             stats.hits += 1;
         }
         si
+    }
+
+    /// Partition `part`'s sub-bucket of the m-mer slot of k-mer code
+    /// `code` (one mini-index read, booked nowhere).
+    pub fn sub_bucket(&self, part: usize, code: u64) -> SubBucket {
+        let bucket = self.slot_and_tag(code).0 * self.partitions() + part;
+        let mini = self.mini_index.as_slice();
+        SubBucket {
+            lo: mini[bucket],
+            hi: mini[bucket + 1],
+        }
+    }
+
+    /// The occurrences recorded by `bucket`, a sub-bucket of partition
+    /// `part` ([`sub_bucket`](Self::sub_bucket)).
+    /// A read of the rows' offsets only: no indicator, no activity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` lies beyond the table or `part` beyond the
+    /// partitions.
+    pub fn occurrences(&self, part: usize, bucket: SubBucket) -> Occurrences<'_> {
+        Occurrences {
+            rows: &self.rows[bucket.lo as usize..bucket.hi as usize],
+            m: self.config.m,
+            tail: partition_rows(self.partition_lens[part], self.config.k),
+        }
+    }
+
+    /// The indicator of row `row`, whose word is `word`: its occurrence's
+    /// ([`SearchIndicator::of_occurrence`]) with any injected faults
+    /// applied.
+    #[inline(always)]
+    fn indicator(&self, row: usize, word: u64) -> SearchIndicator {
+        let mut si = SearchIndicator::of_occurrence(
+            row_offset(word),
+            self.config.stride,
+            self.config.groups,
+        );
+        if !self.faults.is_empty() {
+            si.start_mask ^= self.faults.xor(row);
+        }
+        si
+    }
+
+    /// The rows of a tag-sorted sub-bucket whose tag is `tag`: how many
+    /// there are (each a data read) and the OR of their indicators. The
+    /// one matcher of per-code lookups and of the sparse pass's bisected
+    /// slots.
+    #[inline(always)]
+    fn match_bucket(&self, bucket: SubBucket, tag: u32) -> (u64, SearchIndicator) {
+        let (lo, hi) = (bucket.lo as usize, bucket.hi as usize);
+        let first = lo + self.rows[lo..hi].partition_point(|&r| row_tag(r) < tag);
+        let mut si = SearchIndicator::EMPTY;
+        let mut reads = 0;
+        for (row, &word) in (first..).zip(self.rows[first..hi].iter()) {
+            if row_tag(word) != tag {
+                break;
+            }
+            reads += 1;
+            si.merge(self.indicator(row, word));
+        }
+        (reads, si)
     }
 
     /// Pipeline distance `D` of the sparse pass, in codes. While code `i`
@@ -974,7 +1109,7 @@ impl PreSeedingFilter {
         );
         let parts = self.partitions();
         pass.reset(parts);
-        let (mini, table) = (self.mini_index.as_slice(), self.table());
+        let (mini, table) = (self.mini_index.as_slice(), self.rows.as_slice());
         let first_entry = |code: u64| self.slot_and_tag(code).0 * parts;
         let mut lanes: Vec<GateLane> = self
             .layouts
@@ -1022,22 +1157,21 @@ impl PreSeedingFilter {
                     // matches are contiguous, partitions in order.
                     let mut p = 0;
                     let mut run: Option<(usize, u64, SearchIndicator)> = None;
-                    for (r, row) in table[lo..hi].iter().enumerate() {
-                        if row_tag(row) != tag {
+                    for (row, &word) in (lo..).zip(table[lo..hi].iter()) {
+                        if row_tag(word) != tag {
                             continue;
                         }
-                        while sub[p + 1] as usize <= lo + r {
+                        while sub[p + 1] as usize <= row {
                             p += 1;
                         }
+                        let si = self.indicator(row, word);
                         match &mut run {
-                            Some((part, reads, si)) if *part == p => {
+                            Some((part, reads, merged)) if *part == p => {
                                 *reads += 1;
-                                si.merge(row_indicator(row));
+                                merged.merge(si);
                             }
                             _ => {
-                                if let Some((part, reads, si)) =
-                                    run.replace((p, 1, row_indicator(row)))
-                                {
+                                if let Some((part, reads, si)) = run.replace((p, 1, si)) {
                                     hit(part, reads, si);
                                 }
                             }
@@ -1048,8 +1182,11 @@ impl PreSeedingFilter {
                     }
                 } else {
                     for p in 0..parts {
-                        let bucket = &table[sub[p] as usize..sub[p + 1] as usize];
-                        let (reads, si) = match_bucket(bucket, tag);
+                        let bucket = SubBucket {
+                            lo: sub[p],
+                            hi: sub[p + 1],
+                        };
+                        let (reads, si) = self.match_bucket(bucket, tag);
                         if reads > 0 {
                             hit(p, reads, si);
                         }
@@ -1082,9 +1219,9 @@ impl PreSeedingFilter {
         stats.lookups += 1;
         stats.mini_index_reads += 1;
         let mut si = SearchIndicator::EMPTY;
-        for row in &self.table()[lo..hi] {
+        for (row, &word) in (lo..hi).zip(self.rows[lo..hi].iter()) {
             stats.data_reads += 1;
-            si.merge(row_indicator(row));
+            si.merge(self.indicator(row, word));
         }
         if !si.is_empty() {
             stats.hits += 1;
@@ -1113,7 +1250,8 @@ impl PreSeedingFilter {
     ///
     /// The corruption is silent: subsequent lookups simply return the
     /// corrupted indicators. Calling this again flips further bits on top
-    /// of the existing ones.
+    /// of the existing ones. The flips go to the filter's fault overlay,
+    /// never to the tables, so shared (mapped) tables stay shared.
     pub fn inject_faults(&mut self, part: usize, model: &FilterFaultModel) -> FilterFaultReport {
         let mut report = FilterFaultReport::default();
         if model.flip_rate <= 0.0 {
@@ -1122,22 +1260,20 @@ impl PreSeedingFilter {
         let stride = self.config.stride as u64;
         let parts = self.partitions();
         let mini = self.mini_index.as_slice();
-        // Detach shared storage up front (copy-on-write) so the loop
-        // mutates in place.
-        let table = self.rows.to_mut().as_chunks_mut::<2>().0;
+        let mut flips = Vec::new();
         let mut local = 0u32;
         for bucket in (part..mini.len() - 1).step_by(parts) {
-            for words in &mut table[mini[bucket] as usize..mini[bucket + 1] as usize] {
+            for row in mini[bucket]..mini[bucket + 1] {
                 let h = site_hash(model.seed, &[DOMAIN_FILTER_FLIP, u64::from(local)]);
                 if coin(h, model.flip_rate) {
                     // Reuse independent high hash bits to pick the flipped bit.
-                    let bit = (h >> 32) % stride;
-                    words[0] ^= 1 << bit;
+                    flips.push((row, 1 << ((h >> 32) % stride)));
                     report.rows.push(local);
                 }
                 local += 1;
             }
         }
+        self.faults.flip(&flips);
         report
     }
 }
@@ -1201,9 +1337,9 @@ mod tests {
         // per-code lookup_code calls: same indicators in order, same
         // FilterStats deltas — the engine's modeled-activity figures
         // depend on it. Checked at the pipeline's edges (prologue only,
-        // one stage, both stages, a full 101 bp read at k = 19) on every
-        // storage the tables can have: owned, shared, and shared detached
-        // by fault injection (copy-on-write).
+        // one stage, both stages, a full 101 bp read at k = 19) on owned
+        // and shared tables, and on shared tables under a fault overlay
+        // (which leaves them shared).
         let part = generate_reference(&ReferenceProfile::human_like(), 3_000, 23);
         let cfg = FilterConfig::small(8, 4);
         let built = PreSeedingFilter::build(&part, cfg);
@@ -1214,7 +1350,7 @@ mod tests {
             flip_rate: 0.05,
         };
         assert!(faulted.inject_faults(0, &model).sites() > 0);
-        assert!(shared.tables_shared() && !faulted.rows.is_shared());
+        assert!(shared.tables_shared() && faulted.tables_shared());
 
         // Present and absent codes interleaved, then repeats.
         use rand::{Rng, SeedableRng};
@@ -1256,8 +1392,8 @@ mod tests {
         // the summed per-code stats. A repetitive reference (a poly-A run,
         // as N runs under NPolicy::Replace(A) leave, and a tandem repeat)
         // makes slots too large to scan; partitions of unequal length; on
-        // owned, shared and fault-detached storage; at the pipeline's
-        // edge lengths.
+        // owned and shared tables, and shared tables under a fault
+        // overlay; at the pipeline's edge lengths.
         let cfg = FilterConfig::small(9, 5);
         let rest_bits = 2 * (cfg.k - cfg.m);
         let mut reference = generate_reference(&ReferenceProfile::human_like(), 5_000, 19);
@@ -1290,7 +1426,7 @@ mod tests {
                 };
                 faulted.inject_faults(p, &model);
             }
-            assert!(shared.tables_shared() && !faulted.rows.is_shared());
+            assert!(shared.tables_shared() && faulted.tables_shared());
             // A row whose k-mer occurs once in its partition loses its
             // only start bit: a data read, but no hit.
             let (part, x, cleared) = parts
@@ -1302,17 +1438,13 @@ mod tests {
                     once.then_some((p, x, code))
                 })
                 .expect("a k-mer that occurs once");
-            let (slot, tag) = faulted.slot_and_tag(cleared);
-            let bucket = slot * nparts + part;
-            let (lo, hi) = (
-                faulted.mini_index()[bucket],
-                faulted.mini_index()[bucket + 1],
-            );
-            let table = faulted.rows.to_mut().as_chunks_mut::<2>().0;
-            let row = (lo..hi)
-                .find(|&r| row_tag(&table[r as usize]) == tag)
+            let tag = faulted.slot_and_tag(cleared).1;
+            let bucket = faulted.sub_bucket(part, cleared);
+            let row = (bucket.lo..bucket.hi)
+                .find(|&r| row_tag(faulted.row_words()[r as usize]) == tag)
                 .expect("the k-mer's row");
-            table[row as usize][0] = 0;
+            let start = faulted.indicator(row as usize, faulted.row_words()[row as usize]);
+            faulted.faults.flip(&[(row, start.start_mask)]);
             assert!(faulted
                 .lookup(part, &parts[part], x, &mut FilterStats::default())
                 .unwrap()
@@ -1546,25 +1678,125 @@ mod tests {
         let rb = b.inject_faults(0, &model);
         assert_eq!(ra, rb);
         assert!(ra.sites() > 0, "expected fault sites at this rate");
-        for &row in &ra.rows {
-            let row = row as usize;
-            assert_ne!(
-                a.table()[row][0],
-                clean.table()[row][0],
-                "row {row} should differ from the clean build"
-            );
-            assert_eq!(a.table()[row][1], clean.table()[row][1], "row {row} tag");
-        }
-        // Rows outside the report are untouched.
+        // The rows themselves (offset and tag) are untouched; a reported
+        // row's indicator differs from the clean one in its start mask
+        // alone, and every other row's indicator is the clean one.
+        assert_eq!(a.row_words(), clean.row_words());
         let faulty: std::collections::HashSet<u32> = ra.rows.iter().copied().collect();
-        for row in 0..a.rows() {
-            if !faulty.contains(&(row as u32)) {
-                assert_eq!(a.table()[row], clean.table()[row]);
-            }
+        for (row, &word) in a.row_words().iter().enumerate() {
+            let (got, want) = (a.indicator(row, word), clean.indicator(row, word));
+            assert_eq!(got.groups, want.groups, "row {row} groups");
+            assert_eq!(
+                got != want,
+                faulty.contains(&(row as u32)),
+                "row {row} should differ from the clean build exactly when reported"
+            );
         }
         // Zero rate is a no-op.
         let mut c = clean.clone();
         assert_eq!(c.inject_faults(0, &FilterFaultModel::default()).sites(), 0);
+    }
+
+    /// Fault sites and faulted indicators are pinned to the values
+    /// recorded when faults still flipped bits of stored 16-byte rows: the
+    /// overlay must pick the same sites and return the same indicators,
+    /// over two interleaved partitions and two injections into one of
+    /// them (the second on top of the first).
+    #[test]
+    fn fault_sites_and_faulted_indicators_are_pinned() {
+        let reference = generate_reference(&ReferenceProfile::human_like(), 3_500, 5);
+        let cfg = FilterConfig::small(8, 4);
+        let parts = [reference.subseq(0, 2_000), reference.subseq(2_000, 1_500)];
+        let refs: Vec<&PackedSeq> = parts.iter().collect();
+        let mut filter = PreSeedingFilter::build_partitions(&refs, cfg, 2).unwrap();
+        let sites: Vec<Vec<u32>> = [(0, 42), (1, 43), (0, 7)]
+            .into_iter()
+            .map(|(p, seed)| {
+                let model = FilterFaultModel {
+                    seed,
+                    flip_rate: 0.01,
+                };
+                filter.inject_faults(p, &model).rows
+            })
+            .collect();
+        assert_eq!(
+            sites,
+            [
+                &[
+                    37, 131, 235, 240, 269, 397, 407, 525, 607, 618, 663, 716, 1038, 1394, 1589,
+                    1976
+                ][..],
+                &[
+                    141, 235, 295, 303, 356, 437, 611, 624, 671, 754, 765, 781, 838, 908, 922, 924,
+                    971, 981, 1318, 1350, 1423, 1427
+                ],
+                &[
+                    19, 29, 71, 75, 529, 552, 604, 696, 766, 820, 989, 1422, 1524, 1531, 1544,
+                    1624, 1952, 1954, 1988
+                ],
+            ]
+        );
+        // FNV-1a over every k-mer and m-mer indicator of the reference in
+        // both partitions.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| {
+            digest ^= v;
+            digest = digest.wrapping_mul(0x100_0000_01b3);
+        };
+        let mut stats = FilterStats::default();
+        let rest_bits = 2 * (cfg.k - cfg.m);
+        for p in 0..2 {
+            for (_, code) in reference.kmers(cfg.k) {
+                for si in [
+                    filter.lookup_code(p, code, &mut stats),
+                    filter.lookup_mmer_code(p, code >> rest_bits, &mut stats),
+                ] {
+                    fold(si.start_mask);
+                    fold(u64::from(si.groups));
+                }
+            }
+        }
+        assert_eq!(digest, 0xb1dd_1131_0eb0_bc75);
+        assert_eq!(
+            stats,
+            FilterStats {
+                lookups: 13_972,
+                mini_index_reads: 13_972,
+                tag_searches: 6_984,
+                tag_rows_enabled: 56_683,
+                tag_physical_rows: 56_683,
+                data_reads: 60_418,
+                hits: 10_576,
+            }
+        );
+    }
+
+    #[test]
+    fn occurrences_are_every_mmer_offset_before_the_tail() {
+        // Two partitions; the second holds repeats, so its sub-buckets
+        // carry several tags. Every m-mer occurrence starting a k-mer is a
+        // row of its sub-bucket; the rest lie at or past the tail.
+        let cfg = FilterConfig::small(8, 4);
+        let (parts, _) = partition_fixture(cfg);
+        let refs: Vec<&PackedSeq> = parts.iter().collect();
+        let filter = PreSeedingFilter::build_partitions(&refs, cfg, 2).unwrap();
+        let rest_bits = 2 * (cfg.k - cfg.m);
+        for (p, part) in parts.iter().enumerate() {
+            for (x, mmer) in part.kmers(cfg.m).step_by(3) {
+                let bucket = filter.sub_bucket(p, mmer << rest_bits);
+                let occ = filter.occurrences(p, bucket);
+                assert_eq!((occ.m(), occ.len()), (cfg.m, bucket.len()));
+                assert_eq!(occ.tail(), (part.len() + 1).saturating_sub(cfg.k));
+                let mut got: Vec<usize> = occ.offsets().collect();
+                got.sort_unstable();
+                let want: Vec<usize> = part
+                    .kmers(cfg.m)
+                    .filter(|&(y, c)| c == mmer && y < occ.tail())
+                    .map(|(y, _)| y)
+                    .collect();
+                assert_eq!(got, want, "partition {p}, m-mer at {x}");
+            }
+        }
     }
 
     #[test]
@@ -1594,9 +1826,7 @@ mod tests {
         let mut words = Vec::new();
         for &(code, x) in &occs {
             mini[(code >> rest_bits) as usize + 1] += 1;
-            let si = SearchIndicator::of_occurrence(x, cfg.stride, cfg.groups);
-            let tag = (code & ((1 << rest_bits) - 1)) as u32;
-            words.extend_from_slice(&pack_row(tag, si));
+            words.push(pack_row((code & ((1 << rest_bits) - 1)) as u32, x));
         }
         for i in 1..mini.len() {
             mini[i] += mini[i - 1];
@@ -1614,7 +1844,7 @@ mod tests {
         let built = PreSeedingFilter::build(&part, cfg);
         assert_eq!(built.mini_index(), &mini[..]);
         assert_eq!(built.row_words(), &words[..]);
-        assert_eq!(built.rows(), words.len() / 2);
+        assert_eq!(built.rows(), words.len());
         let shared = shared_copy(&built);
         assert!(shared.tables_shared() && !built.tables_shared());
         assert_eq!(shared.mini_index(), built.mini_index());
@@ -1623,11 +1853,11 @@ mod tests {
 
     #[test]
     fn tables_advised_onto_huge_pages_equal_the_oracle_word_for_word() {
-        // m = 10 makes a 4 MB mini index and 300k bases a 4.8 MB row
+        // m = 10 makes a 4 MB mini index and 600k bases a 4.8 MB row
         // table: both hold whole huge pages, so the build advises both
         // before writing them. The advice changes the backing, never the
         // words.
-        let part = generate_reference(&ReferenceProfile::human_like(), 300_000, 32);
+        let part = generate_reference(&ReferenceProfile::human_like(), 600_000, 32);
         let cfg = FilterConfig::new(14, 10, 40, 20);
         let built = PreSeedingFilter::build(&part, cfg);
         for (name, addr, len) in [
@@ -1676,26 +1906,19 @@ mod tests {
 
     #[test]
     fn rows_of_a_repeated_kmer_are_in_ascending_offset_order() {
-        // stride × groups = 2048 > partition length, so each row's start
-        // bit and group bit decode its offset exactly.
         let part = generate_reference(&ReferenceProfile::human_like(), 2_000, 13);
         let cfg = FilterConfig::new(6, 3, 64, 32);
         let filter = PreSeedingFilter::build(&part, cfg);
-        let offset = |row: &Row| {
-            let si = row_indicator(row);
-            si.groups.trailing_zeros() as usize * cfg.stride
-                + si.start_mask.trailing_zeros() as usize
-        };
         let rest_bits = 2 * (cfg.k - cfg.m);
         let mut repeated = 0;
         for (x, code) in part.kmers(cfg.k) {
             let mmer = (code >> rest_bits) as usize;
             let tag = (code & ((1 << rest_bits) - 1)) as u32;
             let (lo, hi) = (filter.mini_index()[mmer], filter.mini_index()[mmer + 1]);
-            let offsets: Vec<usize> = filter.table()[lo as usize..hi as usize]
+            let offsets: Vec<usize> = filter.row_words()[lo as usize..hi as usize]
                 .iter()
-                .filter(|r| row_tag(r) == tag)
-                .map(offset)
+                .filter(|&&r| row_tag(r) == tag)
+                .map(|&r| row_offset(r))
                 .collect();
             let expect: Vec<usize> = part
                 .kmers(cfg.k)
@@ -1778,11 +2001,10 @@ mod tests {
             occs.extend(part.kmers(cfg.k).map(|(x, c)| (c >> rest_bits, p, c, x)));
         }
         occs.sort_unstable();
-        let mut words = Vec::new();
-        for &(_, _, code, x) in &occs {
-            let si = SearchIndicator::of_occurrence(x, cfg.stride, cfg.groups);
-            words.extend_from_slice(&pack_row((code & ((1 << rest_bits) - 1)) as u32, si));
-        }
+        let words: Vec<u64> = occs
+            .iter()
+            .map(|&(_, _, code, x)| pack_row((code & ((1 << rest_bits) - 1)) as u32, x))
+            .collect();
         assert_eq!(filter.row_words(), &words[..]);
         let empty = (0..1usize << (2 * cfg.m))
             .filter(|&s| filter.mini_index()[s * nparts] == filter.mini_index()[(s + 1) * nparts])

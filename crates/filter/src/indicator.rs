@@ -1,5 +1,7 @@
-//! Search indicators: the per-k-mer metadata stored in the pre-seeding
-//! filter's data array.
+//! Search indicators: the per-k-mer metadata of the pre-seeding filter's
+//! data array. The filter stores no indicator bits: each row holds its
+//! occurrence's partition offset `x`, and the row's indicator is
+//! [`SearchIndicator::of_occurrence`] of it.
 //!
 //! A *search indicator* (paper §3) combines, for all occurrences of a k-mer
 //! in the current reference partition:

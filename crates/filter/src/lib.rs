@@ -13,9 +13,12 @@
 //! up in all partitions at once while each partition keeps the
 //! indicators, activity counters and fault sites of its own filter.
 //!
-//! The crate stops at the indicator: it knows nothing of the computing
-//! CAM. An indicator's group bits are plain bits, which the CAM model
-//! (`casa-cam`'s `Bcam::load_groups`) turns into powered rows itself.
+//! The crate stops at the indicator and the occurrences: it knows nothing
+//! of the computing CAM. An indicator's group bits are plain bits, which
+//! the CAM model (`casa-cam`'s `Bcam::load_groups`) turns into powered
+//! rows itself, and a sub-bucket's rows are partition offsets
+//! ([`Occurrences`]), which the seeding engine turns into the CAM entries
+//! a search can hit.
 //!
 //! # Example
 //!
@@ -47,7 +50,7 @@ mod layout;
 pub use bloom::BloomFilter;
 pub use filter::{
     FilterConfig, FilterFaultModel, FilterFaultReport, FilterHit, FilterStats, FilterTooLarge,
-    PreSeedingFilter, SparsePass,
+    Occurrences, PreSeedingFilter, SparsePass, SubBucket,
 };
 pub use indicator::SearchIndicator;
 pub use layout::TagLayout;

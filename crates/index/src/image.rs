@@ -61,9 +61,12 @@ pub const MAGIC: &[u8; 8] = b"CASAIMG1";
 /// section (kind code 3). Version 3 holds one partition-interleaved
 /// filter for the whole reference — one [`SectionKind::FilterMini`] and
 /// one [`SectionKind::FilterData`] section, both at partition 0 — where
-/// version 2 held one pair per partition. An image of another version
+/// version 2 held one pair per partition. Version 4 stores a filter row
+/// as one `u64` word, its occurrence's offset beside its tag, where
+/// version 3 stored two (the start mask, then groups and tag): the
+/// indicator is a function of the offset. An image of another version
 /// fails to open with [`ImageError::BadVersion`].
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Payload alignment: one small page.
 pub const PAGE_SIZE: u32 = 4096;
 
@@ -141,11 +144,10 @@ pub enum SectionKind {
     /// them: entry `slot · P + p` starts partition `p`'s sub-bucket of
     /// m-mer `slot`. One section, at partition 0.
     FilterMini = 2,
-    /// The filter's fused rows, sorted by (m-mer, partition, tag), two
-    /// `u64` words per row: `words[2i]` = start mask, `words[2i+1]` =
-    /// group mask in the low 32 bits, tag (`(k−m)`-mer code) in the high
-    /// 32. One section, at partition 0. Code 3, the version-1 tag array,
-    /// is retired.
+    /// The filter's rows, sorted by (m-mer, partition, tag, offset), one
+    /// `u64` word per row: the occurrence's partition offset in the low
+    /// 32 bits, its tag (`(k−m)`-mer code) in the high 32. One section,
+    /// at partition 0. Code 3, the version-1 tag array, is retired.
     FilterData = 4,
     /// One partition's suffix array ranks (`u32`).
     Sa = 5,

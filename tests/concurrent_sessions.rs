@@ -92,11 +92,12 @@ fn caught_panics_do_not_poison_other_sessions() {
     let (reference, reads) = workload();
     let serial: Vec<Vec<Smem>> = build(&reference, 1).seed_reads(&reads).smems;
 
-    // Every tile of partition 0 panics on every attempt: the runtime
-    // catches the unwinds, quarantines the partition, and recovers via
-    // the golden model. Clones of this session share backends and
-    // quarantine state — none of them may observe a changed result
-    // afterwards.
+    // Every tile of every partition panics on every attempt (`partition=0`
+    // confines only hardware faults, which this plan has none of): the
+    // runtime catches the unwinds, quarantines the partitions, and
+    // recovers via the golden model. Clones of this session share
+    // backends and quarantine state — none of them may observe a changed
+    // result afterwards.
     let plan = FaultPlan::parse("seed=13,panic=1.0,retries=1,partition=0").unwrap();
     let faulty = Seeder::builder(&reference)
         .partition_len(6_000)

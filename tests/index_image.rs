@@ -9,7 +9,9 @@
 //! in flight — zero dropped or erroring requests; and refuse a version-1
 //! image (separate tag and data arrays) with a typed error from both
 //! opens and from `/admin/reload`, and a version-2 image (one filter per
-//! partition) with a typed error naming both versions.
+//! partition) and a version-3 image (16-byte filter rows) with a typed
+//! error naming both versions; and seed without a tile panic from an
+//! image whose filter rows hold offsets past the partition tail.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -424,6 +426,83 @@ fn serve_hot_swaps_images_under_load_without_dropping_requests() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn filter_rows_past_the_partition_tail_seed_without_a_panic() {
+    // Rows whose offsets a corrupt image moved at or past a partition's
+    // tail (in and out of the CAM's entry range) or onto their
+    // neighbour's: only payload checksums catch them, which `open_fast`
+    // skips and a re-sealed image passes. The CAM's occurrence lists
+    // must stay strictly ascending and in range, so seeding completes
+    // without a tile panic.
+    let (reference, reads) = workload(30);
+    let config = CasaConfig::paper(PART_LEN, READ_LEN);
+    let dir = scratch_dir("rows-past-tail");
+    let clean = dir.join("clean.casaimg");
+    build_index_image(&reference, config, &clean).expect("image builds");
+    let image = IndexImage::open(&clean).expect("image maps back");
+    // Past every full partition's tail (its last k - 1 offsets), still
+    // inside its CAM; out of range of the shorter last partition.
+    let past_tail = (PART_LEN + READ_LEN - 6) as u64;
+    let mut builder = ImageBuilder::new(image.config_bytes());
+    for section in image.sections() {
+        let kind = SectionKind::from_code(section.kind).expect("known section kind");
+        let bytes = image.section_bytes(section);
+        if kind != SectionKind::FilterData {
+            builder.add_bytes(kind, section.partition, bytes, section.elem_count);
+            continue;
+        }
+        let rows: Vec<u64> = bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")))
+            .collect();
+        let corrupt: Vec<u64> = (0..rows.len())
+            .map(|i| {
+                let offset = match i % 4 {
+                    0 => u64::from(u32::MAX),
+                    1 => past_tail,
+                    2 => rows.get(i + 1).unwrap_or(&rows[i]) & 0xffff_ffff,
+                    _ => rows[i] & 0xffff_ffff,
+                };
+                rows[i] & !0xffff_ffff | offset
+            })
+            .collect();
+        builder.add_u64s(kind, section.partition, corrupt);
+    }
+    let path = dir.join("corrupt.casaimg");
+    builder.write_file(&path).expect("write corrupt image");
+    for (open, mapped) in [
+        ("open", LoadedIndex::open(&path)),
+        ("open_fast", LoadedIndex::open_fast(&path)),
+    ] {
+        let mapped = mapped.expect("a re-sealed image opens");
+        for workers in [1, 2] {
+            let run = SeedingSession::from_image(
+                &mapped,
+                workers,
+                FaultPlan::default(),
+                BackendKind::Cam,
+            )
+            .expect("mapped session")
+            .seed_reads(&reads);
+            let recovered = (
+                run.stats.tile_retries,
+                run.stats.partitions_quarantined,
+                run.stats.fallback_reads,
+            );
+            assert_eq!(
+                recovered,
+                (0, 0, 0),
+                "{open}, workers={workers}: a tile failed"
+            );
+            assert!(
+                run.stats.rmem_searches > 0,
+                "{open}: no pivot reached the CAM"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Rewrites the image at `path` to claim format `version`, re-sealing the
 /// header checksum (FNV-1a over header bytes 0..56) so only the version
 /// check can reject it.
@@ -506,7 +585,7 @@ fn version_two_images_are_refused_naming_both_versions() {
     let (reference, _) = workload(0);
     let config = CasaConfig::small(7_000);
     let dir = scratch_dir("v2");
-    let current = dir.join("v3.casaimg");
+    let current = dir.join("current.casaimg");
     build_index_image(&reference, config, &current).expect("image builds");
     let image = IndexImage::open(&current).expect("image maps back");
     let mut builder = ImageBuilder::new(image.config_bytes());
@@ -527,21 +606,76 @@ fn version_two_images_are_refused_naming_both_versions() {
     let old = dir.join("v2.casaimg");
     builder.write_file(&old).expect("write version-2 layout");
     rewrite_version(&old, 2);
+    assert_refused_naming_both_versions(&old, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
+/// Both opens refuse the image at `path` with the typed
+/// [`ImageError::BadVersion`] of `version`, naming it and the supported
+/// version 4.
+fn assert_refused_naming_both_versions(path: &Path, version: u32) {
     for (name, opened) in [
-        ("open", LoadedIndex::open(&old)),
-        ("open_fast", LoadedIndex::open_fast(&old)),
+        ("open", LoadedIndex::open(path)),
+        ("open_fast", LoadedIndex::open_fast(path)),
     ] {
-        let err = opened.expect_err("a version-2 image must not open");
+        let err = opened.expect_err("an image of another version must not open");
         assert!(
-            matches!(err, IndexImageError::Image(ImageError::BadVersion(2))),
+            matches!(err, IndexImageError::Image(ImageError::BadVersion(v)) if v == version),
             "{name}: {err:?}"
         );
         let text = err.to_string();
         assert!(
-            text.contains("version 2") && text.contains("supported: 3"),
+            text.contains(&format!("version {version}")) && text.contains("supported: 4"),
             "{name}: the error must name both versions: {text}"
         );
     }
+}
+
+#[test]
+fn version_three_images_are_refused_and_filter_rows_are_one_word_each() {
+    // The current image's filter section holds one 8-byte word per row:
+    // a return to 16-byte rows would double its element count.
+    let (reference, _) = workload(0);
+    let config = CasaConfig::small(7_000);
+    let dir = scratch_dir("v3");
+    let current = dir.join("current.casaimg");
+    build_index_image(&reference, config, &current).expect("image builds");
+    let image = IndexImage::open(&current).expect("image maps back");
+    let parts = config.partitioning.split(&reference);
+    let seqs: Vec<&PackedSeq> = parts.iter().map(|p| &p.seq).collect();
+    let filter = PreSeedingFilter::build_partitions(&seqs, config.filter, 1).expect("fits");
+    let data = image
+        .sections()
+        .iter()
+        .find(|s| SectionKind::from_code(s.kind) == Some(SectionKind::FilterData))
+        .expect("a filter row section");
+    assert_eq!(data.elem_count, filter.rows() as u64);
+    assert_eq!(data.byte_len(), 8 * filter.rows());
+
+    // A version-3 image as that format laid it out: two words per row,
+    // the start mask, then groups | tag << 32.
+    let mut builder = ImageBuilder::new(image.config_bytes());
+    for section in image.sections() {
+        let kind = SectionKind::from_code(section.kind).expect("known section kind");
+        if kind != SectionKind::FilterData {
+            let bytes = image.section_bytes(section);
+            builder.add_bytes(kind, section.partition, bytes, section.elem_count);
+        }
+    }
+    let (stride, groups) = (config.filter.stride, config.filter.groups);
+    let wide: Vec<u64> = filter
+        .row_words()
+        .iter()
+        .flat_map(|&row| {
+            let x = row as u32 as usize;
+            let group = 1u64 << ((x / stride) % groups);
+            [1u64 << (x % stride), group | (row >> 32) << 32]
+        })
+        .collect();
+    builder.add_u64s(SectionKind::FilterData, 0, wide);
+    let old = dir.join("v3.casaimg");
+    builder.write_file(&old).expect("write version-3 layout");
+    rewrite_version(&old, 3);
+    assert_refused_naming_both_versions(&old, 3);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -375,9 +375,11 @@ fn reads_longer_than_the_partition_overlap_get_400_before_admission() {
 fn quarantined_partitions_serve_degraded_but_bit_identical_responses() {
     let (reference, reads) = workload(16);
     let expected = expected_tsv(&reference, &reads);
-    // Partition 0 panics on every attempt: retries exhaust, the partition
-    // is quarantined, and its tiles fall back to the golden model — the
-    // response degrades (flagged) without changing a single output byte.
+    // Every partition panics on every attempt (`partition=0` confines only
+    // hardware faults, which this plan has none of): retries exhaust, the
+    // partitions are quarantined, and their tiles fall back to the golden
+    // model — the response degrades (flagged) without changing a single
+    // output byte.
     let plan = FaultPlan::parse("seed=9,panic=1.0,retries=1,partition=0").unwrap();
     let server = start_server(&reference, ServeConfig::default(), Some(plan));
     let addr = server.local_addr();
