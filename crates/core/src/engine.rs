@@ -30,10 +30,11 @@ use crate::CasaConfig;
 /// stage.
 const PIVOT_CHECK_CYCLES: u64 = 1;
 
-/// Everything one seeding call writes — the RMEM chain, mask, hit and
-/// match-line buffers — plus the CAM word kernel and whether stages are
-/// timed. One per worker, reused across reads, tiles and partitions of
-/// any size: every buffer is overwritten before it is read.
+/// Everything one seeding call writes — the RMEM search's query,
+/// candidate, hit and match-line buffers — plus the CAM word kernel and
+/// whether stages are timed. One per worker, reused across reads, tiles
+/// and partitions of any size: every buffer is overwritten before it is
+/// read.
 #[derive(Clone, Debug)]
 pub struct Lane {
     /// The RMEM just computed.
@@ -339,21 +340,37 @@ impl CamIndex {
         }
 
         stats.rmem_searches += 1;
+        self.rmem(lane, walk.read, walk.codes, pivot, &si, stats);
         let t = StageTimer::start(lane.profiling);
-        let bucket = self.filter.sub_bucket(self.part, walk.codes[pivot]);
+        self.record_rmem(&mut lane.rmem, pivot, out, &mut walk.last, stats);
+        t.stop(&mut stats.profile, Stage::ContainMerge);
+    }
+
+    /// Computes the RMEM of `read[pivot..]` under `si` into `lane.rmem`,
+    /// its group searches over the occurrences of the pivot's m-mer (the
+    /// sub-bucket of `codes[pivot]`, the pivot's k-mer code), timed as
+    /// [`Stage::CamSearch`].
+    fn rmem(
+        &self,
+        lane: &mut Lane,
+        read: &PackedSeq,
+        codes: &[u64],
+        pivot: usize,
+        si: &SearchIndicator,
+        stats: &mut SeedingStats,
+    ) {
+        let t = StageTimer::start(lane.profiling);
+        let bucket = self.filter.sub_bucket(self.part, codes[pivot]);
         self.searcher.rmem_into(
-            walk.read,
+            read,
             pivot,
-            &si,
+            si,
             Some(self.filter.occurrences(self.part, bucket)),
             &mut lane.search,
             &mut stats.cam,
             &mut lane.rmem,
         );
         t.stop(&mut stats.profile, Stage::CamSearch);
-        let t = StageTimer::start(lane.profiling);
-        self.record_rmem(&mut lane.rmem, pivot, out, &mut walk.last, stats);
-        t.stop(&mut stats.profile, Stage::ContainMerge);
     }
 
     /// Records the RMEM of `pivot` just computed into `rmem`: containment
@@ -450,18 +467,7 @@ impl CamIndex {
         // indicator (superset of the true occurrence offsets), over that
         // m-mer's occurrences: the sub-bucket of the k-mer at 0.
         let si = first.expect("offsets is non-empty");
-        let t = StageTimer::start(lane.profiling);
-        let bucket = self.filter.sub_bucket(self.part, codes[0]);
-        self.searcher.rmem_into(
-            read,
-            0,
-            &si,
-            Some(self.filter.occurrences(self.part, bucket)),
-            &mut lane.search,
-            &mut stats.cam,
-            &mut lane.rmem,
-        );
-        t.stop(&mut stats.profile, Stage::CamSearch);
+        self.rmem(lane, read, codes, 0, &si, stats);
         stats.computing_cycles += lane.rmem.searches;
         if lane.rmem.len == read.len() {
             out.push(Smem {

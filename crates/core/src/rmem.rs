@@ -8,14 +8,14 @@
 //! previous cycle (DFF-based selective enabling) — and finally binary
 //! searches inside the first mismatched stride for the exact match end.
 //!
-//! Each start offset is searched as a **chain**: a small state machine
-//! that prepares one CAM search at a time and absorbs its hits. The
-//! searcher runs each chain to completion — one search per cycle, as in
-//! the hardware — and combines the chains in ascending offset order.
+//! Each start offset is searched as straight-line code, one CAM search
+//! per cycle as in the hardware: the first search, the stride chase, and
+//! the binary search of the stride that misses. The start offsets run in
+//! ascending order, each to completion, and the longest match wins.
 //!
-//! A search costs what its candidates cost. The first search of every
-//! chain, and the binary probes refining a first search that found
-//! nothing, power the rows of the pivot's indicated groups. Stride
+//! A search costs what its candidates cost. The first search from every
+//! start offset, and the binary probes refining a first search that
+//! found nothing, power the rows of the pivot's indicated groups. Stride
 //! searches and all other binary probes carry their candidates as a
 //! sorted entry list — the frontier's successors or the last probe's hits
 //! — and run through [`Bcam::search_list_into`], which touches only the
@@ -80,14 +80,27 @@ pub struct RmemResult {
 /// size, and its contents are meaningless between calls.
 #[derive(Clone, Debug, Default)]
 pub struct SearchScratch {
-    /// The chain being driven, reset in place per start offset so its
-    /// inner buffers keep their allocations.
-    chain: Chain,
+    /// The query of the next search, refilled in place.
+    query: CamQuery,
+    /// The entries a group search of the current start offset can hit,
+    /// when it covers at least `m` bases (see the module docs).
+    occurrences: Vec<u32>,
+    /// Entries matching at the last completed stride.
+    frontier: Vec<u32>,
+    /// The frontier's in-range successors, ascending: the candidates of
+    /// the stride search and of a mid-chase binary search's first probes.
+    succ: Vec<u32>,
+    /// Entries matching at the binary search's best length so far: the
+    /// candidates of every later probe.
+    best: Vec<u32>,
+    /// Hits of the search just issued.
+    hits: Vec<u32>,
+    /// Partition-local start positions of the current start offset's
+    /// match.
+    positions: Vec<u32>,
     /// The pivot's indicated groups, loaded the first time one of its
     /// group searches walks them and shared by the rest.
     loaded: LoadedMask,
-    /// Hits of the search just issued.
-    hits: Vec<u32>,
     /// The CAM's match-line words and word kernel.
     cam: CamScratch,
 }
@@ -106,277 +119,202 @@ impl SearchScratch {
     pub fn kernel_backend(&self) -> KernelBackend {
         self.cam.kernel_backend()
     }
-}
 
-/// What a chain is waiting on (see [`Chain::candidates`] for what each
-/// phase's query searches over).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum Phase {
-    /// The wildcard-padded first search, over the pivot's groups.
-    #[default]
-    First,
-    /// A full-stride chase search, over the successor list `succ`.
-    Stride,
-    /// A binary-prefix probe, over the best hits so far, else over what
-    /// the refined search searched.
-    Binary,
-    /// Finished; `len`/`positions`/`searches` hold the chain's result.
-    Done,
-}
-
-/// What the search in flight searches over.
-enum Candidates<'a> {
-    /// The listed entries, booked as such.
-    List(&'a [u32]),
-    /// The pivot's groups, evaluated over the listed occurrences.
-    Occurrences(&'a [u32]),
-    /// The pivot's groups, walked.
-    Groups,
-}
-
-/// One (pivot, start offset) search chain: the sequential chase of
-/// `rmem` for a single start offset, unrolled into an explicit state
-/// machine with at most one CAM search in flight.
-#[derive(Clone, Debug, Default)]
-struct Chain {
-    /// In-entry start offset (wildcard pad of the first search).
-    p: usize,
-    /// Fewest read bases a group search must cover to run over
-    /// `occurrences`; `usize::MAX` when the pivot's occurrences are not
-    /// used.
-    occurrence_bases: usize,
-    /// The entries a group search of this chain can hit, when it covers
-    /// `occurrence_bases` bases (see the module docs).
-    occurrences: Vec<u32>,
-    phase: Phase,
-    /// Bases matched through the last completed stride.
-    matched: usize,
-    /// Full strides completed after the first search.
-    steps: usize,
-    /// CAM searches this chain has issued.
-    searches: u64,
-    /// Length of the query currently in flight (`First`/`Stride` only).
-    cur_len: usize,
-    /// The query in flight (refilled in place).
-    query: CamQuery,
-    /// Entries matching at the last completed stride.
-    frontier: Vec<u32>,
-    /// The frontier's in-range successors, ascending: the candidates of
-    /// the stride search and of a mid-chase binary search's first probes.
-    succ: Vec<u32>,
-    /// Binary prefix search state: bounds, probe length in flight, query
-    /// origin, wildcard pad, and whether the binary search refines the
-    /// *first* search (vs a mid-chase one).
-    bp_lo: usize,
-    bp_hi: usize,
-    bp_mid: usize,
-    bp_from: usize,
-    bp_pad: usize,
-    bp_first: bool,
-    /// Entries matching at the binary search's best length — the
-    /// candidates of every later probe.
-    bp_hits: Vec<u32>,
-    /// Result: matched length and partition-local start positions.
-    len: usize,
-    positions: Vec<u32>,
-}
-
-impl Chain {
-    /// Re-arms the chain for a new (pivot, start offset) pair, keeping its
-    /// buffer allocations.
-    fn reset(&mut self, p: usize, occurrence_bases: usize) {
-        self.p = p;
-        self.occurrence_bases = occurrence_bases;
-        self.occurrences.clear();
-        self.phase = Phase::First;
-        self.matched = 0;
-        self.steps = 0;
-        self.searches = 0;
-        self.cur_len = 0;
-        self.frontier.clear();
-        self.bp_hits.clear();
-        self.len = 0;
+    /// Writes into `positions` the partition-local start positions of
+    /// the match the frontier reports after `steps` full strides from
+    /// start offset `p`.
+    fn frontier_positions(&mut self, steps: usize, stride: usize, p: usize) {
         self.positions.clear();
-    }
-
-    /// What the search in flight searches over: the pivot's groups for
-    /// the first search and the probes of a binary search refining it
-    /// until one hits — over the occurrences when the query covers enough
-    /// read bases — and a sorted entry list for every other search.
-    fn candidates(&self) -> Candidates<'_> {
-        let groups = |bases: usize| {
-            if bases >= self.occurrence_bases {
-                Candidates::Occurrences(&self.occurrences)
-            } else {
-                Candidates::Groups
-            }
-        };
-        match self.phase {
-            Phase::First => groups(self.cur_len),
-            Phase::Stride => Candidates::List(&self.succ),
-            Phase::Binary if !self.bp_hits.is_empty() => Candidates::List(&self.bp_hits),
-            Phase::Binary if self.bp_first => groups(self.bp_mid),
-            Phase::Binary => Candidates::List(&self.succ),
-            Phase::Done => unreachable!("no search in flight on a finished chain"),
-        }
-    }
-
-    /// Consumes the hits of the search this chain had in flight and either
-    /// finishes the chain (`Done`) or leaves the next search prepared in
-    /// `query` + phase. Mirrors the sequential chase step for step.
-    fn absorb(
-        &mut self,
-        hits: &[u32],
-        read: &PackedSeq,
-        pivot: usize,
-        stride: usize,
-        entries: usize,
-    ) {
-        let remaining = read.len() - pivot;
-        match self.phase {
-            Phase::First => {
-                if hits.is_empty() {
-                    self.bp_lo = 0;
-                    self.bp_hi = self.cur_len;
-                    self.bp_from = pivot;
-                    self.bp_pad = self.p;
-                    self.bp_first = true;
-                    self.bp_hits.clear();
-                    self.binary_step(read, stride);
-                } else {
-                    self.matched = self.cur_len;
-                    self.steps = 0;
-                    self.frontier.clear();
-                    self.frontier.extend_from_slice(hits);
-                    self.chase_top(read, pivot, remaining, stride, entries);
-                }
-            }
-            Phase::Stride => {
-                if hits.is_empty() {
-                    self.bp_lo = 0;
-                    self.bp_hi = self.cur_len;
-                    self.bp_from = pivot + self.matched;
-                    self.bp_pad = 0;
-                    self.bp_first = false;
-                    self.bp_hits.clear();
-                    self.binary_step(read, stride);
-                } else {
-                    self.matched += self.cur_len;
-                    self.steps += 1;
-                    self.frontier.clear();
-                    self.frontier.extend_from_slice(hits);
-                    self.chase_top(read, pivot, remaining, stride, entries);
-                }
-            }
-            Phase::Binary => {
-                if hits.is_empty() {
-                    self.bp_hi = self.bp_mid;
-                } else {
-                    self.bp_lo = self.bp_mid;
-                    self.bp_hits.clear();
-                    self.bp_hits.extend_from_slice(hits);
-                }
-                self.binary_step(read, stride);
-            }
-            Phase::Done => unreachable!("absorb on a finished chain"),
-        }
-    }
-
-    /// Top of the chase loop: finish if the read is exhausted or no entry
-    /// has a successor, otherwise prepare the next full-stride search.
-    fn chase_top(
-        &mut self,
-        read: &PackedSeq,
-        pivot: usize,
-        remaining: usize,
-        stride: usize,
-        entries: usize,
-    ) {
-        if self.matched == remaining {
-            return self.finish_at_frontier(stride);
-        }
-        // The frontier ascends, so its successors do too; only the last
-        // entry has none.
-        self.succ.clear();
-        self.succ.extend(
+        self.positions.extend(
             self.frontier
                 .iter()
-                .map(|&e| e + 1)
-                .filter(|&e| (e as usize) < entries),
+                .map(|&e| ((e as usize - steps) * stride + p) as u32),
         );
-        if self.succ.is_empty() {
-            return self.finish_at_frontier(stride);
-        }
-        let len = stride.min(remaining - self.matched);
-        self.cur_len = len;
-        self.query.fill_padded(read, pivot + self.matched, len, 0);
-        self.phase = Phase::Stride;
-    }
-
-    /// Advances the binary prefix search: prepares the next probe if the
-    /// interval is still open, otherwise finalizes the chain.
-    fn binary_step(&mut self, read: &PackedSeq, stride: usize) {
-        if self.bp_hi - self.bp_lo > 1 {
-            let mid = (self.bp_lo + self.bp_hi) / 2;
-            self.bp_mid = mid;
-            self.query.fill_padded(read, self.bp_from, mid, self.bp_pad);
-            self.phase = Phase::Binary;
-            return;
-        }
-        let l = self.bp_lo;
-        if self.bp_first {
-            if l == 0 {
-                self.len = 0;
-                self.positions.clear();
-            } else {
-                self.len = l;
-                positions_of(&mut self.positions, &self.bp_hits, 0, stride, self.p);
-            }
-        } else if l > 0 {
-            self.len = self.matched + l;
-            positions_of(
-                &mut self.positions,
-                &self.bp_hits,
-                self.steps + 1,
-                stride,
-                self.p,
-            );
-        } else {
-            self.len = self.matched;
-            positions_of(
-                &mut self.positions,
-                &self.frontier,
-                self.steps,
-                stride,
-                self.p,
-            );
-        }
-        self.phase = Phase::Done;
-    }
-
-    /// Finishes with the current frontier as the match set.
-    fn finish_at_frontier(&mut self, stride: usize) {
-        self.len = self.matched;
-        positions_of(
-            &mut self.positions,
-            &self.frontier,
-            self.steps,
-            stride,
-            self.p,
-        );
-        self.phase = Phase::Done;
     }
 }
 
-/// Writes the partition-local start positions of a match reported by
-/// `entries_now` after `steps` full strides from start offset `p`.
-fn positions_of(dst: &mut Vec<u32>, entries_now: &[u32], steps: usize, stride: usize, p: usize) {
-    dst.clear();
-    dst.extend(
-        entries_now
-            .iter()
-            .map(|&e| ((e as usize - steps) * stride + p) as u32),
-    );
+/// What a search runs over.
+#[derive(Clone, Copy)]
+enum Over {
+    /// The frontier's successors, [`SearchScratch::succ`].
+    Succ,
+    /// The binary search's best hits, [`SearchScratch::best`].
+    Best,
+    /// The pivot's groups, for a query covering this many read bases.
+    Groups(usize),
+}
+
+/// One pivot's RMEM search: its read, indicated groups and CAM, the
+/// buffers it writes, and what it has loaded and issued so far.
+struct PivotSearch<'a> {
+    cam: &'a Bcam,
+    scheme: &'a GroupScheme,
+    group_bits: u32,
+    read: &'a PackedSeq,
+    pivot: usize,
+    /// The m-mer's occurrences, when group searches may run over them.
+    occurrences: Option<Occurrences<'a>>,
+    /// The cost of a group search, computed the first time one runs over
+    /// the occurrences.
+    cost: Option<GroupCost>,
+    /// Whether `scratch.loaded` holds the pivot's groups.
+    loaded: bool,
+    /// CAM searches issued.
+    searches: u64,
+    scratch: &'a mut SearchScratch,
+    stats: &'a mut CamStats,
+}
+
+impl PivotSearch<'_> {
+    /// Issues `scratch.query` over `over` into `scratch.hits`, booking its
+    /// activity. A group search runs over the occurrences when its query
+    /// covers at least `m` bases, and otherwise walks the groups.
+    fn search(&mut self, over: Over) {
+        let SearchScratch {
+            query,
+            occurrences,
+            succ,
+            best,
+            hits,
+            loaded,
+            cam,
+            ..
+        } = &mut *self.scratch;
+        match over {
+            Over::Succ => self.cam.search_list_into(query, succ, self.stats, hits),
+            Over::Best => self.cam.search_list_into(query, best, self.stats, hits),
+            Over::Groups(bases) if self.occurrences.is_some_and(|occ| bases >= occ.m()) => {
+                let cost = self
+                    .cost
+                    .get_or_insert_with(|| self.cam.group_cost(self.scheme, self.group_bits));
+                self.cam
+                    .search_candidates_into(query, cost, occurrences, self.stats, hits)
+            }
+            Over::Groups(_) => {
+                if !self.loaded {
+                    self.cam.load_groups(self.scheme, self.group_bits, loaded);
+                    self.loaded = true;
+                }
+                self.cam
+                    .search_loaded_into(query, loaded, cam, self.stats, hits)
+            }
+        }
+        self.searches += 1;
+    }
+
+    /// The RMEM from start offset `p`: the wildcard-padded first search
+    /// over the pivot's groups, then one search per stride over the
+    /// successors of the last hits, until the read ends, no hit has a
+    /// successor or a stride misses; a miss is refined by binary search.
+    /// Returns the match length and, when it is not zero, leaves the
+    /// match's start positions in `scratch.positions`.
+    fn chase(&mut self, p: usize) -> usize {
+        let (stride, entries) = (self.cam.entry_bases(), self.cam.entries());
+        if let Some(occ) = self.occurrences {
+            // Offset p's rows, then its tail entries, which lie above
+            // every row's. Rows are kept only before the tail and
+            // deduplicated, so even a corrupt image's rows leave the list
+            // strictly ascending.
+            let (groups, group_bits) = (self.scheme.groups, self.group_bits);
+            let powered =
+                |e: usize| group_bits.checked_shr((e % groups) as u32).unwrap_or(0) & 1 != 0;
+            let list = &mut self.scratch.occurrences;
+            let tail = occ.tail();
+            list.clear();
+            list.extend(
+                occ.offsets()
+                    .filter(|&x| x < tail && x % stride == p && powered(x / stride))
+                    .map(|x| (x / stride) as u32),
+            );
+            list.sort_unstable();
+            list.dedup();
+            let first_tail = tail.saturating_sub(p).div_ceil(stride);
+            list.extend(
+                (first_tail..entries)
+                    .filter(|&e| powered(e))
+                    .map(|e| e as u32),
+            );
+        }
+        let remaining = self.read.len() - self.pivot;
+        let first = (stride - p).min(remaining);
+        self.scratch
+            .query
+            .fill_padded(self.read, self.pivot, first, p);
+        self.search(Over::Groups(first));
+        if self.scratch.hits.is_empty() {
+            let len = self.refine(self.pivot, p, first, true);
+            if len > 0 {
+                self.scratch.frontier_positions(0, stride, p);
+            }
+            return len;
+        }
+        std::mem::swap(&mut self.scratch.frontier, &mut self.scratch.hits);
+        let (mut matched, mut steps) = (first, 0);
+        while matched < remaining {
+            // The frontier ascends, so its successors do too; only the
+            // last entry has none.
+            let SearchScratch { frontier, succ, .. } = &mut *self.scratch;
+            succ.clear();
+            succ.extend(
+                frontier
+                    .iter()
+                    .map(|&e| e + 1)
+                    .filter(|&e| (e as usize) < entries),
+            );
+            if succ.is_empty() {
+                break;
+            }
+            let len = stride.min(remaining - matched);
+            let from = self.pivot + matched;
+            self.scratch.query.fill_padded(self.read, from, len, 0);
+            self.search(Over::Succ);
+            if self.scratch.hits.is_empty() {
+                let len = self.refine(from, 0, len, false);
+                if len > 0 {
+                    matched += len;
+                    steps += 1;
+                }
+                break;
+            }
+            matched += len;
+            steps += 1;
+            std::mem::swap(&mut self.scratch.frontier, &mut self.scratch.hits);
+        }
+        self.scratch.frontier_positions(steps, stride, p);
+        matched
+    }
+
+    /// Binary search for the longest prefix of `read[from..from + len]`
+    /// that matches, `len` itself having missed, with `pad` wildcards in
+    /// front. Probes run over the best hits so far; before any hit, over
+    /// the pivot's groups when refining the `first` search, else over the
+    /// successors. Returns the prefix length; when it is not zero, its
+    /// hits replace the frontier.
+    fn refine(&mut self, from: usize, pad: usize, len: usize, first: bool) -> usize {
+        self.scratch.best.clear();
+        let (mut lo, mut hi) = (0, len);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            self.scratch.query.fill_padded(self.read, from, mid, pad);
+            self.search(if !self.scratch.best.is_empty() {
+                Over::Best
+            } else if first {
+                Over::Groups(mid)
+            } else {
+                Over::Succ
+            });
+            if self.scratch.hits.is_empty() {
+                hi = mid;
+            } else {
+                lo = mid;
+                std::mem::swap(&mut self.scratch.best, &mut self.scratch.hits);
+            }
+        }
+        if lo > 0 {
+            std::mem::swap(&mut self.scratch.frontier, &mut self.scratch.best);
+        }
+        lo
+    }
 }
 
 /// The SMEM computing CAM plus its group scheme.
@@ -440,9 +378,9 @@ impl CamSearcher {
     /// they only speed the group searches up (see the module docs), and
     /// giving another m-mer's is a logic error.
     ///
-    /// Every enabled start offset below the stride becomes a chain, driven
-    /// to completion before the next one starts; the longest match wins
-    /// and ties append, so positions come out sorted and deduplicated.
+    /// Every enabled start offset below the stride is searched to
+    /// completion before the next one starts; the longest match wins and
+    /// ties append, so positions come out sorted and deduplicated.
     #[allow(clippy::too_many_arguments)]
     pub fn rmem_into(
         &self,
@@ -455,23 +393,22 @@ impl CamSearcher {
         out: &mut RmemResult,
     ) {
         let stride = self.cam.entry_bases();
-        let entries = self.cam.entries();
-        let SearchScratch {
-            chain,
-            loaded,
-            hits,
-            cam,
-        } = scratch;
         out.len = 0;
         out.positions.clear();
-        out.searches = 0;
-        let groups = self.scheme.groups;
-        let powered = |e: usize| si.groups.checked_shr((e % groups) as u32).unwrap_or(0) & 1 != 0;
-        let mut loaded_groups = false;
-        let mut cost: Option<GroupCost> = None;
-        let occurrences =
-            occurrences.filter(|occ| occ.len() <= OCCURRENCE_ROWS && !self.cam.is_faulted());
-        let remaining = read.len() - pivot;
+        let mut search = PivotSearch {
+            cam: &self.cam,
+            scheme: &self.scheme,
+            group_bits: si.groups,
+            read,
+            pivot,
+            occurrences: occurrences
+                .filter(|occ| occ.len() <= OCCURRENCE_ROWS && !self.cam.is_faulted()),
+            cost: None,
+            loaded: false,
+            searches: 0,
+            scratch,
+            stats,
+        };
         let mut start_bits = si.start_mask;
         while start_bits != 0 {
             let p = start_bits.trailing_zeros() as usize;
@@ -479,62 +416,16 @@ impl CamSearcher {
             if p >= stride {
                 break;
             }
-            chain.reset(p, occurrences.map_or(usize::MAX, |occ| occ.m()));
-            if let Some(occ) = occurrences {
-                // Offset p's rows, then its tail entries, which lie above
-                // every row's. Rows are kept only before the tail and
-                // deduplicated, so even a corrupt image's rows leave the
-                // list strictly ascending.
-                let tail = occ.tail();
-                chain.occurrences.extend(
-                    occ.offsets()
-                        .filter(|&x| x < tail && x % stride == p && powered(x / stride))
-                        .map(|x| (x / stride) as u32),
-                );
-                chain.occurrences.sort_unstable();
-                chain.occurrences.dedup();
-                let first_tail = tail.saturating_sub(p).div_ceil(stride);
-                chain.occurrences.extend(
-                    (first_tail..entries)
-                        .filter(|&e| powered(e))
-                        .map(|e| e as u32),
-                );
-            }
-            let len0 = (stride - p).min(remaining);
-            chain.cur_len = len0;
-            chain.query.fill_padded(read, pivot, len0, p);
-            while chain.phase != Phase::Done {
-                match chain.candidates() {
-                    Candidates::List(list) => {
-                        self.cam.search_list_into(&chain.query, list, stats, hits)
-                    }
-                    Candidates::Occurrences(list) => {
-                        let cost = cost
-                            .get_or_insert_with(|| self.cam.group_cost(&self.scheme, si.groups));
-                        self.cam
-                            .search_candidates_into(&chain.query, cost, list, stats, hits)
-                    }
-                    Candidates::Groups => {
-                        if !loaded_groups {
-                            self.cam.load_groups(&self.scheme, si.groups, loaded);
-                            loaded_groups = true;
-                        }
-                        self.cam
-                            .search_loaded_into(&chain.query, loaded, cam, stats, hits)
-                    }
-                }
-                chain.searches += 1;
-                chain.absorb(hits, read, pivot, stride, entries);
-            }
-            out.searches += chain.searches;
-            if chain.len > out.len {
-                out.len = chain.len;
+            let len = search.chase(p);
+            if len > out.len {
+                out.len = len;
                 out.positions.clear();
-                out.positions.extend_from_slice(&chain.positions);
-            } else if chain.len == out.len && chain.len > 0 {
-                out.positions.extend_from_slice(&chain.positions);
+            }
+            if len == out.len && len > 0 {
+                out.positions.extend_from_slice(&search.scratch.positions);
             }
         }
+        out.searches = search.searches;
         out.positions.sort_unstable();
         out.positions.dedup();
     }
@@ -735,9 +626,10 @@ mod tests {
         );
     }
 
-    /// The scratch (chain, loaded groups, hit buffer, match lines) carries over
-    /// from pivot to pivot; reusing it must not change results, searches
-    /// counts, or CAM activity against fresh scratch per pivot.
+    /// The scratch (query, candidate lists, loaded groups, hit buffers,
+    /// match lines) carries over from pivot to pivot; reusing it must not
+    /// change results, searches counts, or CAM activity against fresh
+    /// scratch per pivot.
     #[test]
     fn reused_searcher_matches_fresh_searcher_per_pivot() {
         use rand::{Rng, SeedableRng};
@@ -787,71 +679,109 @@ mod tests {
     /// The CAM activity of a fixed read set — searches, enabled rows,
     /// activated arrays and matches — is the energy model's input, so it
     /// is pinned to recorded totals, fault-free and under stuck-at and
-    /// bit-flip faults: however the chain carries its candidates (masks,
+    /// bit-flip faults: however a search carries its candidates (masks,
     /// lists or the pivot's occurrences), it must book the activity of
-    /// the equivalent mask.
+    /// the equivalent mask. Two inputs: reads over a human-like partition,
+    /// and reads over a poly-A run (whose m-mer's sub-bucket exceeds
+    /// [`OCCURRENCE_ROWS`], so its group searches walk the groups) and a
+    /// tandem copy.
     #[test]
     fn cam_activity_of_a_fixed_read_set_is_pinned() {
         use casa_cam::CamFaultModel;
         use casa_genome::synth::{generate_reference, ReferenceProfile};
+        use casa_genome::Base;
         use rand::{Rng, SeedableRng};
-        let part = generate_reference(&ReferenceProfile::human_like(), 48_000, 21);
         let cfg = FilterConfig::new(12, 6, 40, 20);
-        let filter = PreSeedingFilter::build(&part, cfg);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2121);
-        let reads: Vec<PackedSeq> = (0..48)
-            .map(|i| {
-                let s = rng.gen_range(0..part.len() - 101);
-                let mut codes: Vec<u8> = part.subseq(s, 101).iter().map(|b| b.code()).collect();
-                match i % 4 {
-                    // Two substitutions: the chase stops mid-read and the
-                    // binary search runs over the successor candidates.
-                    1 | 2 => {
-                        for _ in 0..2 {
-                            let at = rng.gen_range(0..codes.len());
-                            codes[at] ^= 1 + rng.gen_range(0..3u8);
+        /// 48 reads of 101 bases from `codes`, starting in `starts`: a
+        /// quarter exact, half with two substitutions (the chase stops
+        /// mid-read and the binary search runs over the successor
+        /// candidates), a quarter unrelated (first-search misses and mask
+        /// probes).
+        fn reads(codes: &[u8], starts: &[(usize, usize)], seed: u64) -> Vec<PackedSeq> {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            (0..48)
+                .map(|i| {
+                    let (lo, hi) = starts[i % starts.len()];
+                    let s = rng.gen_range(lo..hi);
+                    let mut read = codes[s..s + 101].to_vec();
+                    match i % 4 {
+                        1 | 2 => {
+                            for _ in 0..2 {
+                                let at = rng.gen_range(0..read.len());
+                                read[at] ^= 1 + rng.gen_range(0..3u8);
+                            }
                         }
+                        3 => read.iter_mut().for_each(|c| *c = rng.gen_range(0..4)),
+                        _ => {}
                     }
-                    // Unrelated read: first-search misses and mask probes.
-                    3 => codes.iter_mut().for_each(|c| *c = rng.gen_range(0..4)),
-                    _ => {}
-                }
-                codes
-                    .into_iter()
-                    .map(casa_genome::Base::from_code)
-                    .collect()
-            })
-            .collect();
+                    read.into_iter().map(Base::from_code).collect()
+                })
+                .collect()
+        }
+        let human = generate_reference(&ReferenceProfile::human_like(), 48_000, 21);
+        let human_codes: Vec<u8> = human.iter().map(|b| b.code()).collect();
+        let human_reads = reads(&human_codes, &[(0, human.len() - 101)], 2121);
+        let mut repeat_codes: Vec<u8> =
+            generate_reference(&ReferenceProfile::human_like(), 16_000, 22)
+                .iter()
+                .map(|b| b.code())
+                .collect();
+        let (run, unit) = (4_000, 9_000..9_300);
+        repeat_codes[run..run + POLY_A].fill(0);
+        repeat_codes.copy_within(unit.clone(), unit.end);
+        let repeat: PackedSeq = repeat_codes.iter().map(|&c| Base::from_code(c)).collect();
+        let repeat_reads = reads(
+            &repeat_codes,
+            &[
+                (run - 60, run + POLY_A - 40),
+                (unit.start - 60, unit.end + 200),
+            ],
+            2222,
+        );
         let faulted = CamFaultModel {
             seed: 5,
             stuck_rate: 0.02,
             flip_rate: 0.001,
         };
         let mut totals = Vec::new();
-        for model in [None, Some(faulted)] {
-            let mut searcher = CamSearcher::new(&part, cfg.stride, cfg.groups);
-            if let Some(m) = &model {
-                searcher.inject_faults(m);
-            }
-            let mut scratch = SearchScratch::default();
-            let mut stats = CamStats::default();
-            let mut out = RmemResult::default();
-            let (mut searches, mut bases, mut positions) = (0u64, 0usize, 0usize);
-            for read in &reads {
-                for pivot in 0..=read.len() - cfg.k {
-                    let si = lookup(&filter, read, pivot).unwrap();
-                    if si.is_empty() {
-                        continue;
-                    }
-                    let occ = occurrences(&filter, read, pivot);
-                    searcher.rmem_into(read, pivot, &si, occ, &mut scratch, &mut stats, &mut out);
-                    searches += out.searches;
-                    bases += out.len;
-                    positions += out.positions.len();
+        for (part, reads) in [(&human, &human_reads), (&repeat, &repeat_reads)] {
+            let filter = PreSeedingFilter::build(part, cfg);
+            for model in [None, Some(faulted)] {
+                let mut searcher = CamSearcher::new(part, cfg.stride, cfg.groups);
+                if let Some(m) = &model {
+                    searcher.inject_faults(m);
                 }
+                let mut scratch = SearchScratch::default();
+                let mut stats = CamStats::default();
+                let mut out = RmemResult::default();
+                let (mut searches, mut bases, mut positions) = (0u64, 0usize, 0usize);
+                let mut oversize = 0;
+                for read in reads {
+                    for pivot in 0..=read.len() - cfg.k {
+                        let si = lookup(&filter, read, pivot).unwrap();
+                        if si.is_empty() {
+                            continue;
+                        }
+                        let occ = occurrences(&filter, read, pivot);
+                        oversize += occ.is_some_and(|occ| occ.len() > OCCURRENCE_ROWS) as usize;
+                        searcher.rmem_into(
+                            read,
+                            pivot,
+                            &si,
+                            occ,
+                            &mut scratch,
+                            &mut stats,
+                            &mut out,
+                        );
+                        searches += out.searches;
+                        bases += out.len;
+                        positions += out.positions.len();
+                    }
+                }
+                assert_eq!(stats.searches, searches);
+                assert_eq!(oversize > 0, std::ptr::eq(part, &repeat));
+                totals.push((stats, bases, positions));
             }
-            assert_eq!(stats.searches, searches);
-            totals.push((stats, bases, positions));
         }
         let pinned = [
             (
@@ -873,6 +803,26 @@ mod tests {
                 },
                 115_507,
                 4_635,
+            ),
+            (
+                CamStats {
+                    searches: 245_920,
+                    rows_enabled: 12_851_330,
+                    arrays_activated: 327_120,
+                    matches: 1_275_731,
+                },
+                122_199,
+                370_121,
+            ),
+            (
+                CamStats {
+                    searches: 246_332,
+                    rows_enabled: 12_731_127,
+                    arrays_activated: 328_116,
+                    matches: 1_127_469,
+                },
+                117_988,
+                305_627,
             ),
         ];
         assert_eq!(totals, pinned);

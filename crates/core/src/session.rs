@@ -11,7 +11,7 @@
 //! are looked up in every partition at once, then the tile is seeded
 //! against each partition in turn. The backend — the CASA CAM model, the
 //! FM-index golden model, or the ERT model — is a runtime choice
-//! ([`BackendKind`](crate::BackendKind), selected per process via
+//! ([`BackendKind`], selected per process via
 //! [`CASA_BACKEND`](crate::BACKEND_ENV) or per session via
 //! [`with_backend`](SeedingSession::with_backend)); every layer above the
 //! trait is backend-agnostic, and every backend emits the identical SMEM
@@ -289,9 +289,8 @@ impl std::fmt::Debug for SeedingSession {
 ///
 /// # Errors
 ///
-/// [`ConfigError::UnknownSeedingBackend`](crate::ConfigError::UnknownSeedingBackend)
-/// for an unrecognised `CASA_BACKEND` value and
-/// [`ConfigError::BadFaultPlan`](crate::ConfigError::BadFaultPlan) for a
+/// [`ConfigError::UnknownSeedingBackend`] for an unrecognised
+/// `CASA_BACKEND` value and [`ConfigError::BadFaultPlan`] for a
 /// `CASA_FAULT_SEED` value that is not a `u64` seed — each only when the
 /// knob it would fill is unset.
 pub fn env_defaults(
@@ -326,11 +325,10 @@ impl SeedingSession {
     /// # Errors
     ///
     /// * [`Error::Config`] if the configuration is inconsistent (including
-    ///   a typed
-    ///   [`ConfigError::UnknownSeedingBackend`](crate::ConfigError::UnknownSeedingBackend)
-    ///   for an unrecognised `CASA_BACKEND` value and a typed
-    ///   [`ConfigError::BadFaultPlan`](crate::ConfigError::BadFaultPlan)
-    ///   for a `CASA_FAULT_SEED` value that is not a `u64` seed);
+    ///   a typed [`ConfigError::UnknownSeedingBackend`] for an
+    ///   unrecognised `CASA_BACKEND` value and a typed
+    ///   [`ConfigError::BadFaultPlan`] for a `CASA_FAULT_SEED` value that
+    ///   is not a `u64` seed);
     /// * [`Error::EmptyReference`] if `reference` has no bases;
     /// * [`Error::ZeroWorkers`] if `workers == 0`.
     pub fn new(
@@ -349,8 +347,7 @@ impl SeedingSession {
     /// # Errors
     ///
     /// As [`new`](Self::new), plus [`Error::Config`] with
-    /// [`ConfigError::BadFaultPlan`](crate::ConfigError::BadFaultPlan) if
-    /// a plan rate lies outside `[0, 1]`.
+    /// [`ConfigError::BadFaultPlan`] if a plan rate lies outside `[0, 1]`.
     pub fn with_fault_plan(
         reference: &PackedSeq,
         config: CasaConfig,

@@ -129,11 +129,6 @@ impl MacroSpec {
         self.leakage_ua * 1e-6 * VDD_VOLTS
     }
 
-    /// Dynamic energy per access in joules.
-    pub fn energy_joules(&self) -> f64 {
-        self.energy_pj * 1e-12
-    }
-
     /// Number of macros needed to hold `bytes` of storage.
     pub fn macros_for_bytes(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.capacity_bytes())

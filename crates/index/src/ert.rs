@@ -142,11 +142,6 @@ impl ErtIndex {
         self.k
     }
 
-    /// Number of tree nodes across all k-mers.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether the k-mer starting at `read[from..from+k]` exists in the
     /// index (one index-table fetch).
     pub fn contains_kmer(&self, read: &PackedSeq, from: usize) -> bool {

@@ -10,7 +10,7 @@
 //! mapping, so cold start is O(page-fault) instead of O(rebuild) and
 //! concurrent processes share the arrays through the page cache.
 //!
-//! # Layout (version 3)
+//! # Layout (version 4)
 //!
 //! All integers little-endian. Payload sections are aligned to
 //! `page_size` (4096) so mapped views are always 8-byte aligned and
@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! offset 0        magic           b"CASAIMG1"
-//!        8        version         u32  (=3)
+//!        8        version         u32  (=4)
 //!        12       page_size       u32  (=4096)
 //!        16       fingerprint     u64  (FNV-1a of config blob + reference bytes)
 //!        24       total_len       u64  (file length in bytes)
